@@ -347,13 +347,13 @@ func serveBenchMappings() []*mapping.Mapping {
 }
 
 // BenchmarkServeLookup measures the serving hot path end to end — HTTP
-// routing, shard fan-out, cache, JSON encoding — for the single-key /lookup
+// routing, cache, index, JSON encoding — for the single-key /lookup
 // endpoint. Sub-benchmarks separate the cache-hit path (one hot key) from
-// the cache-miss path (cache disabled, every request scans the shards).
+// the cache-miss path (cache disabled, every request reaches the index).
 func BenchmarkServeLookup(b *testing.B) {
 	maps := serveBenchMappings()
 	run := func(b *testing.B, cacheSize int, key string) {
-		srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: cacheSize})
+		srv := serve.NewFromMappings(maps, serve.Options{CacheSize: cacheSize})
 		h := srv.Handler()
 		url := "/lookup?key=" + key
 		b.ResetTimer()
@@ -370,11 +370,11 @@ func BenchmarkServeLookup(b *testing.B) {
 }
 
 // BenchmarkServeLookupParallel measures concurrent throughput of /lookup —
-// the read-only shards and lock-free state pointer should let parallel
+// the read-only index and lock-free state pointer should let parallel
 // clients scale across cores; only the LRU mutex is shared.
 func BenchmarkServeLookupParallel(b *testing.B) {
 	maps := serveBenchMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: 1024})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 1024})
 	h := srv.Handler()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -391,11 +391,10 @@ func BenchmarkServeLookupParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServeAutoFill measures the batch /autofill endpoint over the
-// sharded index.
+// BenchmarkServeAutoFill measures the /autofill endpoint.
 func BenchmarkServeAutoFill(b *testing.B) {
 	maps := serveBenchMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: 0})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 0})
 	h := srv.Handler()
 	body := []byte(`{"column":["left-42-1","left-42-2","left-42-3","left-42-4"],` +
 		`"examples":[{"left":"left-42-1","right":"right-42-1"}],"min_coverage":0.9}`)
@@ -477,7 +476,7 @@ func BenchmarkBatchAutoFill(b *testing.B) {
 // requests (BenchmarkServeAutoFill measures one such request).
 func BenchmarkServeBatchAutoFill(b *testing.B) {
 	maps := serveBenchMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: 0})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 0})
 	h := srv.Handler()
 	var body bytes.Buffer
 	for q := 0; q < 32; q++ {

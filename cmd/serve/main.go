@@ -1,11 +1,11 @@
 // Command serve is the long-running mapping service: it loads a snapshot
-// written by `synthesize -snapshot` into hash-sharded in-memory indexes and
+// written by `synthesize -snapshot` into read-only containment indexes and
 // serves the paper's end-user applications over HTTP.
 //
 // Usage:
 //
 //	serve -snapshot out.snap [-corpus name=path ...] [-addr :8080]
-//	      [-shards N] [-cache 4096] [-history 4]
+//	      [-cache 4096] [-history 4]
 //	      [-batch-requests 32] [-batch-rows 256] [-batch-write-timeout 30s]
 //	      [-tenants interactive:4,bulk:1:50:10,*:1:100]
 //
@@ -211,7 +211,6 @@ func main() {
 		return nil
 	})
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 0, "index shards; 0 = GOMAXPROCS")
 	cacheSize := flag.Int("cache", 4096, "lookup cache entries per corpus; 0 disables")
 	history := flag.Int("history", 4, "rollback ring depth: prior snapshot versions kept activatable per corpus")
 	batchRequests := flag.Int("batch-requests", 32, "max concurrent /batch/* requests; beyond it 429")
@@ -353,7 +352,6 @@ func main() {
 	srv, err := serve.New(serve.Options{
 		SnapshotPath:      *snapPath,
 		Corpora:           corpora,
-		Shards:            *shards,
 		CacheSize:         *cacheSize,
 		HistoryDepth:      *history,
 		MaxBatchRequests:  *batchRequests,
@@ -376,8 +374,7 @@ func main() {
 	}
 	for _, name := range srv.CorpusNames() {
 		st := srv.CorpusState(name)
-		fmt.Printf("serve: corpus %s: loaded %s: %d mappings across %d shards\n",
-			name, st.Path, st.NumMappings(), st.Index.NumShards())
+		fmt.Printf("serve: corpus %s: loaded %s: %d mappings\n", name, st.Path, st.NumMappings())
 	}
 	fmt.Printf("serve: listening on %s (SIGHUP reloads every corpus)\n", *addr)
 	if *pprofAddr != "" {

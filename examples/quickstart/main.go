@@ -66,7 +66,7 @@ func main() {
 		os.Exit(1)
 	}
 	def := h.Corpora[client.DefaultCorpus]
-	fmt.Printf("service up: %d mappings, %d pairs, %d index shards\n\n", def.Mappings, def.Pairs, def.Shards)
+	fmt.Printf("service up: %d mappings, %d pairs\n\n", def.Mappings, def.Pairs)
 
 	// Lookup uses any surface form, including synonyms merged from other
 	// tables.

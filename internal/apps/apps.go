@@ -2,11 +2,9 @@ package apps
 
 import "mapsynth/internal/index"
 
-// Index is the containment-lookup surface the applications need. The
-// offline pipeline hands them a single *index.MappingIndex; the serving
-// layer hands them a sharded fan-out index that merges per-shard hits into
-// the same globally ordered hit list, so application results are identical
-// regardless of which implementation answers the query.
+// Index is the containment-lookup surface the applications need: an
+// *index.MappingIndex, or a wrapper such as CachedIndex that answers with
+// the same globally ordered hit list.
 type Index interface {
 	// LookupLeft finds mappings whose left column covers at least
 	// minCoverage of the query values, best first.

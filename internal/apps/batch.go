@@ -89,7 +89,7 @@ func AutoJoinBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoJo
 
 // CachedIndex wraps an Index so that repeated identical queries cost one
 // underlying scan. It is what gives a batch its lookup amortization; the
-// serving layer wraps one around the sharded index per /batch/* request.
+// serving layer wraps one around the corpus index per /batch/* request.
 // Safe for concurrent use; each distinct query computes exactly once even
 // under concurrent access. The cache only grows, so a CachedIndex is meant
 // to live for one batch, not for a process lifetime (the serving layer has

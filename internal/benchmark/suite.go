@@ -339,7 +339,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 }
 
 // benchLookup drives GET /v1/lookup through the complete handler chain
-// (request-ID + instrumentation middleware, routing, cache, sharded index)
+// (request-ID + instrumentation middleware, routing, cache, index)
 // with an in-process recorder, rotating across real keys so the cache sees
 // a realistic mix rather than one hot entry.
 func benchLookup(srv *serve.Server, maps []*mapping.Mapping) MicroBench {

@@ -40,7 +40,7 @@ func codedMappings(prefix string, states ...string) []*mapping.Mapping {
 // shutdown func.
 func testNode(t *testing.T, maps []*mapping.Mapping) (*httptest.Server, *serve.Server) {
 	t.Helper()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 1, CacheSize: 16})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 16})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv

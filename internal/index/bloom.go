@@ -2,8 +2,11 @@
 // tables. The paper motivates pre-computed mappings partly because they can
 // be "indexed ... using hash-based techniques (e.g., bloom filters) for
 // efficient lookup based on value containment" (Section 1); this package is
-// that index: a Bloom filter per mapping column plus an exact inverted index
-// for retrieval.
+// that index. An exact inverted index over normalized left values names the
+// candidate mappings of a query and counts their matches, so a query costs
+// the postings it walks rather than a probe of every mapping; a Bloom
+// filter per right column screens the exact right-side membership check
+// auto-correct runs on those candidates.
 package index
 
 import (
@@ -56,8 +59,8 @@ func hashPair(s string) (uint64, uint64) {
 }
 
 // Hash is the precomputed double-hash of one key. Callers probing the same
-// key against many filters (the per-mapping pre-screen loop) hash once and
-// reuse it instead of re-hashing per filter.
+// key against many filters (MixedColumnHits checks every candidate's right
+// column) hash once and reuse it instead of re-hashing per filter.
 type Hash struct{ H1, H2 uint64 }
 
 // HashOf precomputes the double-hash of a key for MayContainHash /

@@ -1,7 +1,8 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/textnorm"
@@ -9,10 +10,11 @@ import (
 
 // MappingIndex answers "which synthesized mappings contain (many of) these
 // values in their left column?" — the lookup primitive behind auto-correct,
-// auto-fill and auto-join. Each mapping gets a Bloom filter over its
-// normalized left and right values for cheap pre-screening, backed by an
-// exact inverted index for scoring. The storage behind the filters,
-// postings and mappings is a pluggable Source: heap structures built by
+// auto-fill and auto-join. The exact inverted index over left values is the
+// candidate generator: a query walks the postings of its distinct values and
+// counts matches per mapping, so its cost follows the postings it touches,
+// not the number of mappings indexed. The storage behind the postings,
+// value tables and mappings is a pluggable Source: heap structures built by
 // Build, or a mapped v2 snapshot region served zero-copy via FromSource.
 type MappingIndex struct {
 	src Source
@@ -25,7 +27,7 @@ func Build(maps []*mapping.Mapping) *MappingIndex {
 }
 
 // FromSource wraps an existing Source — the entry point for mmap-backed
-// snapshot sources, whose filters and postings are already persisted and
+// snapshot sources, whose postings and filters are already persisted and
 // must not be rebuilt.
 func FromSource(src Source) *MappingIndex {
 	return &MappingIndex{src: src}
@@ -71,6 +73,35 @@ func normalizeQuery(values []string) []string {
 	return normed
 }
 
+// leftMatches walks the postings of every query value and calls visit, in
+// ascending mapping position, with each mapping whose left column contains
+// at least one of them and how many it contains. Postings of a mapped
+// snapshot are not validated at open, so positions outside [0, Len()) are
+// skipped here instead of reaching Source.Mapping or the exact-membership
+// accessors.
+func (ix *MappingIndex) leftMatches(normed []string, visit func(i, matched int)) {
+	var ids []int32
+	if len(normed) == 1 {
+		ids = ix.src.Postings(normed[0]) // already ascending; only read below
+	} else {
+		for _, nv := range normed {
+			ids = append(ids, ix.src.Postings(nv)...)
+		}
+		slices.Sort(ids)
+	}
+	n := ix.src.Len()
+	for lo := 0; lo < len(ids); {
+		hi := lo + 1
+		for hi < len(ids) && ids[hi] == ids[lo] {
+			hi++
+		}
+		if i := int(ids[lo]); i >= 0 && i < n {
+			visit(i, hi-lo)
+		}
+		lo = hi
+	}
+}
+
 // LookupLeft finds mappings whose left column covers at least minCoverage of
 // the query values. Results are sorted by coverage descending, then by more
 // contributing domains (popularity), then by index for determinism.
@@ -79,100 +110,66 @@ func (ix *MappingIndex) LookupLeft(values []string, minCoverage float64) []Hit {
 	if len(normed) == 0 {
 		return nil
 	}
-	// Bloom pre-screen: count prospective matches per mapping. Each value
-	// is hashed once and probed against every mapping's filter.
-	n := ix.src.Len()
-	bloomCount := make(map[int]int)
-	for _, nv := range normed {
-		h := HashOf(nv)
-		for i := 0; i < n; i++ {
-			if ix.src.MayContainLeft(i, h) {
-				bloomCount[i]++
-			}
-		}
-	}
-	minMatched := int(minCoverage * float64(len(normed)))
 	var hits []Hit
-	for i, bc := range bloomCount {
-		if bc < minMatched {
-			continue // even with false positives it can't reach coverage
-		}
-		// Exact verification via the inverted postings.
-		matched := 0
-		for _, nv := range normed {
-			if containsMapping(ix.src.Postings(nv), int32(i)) {
-				matched++
-			}
-		}
+	ix.leftMatches(normed, func(i, matched int) {
 		cov := float64(matched) / float64(len(normed))
-		if cov >= minCoverage && matched > 0 {
+		if cov >= minCoverage {
 			hits = append(hits, Hit{Index: i, Mapping: ix.src.Mapping(i), Coverage: cov, Matched: matched})
 		}
-	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Coverage != hits[b].Coverage {
-			return hits[a].Coverage > hits[b].Coverage
+	})
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if a.Coverage != b.Coverage {
+			return cmp.Compare(b.Coverage, a.Coverage)
 		}
-		da, db := hits[a].Mapping.NumDomains(), hits[b].Mapping.NumDomains()
-		if da != db {
-			return da > db
+		if da, db := a.Mapping.NumDomains(), b.Mapping.NumDomains(); da != db {
+			return cmp.Compare(db, da)
 		}
-		return hits[a].Index < hits[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 	return hits
-}
-
-func containsMapping(list []int32, id int32) bool {
-	for _, x := range list {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // MixedColumnHits finds mappings where the query values are split between
 // the left and right columns — the auto-correction signal (Table 3: a state
 // column mixing full names and abbreviations). A hit requires at least
-// minEach values on each side and combined coverage of minCoverage.
+// minEach values on each side (never fewer than one) and combined coverage
+// of minCoverage; values found on both sides count toward the left.
 func (ix *MappingIndex) MixedColumnHits(values []string, minEach int, minCoverage float64) []Hit {
 	normed := normalizeQuery(values)
 	if len(normed) == 0 {
 		return nil
 	}
+	minEach = max(minEach, 1)
 	hashes := make([]Hash, len(normed))
 	for j, nv := range normed {
 		hashes[j] = HashOf(nv)
 	}
 	var hits []Hit
-	for i := 0; i < ix.src.Len(); i++ {
-		var leftVals, rightVals int
-		// Bloom screen then exact check against the mapping's value sets;
-		// the filters have no false negatives, so the conjunction equals
-		// exact membership.
+	// A hit has at least one value on the left, so the left postings name
+	// every candidate; only those get the right-side check.
+	ix.leftMatches(normed, func(i, leftVals int) {
+		if leftVals < minEach {
+			return
+		}
+		rightVals := 0
 		for j, nv := range normed {
-			inL := ix.src.MayContainLeft(i, hashes[j]) && ix.src.InLeft(i, nv)
-			inR := ix.src.MayContainRight(i, hashes[j]) && ix.src.InRight(i, nv)
-			switch {
-			case inL && !inR:
-				leftVals++
-			case inR && !inL:
+			// Bloom screen then exact check; the filters have no false
+			// negatives, so the conjunction equals exact membership.
+			if ix.src.MayContainRight(i, hashes[j]) && ix.src.InRight(i, nv) && !ix.src.InLeft(i, nv) {
 				rightVals++
-			case inL && inR:
-				leftVals++ // ambiguous values count toward the left
 			}
 		}
 		total := leftVals + rightVals
 		cov := float64(total) / float64(len(normed))
-		if leftVals >= minEach && rightVals >= minEach && cov >= minCoverage {
+		if rightVals >= minEach && cov >= minCoverage {
 			hits = append(hits, Hit{Index: i, Mapping: ix.src.Mapping(i), Coverage: cov, Matched: total})
 		}
-	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Coverage != hits[b].Coverage {
-			return hits[a].Coverage > hits[b].Coverage
+	})
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if a.Coverage != b.Coverage {
+			return cmp.Compare(b.Coverage, a.Coverage)
 		}
-		return hits[a].Index < hits[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 	return hits
 }

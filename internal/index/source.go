@@ -7,25 +7,25 @@ import (
 )
 
 // Source is the storage backend of a MappingIndex: everything a containment
-// query needs to pre-screen, verify and rank mappings, decoupled from where
-// the data lives. Two implementations exist — the heap source built by
-// Build from synthesis output or a decoded v1 snapshot, and the mmap source
-// in internal/snapshot serving a v2 snapshot region zero-copy, where the
-// Bloom bits, postings and value tables are read in place and Mapping(i)
-// materializes lazily on first hit.
+// query needs to find, verify and rank mappings, decoupled from where the
+// data lives. Two implementations exist — the heap source built by Build
+// from synthesis output or a decoded v1 snapshot, and the mmap source in
+// internal/snapshot serving a v2 snapshot region zero-copy, where the
+// postings, right-column Bloom bits and value tables are read in place and
+// Mapping(i) materializes lazily on first hit.
 type Source interface {
 	// Len returns the number of mappings.
 	Len() int
 	// Mapping returns the i-th mapping. Mmap-backed sources materialize it
 	// on first access; it is only called for mappings that actually hit.
 	Mapping(i int) *mapping.Mapping
-	// MayContainLeft probes mapping i's left-column Bloom filter with a
+	// MayContainRight probes mapping i's right-column Bloom filter with a
 	// precomputed hash (never false negatives).
-	MayContainLeft(i int, h Hash) bool
-	// MayContainRight probes mapping i's right-column Bloom filter.
 	MayContainRight(i int, h Hash) bool
 	// Postings returns the ascending positions of the mappings whose left
-	// column contains the normalized value. The slice is read-only.
+	// column contains the normalized value. The slice is read-only, and a
+	// source serving an unverified file may return positions outside
+	// [0, Len()); MappingIndex skips those.
 	Postings(nl string) []int32
 	// InLeft reports exactly whether mapping i's left column contains the
 	// normalized value.
@@ -36,11 +36,11 @@ type Source interface {
 }
 
 // heapSource is the in-memory Source over fully materialized mappings: per
-// mapping a Bloom filter pair and sorted normalized value tables, plus the
-// exact inverted index over left values.
+// mapping a right-column Bloom filter and sorted normalized value tables,
+// plus the exact inverted index over left values.
 type heapSource struct {
-	maps            []*mapping.Mapping
-	leftBF, rightBF []*Bloom
+	maps    []*mapping.Mapping
+	rightBF []*Bloom
 	// sortedLeft/sortedRight hold each mapping's distinct normalized
 	// values ascending, for exact membership by binary search.
 	sortedLeft, sortedRight [][]string
@@ -55,7 +55,6 @@ var _ Source = (*heapSource)(nil)
 func newHeapSource(maps []*mapping.Mapping) *heapSource {
 	s := &heapSource{
 		maps:        maps,
-		leftBF:      make([]*Bloom, len(maps)),
 		rightBF:     make([]*Bloom, len(maps)),
 		sortedLeft:  make([][]string, len(maps)),
 		sortedRight: make([][]string, len(maps)),
@@ -63,24 +62,21 @@ func newHeapSource(maps []*mapping.Mapping) *heapSource {
 	}
 	for i, m := range maps {
 		left, right := m.NormalizedValues()
-		lb := NewBloom(len(m.Pairs), 0.01)
-		rb := NewBloom(len(m.Pairs), 0.01)
 		for _, nl := range left {
-			lb.Add(nl)
 			s.inverted[nl] = append(s.inverted[nl], int32(i))
 		}
+		rb := NewBloom(len(m.Pairs), 0.01)
 		for _, nr := range right {
 			rb.Add(nr)
 		}
-		s.leftBF[i], s.rightBF[i] = lb, rb
+		s.rightBF[i] = rb
 		s.sortedLeft[i], s.sortedRight[i] = left, right
 	}
 	return s
 }
 
-func (s *heapSource) Len() int                          { return len(s.maps) }
-func (s *heapSource) Mapping(i int) *mapping.Mapping    { return s.maps[i] }
-func (s *heapSource) MayContainLeft(i int, h Hash) bool { return s.leftBF[i].MayContainHash(h) }
+func (s *heapSource) Len() int                       { return len(s.maps) }
+func (s *heapSource) Mapping(i int) *mapping.Mapping { return s.maps[i] }
 func (s *heapSource) MayContainRight(i int, h Hash) bool {
 	return s.rightBF[i].MayContainHash(h)
 }

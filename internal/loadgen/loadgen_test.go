@@ -90,7 +90,7 @@ func TestMixValidation(t *testing.T) {
 // requires a clean report: all ops issued, zero errors, batch rows counted.
 func TestRunMixedWorkload(t *testing.T) {
 	maps := testMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 2, CacheSize: 64})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -134,7 +134,7 @@ func TestRunMixedWorkload(t *testing.T) {
 func TestRunIngestLane(t *testing.T) {
 	maps := testMappings()
 	srv := serve.NewFromMappings(maps, serve.Options{
-		Shards: 2, CacheSize: 64, IngestDir: t.TempDir(),
+		CacheSize: 64, IngestDir: t.TempDir(),
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -184,7 +184,7 @@ func TestRunIngestLane(t *testing.T) {
 // each corpus's /stats must show its own share of the traffic.
 func TestRunMultiCorpus(t *testing.T) {
 	maps := testMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 2, CacheSize: 64})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 64})
 	if _, err := srv.AddCorpus("tickers", maps); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRunMultiCorpus(t *testing.T) {
 // TestRunPaced checks the QPS pacer actually limits the issue rate.
 func TestRunPaced(t *testing.T) {
 	maps := testMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 1, CacheSize: 64})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	wl, err := NewWorkload(maps)
@@ -278,7 +278,7 @@ func TestRunPaced(t *testing.T) {
 func TestRunCountsThrottlingNotErrors(t *testing.T) {
 	maps := testMappings()
 	srv := serve.NewFromMappings(maps, serve.Options{
-		Shards: 1, MaxBatchRequests: 1, MaxBatchRows: 1,
+		MaxBatchRequests: 1, MaxBatchRows: 1,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -391,7 +391,7 @@ func TestFullLoopSeedCorpus(t *testing.T) {
 	if err := snapshot.WriteFile(snapPath, res.Mappings); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Options{SnapshotPath: snapPath, Shards: 2, CacheSize: 256})
+	srv, err := serve.New(serve.Options{SnapshotPath: snapPath, CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestSnapshotUploadBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	srv.opts.MaxUploadBytes = 32
 	h := srv.Handler()
 
@@ -57,7 +57,7 @@ func TestSnapshotUploadBound(t *testing.T) {
 	}
 
 	// A server with a roomy bound accepts the identical upload.
-	roomy, _ := newTestServer(t, 1, 8)
+	roomy, _ := newTestServer(t, 8)
 	roomy.opts.MaxUploadBytes = int64(snap.Len())
 	rec = do(t, roomy.Handler(), http.MethodPut, "/v1/corpora/big", snap.Bytes(), "application/octet-stream")
 	if rec.Code != http.StatusCreated {
@@ -70,7 +70,7 @@ func TestSnapshotUploadBound(t *testing.T) {
 // X-Corpus-Version — the wire contract snapshot-shipped replication rides.
 func TestCorpusSnapshotDownload(t *testing.T) {
 	// Heap-backed (memory) state: re-encoded to v2 on the fly.
-	srv, maps := newTestServer(t, 2, 8)
+	srv, maps := newTestServer(t, 8)
 	h := srv.Handler()
 	rec := do(t, h, http.MethodGet, "/v1/corpora/default/snapshot", nil, "")
 	if rec.Code != http.StatusOK {
@@ -92,7 +92,7 @@ func TestCorpusSnapshotDownload(t *testing.T) {
 
 	// Round trip: the downloaded bytes are a valid upload body on another
 	// node — exactly what a replica roll does.
-	follower, _ := newTestServer(t, 2, 8)
+	follower, _ := newTestServer(t, 8)
 	fh := follower.Handler()
 	up := do(t, fh, http.MethodPut, "/v1/corpora/shipped", rec.Body.Bytes(), "application/octet-stream")
 	if up.Code != http.StatusCreated {
@@ -251,7 +251,7 @@ func TestRegistryConcurrentLifecycle(t *testing.T) {
 	if err := snapshot.WriteV2(&v2, codedMappings("CC")); err != nil {
 		t.Fatal(err)
 	}
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 
 	const (

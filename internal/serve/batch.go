@@ -142,7 +142,7 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 	// the same snapshot even if a reload, activate or rollback lands
 	// mid-stream. The per-request Session wraps a caching index, giving
 	// this request the within-batch lookup amortization of a multi-query
-	// apps call: identical columns across lines share one shard scan.
+	// apps call: identical columns across lines share one index query.
 	st := c.state.Load()
 	sess := apps.NewSession(apps.NewCachedIndex(st.Index),
 		apps.WithCache(false), // the shared wrapper above already dedups

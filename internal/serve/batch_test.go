@@ -84,7 +84,7 @@ func batchParts(t *testing.T, lines []json.RawMessage) (map[int]map[string]any, 
 // input (any order, tagged by index), ids echoed, per-line results equal to
 // the single endpoint, and a correct trailer.
 func TestBatchAutoFillStream(t *testing.T) {
-	srv, _ := newTestServer(t, 3, 0)
+	srv, _ := newTestServer(t, 0)
 	h := srv.Handler()
 
 	var body strings.Builder
@@ -134,7 +134,7 @@ func TestBatchAutoFillStream(t *testing.T) {
 }
 
 func TestBatchAutoCorrectAndJoinStream(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 0)
+	srv, _ := newTestServer(t, 0)
 	h := srv.Handler()
 
 	rec, lines := postNDJSON(t, h, "/batch/autocorrect",
@@ -180,7 +180,7 @@ func TestBatchAutoCorrectAndJoinStream(t *testing.T) {
 // malformed JSON line ends the stream with truncated=true, and everything
 // is still accounted for in the trailer — nothing disappears silently.
 func TestBatchErrorLines(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 0)
+	srv, _ := newTestServer(t, 0)
 	h := srv.Handler()
 
 	// Row 1 is a validation error; rows 0 and 2 still answer.
@@ -231,7 +231,7 @@ func TestBatchErrorLines(t *testing.T) {
 // not kill the process — row work runs on goroutines outside the HTTP
 // server's per-connection recovery.
 func TestAnswerRowRecoversPanic(t *testing.T) {
-	srv, _ := newTestServer(t, 1, 0)
+	srv, _ := newTestServer(t, 0)
 	st := srv.State()
 	v, ok := answerRow(context.Background(), st, st.session, 3, "boom", func(context.Context, *State, *apps.Session, int, string) (any, bool) {
 		panic("index exploded")
@@ -246,7 +246,7 @@ func TestAnswerRowRecoversPanic(t *testing.T) {
 }
 
 func TestBatchMethodAndRouting(t *testing.T) {
-	srv, _ := newTestServer(t, 1, 0)
+	srv, _ := newTestServer(t, 0)
 	h := srv.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/batch/autofill", nil))
@@ -264,7 +264,7 @@ func TestBatchMethodAndRouting(t *testing.T) {
 // are rejected with 429 + Retry-After; after the first completes, accepted
 // work is fully answered — some requests throttled, none dropped silently.
 func TestBatchLimiterSaturation(t *testing.T) {
-	srv, _ := newTestServer(t, 1, 0)
+	srv, _ := newTestServer(t, 0)
 	srv.batch = newBatchLimiter(1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -352,7 +352,7 @@ func TestBatchLimiterSaturation(t *testing.T) {
 // batches over a real server: every accepted request answers all of its
 // rows plus a trailer, every rejection is an explicit 429.
 func TestBatchConcurrentNoneDropped(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 0)
+	srv, _ := newTestServer(t, 0)
 	srv.batch = newBatchLimiter(2)
 	srv.fair = qos.NewFairQueue(4)
 	ts := httptest.NewServer(srv.Handler())

@@ -72,7 +72,7 @@ func (s *Server) infoFor(c *corpus) corpusInfo {
 		Format:            st.FormatName(),
 		Mappings:          st.NumMappings(),
 		Pairs:             st.pairs,
-		Shards:            st.Index.NumShards(),
+		Shards:            wireShards,
 		MappedBytes:       st.MappedBytes,
 		Madvise:           st.Madvise,
 		ActivationSeconds: st.ActivationSeconds,

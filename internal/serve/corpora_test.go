@@ -68,7 +68,7 @@ func putJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Resp
 // path and at the default corpus's scoped /v1/corpora/default path — the
 // unscoped surface IS the scoped surface for one fixed name.
 func TestCorpusScopeParity(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 64)
+	srv, _ := newTestServer(t, 64)
 	h := srv.Handler()
 	const reqID = "scope-parity-id"
 
@@ -141,7 +141,7 @@ func TestCorpusScopeParity(t *testing.T) {
 // with a snapshot path, list, query scoped, replace, delete, and the
 // protections around the default corpus and unknown names.
 func TestCorpusLifecycle(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 16)
+	srv, _ := newTestServer(t, 16)
 	h := srv.Handler()
 
 	tickers := codedMappings("TK")
@@ -272,7 +272,7 @@ func TestCorpusLifecycle(t *testing.T) {
 // activate/rollback restore the exact prior snapshot state.
 func TestActivateRollbackGolden(t *testing.T) {
 	mapsA := codedMappings("A")
-	srv := NewFromMappings(mapsA, Options{Shards: 2, CacheSize: 16})
+	srv := NewFromMappings(mapsA, Options{CacheSize: 16})
 	h := srv.Handler()
 
 	lookupBody := func() string {
@@ -369,7 +369,7 @@ func lookupAbbr(t *testing.T, h http.Handler) string {
 
 // TestRollbackWithoutHistory: a fresh corpus has nothing to roll back to.
 func TestRollbackWithoutHistory(t *testing.T) {
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 	rec := do(t, h, http.MethodPost, "/v1/corpora/default/rollback", nil, "")
 	if rec.Code != http.StatusUnprocessableEntity {
@@ -383,7 +383,7 @@ func TestRollbackWithoutHistory(t *testing.T) {
 // TestHistoryDepthBound: the ring keeps only the newest HistoryDepth
 // states; older versions stop being activatable.
 func TestHistoryDepthBound(t *testing.T) {
-	srv := NewFromMappings(codedMappings("G0"), Options{Shards: 1, HistoryDepth: 2})
+	srv := NewFromMappings(codedMappings("G0"), Options{HistoryDepth: 2})
 	for i := 1; i <= 4; i++ {
 		if _, err := srv.AddCorpus(DefaultCorpus, codedMappings(fmt.Sprintf("G%d", i))); err != nil {
 			t.Fatal(err)
@@ -408,7 +408,7 @@ func TestHistoryDepthBound(t *testing.T) {
 // TestCorpusUpload: PUT with a raw snapshot body (no server-side file)
 // loads the corpus directly from the uploaded bytes.
 func TestCorpusUpload(t *testing.T) {
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 
 	var buf bytes.Buffer
@@ -466,7 +466,7 @@ func TestCorpusUpload(t *testing.T) {
 // TestHealthzPerCorpus: every corpus appears with its metadata; readiness
 // is governed by the default corpus alone.
 func TestHealthzPerCorpus(t *testing.T) {
-	srv, maps := newTestServer(t, 2, 8)
+	srv, maps := newTestServer(t, 8)
 	if _, err := srv.AddCorpus("tickers", codedMappings("TK")); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestHealthzPerCorpus(t *testing.T) {
 // attempted path in the envelope message, and never bumps the corpus's
 // reload counter.
 func TestReloadFailureKeepsCounterAndNamesCorpus(t *testing.T) {
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 	before := srv.Stats().Reloads
 
@@ -553,7 +553,7 @@ func TestReloadFailureKeepsCounterAndNamesCorpus(t *testing.T) {
 // TestTwoCorporaIndependentStats: traffic against two corpora lands on
 // disjoint counters while sharing one batch limiter.
 func TestTwoCorporaIndependentStats(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 16)
+	srv, _ := newTestServer(t, 16)
 	if _, err := srv.AddCorpus("tickers", codedMappings("TK")); err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,6 @@ func TestServerOptionsCorpora(t *testing.T) {
 	srv, err := New(Options{
 		SnapshotPath: defPath,
 		Corpora:      map[string]string{"tickers": tkPath},
-		Shards:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -625,7 +624,7 @@ func TestServerOptionsCorpora(t *testing.T) {
 // ones.
 func TestReloadAll(t *testing.T) {
 	defPath := writeSnap(t, codedMappings("D1"), "def.snap")
-	srv, err := New(Options{SnapshotPath: defPath, Shards: 1})
+	srv, err := New(Options{SnapshotPath: defPath})
 	if err != nil {
 		t.Fatal(err)
 	}

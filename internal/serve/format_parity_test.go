@@ -29,7 +29,7 @@ func TestFormatGoldenParity(t *testing.T) {
 	}
 
 	newSrv := func(path string) *Server {
-		s, err := New(Options{SnapshotPath: path, Shards: 3, CacheSize: 16})
+		s, err := New(Options{SnapshotPath: path, CacheSize: 16})
 		if err != nil {
 			t.Fatalf("New(%s): %v", path, err)
 		}

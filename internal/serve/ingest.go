@@ -24,7 +24,8 @@ import (
 // is NDJSON too: one {"index","lsn"} or {"index","error"} line per input,
 // then a trailer with the log head, the applied LSN and the synthesis
 // disposition. By default synthesis runs asynchronously (the trailer says
-// "queued"); ?wait=1 blocks until the new version is live.
+// "queued"); ?wait=1 holds the trailer until the new version is live — the
+// per-row lines are written and flushed as soon as the append is durable.
 
 // ingestLine acknowledges one accepted table with its assigned LSN.
 type ingestLine struct {
@@ -79,7 +80,7 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode and validate the stream before writing anything, holding one
+	// Decode and validate the whole stream before appending, holding one
 	// Batch-band fair-queue slot per row: an ingest flood backpressures
 	// against the same slot budget as batch rows and can never crowd out
 	// interactive queries (one slot stays reserved for them).
@@ -119,9 +120,21 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, CodeInternal, "ingest log append: "+err.Error())
 		return
 	}
+	// The rows are durable: acknowledge them now. Only the trailer reports
+	// on synthesis, so with ?wait=1 the acks are flushed before the wait.
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	for k, i := range accepted {
+		_ = enc.Encode(ingestLine{Index: i, LSN: lsns[k]})
+	}
+	for _, el := range errLines {
+		_ = enc.Encode(el)
+	}
 	trailer := ingestTrailer{Done: true, Corpus: c.name, Accepted: len(rows),
 		Rejected: len(errLines), Truncated: truncated, RequestID: requestID(r)}
 	if r.URL.Query().Get("wait") == "1" {
+		_ = http.NewResponseController(w).Flush()
 		if serr := ing.Sync(r.Context()); serr != nil {
 			trailer.Synthesis, trailer.SynthesisError = "error", serr.Error()
 		} else {
@@ -137,16 +150,6 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	trailer.AppliedLSN = ing.Applied()
 	if st := c.state.Load(); st != nil {
 		trailer.Version = st.Version
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for k, i := range accepted {
-		_ = enc.Encode(ingestLine{Index: i, LSN: lsns[k]})
-	}
-	for _, el := range errLines {
-		_ = enc.Encode(el)
 	}
 	_ = enc.Encode(trailer)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/ingest"
@@ -36,7 +38,6 @@ func ingestCorpus(t *testing.T, hold int) (base, held []*table.Table) {
 func newIngestServer(t *testing.T, base []*table.Table) *Server {
 	t.Helper()
 	srv := NewFromMappings(testMappings(), Options{
-		Shards:    2,
 		CacheSize: 16,
 		IngestDir: t.TempDir(),
 		IngestBase: func(ctx context.Context, corpus string) ([]*table.Table, error) {
@@ -148,6 +149,59 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 	if info.Mappings == 0 {
 		t.Fatal("ingest-published state has no mappings")
+	}
+}
+
+// TestIngestAcksBeforeSynthesis pins the ?wait=1 contract: the per-row
+// acknowledgements report durability and arrive as soon as the append has
+// fsynced; only the trailer waits for synthesis. Publishing is held back by
+// taking the corpus's write lock, so the ack must be readable while the new
+// version cannot possibly be live.
+func TestIngestAcksBeforeSynthesis(t *testing.T) {
+	base, held := ingestCorpus(t, 1)
+	srv := newIngestServer(t, base)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	c := srv.reg.shell(DefaultCorpus)
+	before := c.state.Load().Version
+	c.writeMu.Lock()
+	var once sync.Once
+	release := func() { once.Do(c.writeMu.Unlock) }
+	defer release()
+	// Safety valve: a handler that waits for synthesis before acknowledging
+	// then fails the version check below instead of deadlocking the test.
+	valve := time.AfterFunc(10*time.Second, release)
+	defer valve.Stop()
+
+	resp, err := http.Post(ts.URL+"/v1/corpora/default/tables?wait=1", "application/x-ndjson",
+		strings.NewReader(tableNDJSON(t, held...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := bufio.NewScanner(resp.Body)
+	if !lines.Scan() {
+		t.Fatalf("stream ended before any acknowledgement: %v", lines.Err())
+	}
+	var ack ingestLine
+	if err := json.Unmarshal(lines.Bytes(), &ack); err != nil || ack.LSN != 1 {
+		t.Fatalf("first line %q: %v, want the LSN 1 acknowledgement", lines.Text(), err)
+	}
+	if got := c.state.Load().Version; got != before {
+		t.Fatalf("version moved %d -> %d while publishing was held back", before, got)
+	}
+
+	release()
+	if !lines.Scan() {
+		t.Fatalf("no trailer after synthesis: %v", lines.Err())
+	}
+	var trailer ingestTrailer
+	if err := json.Unmarshal(lines.Bytes(), &trailer); err != nil {
+		t.Fatalf("bad trailer %q: %v", lines.Text(), err)
+	}
+	if !trailer.Done || trailer.Synthesis != "applied" || trailer.AppliedLSN != 1 || trailer.Version <= before {
+		t.Fatalf("trailer %+v, want synthesis applied at LSN 1 on a version after %d", trailer, before)
 	}
 }
 
@@ -408,7 +462,6 @@ func twoColTable(id int, domain string, keys, vals []string) *table.Table {
 // ingested tables alone.
 func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 	srv := NewFromMappings(testMappings(), Options{
-		Shards:    2,
 		CacheSize: 16,
 		IngestDir: t.TempDir(),
 	})

@@ -38,7 +38,7 @@ func TestV1AliasParity(t *testing.T) {
 	if err := snapshot.WriteFile(snapPath, maps); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewFromMappings(maps, Options{Shards: 2, CacheSize: 64, SnapshotPath: snapPath})
+	srv := NewFromMappings(maps, Options{CacheSize: 64, SnapshotPath: snapPath})
 	h := srv.Handler()
 	const reqID = "parity-req-id"
 
@@ -149,12 +149,12 @@ func stripCorpusAges(m map[string]any) {
 // breaking change this test is meant to catch.
 func TestErrorEnvelopeGoldens(t *testing.T) {
 	const reqID = "golden-id"
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 
 	// A server whose only batch request slot is already held: the next
 	// batch request must be rejected with the overloaded envelope.
-	busy, _ := newTestServer(t, 1, 8)
+	busy, _ := newTestServer(t, 8)
 	busy.batch = newBatchLimiter(1)
 	busy.batch.requestSem <- struct{}{}
 	busyH := busy.Handler()

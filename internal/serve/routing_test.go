@@ -15,7 +15,7 @@ import (
 // and under /v1/ — get a structured JSON 404 instead of the mux's
 // plain-text default (or, worse, a silent 200).
 func TestRouting(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 
 	cases := []struct {

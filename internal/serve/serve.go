@@ -1,6 +1,6 @@
 // Package serve is the online half of the index-once/serve-many split: it
-// loads snapshots written by cmd/synthesize into hash-sharded read-only
-// index shards and serves the paper's three end-user applications —
+// loads snapshots written by cmd/synthesize into read-only containment
+// indexes and serves the paper's three end-user applications —
 // auto-fill, auto-correct, auto-join (Section 4.3) — plus single-key lookup
 // over HTTP. One process serves many named corpora (a registry of
 // name → state), each behind an atomic.Pointer so a snapshot load, an
@@ -47,8 +47,6 @@ type Options struct {
 	// construction. Names must match [A-Za-z0-9._-]{1,64} and must not be
 	// "default" (that one comes from SnapshotPath).
 	Corpora map[string]string
-	// Shards is the number of index shards; < 1 selects GOMAXPROCS.
-	Shards int
 	// CacheSize bounds each corpus state's lookup result cache (entries);
 	// < 1 disables it.
 	CacheSize int
@@ -138,21 +136,21 @@ type Options struct {
 }
 
 // CorpusIndex is the containment index a State serves queries from:
-// apps.Index plus the introspection the stats/corpora surfaces need. Heap
-// states use the hash-sharded ShardedIndex; mmap-backed v2 states use one
-// monolithic index over the mapped region (the scan is a Bloom-word probe
-// per mapping, so shard fan-out buys nothing there).
+// apps.Index plus the introspection the stats/corpora surfaces need. Every
+// state serves through one index.MappingIndex — built on the heap for
+// in-memory and v1 states, reading the mapped region for v2 states. A query
+// costs the postings it walks, not a scan over the mappings, so there is
+// nothing for per-query shard fan-out to parallelise.
 type CorpusIndex interface {
 	apps.Index
 	Len() int
 	Mapping(i int) *mapping.Mapping
-	NumShards() int
 }
 
-// monoIndex adapts a monolithic index.MappingIndex to CorpusIndex.
-type monoIndex struct{ *index.MappingIndex }
-
-func (monoIndex) NumShards() int { return 1 }
+// wireShards is what the "shards" field of /v1/corpora, /v1/stats and
+// healthz reports. Index sharding is gone; the field stays on the wire so
+// response envelopes and SDK types do not change.
+const wireShards = 1
 
 // State is one immutable loaded snapshot: the mapping source, its
 // containment index, the apps.Session answering queries against it, and the
@@ -316,15 +314,15 @@ func NewFromMappings(maps []*mapping.Mapping, opts Options) *Server {
 	return s
 }
 
-// buildState assembles one immutable heap-backed serving state (sharded
-// index, session, cache) off to the side; the caller swaps it in and sets
+// buildState assembles one immutable heap-backed serving state (index,
+// session, cache) off to the side; the caller swaps it in and sets
 // Format/ActivationSeconds as appropriate.
 func (s *Server) buildState(maps []*mapping.Mapping, path string) *State {
 	st := &State{
 		Path:     path,
 		LoadedAt: time.Now(),
 		Maps:     maps,
-		Index:    NewShardedIndex(maps, s.opts.Shards),
+		Index:    index.Build(maps),
 		mappings: len(maps),
 		cache:    newLRU(s.opts.CacheSize),
 	}
@@ -338,13 +336,13 @@ func (s *Server) buildState(maps []*mapping.Mapping, path string) *State {
 }
 
 // buildStateV2 assembles a serving state over a mapped v2 snapshot: the
-// index reads Bloom bits, postings and value tables straight out of the
-// region, so construction is O(1) in the corpus size.
+// index reads postings, value tables and right-column Bloom bits straight
+// out of the region, so construction is O(1) in the corpus size.
 func (s *Server) buildStateV2(h *snapshot.Handle, path string) *State {
 	st := &State{
 		Path:        path,
 		LoadedAt:    time.Now(),
-		Index:       monoIndex{index.FromSource(h)},
+		Index:       index.FromSource(h),
 		Format:      2,
 		MappedBytes: h.MappedBytes(),
 		handle:      h,
@@ -718,7 +716,7 @@ func (s *Server) Lookup(key string) lookupResponse {
 // bounded LRU cache first. The answer itself comes from the state's
 // apps.Session: among all mappings containing the key, the one with the
 // most contributing domains wins (the paper's popularity signal), matching
-// the ordering of ShardedIndex.LookupLeft.
+// the ordering of index.MappingIndex.LookupLeft.
 func lookupIn(st *State, key string) lookupResponse {
 	nk := textnorm.Normalize(key)
 	if resp, ok := st.cache.get(nk); ok {
@@ -925,7 +923,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Format:     st.FormatName(),
 			Mappings:   st.NumMappings(),
 			Pairs:      st.pairs,
-			Shards:     st.Index.NumShards(),
+			Shards:     wireShards,
 			LoadedAt:   st.LoadedAt.UTC().Format(time.RFC3339),
 			AgeSeconds: time.Since(st.LoadedAt).Seconds(),
 			Ingest:     s.ingestStatusFor(c.name),
@@ -1031,7 +1029,7 @@ func (s *Server) statsFor(c *corpus) StatsSnapshot {
 			"loaded_at":    st.LoadedAt.UTC().Format(time.RFC3339),
 			"mappings":     st.NumMappings(),
 			"pairs":        st.pairs,
-			"shards":       st.Index.NumShards(),
+			"shards":       wireShards,
 			"mapped_bytes": st.MappedBytes,
 			"activation_s": st.ActivationSeconds,
 		},

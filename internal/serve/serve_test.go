@@ -20,7 +20,7 @@ import (
 
 // testMappings builds a deterministic mapping set with overlapping vocab:
 // a (state -> abbreviation) mapping seen from several tables/domains, a
-// (city -> state) mapping, and filler mappings so sharding is non-trivial.
+// (city -> state) mapping, and filler mappings the queries must not hit.
 func testMappings() []*mapping.Mapping {
 	states := []string{"California", "Washington", "Oregon", "Texas", "Nevada", "Utah"}
 	abbrs := []string{"CA", "WA", "OR", "TX", "NV", "UT"}
@@ -52,55 +52,10 @@ func testMappings() []*mapping.Mapping {
 	return maps
 }
 
-// TestShardedIndexParity asserts that the fan-out index answers exactly like
-// a monolithic index.MappingIndex for every shard count.
-func TestShardedIndexParity(t *testing.T) {
-	maps := testMappings()
-	mono := index.Build(maps)
-	queries := [][]string{
-		{"California", "Washington", "Oregon"},
-		{"California", "WA", "OR", "Texas"}, // mixed sides
-		{"San Francisco", "Seattle", "Portland"},
-		{"key-5-0", "key-5-1", "key-5-2"},
-		{"unknown", "values", "only"},
-	}
-	for _, n := range []int{1, 2, 3, 5, 8, 32} {
-		si := NewShardedIndex(maps, n)
-		if si.Len() != len(maps) {
-			t.Fatalf("shards=%d: Len = %d, want %d", n, si.Len(), len(maps))
-		}
-		for _, q := range queries {
-			want := mono.LookupLeft(q, 0.5)
-			got := si.LookupLeft(q, 0.5)
-			if !hitsEqual(want, got) {
-				t.Errorf("shards=%d: LookupLeft(%v) = %+v, want %+v", n, q, got, want)
-			}
-			wantMix := mono.MixedColumnHits(q, 1, 0.5)
-			gotMix := si.MixedColumnHits(q, 1, 0.5)
-			if !hitsEqual(wantMix, gotMix) {
-				t.Errorf("shards=%d: MixedColumnHits(%v) = %+v, want %+v", n, q, gotMix, wantMix)
-			}
-		}
-	}
-}
-
-func hitsEqual(a, b []index.Hit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Index != b[i].Index || a[i].Coverage != b[i].Coverage ||
-			a[i].Matched != b[i].Matched || a[i].Mapping != b[i].Mapping {
-			return false
-		}
-	}
-	return true
-}
-
-func newTestServer(t *testing.T, shards, cacheSize int) (*Server, []*mapping.Mapping) {
+func newTestServer(t *testing.T, cacheSize int) (*Server, []*mapping.Mapping) {
 	t.Helper()
 	maps := testMappings()
-	return NewFromMappings(maps, Options{Shards: shards, CacheSize: cacheSize}), maps
+	return NewFromMappings(maps, Options{CacheSize: cacheSize}), maps
 }
 
 func getJSON(t *testing.T, h http.Handler, url string, out any) *httptest.ResponseRecorder {
@@ -134,7 +89,7 @@ func postJSON(t *testing.T, h http.Handler, url string, body any, out any) *http
 }
 
 func TestLookupEndpoint(t *testing.T) {
-	srv, maps := newTestServer(t, 3, 16)
+	srv, maps := newTestServer(t, 16)
 	h := srv.Handler()
 
 	var resp lookupResponse
@@ -166,7 +121,7 @@ func TestLookupEndpoint(t *testing.T) {
 }
 
 func TestLookupMatchesMappingDirect(t *testing.T) {
-	srv, maps := newTestServer(t, 4, 0)
+	srv, maps := newTestServer(t, 0)
 	for _, m := range maps {
 		for _, p := range m.Pairs {
 			resp := srv.Lookup(p.L)
@@ -195,7 +150,7 @@ func respMapping(maps []*mapping.Mapping, id int) *mapping.Mapping {
 // TestAppEndpointsMatchDirect asserts the acceptance criterion: the HTTP
 // responses equal direct internal/apps output over a monolithic index.
 func TestAppEndpointsMatchDirect(t *testing.T) {
-	srv, maps := newTestServer(t, 3, 16)
+	srv, maps := newTestServer(t, 16)
 	h := srv.Handler()
 	mono := index.Build(maps)
 
@@ -263,7 +218,7 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 }
 
 func TestLookupCache(t *testing.T) {
-	srv, _ := newTestServer(t, 2, 8)
+	srv, _ := newTestServer(t, 8)
 	for i := 0; i < 3; i++ {
 		if resp := srv.Lookup("California"); !resp.Found || resp.Value != "CA" {
 			t.Fatalf("iteration %d: %+v", i, resp)
@@ -291,7 +246,7 @@ func TestLookupCache(t *testing.T) {
 }
 
 func TestStatsAndHealthz(t *testing.T) {
-	srv, maps := newTestServer(t, 2, 8)
+	srv, maps := newTestServer(t, 8)
 	h := srv.Handler()
 	getJSON(t, h, "/lookup?key=California", nil)
 	getJSON(t, h, "/lookup?key=California", nil)
@@ -333,7 +288,7 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 	if err := snapshot.WriteFile(pathA, maps); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{SnapshotPath: pathA, Shards: 2, CacheSize: 8})
+	srv, err := New(Options{SnapshotPath: pathA, CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +353,6 @@ func TestReloadRebuild(t *testing.T) {
 			[]string{"California", "Washington"}, []string{"RB-CA", "RB-WA"}),
 	})}
 	srv := NewFromMappings(maps, Options{
-		Shards:       2,
 		SnapshotPath: "orig.snap",
 		Rebuild: func(ctx context.Context) ([]*mapping.Mapping, error) {
 			calls++
@@ -435,7 +389,7 @@ func TestReloadRebuild(t *testing.T) {
 	}
 
 	// Without a rebuild source the request fails and state is untouched.
-	bare := NewFromMappings(maps, Options{Shards: 1})
+	bare := NewFromMappings(maps, Options{})
 	cur := bare.State()
 	if rec := postJSON(t, bare.Handler(), "/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("no-source rebuild status = %d, want 422", rec.Code)
@@ -462,7 +416,6 @@ func TestRebuildOverlapRejected(t *testing.T) {
 	release := make(chan struct{})
 	running := make(chan struct{})
 	srv := NewFromMappings(testMappings(), Options{
-		Shards: 1,
 		Rebuild: func(ctx context.Context) ([]*mapping.Mapping, error) {
 			close(running)
 			<-release

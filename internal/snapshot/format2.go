@@ -342,8 +342,9 @@ func (h *Handle) Sections() []SectionInfo {
 // Len returns the number of mappings.
 func (h *Handle) Len() int { return h.n }
 
-// record returns the i-th fixed record; i is trusted (callers stay within
-// [0, h.n) which openData validated against the section length).
+// record returns the i-th fixed record; i is trusted: openData validated
+// [0, h.n) against the section length, and index.MappingIndex drops any
+// position outside it that an unverified postings section hands back.
 func (h *Handle) record(i int) []byte {
 	return h.records[i*v2RecordSize : (i+1)*v2RecordSize]
 }
@@ -366,11 +367,6 @@ func (h *Handle) bloomAt(rec []byte, field int, hash index.Hash) bool {
 		return false
 	}
 	return index.BloomContains(h.bloom[w0:w0+words], uint64(mBits), int(k), hash)
-}
-
-// MayContainLeft probes mapping i's persisted left-column Bloom filter.
-func (h *Handle) MayContainLeft(i int, hash index.Hash) bool {
-	return h.bloomAt(h.record(i), recLBloom, hash)
 }
 
 // MayContainRight probes mapping i's persisted right-column Bloom filter.
@@ -642,12 +638,11 @@ func (h *Handle) Verify() error {
 		if off%4 != 0 || uint64(off)/4+uint64(cnt) > uint64(len(h.postings)) {
 			return fmt.Errorf("%w: term %q postings [%d,+%d) exceed postings section", ErrLayout, s, off, cnt)
 		}
-		for k := 1; k < int(cnt); k++ {
-			p := h.postings[int(off)/4 : int(off)/4+int(cnt)]
-			if p[k] <= p[k-1] || int(p[k]) >= h.n {
+		p := h.postings[off/4 : off/4+cnt]
+		for k, id := range p {
+			if id < 0 || int(id) >= h.n || (k > 0 && id <= p[k-1]) {
 				return fmt.Errorf("%w: term %q postings not ascending in-range mapping positions", ErrLayout, s)
 			}
-			_ = p
 		}
 	}
 	return nil

@@ -182,7 +182,6 @@ func queryNoPanic(t *testing.T, h *Handle) {
 	}()
 	hash := index.HashOf("california")
 	for i := 0; i < h.Len(); i++ {
-		h.MayContainLeft(i, hash)
 		h.MayContainRight(i, hash)
 		h.InLeft(i, "california")
 		h.InRight(i, "ca")
@@ -316,6 +315,59 @@ func TestV2CorruptionMatrix(t *testing.T) {
 	}
 }
 
+// badPostingImage returns a copy of a valid image in which the first posting
+// of term is Len()+7, with every checksum re-sealed: the one corruption the
+// index cannot bounds-check inside the Source, because the value is a
+// mapping position rather than a section offset.
+func badPostingImage(t testing.TB, good []byte, term string) []byte {
+	t.Helper()
+	h, err := OpenBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < len(h.terms)/v2TermEntry; j++ {
+		if h.termStr(j) != term {
+			continue
+		}
+		bad := append([]byte(nil), good...)
+		at := h.secs[secPostings].off + uint64(le32p(h.terms, j*v2TermEntry+8))
+		binary.LittleEndian.PutUint32(bad[at:], uint32(h.Len()+7))
+		fixTableCRCs(bad, secPostings-1)
+		return bad
+	}
+	t.Fatalf("term %q is not in the image", term)
+	return nil
+}
+
+// TestV2OutOfRangePosting: Open does not read the postings section, so a
+// mapping position past the record table reaches the query path; it must be
+// skipped there (and reported by Verify), never indexed with.
+func TestV2OutOfRangePosting(t *testing.T) {
+	good := v2Bytes(t)
+	h, err := OpenBytes(badPostingImage(t, good, "california"))
+	if err != nil {
+		t.Fatalf("OpenBytes: %v (a bad posting should get past the O(1) open)", err)
+	}
+	if verr := h.Verify(); !errors.Is(verr, ErrLayout) {
+		t.Fatalf("Verify = %v, want %v", verr, ErrLayout)
+	}
+	queryNoPanic(t, h)
+	ref, err := OpenBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := index.FromSource(ref).LookupLeft([]string{"California"}, 1)
+	got := index.FromSource(h).LookupLeft([]string{"California"}, 1)
+	if len(want) == 0 || len(got) != len(want)-1 {
+		t.Fatalf("bad posting: %d hits, want the clean image's %d minus the patched one", len(got), len(want))
+	}
+	for _, hit := range got {
+		if hit.Index < 0 || hit.Index >= h.Len() {
+			t.Fatalf("hit at position %d of %d", hit.Index, h.Len())
+		}
+	}
+}
+
 // TestV2FooterContract pins the compatibility rule the format doc mandates:
 // a v2 file ends with the same whole-file CRC footer as v1, so a pure-v1
 // reader reports ErrVersion (a clear "upgrade me") rather than ErrChecksum.
@@ -342,6 +394,7 @@ func FuzzOpenV2(f *testing.F) {
 	flip := append([]byte(nil), good...)
 	flip[len(flip)/3] ^= 0x40
 	f.Add(flip)
+	f.Add(badPostingImage(f, good, "california"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := OpenBytes(data)
 		if err != nil {
@@ -354,11 +407,14 @@ func FuzzOpenV2(f *testing.F) {
 			n = 64
 		}
 		for i := 0; i < n; i++ {
-			h.MayContainLeft(i, hash)
+			h.MayContainRight(i, hash)
 			h.InLeft(i, "ca")
 			h.Mapping(i)
 		}
 		h.Postings("california")
-		index.FromSource(h).LookupLeft([]string{"california"}, 0.5)
+		ix := index.FromSource(h)
+		ix.LookupLeft([]string{"california"}, 0.5)
+		ix.LookupLeft([]string{"california", "texas"}, 0.5)
+		ix.MixedColumnHits([]string{"california", "ca"}, 1, 0.5)
 	})
 }

@@ -246,10 +246,10 @@ func Decode(data []byte) ([]*mapping.Mapping, error) {
 	return maps, nil
 }
 
-// LoadIndex reads a snapshot file and rebuilds a monolithic containment
-// index over its mappings — the one-call entry point for offline consumers
-// (analysis tools, examples). The serving layer instead loads via ReadFile
-// and builds hash-sharded indexes (serve.NewShardedIndex).
+// LoadIndex reads a snapshot file and rebuilds a heap containment index
+// over its mappings — the one-call entry point for offline consumers
+// (analysis tools, examples). The serving layer instead loads via Load and
+// serves v2 files straight from the mapped region (index.FromSource).
 func LoadIndex(path string) (*index.MappingIndex, []*mapping.Mapping, error) {
 	maps, err := ReadFile(path)
 	if err != nil {

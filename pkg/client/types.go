@@ -211,9 +211,11 @@ type CorpusHealth struct {
 	Version  int64  `json:"version"`
 	// Format is the snapshot format backing the live state: "memory", "v1"
 	// or "v2".
-	Format     string  `json:"format"`
-	Mappings   int     `json:"mappings"`
-	Pairs      int     `json:"pairs"`
+	Format   string `json:"format"`
+	Mappings int    `json:"mappings"`
+	Pairs    int    `json:"pairs"`
+	// Shards is always 1: index sharding was removed, the field stays so
+	// the wire shape does not change.
 	Shards     int     `json:"shards"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
@@ -328,7 +330,8 @@ type CorpusInfo struct {
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
-	Shards   int    `json:"shards"`
+	// Shards is always 1 (see CorpusHealth.Shards).
+	Shards int `json:"shards"`
 	// MappedBytes is the mmapped region size of a v2 state; 0 otherwise.
 	MappedBytes int64 `json:"mapped_bytes"`
 	// Madvise is the page-cache hint applied to a mapped v2 state's region
