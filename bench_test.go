@@ -28,6 +28,7 @@ import (
 	"mapsynth/internal/mapreduce"
 	"mapsynth/internal/pool"
 	"mapsynth/internal/serve"
+	"mapsynth/internal/snapshot"
 	"mapsynth/internal/stats"
 	"mapsynth/internal/strmatch"
 	"mapsynth/internal/synthesis"
@@ -38,6 +39,15 @@ var (
 	envOnce sync.Once
 	env     *experiments.Env
 )
+
+// indexOf indexes the mappings the way every caller does: as a v2 image.
+func indexOf(maps []*mapping.Mapping) *index.MappingIndex {
+	h, err := snapshot.FromMappings(maps)
+	if err != nil {
+		panic(err)
+	}
+	return index.FromSource(h)
+}
 
 func sharedEnv() *experiments.Env {
 	envOnce.Do(func() {
@@ -318,7 +328,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 		bt := table.NewBinaryTable(mi, mi, "d", "l", "r", ls, rs)
 		maps = append(maps, mapping.Build(mi, []*table.BinaryTable{bt}))
 	}
-	ix := index.Build(maps)
+	ix := indexOf(maps)
 	query := []string{"left-137-1", "left-137-2", "left-137-3", "left-137-4"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -418,7 +428,7 @@ func BenchmarkServeAutoFill(b *testing.B) {
 // lookup amortization contribute.
 func BenchmarkBatchAutoFill(b *testing.B) {
 	maps := serveBenchMappings()
-	ix := index.Build(maps)
+	ix := indexOf(maps)
 	var queries []apps.AutoFillQuery
 	for q := 0; q < 32; q++ {
 		mi := (q * 7) % 200

@@ -10,9 +10,8 @@
 //	          [-compare BENCH_OLD.json] [-tolerance F]
 //
 // With -suite it instead runs the serving performance suite (synthesis wall
-// time per stage, snapshot write/load time, per-format activation cost,
-// lookup ns/op and allocs/op, and a closed-loop loadgen
-// throughput/percentile run) and prints the result as JSON — the repeatable
+// time per stage, snapshot write time, cold activation cost, lookup ns/op
+// and allocs/op, and a closed-loop loadgen throughput/percentile run) and prints the result as JSON — the repeatable
 // baseline the BENCH_*.json trajectory is built from. With -compare the new
 // result is gated against an older report: any lower-is-better metric
 // present in both that grew past -tolerance (a ratio; 0.5 allows 1.5×)

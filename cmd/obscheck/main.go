@@ -70,7 +70,7 @@ func run(duration time.Duration, scale float64, seed int64) error {
 	}
 	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "seed.snap")
-	if err := snapshot.WriteFile(snapPath, res.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(snapPath, res.Mappings); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 

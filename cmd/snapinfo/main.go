@@ -1,6 +1,6 @@
 // Command snapinfo inspects a mapping snapshot file without serving it:
 // format version, section layout, mapping/pair counts, and checksum status
-// for both the compact v1 stream and the mmap-able v2 layout.
+// for the mmap-able v2 layout, delta files and the legacy v1 stream.
 //
 // Usage:
 //

@@ -7,7 +7,6 @@
 //	synthesize [-profile web|enterprise] [-seed N] [-corpus corpus.json]
 //	           [-top K] [-min-domains D] [-workers N] [-v]
 //	           [-cpuprofile FILE] [-memprofile FILE] [-snapshot FILE]
-//	           [-format v1|v2]
 //
 // By default the corpus is generated in-process; -corpus instead reads a
 // JSON corpus exported by cmd/corpusgen, making the full artifact loop
@@ -20,10 +19,8 @@
 //
 // With -snapshot, the synthesized mappings are persisted as a binary
 // snapshot that cmd/serve loads to answer queries without re-running the
-// pipeline — the index-once/serve-many split. -format picks the snapshot
-// layout: v2 (the default) is the page-aligned, mmap-able format cmd/serve
-// activates in O(1); v1 is the compact varint stream, kept as an escape
-// hatch for older readers.
+// pipeline — the index-once/serve-many split. The file is format v2, the
+// page-aligned, mmap-able layout cmd/serve activates in O(1).
 package main
 
 import (
@@ -64,7 +61,6 @@ func run() int {
 	exportTSV := flag.String("o", "", "export synthesized mappings to this TSV file")
 	report := flag.String("report", "", "write a curation report (TSV) to this file")
 	snapPath := flag.String("snapshot", "", "write a binary snapshot for cmd/serve to this file")
-	format := flag.String("format", "v2", "snapshot format for -snapshot: v2 (mmap-able, O(1) activation) or v1 (compact varint stream)")
 	corpusFile := flag.String("corpus", "", "read the corpus from this JSON file (written by cmd/corpusgen) instead of generating; -profile/-seed are then ignored")
 	flag.Parse()
 
@@ -214,18 +210,8 @@ func run() int {
 		fmt.Printf("\nexported %d mappings to %s\n", len(res.Mappings), *exportTSV)
 	}
 	if *snapPath != "" {
-		var werr error
-		switch *format {
-		case "v2":
-			werr = snapshot.WriteFileV2(*snapPath, res.Mappings)
-		case "v1":
-			werr = snapshot.WriteFile(*snapPath, res.Mappings)
-		default:
-			fmt.Fprintf(os.Stderr, "synthesize: unknown -format %q (want v1 or v2)\n", *format)
-			return 2
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
+		if err := snapshot.WriteFileV2(*snapPath, res.Mappings); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		info, _ := os.Stat(*snapPath)
@@ -233,8 +219,8 @@ func run() int {
 		if info != nil {
 			size = info.Size()
 		}
-		fmt.Printf("wrote %s snapshot of %d mappings to %s (%d bytes)\n",
-			*format, len(res.Mappings), *snapPath, size)
+		fmt.Printf("wrote v2 snapshot of %d mappings to %s (%d bytes)\n",
+			len(res.Mappings), *snapPath, size)
 	}
 	if *report != "" {
 		f, err := os.Create(*report)

@@ -110,10 +110,10 @@ func run() error {
 	defer os.RemoveAll(dir)
 	oldSnap := filepath.Join(dir, "old.snap")
 	newSnap := filepath.Join(dir, "refreshed.snap")
-	if err := snapshot.WriteFile(oldSnap, res.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(oldSnap, res.Mappings); err != nil {
 		return err
 	}
-	if err := snapshot.WriteFile(newSnap, refreshed); err != nil {
+	if err := snapshot.WriteFileV2(newSnap, refreshed); err != nil {
 		return err
 	}
 

@@ -50,10 +50,10 @@ func run() error {
 	ent := core.New(core.DefaultConfig()).Synthesize(corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 42}).Tables)
 	webSnap := filepath.Join(dir, "web.snap")
 	entSnap := filepath.Join(dir, "enterprise.snap")
-	if err := snapshot.WriteFile(webSnap, web.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(webSnap, web.Mappings); err != nil {
 		return err
 	}
-	if err := snapshot.WriteFile(entSnap, ent.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(entSnap, ent.Mappings); err != nil {
 		return err
 	}
 
@@ -108,7 +108,7 @@ func run() error {
 	// swap is atomic; the default corpus never notices.
 	refreshed := core.New(core.DefaultConfig()).Synthesize(corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 7}).Tables)
 	refreshedSnap := filepath.Join(dir, "enterprise-v2.snap")
-	if err := snapshot.WriteFile(refreshedSnap, refreshed.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(refreshedSnap, refreshed.Mappings); err != nil {
 		return err
 	}
 	put, err := enterprise.Put(ctx, client.PutCorpusRequest{Snapshot: refreshedSnap})

@@ -5,8 +5,18 @@ import (
 
 	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 )
+
+// indexOf indexes the mappings the way every caller does: as a v2 image.
+func indexOf(maps ...*mapping.Mapping) *index.MappingIndex {
+	h, err := snapshot.FromMappings(maps)
+	if err != nil {
+		panic(err)
+	}
+	return index.FromSource(h)
+}
 
 func mappingOf(id int, pairs [][2]string) *mapping.Mapping {
 	ls := make([]string, len(pairs))
@@ -28,7 +38,7 @@ func stateIndex() *index.MappingIndex {
 		{"San Francisco", "California"}, {"Seattle", "Washington"},
 		{"Los Angeles", "California"}, {"Houston", "Texas"}, {"Denver", "Colorado"},
 	})
-	return index.Build([]*mapping.Mapping{states, cities})
+	return indexOf(states, cities)
 }
 
 func TestAutoCorrectTable3(t *testing.T) {
@@ -104,7 +114,7 @@ func TestAutoJoinTable5(t *testing.T) {
 		{"GE", "General Electric"}, {"WMT", "Walmart"},
 		{"MSFT", "Microsoft Corp."}, {"ORCL", "Oracle"}, {"UPS", "United Parcel Services"},
 	})
-	ix := index.Build([]*mapping.Mapping{bridge})
+	ix := indexOf(bridge)
 	keysA := []string{"GE", "WMT", "MSFT", "ORCL", "UPS"}
 	keysB := []string{"General Electric", "Walmart", "Oracle", "Microsoft Corp.", "AT&T Inc."}
 	res := AutoJoin(ix, keysA, keysB, 0.8)

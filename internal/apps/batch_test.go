@@ -200,7 +200,7 @@ func TestBatchGoldenSeedCorpus(t *testing.T) {
 	if len(res.Mappings) == 0 {
 		t.Fatal("no mappings synthesized from seed corpus")
 	}
-	ix := index.Build(res.Mappings)
+	ix := indexOf(res.Mappings...)
 
 	// One auto-fill, auto-correct and auto-join query per mapping, built
 	// from the mapping's own pairs so lookups genuinely hit.

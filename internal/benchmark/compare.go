@@ -57,30 +57,28 @@ func Compare(old, cur *SuiteResult, tolerance float64) []Regression {
 	check("lookup.ns_per_op", float64(old.Lookup.NsPerOp), float64(cur.Lookup.NsPerOp))
 	check("lookup.allocs_per_op", float64(old.Lookup.AllocsPerOp), float64(cur.Lookup.AllocsPerOp))
 	check("lookup.bytes_per_op", float64(old.Lookup.BytesPerOp), float64(cur.Lookup.BytesPerOp))
-	check("snapshot.load_s", old.Snapshot.LoadSeconds, cur.Snapshot.LoadSeconds)
-	check("snapshot.write_s", old.Snapshot.WriteSeconds, cur.Snapshot.WriteSeconds)
+	check("snapshot.v2_write_s", old.Snapshot.V2WriteSeconds, cur.Snapshot.V2WriteSeconds)
 	check("synthesis.duration_s", old.Synthesis.DurationSeconds, cur.Synthesis.DurationSeconds)
 
-	actOf := func(r *SuiteResult, format string) *ActivationBench {
+	// Reports up to BENCH_12 list a "v1" activation entry beside "v2".
+	actOf := func(r *SuiteResult) *ActivationBench {
 		for i := range r.Activation {
-			if r.Activation[i].Format == format {
+			if r.Activation[i].Format == "v2" {
 				return &r.Activation[i]
 			}
 		}
 		return nil
 	}
-	for _, format := range []string{"v1", "v2"} {
-		if o, n := actOf(old, format), actOf(cur, format); o != nil && n != nil {
-			check("activation."+format+".open_s", o.OpenSeconds, n.OpenSeconds)
-			// Retained-heap bytes are only comparable between same-scale
-			// corpora: activation's heap delta is dominated by the lazily
-			// materialized mappings the first query happens to touch, which
-			// doesn't shrink proportionally with scale (a half-scale CI run
-			// can legitimately retain more than the full-scale baseline).
-			if old.Corpus.Scale == cur.Corpus.Scale {
-				check("activation."+format+".heap_alloc_delta_bytes",
-					float64(o.HeapAllocDelta), float64(n.HeapAllocDelta))
-			}
+	if o, n := actOf(old), actOf(cur); o != nil && n != nil {
+		check("activation.v2.open_s", o.OpenSeconds, n.OpenSeconds)
+		// Retained-heap bytes are only comparable between same-scale
+		// corpora: activation's heap delta is dominated by the lazily
+		// materialized mappings the first query happens to touch, which
+		// doesn't shrink proportionally with scale (a half-scale CI run
+		// can legitimately retain more than the full-scale baseline).
+		if old.Corpus.Scale == cur.Corpus.Scale {
+			check("activation.v2.heap_alloc_delta_bytes",
+				float64(o.HeapAllocDelta), float64(n.HeapAllocDelta))
 		}
 	}
 

@@ -12,11 +12,9 @@ import (
 func baselineResult() *SuiteResult {
 	r := &SuiteResult{}
 	r.Lookup = MicroBench{NsPerOp: 10000, AllocsPerOp: 50, BytesPerOp: 4000}
-	r.Snapshot.LoadSeconds = 0.05
-	r.Snapshot.WriteSeconds = 0.02
+	r.Snapshot.V2WriteSeconds = 0.08
 	r.Synthesis.DurationSeconds = 2.0
 	r.Activation = []ActivationBench{
-		{Format: "v1", OpenSeconds: 0.04, HeapAllocDelta: 5 << 20},
 		{Format: "v2", OpenSeconds: 0.001, HeapAllocDelta: 1 << 16},
 	}
 	r.Serving = &loadgen.Report{Ops: map[string]loadgen.OpReport{
@@ -29,7 +27,7 @@ func TestCompareClean(t *testing.T) {
 	old, cur := baselineResult(), baselineResult()
 	// Within tolerance: 1.2× on a couple of metrics against a 0.5 tolerance.
 	cur.Lookup.NsPerOp = 12000
-	cur.Activation[1].OpenSeconds = 0.0012
+	cur.Activation[0].OpenSeconds = 0.0012
 	if regs := Compare(old, cur, 0.5); len(regs) != 0 {
 		t.Fatalf("expected clean compare, got %+v", regs)
 	}
@@ -38,7 +36,7 @@ func TestCompareClean(t *testing.T) {
 func TestCompareFlagsRegressions(t *testing.T) {
 	old, cur := baselineResult(), baselineResult()
 	cur.Lookup.NsPerOp = 20000           // 2.0×
-	cur.Activation[1].OpenSeconds = 0.01 // 10×
+	cur.Activation[0].OpenSeconds = 0.01 // 10×
 	cur.Serving.Ops["lookup"] = loadgen.OpReport{P99Ms: 9.0}
 	regs := Compare(old, cur, 0.5)
 	want := map[string]bool{
@@ -96,5 +94,27 @@ func TestCompareZeroBaseline(t *testing.T) {
 	cur.Lookup.NsPerOp = 0
 	if regs := Compare(old, cur, 0.5); len(regs) != 0 {
 		t.Errorf("absent current metric should skip, got %+v", regs)
+	}
+}
+
+// TestCompareOlderReports: reports up to BENCH_12 carry v1 rows (snapshot
+// bytes/write_s/load_s, a "v1" activation entry) the suite no longer
+// produces. They must still parse and gate only what both sides measured.
+func TestCompareOlderReports(t *testing.T) {
+	old, err := ReadResult("../../BENCH_12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old.Activation) != 2 || old.Snapshot.V2WriteSeconds <= 0 {
+		t.Fatalf("BENCH_12.json: activation %+v snapshot %+v", old.Activation, old.Snapshot)
+	}
+	cur := *old
+	cur.Activation = old.Activation[1:] // what the suite emits now: "v2" only
+	if regs := Compare(old, &cur, 0.5); len(regs) != 0 {
+		t.Fatalf("an identical run regressed against BENCH_12: %+v", regs)
+	}
+	cur.Snapshot.V2WriteSeconds *= 4
+	if regs := Compare(old, &cur, 0.5); len(regs) != 1 || regs[0].Metric != "snapshot.v2_write_s" {
+		t.Fatalf("4x slower snapshot write: %+v", regs)
 	}
 }

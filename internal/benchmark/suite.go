@@ -79,20 +79,17 @@ type SuiteResult struct {
 		Stages          []StageTiming `json:"stages"`
 	} `json:"synthesis"`
 
+	// Snapshot covers the mapping set written as a format-v2 snapshot file
+	// (reports up to BENCH_12 also carried v1 bytes/write_s/load_s).
 	Snapshot struct {
-		Bytes        int64   `json:"bytes"`
-		WriteSeconds float64 `json:"write_s"`
-		LoadSeconds  float64 `json:"load_s"`
-		// V2Bytes/V2WriteSeconds cover the same mapping set written as a
-		// format-v2 (mmap-able) snapshot.
 		V2Bytes        int64   `json:"v2_bytes"`
 		V2WriteSeconds float64 `json:"v2_write_s"`
 	} `json:"snapshot"`
 
-	// Activation measures corpus activation per snapshot format: how long a
-	// cold server takes from construction to its first answered query, and
-	// how much resident heap the activation left behind. The v2 entry is the
-	// tentpole number: mmap + header validation instead of a full decode.
+	// Activation measures corpus activation from a snapshot file: how long
+	// a cold server takes from construction to its first answered query
+	// (mmap + header validation), and how much resident heap the activation
+	// left behind. One "v2" entry; reports up to BENCH_12 also carried "v1".
 	Activation []ActivationBench `json:"activation,omitempty"`
 
 	// Lookup is the in-process handler micro-benchmark: one GET /v1/lookup
@@ -118,8 +115,8 @@ type SuiteResult struct {
 	Ingest *IngestBenchResult `json:"ingest,omitempty"`
 }
 
-// ActivationBench is one snapshot format's activation cost: open → first
-// query answered, plus the heap the activation left resident.
+// ActivationBench is a snapshot file's activation cost: open → first query
+// answered, plus the heap the activation left resident.
 type ActivationBench struct {
 	Format        string `json:"format"`
 	SnapshotBytes int64  `json:"snapshot_bytes"`
@@ -131,14 +128,14 @@ type ActivationBench struct {
 	// activation; mmap-backed states keep the corpus out of both.
 	HeapAllocDelta int64 `json:"heap_alloc_delta_bytes"`
 	HeapInuseDelta int64 `json:"heap_inuse_delta_bytes"`
-	// MappedBytes is the mmapped region backing the state (v2 only).
+	// MappedBytes is the mmapped region backing the state.
 	MappedBytes int64 `json:"mapped_bytes"`
 }
 
 // benchActivation cold-starts a server from the snapshot at path, answers
 // one lookup, and reports wall time plus post-GC heap deltas.
-func benchActivation(path, format, firstKey string) (ActivationBench, error) {
-	out := ActivationBench{Format: format}
+func benchActivation(path, firstKey string) (ActivationBench, error) {
+	out := ActivationBench{Format: "v2"}
 	if info, err := os.Stat(path); err == nil {
 		out.SnapshotBytes = info.Size()
 	}
@@ -157,15 +154,15 @@ func benchActivation(path, format, firstKey string) (ActivationBench, error) {
 	runtime.ReadMemStats(&after)
 	out.HeapAllocDelta = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	out.HeapInuseDelta = int64(after.HeapInuse) - int64(before.HeapInuse)
-	out.MappedBytes = srv.State().MappedBytes
+	out.MappedBytes = srv.State().MappedBytes()
 	runtime.KeepAlive(srv)
 	return out, nil
 }
 
 // RunSuite generates the corpus, synthesizes mappings (timed per stage),
-// round-trips a snapshot (timed both ways), micro-benchmarks the lookup
-// handler for alloc/op, and drives a mixed loadgen workload over HTTP for
-// throughput and percentiles. The returned result marshals to the
+// writes and cold-activates a snapshot (both timed), micro-benchmarks the
+// lookup handler for alloc/op, and drives a mixed loadgen workload over
+// HTTP for throughput and percentiles. The returned result marshals to the
 // BENCH_N.json schema.
 func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 	if opts.Seed == 0 {
@@ -225,47 +222,27 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 		})
 	}
 
+	maps := pres.Mappings
 	snapPath := filepath.Join(dir, "bench.snap")
 	t0 = time.Now()
-	if err := snapshot.WriteFile(snapPath, pres.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(snapPath, maps); err != nil {
 		return nil, fmt.Errorf("benchmark: snapshot write: %w", err)
 	}
-	res.Snapshot.WriteSeconds = time.Since(t0).Seconds()
-	if info, err := os.Stat(snapPath); err == nil {
-		res.Snapshot.Bytes = info.Size()
-	}
-	t0 = time.Now()
-	maps, err := snapshot.ReadFile(snapPath)
-	if err != nil {
-		return nil, fmt.Errorf("benchmark: snapshot load: %w", err)
-	}
-	res.Snapshot.LoadSeconds = time.Since(t0).Seconds()
-
-	snapPathV2 := filepath.Join(dir, "bench.v2.snap")
-	t0 = time.Now()
-	if err := snapshot.WriteFileV2(snapPathV2, pres.Mappings); err != nil {
-		return nil, fmt.Errorf("benchmark: v2 snapshot write: %w", err)
-	}
 	res.Snapshot.V2WriteSeconds = time.Since(t0).Seconds()
-	if info, err := os.Stat(snapPathV2); err == nil {
+	if info, err := os.Stat(snapPath); err == nil {
 		res.Snapshot.V2Bytes = info.Size()
 	}
 
-	// Activation: cold server start per format, v1's full decode vs v2's
-	// mmap + header validation, from identical mapping sets.
+	// Activation: cold server start from the file.
 	firstKey := ""
 	if len(maps) > 0 && len(maps[0].Pairs) > 0 {
 		firstKey = maps[0].Pairs[0].L
 	}
-	for _, f := range []struct{ path, format string }{
-		{snapPath, "v1"}, {snapPathV2, "v2"},
-	} {
-		ab, err := benchActivation(f.path, f.format, firstKey)
-		if err != nil {
-			return nil, fmt.Errorf("benchmark: %s activation: %w", f.format, err)
-		}
-		res.Activation = append(res.Activation, ab)
+	ab, err := benchActivation(snapPath, firstKey)
+	if err != nil {
+		return nil, fmt.Errorf("benchmark: activation: %w", err)
 	}
+	res.Activation = append(res.Activation, ab)
 
 	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 4096})
 	res.Lookup = benchLookup(srv, maps)

@@ -33,8 +33,11 @@ func TestRunSuite(t *testing.T) {
 	if len(res.Synthesis.Stages) != 5 {
 		t.Errorf("stages = %+v", res.Synthesis.Stages)
 	}
-	if res.Snapshot.Bytes == 0 || res.Snapshot.LoadSeconds <= 0 {
+	if res.Snapshot.V2Bytes == 0 || res.Snapshot.V2WriteSeconds <= 0 {
 		t.Errorf("snapshot = %+v", res.Snapshot)
+	}
+	if len(res.Activation) != 1 || res.Activation[0].Format != "v2" || res.Activation[0].OpenSeconds <= 0 {
+		t.Errorf("activation = %+v", res.Activation)
 	}
 	if res.Lookup.NsPerOp <= 0 || res.Lookup.Iterations == 0 {
 		t.Errorf("lookup bench = %+v", res.Lookup)

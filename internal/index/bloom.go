@@ -63,8 +63,7 @@ func hashPair(s string) (uint64, uint64) {
 // column) hash once and reuse it instead of re-hashing per filter.
 type Hash struct{ H1, H2 uint64 }
 
-// HashOf precomputes the double-hash of a key for MayContainHash /
-// BloomContains.
+// HashOf precomputes the double-hash of a key for BloomContains.
 func HashOf(s string) Hash {
 	h1, h2 := hashPair(s)
 	return Hash{h1, h2}
@@ -86,14 +85,9 @@ func (b *Bloom) MayContain(s string) bool {
 	return BloomContains(b.bits, b.m, b.k, HashOf(s))
 }
 
-// MayContainHash is MayContain with the key's hash precomputed.
-func (b *Bloom) MayContainHash(h Hash) bool {
-	return BloomContains(b.bits, b.m, b.k, h)
-}
-
-// BloomContains probes an m-bit, k-hash filter stored as raw words — the
-// primitive shared by heap filters and filters served directly out of a
-// mapped snapshot section, which have no *Bloom object at all. Out-of-range
+// BloomContains probes an m-bit, k-hash filter stored as raw words — how
+// filters are served directly out of a snapshot image's bloom section,
+// with no *Bloom object at all. Out-of-range
 // word indexes (corrupt persisted parameters) read as definite misses
 // rather than panicking.
 func BloomContains(words []uint64, m uint64, k int, h Hash) bool {

@@ -1,10 +1,10 @@
 package index_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -12,15 +12,56 @@ import (
 
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/index"
+	"mapsynth/internal/mapping"
 	"mapsynth/internal/pipeline"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/textnorm"
 )
 
-// The reference below is the index's contract spelled out the slow way: for
-// every mapping, count the query values its columns contain by exact
-// membership, then rank with the documented comparators. The postings-driven
-// query path must agree with it hit for hit, on heap and mapped sources.
+// The reference below is the index's contract spelled out the slow way, from
+// the mappings themselves rather than from the Source under test: for every
+// mapping, count the query values its columns contain by exact membership
+// in NormalizedValues, then rank with the documented comparators. The
+// postings-driven query path over a v2 image — built in memory or opened
+// from the written file — must agree with it hit for hit.
+
+// refHit is an index.Hit with the mapping reduced to its identity: the hit
+// carries a mapping materialized from the image, the reference the original.
+type refHit struct {
+	Index, ID, Pairs int
+	Coverage         float64
+	Matched          int
+}
+
+func project(hits []index.Hit) []refHit {
+	var out []refHit
+	for _, h := range hits {
+		out = append(out, refHit{h.Index, h.Mapping.ID, len(h.Mapping.Pairs), h.Coverage, h.Matched})
+	}
+	return out
+}
+
+// refCorpus is the per-mapping exact membership the reference counts over.
+type refCorpus struct {
+	maps        []*mapping.Mapping
+	left, right []map[string]bool
+}
+
+func newRefCorpus(maps []*mapping.Mapping) *refCorpus {
+	rc := &refCorpus{maps: maps}
+	for _, m := range maps {
+		l, r := m.NormalizedValues()
+		ls, rs := map[string]bool{}, map[string]bool{}
+		for _, v := range l {
+			ls[v] = true
+		}
+		for _, v := range r {
+			rs[v] = true
+		}
+		rc.left, rc.right = append(rc.left, ls), append(rc.right, rs)
+	}
+	return rc
+}
 
 func refNormalize(values []string) []string {
 	var normed []string
@@ -34,26 +75,26 @@ func refNormalize(values []string) []string {
 	return normed
 }
 
-func refLookupLeft(src index.Source, values []string, minCoverage float64) []index.Hit {
+func (rc *refCorpus) lookupLeft(values []string, minCoverage float64) []refHit {
 	normed := refNormalize(values)
-	var hits []index.Hit
-	for i := 0; i < src.Len() && len(normed) > 0; i++ {
+	var hits []refHit
+	for i, m := range rc.maps {
 		matched := 0
 		for _, nv := range normed {
-			if src.InLeft(i, nv) {
+			if rc.left[i][nv] {
 				matched++
 			}
 		}
-		cov := float64(matched) / float64(len(normed))
+		cov := float64(matched) / float64(max(len(normed), 1))
 		if matched > 0 && cov >= minCoverage {
-			hits = append(hits, index.Hit{Index: i, Mapping: src.Mapping(i), Coverage: cov, Matched: matched})
+			hits = append(hits, refHit{i, m.ID, len(m.Pairs), cov, matched})
 		}
 	}
 	sort.Slice(hits, func(a, b int) bool {
 		if hits[a].Coverage != hits[b].Coverage {
 			return hits[a].Coverage > hits[b].Coverage
 		}
-		da, db := hits[a].Mapping.NumDomains(), hits[b].Mapping.NumDomains()
+		da, db := rc.maps[hits[a].Index].NumDomains(), rc.maps[hits[b].Index].NumDomains()
 		if da != db {
 			return da > db
 		}
@@ -62,25 +103,25 @@ func refLookupLeft(src index.Source, values []string, minCoverage float64) []ind
 	return hits
 }
 
-// refMixedColumnHits takes minEach >= 1; the index documents anything lower
-// as 1, which the test pins separately.
-func refMixedColumnHits(src index.Source, values []string, minEach int, minCoverage float64) []index.Hit {
+// mixedColumnHits takes minEach >= 1; the index documents anything lower as
+// 1, which the test pins separately.
+func (rc *refCorpus) mixedColumnHits(values []string, minEach int, minCoverage float64) []refHit {
 	normed := refNormalize(values)
-	var hits []index.Hit
-	for i := 0; i < src.Len() && len(normed) > 0; i++ {
+	var hits []refHit
+	for i, m := range rc.maps {
 		var leftVals, rightVals int
 		for _, nv := range normed {
 			switch {
-			case src.InLeft(i, nv): // values on both sides count toward the left
+			case rc.left[i][nv]: // values on both sides count toward the left
 				leftVals++
-			case src.InRight(i, nv):
+			case rc.right[i][nv]:
 				rightVals++
 			}
 		}
 		total := leftVals + rightVals
-		cov := float64(total) / float64(len(normed))
+		cov := float64(total) / float64(max(len(normed), 1))
 		if leftVals >= minEach && rightVals >= minEach && cov >= minCoverage {
-			hits = append(hits, index.Hit{Index: i, Mapping: src.Mapping(i), Coverage: cov, Matched: total})
+			hits = append(hits, refHit{i, m.ID, len(m.Pairs), cov, total})
 		}
 	}
 	sort.Slice(hits, func(a, b int) bool {
@@ -138,33 +179,39 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 			if err != nil || len(res.Mappings) == 0 {
 				t.Fatalf("synthesis: %d mappings, %v", len(res.Mappings), err)
 			}
-			var image bytes.Buffer
-			if err := snapshot.WriteV2(&image, res.Mappings); err != nil {
-				t.Fatal(err)
-			}
-			h, err := snapshot.OpenBytes(image.Bytes())
+			ref := newRefCorpus(res.Mappings)
+			mem, err := snapshot.FromMappings(res.Mappings)
 			if err != nil {
 				t.Fatal(err)
 			}
+			path := filepath.Join(t.TempDir(), "corpus.snap")
+			if err := snapshot.WriteFileV2(path, res.Mappings); err != nil {
+				t.Fatal(err)
+			}
+			file, err := snapshot.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer file.Close()
 			rng := rand.New(rand.NewSource(seed))
 			var leftHits, mixedHits int // the columns must not all miss
 			for _, side := range []struct {
 				name string
 				ix   *index.MappingIndex
-			}{{"heap", index.Build(res.Mappings)}, {"v2", index.FromSource(h)}} {
+			}{{"memory", index.FromSource(mem)}, {"file", index.FromSource(file)}} {
 				ix := side.ix
 				for q := 0; q < 150; q++ {
 					col := randomColumn(rng, ix)
 					for _, cov := range []float64{0, 0.5, 0.8, 1} {
-						want := refLookupLeft(ix.Source(), col, cov)
+						want := ref.lookupLeft(col, cov)
 						leftHits += len(want)
-						if got := ix.LookupLeft(col, cov); !reflect.DeepEqual(got, want) {
+						if got := project(ix.LookupLeft(col, cov)); !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: LookupLeft(%q, %v)\n got %+v\nwant %+v", side.name, col, cov, got, want)
 						}
 						for _, minEach := range []int{-1, 0, 1, 2} {
-							want := refMixedColumnHits(ix.Source(), col, max(minEach, 1), cov)
+							want := ref.mixedColumnHits(col, max(minEach, 1), cov)
 							mixedHits += len(want)
-							if got := ix.MixedColumnHits(col, minEach, cov); !reflect.DeepEqual(got, want) {
+							if got := project(ix.MixedColumnHits(col, minEach, cov)); !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s: MixedColumnHits(%q, %d, %v)\n got %+v\nwant %+v", side.name, col, minEach, cov, got, want)
 							}
 						}

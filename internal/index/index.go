@@ -13,22 +13,15 @@ import (
 // auto-fill and auto-join. The exact inverted index over left values is the
 // candidate generator: a query walks the postings of its distinct values and
 // counts matches per mapping, so its cost follows the postings it touches,
-// not the number of mappings indexed. The storage behind the postings,
-// value tables and mappings is a pluggable Source: heap structures built by
-// Build, or a mapped v2 snapshot region served zero-copy via FromSource.
+// not the number of mappings indexed. The postings, value tables and
+// mappings live in a Source — a v2 snapshot image (snapshot.Handle) — and
+// are read in place; the index itself holds no data.
 type MappingIndex struct {
 	src Source
 }
 
-// Build indexes the given mappings on the heap. The slice is retained;
-// mappings must not be mutated afterwards.
-func Build(maps []*mapping.Mapping) *MappingIndex {
-	return &MappingIndex{src: newHeapSource(maps)}
-}
-
-// FromSource wraps an existing Source — the entry point for mmap-backed
-// snapshot sources, whose postings and filters are already persisted and
-// must not be rebuilt.
+// FromSource serves containment queries over src: snapshot.Open for a
+// file, snapshot.FromMappings for mappings in hand.
 func FromSource(src Source) *MappingIndex {
 	return &MappingIndex{src: src}
 }

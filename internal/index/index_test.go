@@ -1,12 +1,24 @@
-package index
+package index_test
 
 import (
 	"fmt"
 	"testing"
 
+	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 )
+
+// buildIndex indexes the mappings the way every caller does: as a v2 image.
+func buildIndex(t testing.TB, maps ...*mapping.Mapping) *index.MappingIndex {
+	t.Helper()
+	h, err := snapshot.FromMappings(maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return index.FromSource(h)
+}
 
 func mappingOf(id int, pairs [][2]string) *mapping.Mapping {
 	ls := make([]string, len(pairs))
@@ -20,7 +32,7 @@ func mappingOf(id int, pairs [][2]string) *mapping.Mapping {
 }
 
 func TestBloomBasics(t *testing.T) {
-	b := NewBloom(100, 0.01)
+	b := index.NewBloom(100, 0.01)
 	keys := []string{"alpha", "beta", "gamma", "delta"}
 	for _, k := range keys {
 		b.Add(k)
@@ -36,7 +48,7 @@ func TestBloomBasics(t *testing.T) {
 }
 
 func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloom(1000, 0.01)
+	b := index.NewBloom(1000, 0.01)
 	for i := 0; i < 1000; i++ {
 		b.Add(fmt.Sprintf("member-%d", i))
 	}
@@ -54,7 +66,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 }
 
 func TestBloomNeverFalseNegative(t *testing.T) {
-	b := NewBloom(10, 0.001) // deliberately undersized relative to inserts
+	b := index.NewBloom(10, 0.001) // deliberately undersized relative to inserts
 	for i := 0; i < 500; i++ {
 		b.Add(fmt.Sprintf("k%d", i))
 	}
@@ -66,7 +78,7 @@ func TestBloomNeverFalseNegative(t *testing.T) {
 }
 
 func TestBloomDegenerateParams(t *testing.T) {
-	b := NewBloom(0, 5.0) // clamped
+	b := index.NewBloom(0, 5.0) // clamped
 	b.Add("x")
 	if !b.MayContain("x") {
 		t.Error("clamped filter must still work")
@@ -83,7 +95,7 @@ func TestLookupLeft(t *testing.T) {
 	countries := mappingOf(1, [][2]string{
 		{"Japan", "JPN"}, {"Canada", "CAN"}, {"Peru", "PER"},
 	})
-	ix := Build([]*mapping.Mapping{states, countries})
+	ix := buildIndex(t, states, countries)
 	if ix.Len() != 2 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -105,7 +117,7 @@ func TestMixedColumnHits(t *testing.T) {
 	states := mappingOf(0, [][2]string{
 		{"California", "CA"}, {"Washington", "WA"}, {"Oregon", "OR"},
 	})
-	ix := Build([]*mapping.Mapping{states})
+	ix := buildIndex(t, states)
 	// A column mixing full names and abbreviations (Table 3 of the paper).
 	column := []string{"California", "Washington", "OR", "CA"}
 	hits := ix.MixedColumnHits(column, 1, 0.8)
@@ -120,7 +132,7 @@ func TestMixedColumnHits(t *testing.T) {
 }
 
 func TestLookupEmptyQuery(t *testing.T) {
-	ix := Build([]*mapping.Mapping{mappingOf(0, [][2]string{{"a", "1"}})})
+	ix := buildIndex(t, mappingOf(0, [][2]string{{"a", "1"}}))
 	if hits := ix.LookupLeft(nil, 0.5); hits != nil {
 		t.Errorf("nil query should give nil hits, got %v", hits)
 	}

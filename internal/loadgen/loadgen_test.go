@@ -388,7 +388,7 @@ func TestFullLoopSeedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(t.TempDir(), "seed.snap")
-	if err := snapshot.WriteFile(snapPath, res.Mappings); err != nil {
+	if err := snapshot.WriteFileV2(snapPath, res.Mappings); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(serve.Options{SnapshotPath: snapPath, CacheSize: 256})

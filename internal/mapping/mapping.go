@@ -235,9 +235,9 @@ func Restore(id int, pairs []table.Pair, pairSupports []int,
 
 // NormalizedValues returns the distinct normalized left and right values of
 // the mapping's pairs, each sorted ascending — the exact value sets
-// containment queries test against. Index sources consume this (the heap
-// source at build time, the v2 snapshot writer at persist time), so both
-// backends answer membership identically by construction.
+// containment queries test against. The v2 snapshot writer lays out value
+// tables, filters and postings from them, so an image answers membership
+// exactly as the mapping would.
 func (m *Mapping) NormalizedValues() (left, right []string) {
 	lset := make(map[string]struct{}, len(m.Pairs))
 	rset := make(map[string]struct{}, len(m.Pairs))

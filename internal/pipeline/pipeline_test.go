@@ -76,7 +76,7 @@ func synthesizeReference(cfg Config, tables []*table.Table) []*mapping.Mapping {
 func encode(t *testing.T, maps []*mapping.Mapping) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, maps); err != nil {
+	if err := snapshot.WriteV2(&buf, maps); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -66,10 +66,10 @@ func TestSnapshotUploadBound(t *testing.T) {
 }
 
 // TestCorpusSnapshotDownload: GET /v1/corpora/{name}/snapshot returns
-// loadable v2 bytes for heap- and mmap-backed states alike, versioned via
+// loadable v2 bytes for in-memory and mmapped images alike, versioned via
 // X-Corpus-Version — the wire contract snapshot-shipped replication rides.
 func TestCorpusSnapshotDownload(t *testing.T) {
-	// Heap-backed (memory) state: re-encoded to v2 on the fly.
+	// An image built in memory from mappings.
 	srv, maps := newTestServer(t, 8)
 	h := srv.Handler()
 	rec := do(t, h, http.MethodGet, "/v1/corpora/default/snapshot", nil, "")
@@ -320,7 +320,7 @@ func TestRegistryConcurrentLifecycle(t *testing.T) {
 }
 
 // TestMadviseSurfaced: with -madvise configured, a v2 load applies the hint
-// and surfaces it in corpus metadata; heap-backed states never claim one.
+// and surfaces it in corpus metadata; in-memory images never claim one.
 func TestMadviseSurfaced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "adv.snap2")
 	if err := snapshot.WriteFileV2(path, codedMappings("AD")); err != nil {
@@ -340,11 +340,11 @@ func TestMadviseSurfaced(t *testing.T) {
 	if info.Format != "v2" || info.Madvise != "willneed" {
 		t.Errorf("adv corpus = format %q madvise %q, want v2/willneed", info.Format, info.Madvise)
 	}
-	// The heap-backed default corpus shows no madvise.
+	// The in-memory default corpus shows no madvise.
 	info.Format, info.Madvise = "", ""
 	getJSON(t, h, "/v1/corpora/default", &info)
 	if info.Madvise != "" {
-		t.Errorf("heap-backed corpus claims madvise %q", info.Madvise)
+		t.Errorf("in-memory corpus claims madvise %q", info.Madvise)
 	}
 }
 

@@ -36,15 +36,16 @@ type corpusInfo struct {
 	Name     string `json:"name"`
 	Version  int64  `json:"version"`
 	Snapshot string `json:"snapshot,omitempty"`
-	// Format is the snapshot format backing the live state: "memory", "v1"
-	// (decoded onto the heap) or "v2" (served from a mapped region).
+	// Format is always "v2": every state is a v2 snapshot image, whatever
+	// it was loaded or built from.
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
 	Shards   int    `json:"shards"`
-	// MappedBytes is the mmapped region size of a v2 state; 0 otherwise.
+	// MappedBytes is the size of the state's snapshot image, mmapped or in
+	// process memory.
 	MappedBytes int64 `json:"mapped_bytes,omitempty"`
-	// Madvise is the page-cache hint applied to a mapped v2 state's region
+	// Madvise is the page-cache hint applied to an mmapped state's region
 	// ("willneed" or "random", the -madvise flag); absent when none.
 	Madvise string `json:"madvise,omitempty"`
 	// ActivationSeconds is how long the live state took from snapshot open
@@ -55,8 +56,8 @@ type corpusInfo struct {
 	// History lists the version numbers available for activate/rollback,
 	// most recently live last.
 	History []int64 `json:"history,omitempty"`
-	// SnapshotCRC is the whole-file CRC of a v2-backed state's snapshot
-	// image (hex) — the content identity delta replication matches on.
+	// SnapshotCRC is the whole-file CRC of the state's snapshot image (hex)
+	// — the content identity delta replication matches on.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness (log head vs applied LSN);
 	// absent for corpora never ingested into.
@@ -69,21 +70,19 @@ func (s *Server) infoFor(c *corpus) corpusInfo {
 		Name:              c.name,
 		Version:           st.Version,
 		Snapshot:          st.Path,
-		Format:            st.FormatName(),
+		Format:            wireFormat,
 		Mappings:          st.NumMappings(),
-		Pairs:             st.pairs,
+		Pairs:             st.handle.Pairs(),
 		Shards:            wireShards,
-		MappedBytes:       st.MappedBytes,
+		MappedBytes:       st.MappedBytes(),
 		Madvise:           st.Madvise,
 		ActivationSeconds: st.ActivationSeconds,
 		LoadedAt:          st.LoadedAt.UTC().Format(time.RFC3339),
 		Reloads:           c.reloads.Load(),
 		History:           c.historyVersions(),
+		SnapshotCRC:       fmt.Sprintf("%08x", st.imageCRC()),
+		Ingest:            s.ingestStatusFor(c.name),
 	}
-	if crc, ok := stateCRC(st); ok {
-		info.SnapshotCRC = fmt.Sprintf("%08x", crc)
-	}
-	info.Ingest = s.ingestStatusFor(c.name)
 	return info
 }
 
@@ -187,9 +186,9 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name st
 		"created":     created,
 		"version":     st.Version,
 		"snapshot":    st.Path,
-		"format":      st.FormatName(),
+		"format":      wireFormat,
 		"mappings":    st.NumMappings(),
-		"pairs":       st.pairs,
+		"pairs":       st.handle.Pairs(),
 		"loaded_at":   st.LoadedAt.UTC().Format(time.RFC3339),
 		"duration_ms": float64(time.Since(t0).Microseconds()) / 1000,
 	})
@@ -229,10 +228,9 @@ func (s *Server) writeUploadTooLarge(w http.ResponseWriter, r *http.Request, err
 
 // handleCorpusSnapshot serves GET /v1/corpora/{name}/snapshot: the live
 // state's exact v2 snapshot bytes, the wire format of snapshot-shipped
-// replication. A v2-backed state streams its mapped file image zero-copy; a
-// heap-backed state (memory or decoded v1) is re-encoded to v2 on the fly so
-// any node can act as a roll source. The X-Corpus-Version header carries the
-// source version for the replicator's convergence check.
+// replication. Every state is a v2 image, so the response streams it
+// zero-copy and any node can act as a roll source. The X-Corpus-Version
+// header carries the source version for the replicator's convergence check.
 // The ?since=V and ?since_crc=HEX query parameters request a delta: the
 // caller names the full snapshot it already holds (by this corpus's version
 // number, or — across nodes, whose version counters are unrelated — by the
@@ -240,22 +238,14 @@ func (s *Server) writeUploadTooLarge(w http.ResponseWriter, r *http.Request, err
 // live state or the history ring, the response is a delta file
 // reconstructing the live snapshot from it. The X-Delta-Base and
 // X-Delta-Base-CRC headers mark a delta response. Any miss — unknown base,
-// non-v2 base with nothing to diff against, encoding failure — silently
-// falls back to the full snapshot: the parameters are an optimization, not
-// a contract.
+// encoding failure, a delta no smaller than the image — silently falls back
+// to the full snapshot: the parameters are an optimization, not a contract.
 func (s *Server) handleCorpusSnapshot(c *corpus, w http.ResponseWriter, r *http.Request) {
 	st := c.state.Load()
-	data, err := stateSnapshotBytes(st)
-	if err != nil {
-		writeError(w, r, CodeUnprocessable,
-			fmt.Sprintf("corpus %q has no serializable state: %s", c.name, err))
-		return
-	}
-	if delta, base := s.corpusDelta(c, st, data, r); delta != nil {
+	data := st.handle.Bytes()
+	if delta, base := s.corpusDelta(c, st, r); delta != nil {
 		w.Header().Set("X-Delta-Base", strconv.FormatInt(base.Version, 10))
-		if crc, ok := stateCRC(base); ok {
-			w.Header().Set("X-Delta-Base-CRC", fmt.Sprintf("%08x", crc))
-		}
+		w.Header().Set("X-Delta-Base-CRC", fmt.Sprintf("%08x", base.imageCRC()))
 		data = delta
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -269,8 +259,8 @@ func (s *Server) handleCorpusSnapshot(c *corpus, w http.ResponseWriter, r *http.
 
 // corpusDelta builds the delta response for a snapshot GET carrying ?since
 // or ?since_crc, or returns nil when the request wants (or must fall back
-// to) the full snapshot. liveData is the live state's full image.
-func (s *Server) corpusDelta(c *corpus, live *State, liveData []byte, r *http.Request) ([]byte, *State) {
+// to) the full snapshot.
+func (s *Server) corpusDelta(c *corpus, live *State, r *http.Request) ([]byte, *State) {
 	q := r.URL.Query()
 	sinceStr, crcStr := q.Get("since"), q.Get("since_crc")
 	if sinceStr == "" && crcStr == "" {
@@ -290,11 +280,8 @@ func (s *Server) corpusDelta(c *corpus, live *State, liveData []byte, r *http.Re
 	if base == nil {
 		return nil, nil
 	}
-	baseData, err := stateSnapshotBytes(base)
-	if err != nil {
-		return nil, nil
-	}
-	delta, err := snapshot.BuildDelta(baseData, liveData, base.Version, live.Version)
+	liveData := live.handle.Bytes()
+	delta, err := snapshot.BuildDelta(base.handle.Bytes(), liveData, base.Version, live.Version)
 	if err != nil || len(delta) >= len(liveData) {
 		return nil, nil // a delta that doesn't save bytes is not worth a two-format protocol
 	}
@@ -371,7 +358,7 @@ func writeVersionSwap(w http.ResponseWriter, c *corpus, live, prev *State) {
 		"version":          live.Version,
 		"previous_version": prev.Version,
 		"snapshot":         live.Path,
-		"format":           live.FormatName(),
+		"format":           wireFormat,
 		"mappings":         live.NumMappings(),
 		"loaded_at":        live.LoadedAt.UTC().Format(time.RFC3339),
 	})

@@ -36,7 +36,7 @@ func codedMappings(prefix string) []*mapping.Mapping {
 func writeSnap(t *testing.T, maps []*mapping.Mapping, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	if err := snapshot.WriteFile(path, maps); err != nil {
+	if err := snapshot.WriteFileV2(path, maps); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -412,7 +412,7 @@ func TestCorpusUpload(t *testing.T) {
 	h := srv.Handler()
 
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, codedMappings("UP")); err != nil {
+	if err := snapshot.WriteV2(&buf, codedMappings("UP")); err != nil {
 		t.Fatal(err)
 	}
 	rec := do(t, h, http.MethodPut, "/v1/corpora/uploaded", buf.Bytes(), "application/octet-stream")
@@ -629,7 +629,7 @@ func TestReloadAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, codedMappings("UP")); err != nil {
+	if err := snapshot.WriteV2(&buf, codedMappings("UP")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.LoadCorpusSnapshot("uploaded", buf.Bytes()); err != nil {
@@ -637,7 +637,7 @@ func TestReloadAll(t *testing.T) {
 	}
 
 	// Rewrite the default snapshot in place; ReloadAll must pick it up.
-	if err := snapshot.WriteFile(defPath, codedMappings("D2")); err != nil {
+	if err := snapshot.WriteFileV2(defPath, codedMappings("D2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.ReloadAll(context.Background()); err != nil {

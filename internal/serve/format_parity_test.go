@@ -6,24 +6,30 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"mapsynth/internal/snapshot"
 )
 
-// TestFormatGoldenParity is the v1↔v2 contract: the same mapping set served
-// from a decoded v1 snapshot and from a mapped v2 snapshot must answer every
-// application endpoint byte-identically. Format is a storage choice, never a
-// semantics choice.
+// v1Fixture is the last file the v1 writer wrote, over testMappings() (see
+// internal/snapshot/snapshot_test.go for how it was generated).
+const v1Fixture = "../snapshot/testdata/states.v1.snap"
+
+// TestFormatGoldenParity is the v1↔v2 contract: the legacy v1 file and a v2
+// file of the mappings it decodes to must answer every application endpoint
+// byte-identically. Format is a storage choice, never a semantics choice —
+// and never a serving one: both activate as the same v2 image.
 func TestFormatGoldenParity(t *testing.T) {
-	maps := testMappings()
-	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "corpus.v1.snap")
-	v2Path := filepath.Join(dir, "corpus.v2.snap")
-	if err := snapshot.WriteFile(v1Path, maps); err != nil {
+	maps, err := snapshot.ReadFile(v1Fixture)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(maps) != len(testMappings()) {
+		t.Fatalf("fixture holds %d mappings, testMappings() %d", len(maps), len(testMappings()))
+	}
+	v2Path := filepath.Join(t.TempDir(), "corpus.v2.snap")
 	if err := snapshot.WriteFileV2(v2Path, maps); err != nil {
 		t.Fatal(err)
 	}
@@ -35,20 +41,15 @@ func TestFormatGoldenParity(t *testing.T) {
 		}
 		return s
 	}
-	s1, s2 := newSrv(v1Path), newSrv(v2Path)
+	s1, s2 := newSrv(v1Fixture), newSrv(v2Path)
 
-	if got := s1.State().Format; got != 1 {
-		t.Fatalf("v1 state format = %d, want 1", got)
+	st1, st2 := s1.State(), s2.State()
+	if st1.MappedBytes() <= 0 || st1.MappedBytes() != st2.MappedBytes() || st1.imageCRC() != st2.imageCRC() {
+		t.Fatalf("v1-loaded image (%d bytes, crc %08x) differs from the v2 file's (%d bytes, crc %08x)",
+			st1.MappedBytes(), st1.imageCRC(), st2.MappedBytes(), st2.imageCRC())
 	}
-	st2 := s2.State()
-	if st2.Format != 2 {
-		t.Fatalf("v2 state format = %d, want 2", st2.Format)
-	}
-	if st2.MappedBytes <= 0 {
-		t.Fatalf("v2 state MappedBytes = %d, want > 0", st2.MappedBytes)
-	}
-	if st2.NumMappings() != len(maps) {
-		t.Fatalf("v2 state mappings = %d, want %d", st2.NumMappings(), len(maps))
+	if st1.NumMappings() != len(maps) || st2.NumMappings() != len(maps) {
+		t.Fatalf("state mappings = %d / %d, want %d", st1.NumMappings(), st2.NumMappings(), len(maps))
 	}
 
 	h1, h2 := s1.Handler(), s2.Handler()
@@ -80,7 +81,7 @@ func TestFormatGoldenParity(t *testing.T) {
 	}
 	// Batch endpoints are deliberately absent: rows stream in completion
 	// order and the trailer carries a per-request ID, so their bytes are
-	// nondeterministic even between two identical heap servers.
+	// nondeterministic even between two identical servers.
 	for _, rq := range reqs {
 		c1, b1 := do(h1, rq.method, rq.path, rq.body)
 		c2, b2 := do(h2, rq.method, rq.path, rq.body)
@@ -93,24 +94,54 @@ func TestFormatGoldenParity(t *testing.T) {
 		}
 	}
 
-	// The metadata surfaces must disagree exactly where the formats differ.
-	_, info := do(h2, "GET", "/v1/corpora/default", "")
-	var ci struct {
-		Format      string `json:"format"`
-		MappedBytes int64  `json:"mapped_bytes"`
-		Mappings    int    `json:"mappings"`
+	// The metadata surfaces agree too: whatever was on disk, the state is
+	// a CRC-identified v2 image.
+	for name, h := range map[string]http.Handler{"v1": h1, "v2": h2} {
+		_, info := do(h, "GET", "/v1/corpora/default", "")
+		var ci struct {
+			Format      string `json:"format"`
+			MappedBytes int64  `json:"mapped_bytes"`
+			Mappings    int    `json:"mappings"`
+			SnapshotCRC string `json:"snapshot_crc"`
+		}
+		if err := json.Unmarshal(info, &ci); err != nil {
+			t.Fatalf("corpora metadata: %v", err)
+		}
+		if ci.Format != "v2" || ci.MappedBytes <= 0 || ci.Mappings != len(maps) || ci.SnapshotCRC == "" {
+			t.Fatalf("%s file: corpora metadata = %+v, want a CRC-identified v2 image", name, ci)
+		}
 	}
-	if err := json.Unmarshal(info, &ci); err != nil {
-		t.Fatalf("corpora metadata: %v", err)
+
+	// The other two ways in: PUT naming the v1 file, PUT uploading its bytes.
+	raw, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ci.Format != "v2" || ci.MappedBytes <= 0 || ci.Mappings != len(maps) {
-		t.Fatalf("v2 corpora metadata = %+v, want format v2 with mapped bytes", ci)
+	if c, b := do(h2, "PUT", "/v1/corpora/bypath", `{"snapshot":"`+v1Fixture+`"}`); c != http.StatusCreated {
+		t.Fatalf("PUT path of a v1 file = %d %s", c, b)
+	}
+	up := httptest.NewRequest("PUT", "/v1/corpora/byupload", bytes.NewReader(raw))
+	up.Header.Set("Content-Type", "application/octet-stream")
+	w := httptest.NewRecorder()
+	h2.ServeHTTP(w, up)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("PUT upload of v1 bytes = %d %s", w.Code, w.Body)
+	}
+	for _, name := range []string{"bypath", "byupload"} {
+		if st := s2.CorpusState(name); st == nil || st.imageCRC() != st2.imageCRC() {
+			t.Fatalf("corpus %s did not activate as the same image", name)
+		}
+		_, want := do(h2, "GET", "/v1/lookup?key=Seattle", "")
+		_, got := do(h2, "GET", "/v1/corpora/"+name+"/lookup?key=Seattle", "")
+		var wl, gl lookupResponse
+		if json.Unmarshal(want, &wl) != nil || json.Unmarshal(got, &gl) != nil || !gl.Found || gl.Value != wl.Value {
+			t.Fatalf("corpus %s lookup = %s, want %s", name, got, want)
+		}
 	}
 }
 
-// TestV2UploadAndReload exercises the non-file v2 activation paths: a PUT
-// upload of raw v2 bytes and a path reload, both of which must produce a
-// mapped (format 2) state.
+// TestV2UploadAndReload exercises the non-constructor activation paths: an
+// upload of raw v2 bytes and a path reload.
 func TestV2UploadAndReload(t *testing.T) {
 	maps := testMappings()
 	var buf bytes.Buffer
@@ -120,8 +151,8 @@ func TestV2UploadAndReload(t *testing.T) {
 	s := NewFromMappings(maps, Options{})
 	if st, err := s.LoadCorpusSnapshot("up", buf.Bytes()); err != nil {
 		t.Fatal(err)
-	} else if st.Format != 2 {
-		t.Fatalf("uploaded state format = %d, want 2", st.Format)
+	} else if st.imageCRC() != s.State().imageCRC() {
+		t.Fatalf("uploaded image crc %08x, NewFromMappings image of the same mappings %08x", st.imageCRC(), s.State().imageCRC())
 	}
 	for _, key := range []string{"California", "key-3-1"} {
 		want := s.Lookup(key)
@@ -134,7 +165,7 @@ func TestV2UploadAndReload(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Found != want.Found || got.Value != want.Value {
-			t.Fatalf("lookup %q: uploaded v2 corpus answered %+v, default heap corpus %+v", key, got, want)
+			t.Fatalf("lookup %q: uploaded corpus answered %+v, default corpus %+v", key, got, want)
 		}
 	}
 
@@ -146,8 +177,8 @@ func TestV2UploadAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Format != 2 || st.NumMappings() != len(maps) {
-		t.Fatalf("reloaded state format=%d mappings=%d", st.Format, st.NumMappings())
+	if !st.handle.Mapped() || st.NumMappings() != len(maps) {
+		t.Fatalf("reloaded state mapped=%v mappings=%d", st.handle.Mapped(), st.NumMappings())
 	}
 	if got := s.Lookup("California"); !got.Found || got.Value != "CA" {
 		t.Fatalf("lookup after v2 reload = %+v", got)

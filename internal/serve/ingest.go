@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"path/filepath"
-	"time"
+	"runtime"
 
 	"mapsynth/internal/ingest"
 	"mapsynth/internal/mapping"
@@ -184,7 +183,7 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 		// every publish: the pre-ingest corpus is a fixed base layer,
 		// ingested synthesis stacks on top with fresh IDs.
 		if len(opts.Base) == 0 {
-			if frozen := s.frozenBaseMappings(name); len(frozen) > 0 {
+			if frozen, image := s.frozenBase(name); len(frozen) > 0 {
 				maxID := 0
 				for _, m := range frozen {
 					if m.ID > maxID {
@@ -193,6 +192,9 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 				}
 				inner := opts.Publish
 				opts.Publish = func(maps []*mapping.Mapping, lsn int64) error {
+					// frozen's strings are views into image, which may be
+					// an mmapped file long gone from the history ring.
+					defer runtime.KeepAlive(image)
 					out := make([]*mapping.Mapping, 0, len(frozen)+len(maps))
 					out = append(out, frozen...)
 					for i, m := range maps {
@@ -210,27 +212,15 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 	})
 }
 
-// frozenBaseMappings captures the corpus's currently served mapping set as
-// the fixed base layer for base-less ingestion. Nil when the corpus is
-// empty or has no serializable state.
-func (s *Server) frozenBaseMappings(name string) []*mapping.Mapping {
-	c := s.reg.get(name)
-	if c == nil {
-		return nil
-	}
-	st := c.state.Load()
+// frozenBase captures the corpus's currently served mapping set as the
+// fixed base layer for base-less ingestion, with the image the mappings
+// are views into. Nil when the corpus is empty.
+func (s *Server) frozenBase(name string) ([]*mapping.Mapping, *snapshot.Handle) {
+	st := s.CorpusState(name)
 	if st == nil || st.NumMappings() == 0 {
-		return nil
+		return nil, nil
 	}
-	data, err := stateSnapshotBytes(st)
-	if err != nil {
-		return nil
-	}
-	maps, err := snapshot.Decode(data)
-	if err != nil {
-		return nil
-	}
-	return maps
+	return st.handle.Materialize(), st.handle
 }
 
 func (s *Server) ingestConfig() pipeline.Config {
@@ -243,27 +233,17 @@ func (s *Server) ingestConfig() pipeline.Config {
 }
 
 // publishIngest installs a synthesized mapping set as the corpus's next
-// version. The set is canonically encoded to v2 and decoded back so the
-// installed state is v2-backed: byte-addressable for snapshot GETs, CRC-
-// identified for delta shipping — and byte-identical to what an offline
-// rebuild over the same tables would snapshot (the incremental engine's
-// golden parity contract). swapIn is atomic, so queries never observe a
-// partially applied version.
+// version. Like every state it is a canonical v2 image: byte-addressable
+// for snapshot GETs, CRC-identified for delta shipping — and byte-identical
+// to what an offline rebuild over the same tables would snapshot (the
+// incremental engine's golden parity contract). swapIn is atomic, so
+// queries never observe a partially applied version.
 func (s *Server) publishIngest(name string, maps []*mapping.Mapping) error {
-	t0 := time.Now()
-	var buf bytes.Buffer
-	if err := snapshot.WriteV2(&buf, maps); err != nil {
-		return err
-	}
-	ld, err := snapshot.LoadBytes(buf.Bytes())
-	if err != nil {
-		return err
-	}
 	c := s.reg.shell(name)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	s.swapIn(name, s.buildLoadedState(ld, "", t0))
-	return nil
+	_, err := s.installMappings(name, maps, "")
+	return err
 }
 
 // ingestStatusFor returns the corpus's staleness report, nil when the

@@ -7,6 +7,7 @@ import (
 
 	"mapsynth/internal/metrics"
 	"mapsynth/internal/qos"
+	"mapsynth/internal/snapshot"
 )
 
 // forEach visits every endpoint's stats under its stable exported name (the
@@ -182,17 +183,17 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 			}
 		})
 	reg.GaugeVecFunc("mapsynth_corpus_snapshot_format",
-		"Snapshot format backing each corpus's live state (0 in-memory, 1, 2).", []string{"corpus"},
+		"Snapshot format backing each corpus's live state (always 2: every state is a v2 image).", []string{"corpus"},
 		func(emit func([]string, float64)) {
 			for _, c := range s.reg.list() {
-				emit([]string{c.name}, float64(c.state.Load().Format))
+				emit([]string{c.name}, float64(snapshot.Version2))
 			}
 		})
 	reg.GaugeVecFunc("mapsynth_corpus_mapped_bytes",
-		"Bytes of mmapped snapshot region backing each corpus's live state (0 for heap-backed states).", []string{"corpus"},
+		"Bytes of the snapshot image backing each corpus's live state, mmapped or in process memory.", []string{"corpus"},
 		func(emit func([]string, float64)) {
 			for _, c := range s.reg.list() {
-				emit([]string{c.name}, float64(c.state.Load().MappedBytes))
+				emit([]string{c.name}, float64(c.state.Load().MappedBytes()))
 			}
 		})
 	reg.GaugeVecFunc("mapsynth_corpus_activation_seconds",
@@ -206,7 +207,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 		"Key-value pairs in each corpus's live state.", []string{"corpus"},
 		func(emit func([]string, float64)) {
 			for _, c := range s.reg.list() {
-				emit([]string{c.name}, float64(c.state.Load().pairs))
+				emit([]string{c.name}, float64(c.state.Load().handle.Pairs()))
 			}
 		})
 	reg.CounterVecFunc("mapsynth_corpus_reloads_total",

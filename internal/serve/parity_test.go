@@ -35,7 +35,7 @@ func doReq(t *testing.T, h http.Handler, method, path, body, reqID string) *http
 func TestV1AliasParity(t *testing.T) {
 	maps := testMappings()
 	snapPath := filepath.Join(t.TempDir(), "parity.snap")
-	if err := snapshot.WriteFile(snapPath, maps); err != nil {
+	if err := snapshot.WriteFileV2(snapPath, maps); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewFromMappings(maps, Options{CacheSize: 64, SnapshotPath: snapPath})

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -285,42 +284,10 @@ func (s *Server) LoadCorpusContext(ctx context.Context, name, path string) (*Sta
 		return nil, fmt.Errorf("corpus %q: loading snapshot %q: %w", name, path, err)
 	}
 	if err := ctx.Err(); err != nil {
-		if ld.Handle != nil {
-			ld.Handle.Close()
-		}
+		ld.Handle.Close()
 		return nil, err
 	}
-	return s.swapIn(name, s.buildLoadedState(ld, path, t0)), nil
-}
-
-// stateSnapshotBytes returns the exact v2 snapshot image of a state: the
-// mapped/backing region for v2 states (zero-copy), a fresh canonical
-// encoding for heap-backed ones. ok is false for states with nothing to
-// serialize.
-func stateSnapshotBytes(st *State) ([]byte, error) {
-	switch {
-	case st.Format == 2 && st.handle != nil:
-		return st.handle.Bytes(), nil
-	case st.Maps != nil:
-		var buf bytes.Buffer
-		if err := snapshot.WriteV2(&buf, st.Maps); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	default:
-		return nil, fmt.Errorf("state v%d has no serializable form", st.Version)
-	}
-}
-
-// stateCRC returns the whole-file CRC identifying a v2-backed state's
-// snapshot image — the content identity delta shipping matches bases on.
-// Heap-backed states report ok=false: hashing them would mean re-encoding
-// the whole corpus on every probe.
-func stateCRC(st *State) (uint32, bool) {
-	if st.Format != 2 || st.handle == nil {
-		return 0, false
-	}
-	return snapshot.FileCRC(st.handle.Bytes())
+	return s.swapIn(name, s.newState(ld.Handle, path, t0)), nil
 }
 
 // findState returns the live or history state matching version (when
@@ -331,8 +298,7 @@ func (c *corpus) findState(version int64, crc uint32) *State {
 		if version > 0 {
 			return st.Version == version
 		}
-		got, ok := stateCRC(st)
-		return ok && got == crc
+		return st.imageCRC() == crc
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -375,11 +341,7 @@ func (s *Server) LoadCorpusDelta(name string, data []byte) (*State, error) {
 		return nil, fmt.Errorf("corpus %q: no state matches delta base crc %08x (base version %d): %w",
 			name, d.BaseCRC, d.BaseVersion, snapshot.ErrDeltaBase)
 	}
-	baseData, err := stateSnapshotBytes(base)
-	if err != nil {
-		return nil, fmt.Errorf("corpus %q: serializing delta base v%d: %w", name, base.Version, err)
-	}
-	target, err := d.Apply(baseData)
+	target, err := d.Apply(base.handle.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("corpus %q: applying delta to v%d: %w", name, base.Version, err)
 	}
@@ -387,25 +349,30 @@ func (s *Server) LoadCorpusDelta(name string, data []byte) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus %q: decoding delta result: %w", name, err)
 	}
-	return s.swapIn(name, s.buildLoadedState(ld, "", t0)), nil
+	return s.swapIn(name, s.newState(ld.Handle, "", t0)), nil
 }
 
-// LoadCorpusSnapshot decodes an uploaded snapshot body into the named
-// corpus — the PUT-with-bytes path. The resulting state has no snapshot
-// path, so it can only be replaced by another PUT, not re-read.
+// LoadCorpusSnapshot opens an uploaded snapshot body as the named corpus —
+// the PUT-with-bytes path. Unlike a file the operator put on disk, the
+// bytes crossed a network, so the image is fully verified (every CRC plus
+// the structural walk) before it can go live. The resulting state has no
+// snapshot path, so it can only be replaced by another PUT, not re-read.
 func (s *Server) LoadCorpusSnapshot(name string, data []byte) (*State, error) {
 	if !validCorpusName(name) {
 		return nil, fmt.Errorf("serve: invalid corpus name %q (want 1-64 chars of [A-Za-z0-9._-])", name)
 	}
 	t0 := time.Now()
 	ld, err := snapshot.LoadBytes(data)
+	if err == nil {
+		err = ld.Handle.Verify()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("corpus %q: decoding uploaded snapshot: %w", name, err)
 	}
 	c := s.reg.shell(name)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return s.swapIn(name, s.buildLoadedState(ld, "", t0)), nil
+	return s.swapIn(name, s.newState(ld.Handle, "", t0)), nil
 }
 
 // AddCorpus installs an in-memory mapping set as the named corpus — the
@@ -415,7 +382,7 @@ func (s *Server) AddCorpus(name string, maps []*mapping.Mapping) (*State, error)
 	if !validCorpusName(name) {
 		return nil, fmt.Errorf("serve: invalid corpus name %q (want 1-64 chars of [A-Za-z0-9._-])", name)
 	}
-	return s.swapIn(name, s.buildState(maps, "")), nil
+	return s.installMappings(name, maps, "")
 }
 
 // DeleteCorpus removes the named corpus from the registry. The default

@@ -135,28 +135,22 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// CorpusIndex is the containment index a State serves queries from:
-// apps.Index plus the introspection the stats/corpora surfaces need. Every
-// state serves through one index.MappingIndex — built on the heap for
-// in-memory and v1 states, reading the mapped region for v2 states. A query
-// costs the postings it walks, not a scan over the mappings, so there is
-// nothing for per-query shard fan-out to parallelise.
-type CorpusIndex interface {
-	apps.Index
-	Len() int
-	Mapping(i int) *mapping.Mapping
-}
+// wireShards and wireFormat are what the "shards" and "format" fields of
+// /v1/corpora, /v1/stats and healthz report. Index sharding is gone and
+// every state is a v2 image; the fields stay on the wire so response
+// envelopes and SDK types do not change.
+const (
+	wireShards = 1
+	wireFormat = "v2"
+)
 
-// wireShards is what the "shards" field of /v1/corpora, /v1/stats and
-// healthz reports. Index sharding is gone; the field stays on the wire so
-// response envelopes and SDK types do not change.
-const wireShards = 1
-
-// State is one immutable loaded snapshot: the mapping source, its
-// containment index, the apps.Session answering queries against it, and the
-// result cache that is only valid against this mapping set. A corpus swaps
-// its whole State atomically on load/activate/rollback; superseded states
-// stay on the corpus's bounded history ring so they can be re-activated.
+// State is one immutable loaded corpus version: a v2 snapshot image (an
+// mmapped file, or built in process memory from mappings, an upload or a
+// legacy v1 file), the containment index reading it in place, the
+// apps.Session answering queries against it, and the result cache that is
+// only valid against this mapping set. A corpus swaps its whole State
+// atomically on load/activate/rollback; superseded states stay on the
+// corpus's bounded history ring so they can be re-activated.
 type State struct {
 	Path     string
 	LoadedAt time.Time
@@ -164,46 +158,34 @@ type State struct {
 	// number; activate/rollback re-expose old versions without minting new
 	// ones, so a version identifies one immutable state forever.
 	Version int64
-	// Maps holds the materialized mapping set of heap-backed states; it is
-	// nil for mmap-backed v2 states, whose mappings materialize lazily
-	// through the Index. Use NumMappings for the count.
-	Maps  []*mapping.Mapping
-	Index CorpusIndex
-	// Format is the snapshot format backing this state: 0 for in-memory
-	// mapping sets, 1 for decoded v1 snapshots, 2 for mmapped v2 snapshots.
-	Format int
-	// MappedBytes is the size of the mmapped region backing a v2 state; 0
-	// for heap-backed states.
-	MappedBytes int64
-	// ActivationSeconds is how long this state took from snapshot open to
-	// query-ready (decode/mmap + index + session construction).
+	// Index answers containment queries out of the image; mappings
+	// materialize lazily on first hit.
+	Index *index.MappingIndex
+	// ActivationSeconds is how long this state took from snapshot open (or
+	// image encode) to query-ready.
 	ActivationSeconds float64
 	// Madvise is the page-cache hint applied to this state's mapped region
 	// ("willneed" or "random"); empty when none was applied.
 	Madvise string
-	// handle keeps a v2 state's mapped region alive: materialized mappings
-	// hold zero-copy views into it and must not outlive it.
-	handle   *snapshot.Handle
-	mappings int
-	session  *apps.Session
-	cache    *lruCache
-	pairs    int
+	// handle is the image: materialized mappings hold zero-copy views into
+	// it and must not outlive it.
+	handle  *snapshot.Handle
+	session *apps.Session
+	cache   *lruCache
 }
 
-// NumMappings returns the number of mappings in the state, whether they
-// are materialized (Maps) or served lazily from a mapped region.
-func (st *State) NumMappings() int { return st.mappings }
+// NumMappings returns the number of mappings in the state.
+func (st *State) NumMappings() int { return st.handle.Len() }
 
-// FormatName renders Format for humans and label values.
-func (st *State) FormatName() string {
-	switch st.Format {
-	case 1:
-		return "v1"
-	case 2:
-		return "v2"
-	default:
-		return "memory"
-	}
+// MappedBytes returns the size of the state's snapshot image, mmapped or in
+// process memory.
+func (st *State) MappedBytes() int64 { return st.handle.MappedBytes() }
+
+// imageCRC returns the whole-file CRC of the state's snapshot image — the
+// content identity delta shipping matches bases on.
+func (st *State) imageCRC() uint32 {
+	crc, _ := snapshot.FileCRC(st.handle.Bytes())
+	return crc
 }
 
 // serveDefaults are the documented server-side defaults applied to omitted
@@ -306,49 +288,40 @@ func New(opts Options) (*Server, error) {
 }
 
 // NewFromMappings builds a server whose default corpus is an in-memory
-// mapping set — the entry point for tests and benchmarks that skip the
-// snapshot file.
+// mapping set — the entry point for tests, examples and benchmarks that
+// skip the snapshot file. It panics if the mappings cannot be laid out as a
+// snapshot image (a section past 4 GiB).
 func NewFromMappings(maps []*mapping.Mapping, opts Options) *Server {
 	s := newServer(opts)
-	s.swapIn(DefaultCorpus, s.buildState(maps, opts.SnapshotPath))
+	if _, err := s.installMappings(DefaultCorpus, maps, opts.SnapshotPath); err != nil {
+		panic(err)
+	}
 	return s
 }
 
-// buildState assembles one immutable heap-backed serving state (index,
-// session, cache) off to the side; the caller swaps it in and sets
-// Format/ActivationSeconds as appropriate.
-func (s *Server) buildState(maps []*mapping.Mapping, path string) *State {
+// installMappings lays maps out as a v2 image in process memory and swaps
+// it in as the named corpus's next version.
+func (s *Server) installMappings(name string, maps []*mapping.Mapping, path string) (*State, error) {
+	t0 := time.Now()
+	h, err := snapshot.FromMappings(maps)
+	if err != nil {
+		return nil, err
+	}
+	return s.swapIn(name, s.newState(h, path, t0)), nil
+}
+
+// newState assembles one immutable serving state (index, session, cache)
+// over a snapshot image, off to the side; the caller swaps it in. The index
+// reads postings, value tables and right-column Bloom bits straight out of
+// the image, so construction is O(1) in the corpus size. t0 is when
+// activation began.
+func (s *Server) newState(h *snapshot.Handle, path string, t0 time.Time) *State {
 	st := &State{
 		Path:     path,
 		LoadedAt: time.Now(),
-		Maps:     maps,
-		Index:    index.Build(maps),
-		mappings: len(maps),
+		Index:    index.FromSource(h),
+		handle:   h,
 		cache:    newLRU(s.opts.CacheSize),
-	}
-	st.session = apps.NewSession(st.Index,
-		apps.WithDefaults(serveDefaults),
-		apps.WithPool(s.pool))
-	for _, m := range maps {
-		st.pairs += m.Size()
-	}
-	return st
-}
-
-// buildStateV2 assembles a serving state over a mapped v2 snapshot: the
-// index reads postings, value tables and right-column Bloom bits straight
-// out of the region, so construction is O(1) in the corpus size.
-func (s *Server) buildStateV2(h *snapshot.Handle, path string) *State {
-	st := &State{
-		Path:        path,
-		LoadedAt:    time.Now(),
-		Index:       index.FromSource(h),
-		Format:      2,
-		MappedBytes: h.MappedBytes(),
-		handle:      h,
-		mappings:    h.Len(),
-		pairs:       h.Pairs(),
-		cache:       newLRU(s.opts.CacheSize),
 	}
 	if s.opts.Madvise != snapshot.AdviseNone && h.Mapped() {
 		if err := h.Advise(s.opts.Madvise); err != nil {
@@ -360,19 +333,6 @@ func (s *Server) buildStateV2(h *snapshot.Handle, path string) *State {
 	st.session = apps.NewSession(st.Index,
 		apps.WithDefaults(serveDefaults),
 		apps.WithPool(s.pool))
-	return st
-}
-
-// buildLoadedState dispatches a format-aware snapshot load result to the
-// matching state builder and stamps its activation time.
-func (s *Server) buildLoadedState(ld snapshot.Loaded, path string, t0 time.Time) *State {
-	var st *State
-	if ld.Format == 2 {
-		st = s.buildStateV2(ld.Handle, path)
-	} else {
-		st = s.buildState(ld.Maps, path)
-		st.Format = 1
-	}
 	st.ActivationSeconds = time.Since(t0).Seconds()
 	return st
 }
@@ -422,7 +382,7 @@ func (s *Server) RebuildContext(ctx context.Context) (*State, error) {
 	if cur := c.state.Load(); cur != nil {
 		path = cur.Path
 	}
-	return s.swapIn(DefaultCorpus, s.buildState(maps, path)), nil
+	return s.installMappings(DefaultCorpus, maps, path)
 }
 
 // State returns the default corpus's currently serving state.
@@ -897,7 +857,7 @@ type corpusHealth struct {
 	Shards     int     `json:"shards"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
-	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's image —
+	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
 	// the base identity a replica quotes in ?since_crc to request a delta.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; absent when the corpus has
@@ -918,18 +878,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, c := range s.reg.list() {
 		st := c.state.Load()
 		ch := corpusHealth{
-			Snapshot:   st.Path,
-			Version:    st.Version,
-			Format:     st.FormatName(),
-			Mappings:   st.NumMappings(),
-			Pairs:      st.pairs,
-			Shards:     wireShards,
-			LoadedAt:   st.LoadedAt.UTC().Format(time.RFC3339),
-			AgeSeconds: time.Since(st.LoadedAt).Seconds(),
-			Ingest:     s.ingestStatusFor(c.name),
-		}
-		if crc, ok := stateCRC(st); ok {
-			ch.SnapshotCRC = fmt.Sprintf("%08x", crc)
+			Snapshot:    st.Path,
+			Version:     st.Version,
+			Format:      wireFormat,
+			Mappings:    st.NumMappings(),
+			Pairs:       st.handle.Pairs(),
+			Shards:      wireShards,
+			LoadedAt:    st.LoadedAt.UTC().Format(time.RFC3339),
+			AgeSeconds:  time.Since(st.LoadedAt).Seconds(),
+			SnapshotCRC: fmt.Sprintf("%08x", st.imageCRC()),
+			Ingest:      s.ingestStatusFor(c.name),
 		}
 		corpora[c.name] = ch
 	}
@@ -1025,12 +983,12 @@ func (s *Server) statsFor(c *corpus) StatsSnapshot {
 		Snapshot: map[string]any{
 			"path":         st.Path,
 			"version":      st.Version,
-			"format":       st.FormatName(),
+			"format":       wireFormat,
 			"loaded_at":    st.LoadedAt.UTC().Format(time.RFC3339),
 			"mappings":     st.NumMappings(),
-			"pairs":        st.pairs,
+			"pairs":        st.handle.Pairs(),
 			"shards":       wireShards,
-			"mapped_bytes": st.MappedBytes,
+			"mapped_bytes": st.MappedBytes(),
 			"activation_s": st.ActivationSeconds,
 		},
 		Ingest: s.ingestStatusFor(c.name),
@@ -1089,7 +1047,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"snapshot":    st.Path,
 		"version":     st.Version,
-		"format":      st.FormatName(),
+		"format":      wireFormat,
 		"rebuilt":     req.Rebuild,
 		"mappings":    st.NumMappings(),
 		"loaded_at":   st.LoadedAt.UTC().Format(time.RFC3339),

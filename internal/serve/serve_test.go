@@ -152,7 +152,11 @@ func respMapping(maps []*mapping.Mapping, id int) *mapping.Mapping {
 func TestAppEndpointsMatchDirect(t *testing.T) {
 	srv, maps := newTestServer(t, 16)
 	h := srv.Handler()
-	mono := index.Build(maps)
+	image, err := snapshot.FromMappings(maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := index.FromSource(image)
 
 	t.Run("autofill", func(t *testing.T) {
 		column := []string{"San Francisco", "Seattle", "Portland", "Houston"}
@@ -285,7 +289,7 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 	maps := testMappings()
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.snap")
-	if err := snapshot.WriteFile(pathA, maps); err != nil {
+	if err := snapshot.WriteFileV2(pathA, maps); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Options{SnapshotPath: pathA, CacheSize: 8})
@@ -309,7 +313,7 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 		bts = append(bts, table.NewBinaryTable(i, i, fmt.Sprintf("new%d.example", i), "s", "c", states, coded))
 	}
 	pathB := filepath.Join(dir, "b.snap")
-	if err := snapshot.WriteFile(pathB, []*mapping.Mapping{mapping.Build(0, bts)}); err != nil {
+	if err := snapshot.WriteFileV2(pathB, []*mapping.Mapping{mapping.Build(0, bts)}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -41,7 +41,7 @@ func ParseAdvice(s string) (Advice, error) {
 }
 
 // Advise applies the hint to the handle's mapped region. It is a no-op
-// (nil) for in-memory handles (OpenBytes), closed handles, and platforms
+// (nil) for in-memory handles (FromMappings, OpenBytes), closed handles, and platforms
 // without madvise — the hint is best-effort by design, so serving never
 // depends on it.
 func (h *Handle) Advise(a Advice) error {

@@ -91,17 +91,15 @@ func TestDeltaIdentity(t *testing.T) {
 }
 
 func TestDeltaFromV1Base(t *testing.T) {
-	// A receiver holding a decoded v1 snapshot can still apply a delta: the
+	// A receiver holding a legacy v1 file can still apply a delta: the
 	// output is the canonical v2 encoding regardless of base format.
-	maps := smallMappings(t)
-	var v1Base, v2Target bytes.Buffer
-	if err := Write(&v1Base, maps); err != nil {
-		t.Fatal(err)
-	}
+	maps := fixtureMappings()
+	v1Base := v1Fixture(t)
+	var v2Target bytes.Buffer
 	if err := WriteV2(&v2Target, maps[:len(maps)-1]); err != nil {
 		t.Fatal(err)
 	}
-	db, err := BuildDelta(v1Base.Bytes(), v2Target.Bytes(), 1, 2)
+	db, err := BuildDelta(v1Base, v2Target.Bytes(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,10 @@ func TestDeltaFromV1Base(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Apply(v1Base.Bytes())
+	if d.Literals != 0 {
+		t.Fatalf("dropping one mapping needed %d literals", d.Literals)
+	}
+	got, err := d.Apply(v1Base)
 	if err != nil {
 		t.Fatal(err)
 	}

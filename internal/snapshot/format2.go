@@ -1,8 +1,8 @@
 // Format version 2 is the mmap-able snapshot layout: a fixed-width,
 // little-endian, section-based file that a reader can serve queries from
-// without decoding it onto the heap. Where v1 is a varint stream that must
-// be parsed mapping by mapping (O(corpus) activation), v2 is position
-// metadata over flat arrays — opening a file is a mmap plus an O(sections)
+// without decoding it onto the heap. Where the legacy v1 is a varint stream
+// that must be parsed mapping by mapping, v2 is position metadata over flat
+// arrays — opening a file is a mmap plus an O(sections)
 // header validation, and the kernel pages data in lazily as queries touch
 // it. Strings are (offset, length) references into one interned arena and
 // surface to Go as zero-copy unsafe.String views; postings and Bloom words
@@ -119,9 +119,11 @@ type span struct {
 	crc     uint32
 }
 
-// Handle is an opened v2 snapshot: the raw region (mapped or in-memory)
-// plus typed views over its sections. It implements index.Source, so
-// index.FromSource(h) serves containment queries directly from the region.
+// Handle is an opened v2 snapshot: the raw region (a mapped file, or an
+// image in process memory from FromMappings/OpenBytes) plus typed views over
+// its sections. It is the one production index.Source — index.FromSource(h)
+// serves containment queries directly from the region — and what every
+// serving state is backed by.
 // Mappings materialize lazily on first hit and are cached; the strings they
 // carry are views into the region, so materialized mappings must not
 // outlive the Handle. The serving layer guarantees that by keeping the
@@ -156,19 +158,33 @@ var _ index.Source = (*Handle)(nil)
 // every other process serving the same file. Use Verify for a full
 // integrity check, and Close (or garbage collection) to unmap.
 func Open(path string) (*Handle, error) {
-	f, err := os.Open(path)
+	data, mapped, err := mapPath(path)
 	if err != nil {
 		return nil, err
+	}
+	return openMapped(data, mapped, path)
+}
+
+// mapPath maps the file at path read-only (see mmapFile).
+func mapPath(path string) (data []byte, mapped bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	data, mapped, err := mmapFile(f, fi.Size())
+	data, mapped, err = mmapFile(f, fi.Size())
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: mapping %s: %w", path, err)
+		return nil, false, fmt.Errorf("snapshot: mapping %s: %w", path, err)
 	}
+	return data, mapped, nil
+}
+
+// openMapped opens the region mapPath returned, unmapping it on failure.
+func openMapped(data []byte, mapped bool, path string) (*Handle, error) {
 	h, err := openData(data, mapped, path)
 	if err != nil {
 		if mapped {
@@ -188,25 +204,35 @@ func Open(path string) (*Handle, error) {
 // The bytes are copied once into an 8-byte-aligned buffer so the typed
 // section views are valid on every architecture; data is not retained.
 func OpenBytes(data []byte) (*Handle, error) {
-	aligned := alignedCopy(data)
+	aligned := alignedBuf(len(data))
+	copy(aligned, data)
 	return openData(aligned, false, "")
 }
 
-// alignedCopy returns data copied into a buffer whose base address is
-// 8-byte aligned (backed by a []uint64 allocation).
-func alignedCopy(data []byte) []byte {
-	if len(data) == 0 {
-		return nil
+// FromMappings lays the mappings out as a v2 image in process memory and
+// opens it — how synthesis output, rebuilt and ingested mapping sets and
+// transcoded v1 files become servable. The image is byte-identical to what
+// WriteV2 writes for the same mappings; they are not retained or mutated.
+func FromMappings(maps []*mapping.Mapping) (*Handle, error) {
+	data, err := encodeV2(maps)
+	if err != nil {
+		return nil, err
 	}
-	words := make([]uint64, (len(data)+7)/8)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(data))
-	copy(buf, data)
-	return buf
+	return openData(data, false, "")
 }
 
-func le32(b []byte, off int) uint32  { return binary.LittleEndian.Uint32(b[off:]) }
-func le64(b []byte, off int) uint64  { return binary.LittleEndian.Uint64(b[off:]) }
-func le32p(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+// alignedBuf returns an n-byte buffer whose base address is 8-byte aligned
+// (backed by a []uint64 allocation).
+func alignedBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
+}
+
+func le32(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+func le64(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 
 // openData parses and validates the header + section table of a v2 region.
 func openData(data []byte, mapped bool, path string) (*Handle, error) {
@@ -217,7 +243,7 @@ func openData(data []byte, mapped bool, path string) (*Handle, error) {
 		return nil, ErrMagic
 	}
 	if data[4] != Version2 {
-		return nil, fmt.Errorf("%w: %d (Open wants v2; use ReadFile for v1)", ErrVersion, data[4])
+		return nil, fmt.Errorf("%w: %d (Open wants v2; use Load for v1)", ErrVersion, data[4])
 	}
 	if got := le32(data, 8); got != v2NumSections {
 		return nil, fmt.Errorf("%w: section count %d, want %d", ErrLayout, got, v2NumSections)
@@ -287,9 +313,9 @@ func openData(data []byte, mapped bool, path string) (*Handle, error) {
 }
 
 // Close unmaps the region. Strings, postings and mappings served from this
-// handle are invalid afterwards; in-memory handles (OpenBytes) keep their
-// data alive through any strings still referencing it and Close is a no-op
-// for them. Close is idempotent.
+// handle are invalid afterwards; in-memory handles (FromMappings,
+// OpenBytes) keep their data alive through any strings still referencing
+// it and Close is a no-op for them. Close is idempotent.
 func (h *Handle) Close() error {
 	if !h.closed.CompareAndSwap(false, true) {
 		return nil
@@ -304,17 +330,15 @@ func (h *Handle) Close() error {
 	return nil
 }
 
-// Path returns the file the handle was opened from ("" for OpenBytes).
+// Path returns the file the handle maps ("" for in-memory images).
 func (h *Handle) Path() string { return h.path }
 
 // Mapped reports whether the handle is backed by an mmapped file region
-// (Open) rather than an in-memory copy (OpenBytes).
+// (Open) rather than an image in process memory (FromMappings, OpenBytes).
 func (h *Handle) Mapped() bool { return h.mapped }
 
-// Format returns the snapshot format version (2).
-func (h *Handle) Format() int { return 2 }
-
-// MappedBytes returns the size of the backing region in bytes.
+// MappedBytes returns the size of the backing image in bytes, mmapped or
+// in process memory.
 func (h *Handle) MappedBytes() int64 { return int64(len(h.data)) }
 
 // Bytes returns the raw v2 file image backing the handle — header,
@@ -360,7 +384,7 @@ func (h *Handle) str(off, ln uint32) string {
 
 // bloomAt probes the filter whose parameters sit at rec[field:].
 func (h *Handle) bloomAt(rec []byte, field int, hash index.Hash) bool {
-	off, mBits, k := le32p(rec, field), le32p(rec, field+4), le32p(rec, field+8)
+	off, mBits, k := le32(rec, field), le32(rec, field+4), le32(rec, field+8)
 	words := (uint64(mBits) + 63) / 64
 	w0 := uint64(off) / 8
 	if off%8 != 0 || w0+words > uint64(len(h.bloom)) {
@@ -377,7 +401,7 @@ func (h *Handle) MayContainRight(i int, hash index.Hash) bool {
 // termStr returns the j-th term's string.
 func (h *Handle) termStr(j int) string {
 	e := j * v2TermEntry
-	return h.str(le32p(h.terms, e), le32p(h.terms, e+4))
+	return h.str(le32(h.terms, e), le32(h.terms, e+4))
 }
 
 // Postings returns the ascending mapping positions whose left column
@@ -389,7 +413,7 @@ func (h *Handle) Postings(nl string) []int32 {
 		return nil
 	}
 	e := j * v2TermEntry
-	off, cnt := le32p(h.terms, e+8), le32p(h.terms, e+12)
+	off, cnt := le32(h.terms, e+8), le32(h.terms, e+12)
 	if off%4 != 0 {
 		return nil
 	}
@@ -407,12 +431,12 @@ func (h *Handle) refAt(off uint32, j int) (uint32, uint32, bool) {
 	if e+v2StrRef > uint64(len(h.strrefs)) {
 		return 0, 0, false
 	}
-	return le32p(h.strrefs, int(e)), le32p(h.strrefs, int(e)+4), true
+	return le32(h.strrefs, int(e)), le32(h.strrefs, int(e)+4), true
 }
 
 // inVals binary-searches the sorted value table at rec[field:] for nl.
 func (h *Handle) inVals(rec []byte, field int, nl string) bool {
-	off, cnt := le32p(rec, field), int(le32p(rec, field+4))
+	off, cnt := le32(rec, field), int(le32(rec, field+4))
 	if uint64(off)+uint64(cnt)*v2StrRef > uint64(len(h.strrefs)) {
 		return false
 	}
@@ -439,7 +463,7 @@ func (h *Handle) InRight(i int, nl string) bool { return h.inVals(h.record(i), r
 // Mapping materializes the i-th mapping on first access and caches it. The
 // mapping's strings are zero-copy views into the region; its derived lookup
 // structures are rebuilt by mapping.Restore — the same routine the v1
-// decoder uses, so a v2-served mapping answers queries byte-identically.
+// decoder uses, so a mapping answers identically however it was stored.
 func (h *Handle) Mapping(i int) *mapping.Mapping {
 	if m := h.maps[i].Load(); m != nil {
 		return m
@@ -458,7 +482,7 @@ func (h *Handle) intsAt(off uint32, cnt int) []int {
 	}
 	out := make([]int, cnt)
 	for j := range out {
-		out[j] = int(int32(le32p(h.ints, int(off)+j*4)))
+		out[j] = int(int32(le32(h.ints, int(off)+j*4)))
 	}
 	return out
 }
@@ -470,7 +494,7 @@ func (h *Handle) materialize(i int) *mapping.Mapping {
 	// Counts come from the file; clamp runs to their sections before any
 	// count-sized allocation so corrupt records degrade to empty fields
 	// instead of panicking or ballooning the heap.
-	pOff, pCnt := le32p(rec, recPair), int(le32p(rec, recPair+4))
+	pOff, pCnt := le32(rec, recPair), int(le32(rec, recPair+4))
 	if uint64(pOff)+uint64(pCnt)*v2PairEntry > uint64(len(h.pairs)) {
 		pCnt = 0
 	}
@@ -479,16 +503,16 @@ func (h *Handle) materialize(i int) *mapping.Mapping {
 	for j := 0; j < pCnt; j++ {
 		e := int(pOff) + j*v2PairEntry
 		pairs = append(pairs, table.Pair{
-			L: h.str(le32p(h.pairs, e), le32p(h.pairs, e+4)),
-			R: h.str(le32p(h.pairs, e+8), le32p(h.pairs, e+12)),
+			L: h.str(le32(h.pairs, e), le32(h.pairs, e+4)),
+			R: h.str(le32(h.pairs, e+8), le32(h.pairs, e+12)),
 		})
-		supports = append(supports, int(le32p(h.pairs, e+16)))
+		supports = append(supports, int(le32(h.pairs, e+16)))
 	}
 
-	tableIDs := h.intsAt(le32p(rec, recTables), int(le32p(rec, recTables+4)))
-	candIDs := h.intsAt(le32p(rec, recCands), int(le32p(rec, recCands+4)))
+	tableIDs := h.intsAt(le32(rec, recTables), int(le32(rec, recTables+4)))
+	candIDs := h.intsAt(le32(rec, recCands), int(le32(rec, recCands+4)))
 
-	dOff, dCnt := le32p(rec, recDomains), int(le32p(rec, recDomains+4))
+	dOff, dCnt := le32(rec, recDomains), int(le32(rec, recDomains+4))
 	if uint64(dOff)+uint64(dCnt)*v2StrRef > uint64(len(h.strrefs)) {
 		dCnt = 0
 	}
@@ -501,22 +525,23 @@ func (h *Handle) materialize(i int) *mapping.Mapping {
 		domains = append(domains, h.str(o, l))
 	}
 
-	sOff, sCnt := le32p(rec, recSurface), int(le32p(rec, recSurface+4))
+	sOff, sCnt := le32(rec, recSurface), int(le32(rec, recSurface+4))
 	if uint64(sOff)+uint64(sCnt)*v2SurfEntry > uint64(len(h.surface)) {
 		sCnt = 0
 	}
 	surfaceR := make(map[string]string, sCnt)
 	for j := 0; j < sCnt; j++ {
 		e := int(sOff) + j*v2SurfEntry
-		nr := h.str(le32p(h.surface, e), le32p(h.surface, e+4))
-		surfaceR[nr] = h.str(le32p(h.surface, e+8), le32p(h.surface, e+12))
+		nr := h.str(le32(h.surface, e), le32(h.surface, e+4))
+		surfaceR[nr] = h.str(le32(h.surface, e+8), le32(h.surface, e+12))
 	}
 
 	return mapping.Restore(id, pairs, supports, tableIDs, domains, candIDs, surfaceR)
 }
 
-// Materialize decodes every mapping — the bridge for v1-era consumers
-// (Decode, LoadIndex) that want the whole set on the heap.
+// Materialize returns every mapping, for consumers that walk the whole set
+// (Decode, delta building, base-less ingestion). Like Mapping, the strings
+// are views into the region and must not outlive the Handle.
 func (h *Handle) Materialize() []*mapping.Mapping {
 	out := make([]*mapping.Mapping, h.n)
 	for i := range out {
@@ -558,16 +583,16 @@ func (h *Handle) Verify() error {
 	}
 	for i := 0; i < h.n; i++ {
 		rec := h.record(i)
-		pOff, pCnt := le32p(rec, recPair), le32p(rec, recPair+4)
+		pOff, pCnt := le32(rec, recPair), le32(rec, recPair+4)
 		if err := checkRun("pairs", i, pOff, pCnt, v2PairEntry, len(h.pairs)); err != nil {
 			return err
 		}
 		for j := 0; j < int(pCnt); j++ {
 			e := int(pOff) + j*v2PairEntry
-			if err := checkRef("pair left", i, le32p(h.pairs, e), le32p(h.pairs, e+4)); err != nil {
+			if err := checkRef("pair left", i, le32(h.pairs, e), le32(h.pairs, e+4)); err != nil {
 				return err
 			}
-			if err := checkRef("pair right", i, le32p(h.pairs, e+8), le32p(h.pairs, e+12)); err != nil {
+			if err := checkRef("pair right", i, le32(h.pairs, e+8), le32(h.pairs, e+12)); err != nil {
 				return err
 			}
 		}
@@ -575,7 +600,7 @@ func (h *Handle) Verify() error {
 			what  string
 			field int
 		}{{"tables", recTables}, {"candidates", recCands}} {
-			off, cnt := le32p(rec, f.field), le32p(rec, f.field+4)
+			off, cnt := le32(rec, f.field), le32(rec, f.field+4)
 			if off%4 != 0 {
 				return fmt.Errorf("%w: mapping %d: %s offset %d not 4-byte aligned", ErrLayout, i, f.what, off)
 			}
@@ -587,7 +612,7 @@ func (h *Handle) Verify() error {
 			what  string
 			field int
 		}{{"domains", recDomains}, {"left values", recLVals}, {"right values", recRVals}} {
-			off, cnt := le32p(rec, f.field), le32p(rec, f.field+4)
+			off, cnt := le32(rec, f.field), le32(rec, f.field+4)
 			if err := checkRun(f.what, i, off, cnt, v2StrRef, len(h.strrefs)); err != nil {
 				return err
 			}
@@ -598,16 +623,16 @@ func (h *Handle) Verify() error {
 				}
 			}
 		}
-		sOff, sCnt := le32p(rec, recSurface), le32p(rec, recSurface+4)
+		sOff, sCnt := le32(rec, recSurface), le32(rec, recSurface+4)
 		if err := checkRun("surface", i, sOff, sCnt, v2SurfEntry, len(h.surface)); err != nil {
 			return err
 		}
 		for j := 0; j < int(sCnt); j++ {
 			e := int(sOff) + j*v2SurfEntry
-			if err := checkRef("surface key", i, le32p(h.surface, e), le32p(h.surface, e+4)); err != nil {
+			if err := checkRef("surface key", i, le32(h.surface, e), le32(h.surface, e+4)); err != nil {
 				return err
 			}
-			if err := checkRef("surface form", i, le32p(h.surface, e+8), le32p(h.surface, e+12)); err != nil {
+			if err := checkRef("surface form", i, le32(h.surface, e+8), le32(h.surface, e+12)); err != nil {
 				return err
 			}
 		}
@@ -615,7 +640,7 @@ func (h *Handle) Verify() error {
 			what  string
 			field int
 		}{{"left bloom", recLBloom}, {"right bloom", recRBloom}} {
-			off, mBits := le32p(rec, f.field), le32p(rec, f.field+4)
+			off, mBits := le32(rec, f.field), le32(rec, f.field+4)
 			words := (uint64(mBits) + 63) / 64
 			if off%8 != 0 || uint64(off)/8+words > uint64(len(h.bloom)) {
 				return fmt.Errorf("%w: mapping %d: %s words [%d,+%d) exceed bloom section", ErrLayout, i, f.what, off, words)
@@ -626,7 +651,7 @@ func (h *Handle) Verify() error {
 	prev := ""
 	for j := 0; j < nTerms; j++ {
 		e := j * v2TermEntry
-		if err := checkRef("term", j, le32p(h.terms, e), le32p(h.terms, e+4)); err != nil {
+		if err := checkRef("term", j, le32(h.terms, e), le32(h.terms, e+4)); err != nil {
 			return err
 		}
 		s := h.termStr(j)
@@ -634,7 +659,7 @@ func (h *Handle) Verify() error {
 			return fmt.Errorf("%w: term table not strictly sorted at entry %d (%q after %q)", ErrLayout, j, s, prev)
 		}
 		prev = s
-		off, cnt := le32p(h.terms, e+8), le32p(h.terms, e+12)
+		off, cnt := le32(h.terms, e+8), le32(h.terms, e+12)
 		if off%4 != 0 || uint64(off)/4+uint64(cnt) > uint64(len(h.postings)) {
 			return fmt.Errorf("%w: term %q postings [%d,+%d) exceed postings section", ErrLayout, s, off, cnt)
 		}

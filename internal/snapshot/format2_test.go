@@ -6,7 +6,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"mapsynth/internal/index"
@@ -24,44 +23,35 @@ func v2Bytes(t *testing.T) []byte {
 
 func TestV2RoundTrip(t *testing.T) {
 	maps := smallMappings(t)
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, maps); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := WriteV2(&v2, maps); err != nil {
 		t.Fatal(err)
 	}
 	// Decode dispatches on the version byte: v2 bytes must decode to the
-	// same mapping set the v1 codec round-trips.
+	// mapping set that was written.
 	got, err := Decode(v2.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Decode(v1.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("v2 decoded %d mappings, v1 %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID ||
-			!reflect.DeepEqual(got[i].Pairs, want[i].Pairs) ||
-			!reflect.DeepEqual(got[i].TableIDs, want[i].TableIDs) ||
-			!reflect.DeepEqual(got[i].Domains, want[i].Domains) ||
-			!reflect.DeepEqual(got[i].CandidateIDs, want[i].CandidateIDs) ||
-			!reflect.DeepEqual(got[i].PairSupports(), want[i].PairSupports()) ||
-			!reflect.DeepEqual(got[i].SurfaceRights(), want[i].SurfaceRights()) {
-			t.Fatalf("mapping %d: v2 decode differs from v1 decode", i)
-		}
-	}
-	// Writer determinism: same input, same bytes.
+	sameMappings(t, got, maps)
+	// Writer determinism: same input, same bytes — written or built in
+	// memory.
 	var again bytes.Buffer
 	if err := WriteV2(&again, maps); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(v2.Bytes(), again.Bytes()) {
 		t.Fatal("WriteV2 is not deterministic")
+	}
+	h, err := FromMappings(maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(h.Bytes(), v2.Bytes()) || h.Mapped() || h.Path() != "" {
+		t.Fatal("FromMappings image differs from WriteV2 output")
+	}
+	if err := h.Verify(); err != nil {
+		t.Fatalf("Verify on a FromMappings image: %v", err)
 	}
 }
 
@@ -79,8 +69,8 @@ func TestV2OpenAndVerify(t *testing.T) {
 	if h.Len() != len(maps) {
 		t.Fatalf("Len = %d, want %d", h.Len(), len(maps))
 	}
-	if h.Format() != 2 || h.MappedBytes() <= 0 || h.Path() != path {
-		t.Fatalf("handle metadata: format=%d mapped=%d path=%q", h.Format(), h.MappedBytes(), h.Path())
+	if h.MappedBytes() <= 0 || h.Path() != path {
+		t.Fatalf("handle metadata: mapped=%d path=%q", h.MappedBytes(), h.Path())
 	}
 	if err := h.Verify(); err != nil {
 		t.Fatalf("Verify on a clean file: %v", err)
@@ -102,54 +92,6 @@ func TestV2OpenAndVerify(t *testing.T) {
 	}
 	if err := h.Close(); err != nil { // idempotent
 		t.Fatal(err)
-	}
-}
-
-// TestV2IndexParity asserts the tentpole contract at the index layer: a
-// query against the mmapped source answers exactly like the heap index over
-// the same mappings, hit for hit.
-func TestV2IndexParity(t *testing.T) {
-	maps := smallMappings(t)
-	h, err := OpenBytes(v2Bytes(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := index.Build(maps)
-	mm := index.FromSource(h)
-	var queries [][]string
-	for _, m := range maps[:min(10, len(maps))] {
-		var left, mixed []string
-		for i, p := range m.Pairs {
-			left = append(left, p.L)
-			if i%2 == 0 {
-				mixed = append(mixed, p.L)
-			} else {
-				mixed = append(mixed, p.R)
-			}
-		}
-		queries = append(queries, left, mixed)
-	}
-	queries = append(queries, []string{"zzz-not-there", "also missing"}, []string{""})
-	for qi, q := range queries {
-		a, b := heap.LookupLeft(q, 0.5), mm.LookupLeft(q, 0.5)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: LookupLeft %d hits (heap) vs %d (mmap)", qi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Index != b[i].Index || a[i].Coverage != b[i].Coverage ||
-				a[i].Matched != b[i].Matched || a[i].Mapping.ID != b[i].Mapping.ID {
-				t.Fatalf("query %d hit %d: heap %+v vs mmap %+v", qi, i, a[i], b[i])
-			}
-		}
-		am, bm := heap.MixedColumnHits(q, 1, 0.5), mm.MixedColumnHits(q, 1, 0.5)
-		if len(am) != len(bm) {
-			t.Fatalf("query %d: MixedColumnHits %d hits (heap) vs %d (mmap)", qi, len(am), len(bm))
-		}
-		for i := range am {
-			if am[i].Index != bm[i].Index || am[i].Coverage != bm[i].Coverage || am[i].Matched != bm[i].Matched {
-				t.Fatalf("query %d mixed hit %d: heap %+v vs mmap %+v", qi, i, am[i], bm[i])
-			}
-		}
 	}
 }
 
@@ -330,7 +272,7 @@ func badPostingImage(t testing.TB, good []byte, term string) []byte {
 			continue
 		}
 		bad := append([]byte(nil), good...)
-		at := h.secs[secPostings].off + uint64(le32p(h.terms, j*v2TermEntry+8))
+		at := h.secs[secPostings].off + uint64(le32(h.terms, j*v2TermEntry+8))
 		binary.LittleEndian.PutUint32(bad[at:], uint32(h.Len()+7))
 		fixTableCRCs(bad, secPostings-1)
 		return bad

@@ -1,12 +1,17 @@
 // Package snapshot persists synthesized mapping relationships as a compact,
 // versioned binary artifact — the index-once/serve-many split: cmd/synthesize
 // writes a snapshot at the end of a pipeline run, and cmd/serve (or any other
-// consumer) loads it back and rebuilds the lookup index without re-running
-// synthesis.
+// consumer) opens it and answers queries from the image without re-running
+// synthesis. Format v2 (format2.go) is the one representation written and
+// served; deltas between v2 images are format v3 (delta.go).
 //
-// Format (all integers varint-encoded, strings length-prefixed):
+// Format v1 is a read-only legacy: old files stay loadable forever (Decode;
+// Load and LoadBytes transcode them to a v2 image once, at load), but
+// nothing writes it any more. Its per-mapping body encoding lives on as the
+// literal record of the delta codec. Layout (all integers varint-encoded,
+// strings length-prefixed):
 //
-//	magic "MSNP" | version byte | mapping count
+//	magic "MSNP" | version byte 1 | mapping count
 //	per mapping:
 //	  id | #pairs | (left, right)* | support*          (aligned with pairs)
 //	  #tableIDs | delta-encoded sorted table ids
@@ -15,9 +20,9 @@
 //	  #surfaceRights | (normalized right, surface form)*
 //	footer: IEEE CRC32 of everything before it, little-endian fixed32
 //
-// The checksum makes truncation and bit-rot detectable; the version byte
-// leaves room for future layout changes without breaking old readers
-// explicitly (they fail with ErrVersion rather than misparsing).
+// Every format ends in that footer, so truncation and bit-rot are detectable
+// and a reader handed an unknown version byte fails with ErrVersion rather
+// than misparsing.
 package snapshot
 
 import (
@@ -30,7 +35,6 @@ import (
 	"os"
 	"sort"
 
-	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/table"
 )
@@ -38,7 +42,7 @@ import (
 // Magic identifies snapshot files.
 var Magic = [4]byte{'M', 'S', 'N', 'P'}
 
-// Version is the current format version.
+// Version is the legacy v1 format version (read-only; see Decode).
 const Version byte = 1
 
 var (
@@ -56,8 +60,8 @@ var (
 )
 
 // mappingWriter serializes v1 varint payloads with sticky error handling.
-// Its mapping method emits one mapping's body — the unit shared by the v1
-// whole-file codec (Write) and the delta codec's literal records (delta.go).
+// Its mapping method emits one mapping's body — the delta codec's literal
+// record (delta.go), and the unit a v1 file repeats per mapping.
 type mappingWriter struct {
 	w       *bufio.Writer
 	scratch [binary.MaxVarintLen64]byte
@@ -128,75 +132,7 @@ func (mw *mappingWriter) mapping(m *mapping.Mapping) {
 	}
 }
 
-// Write encodes the mappings to w. The mappings are not mutated.
-func Write(w io.Writer, maps []*mapping.Mapping) error {
-	crc := crc32.NewIEEE()
-	mw := &mappingWriter{w: bufio.NewWriter(io.MultiWriter(w, crc))}
-	if _, err := mw.w.Write(Magic[:]); err != nil {
-		return err
-	}
-	if err := mw.w.WriteByte(Version); err != nil {
-		return err
-	}
-	mw.uvarint(uint64(len(maps)))
-	for _, m := range maps {
-		mw.mapping(m)
-	}
-	if mw.err != nil {
-		return mw.err
-	}
-	if err := mw.w.Flush(); err != nil {
-		return err
-	}
-	var footer [4]byte
-	binary.LittleEndian.PutUint32(footer[:], crc.Sum32())
-	_, err := w.Write(footer[:])
-	return err
-}
-
-// WriteFile writes a snapshot atomically: encode to a sibling temp file,
-// fsync, then rename over the destination so a crashed writer never leaves a
-// half-written snapshot at path.
-func WriteFile(path string, maps []*mapping.Mapping) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := Write(tmp, maps); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
-}
-
-// Read decodes a snapshot produced by Write, verifying the checksum before
-// any field is interpreted.
-func Read(r io.Reader) ([]*mapping.Mapping, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
-// ReadFile loads a snapshot file.
+// ReadFile decodes the snapshot file at path (v1 or v2) onto the heap.
 func ReadFile(path string) ([]*mapping.Mapping, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -205,10 +141,11 @@ func ReadFile(path string) ([]*mapping.Mapping, error) {
 	return Decode(data)
 }
 
-// Decode parses a snapshot held in memory, dispatching on the version byte:
-// v1 decodes the varint stream, v2 opens the region and materializes every
-// mapping. Consumers that want to keep a v2 snapshot mapped instead of
-// decoded should use Load/LoadBytes.
+// Decode parses a snapshot held in memory onto the heap, verifying the
+// footer checksum before any field is interpreted and dispatching on the
+// version byte: v1 decodes the varint stream, v2 opens a copy of the region
+// and materializes every mapping. Consumers that want to serve the
+// snapshot rather than walk its mappings use Load/LoadBytes.
 func Decode(data []byte) ([]*mapping.Mapping, error) {
 	if len(data) < len(Magic)+1+4 {
 		return nil, ErrTruncated
@@ -246,66 +183,66 @@ func Decode(data []byte) ([]*mapping.Mapping, error) {
 	return maps, nil
 }
 
-// LoadIndex reads a snapshot file and rebuilds a heap containment index
-// over its mappings — the one-call entry point for offline consumers
-// (analysis tools, examples). The serving layer instead loads via Load and
-// serves v2 files straight from the mapped region (index.FromSource).
-func LoadIndex(path string) (*index.MappingIndex, []*mapping.Mapping, error) {
-	maps, err := ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return index.Build(maps), maps, nil
-}
-
-// Loaded is the result of format-aware loading: either decoded heap
-// mappings (v1) or a live mmap handle (v2) whose mappings materialize
-// lazily. Exactly one of Maps/Handle is set; Format says which (1 or 2).
+// Loaded is a snapshot opened for serving: always a live v2 Handle, whatever
+// was stored. Format records the version found on disk or in the upload
+// (1 or 2).
 type Loaded struct {
 	Format int
-	Maps   []*mapping.Mapping
 	Handle *Handle
 }
 
-// Load opens the snapshot at path in the cheapest way its format allows:
-// v2 snapshots are mmapped (O(1), no decode), v1 snapshots are decoded
-// onto the heap. The serving layer activates corpora through this.
+// isV2 sniffs the magic and version byte of a full v2 image.
+func isV2(data []byte) bool {
+	return len(data) >= 5 && [4]byte(data[:4]) == Magic && data[4] == Version2
+}
+
+// Load opens the snapshot at path for serving. A v2 file is mmapped (O(1),
+// no decode); a legacy v1 file is transcoded to a v2 image in process
+// memory, so everything downstream sees one representation. The serving
+// layer activates corpora through this.
 func Load(path string) (Loaded, error) {
-	f, err := os.Open(path)
+	data, mapped, err := mapPath(path)
 	if err != nil {
 		return Loaded{}, err
 	}
-	var head [5]byte
-	_, rerr := io.ReadFull(f, head[:])
-	f.Close()
-	if rerr == nil && [4]byte(head[:4]) == Magic && head[4] == Version2 {
-		h, err := Open(path)
-		if err != nil {
-			return Loaded{}, err
+	if !isV2(data) {
+		ld, err := transcodeV1(data)
+		if mapped {
+			munmap(data) // Decode copied every string it kept
 		}
-		return Loaded{Format: 2, Handle: h}, nil
+		return ld, err
 	}
-	maps, err := ReadFile(path)
+	h, err := openMapped(data, mapped, path)
 	if err != nil {
 		return Loaded{}, err
 	}
-	return Loaded{Format: 1, Maps: maps}, nil
+	return Loaded{Format: 2, Handle: h}, nil
 }
 
 // LoadBytes is Load for a snapshot already in memory (an uploaded corpus).
 func LoadBytes(data []byte) (Loaded, error) {
-	if len(data) >= 5 && [4]byte(data[:4]) == Magic && data[4] == Version2 {
-		h, err := OpenBytes(data)
-		if err != nil {
-			return Loaded{}, err
-		}
-		return Loaded{Format: 2, Handle: h}, nil
+	if !isV2(data) {
+		return transcodeV1(data)
 	}
+	h, err := OpenBytes(data)
+	if err != nil {
+		return Loaded{}, err
+	}
+	return Loaded{Format: 2, Handle: h}, nil
+}
+
+// transcodeV1 decodes a legacy v1 snapshot (CRC-checked by Decode) and lays
+// its mappings out as a v2 image.
+func transcodeV1(data []byte) (Loaded, error) {
 	maps, err := Decode(data)
 	if err != nil {
 		return Loaded{}, err
 	}
-	return Loaded{Format: 1, Maps: maps}, nil
+	h, err := FromMappings(maps)
+	if err != nil {
+		return Loaded{}, err
+	}
+	return Loaded{Format: 1, Handle: h}, nil
 }
 
 // decoder is a cursor over the payload with sticky error handling.

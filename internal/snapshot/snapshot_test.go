@@ -3,14 +3,15 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
-	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/table"
 )
@@ -31,20 +32,66 @@ func smallMappings(t testing.TB) []*mapping.Mapping {
 	return res.Mappings
 }
 
-func TestRoundTrip(t *testing.T) {
-	maps := smallMappings(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, maps); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
+// The v1 writer is gone; testdata/states.v1.snap is the last file it wrote,
+// so every v1 test reads real legacy bytes. Generated at commit 54fe5c4
+// (the parent of the writer's removal) with this package's then-exported
+// v1 writer,
+//
+//	WriteFile("internal/snapshot/testdata/states.v1.snap", maps)
+//
+// where maps is fixtureMappings() below — the same twelve mappings
+// internal/serve's testMappings() builds.
+const v1FixturePath = "testdata/states.v1.snap"
+
+func v1Fixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(v1FixturePath)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatal(err)
 	}
-	if len(got) != len(maps) {
-		t.Fatalf("round-trip count = %d, want %d", len(got), len(maps))
+	return data
+}
+
+// fixtureMappings rebuilds the mapping set the fixture was written from.
+func fixtureMappings() []*mapping.Mapping {
+	states := []string{"California", "Washington", "Oregon", "Texas", "Nevada", "Utah"}
+	abbrs := []string{"CA", "WA", "OR", "TX", "NV", "UT"}
+	var stateTables []*table.BinaryTable
+	for i := 0; i < 4; i++ {
+		stateTables = append(stateTables, table.NewBinaryTable(
+			i, i, fmt.Sprintf("dom%d.example", i), "state", "abbr", states, abbrs))
 	}
-	for i, want := range maps {
+	cities := []string{"San Francisco", "Seattle", "Portland", "Houston", "Las Vegas"}
+	cityStates := []string{"California", "Washington", "Oregon", "Texas", "Nevada"}
+	cityTables := []*table.BinaryTable{
+		table.NewBinaryTable(10, 10, "cities.example", "city", "state", cities, cityStates),
+		table.NewBinaryTable(11, 11, "atlas.example", "city", "state", cities, cityStates),
+	}
+	maps := []*mapping.Mapping{
+		mapping.Build(0, stateTables),
+		mapping.Build(1, cityTables),
+	}
+	for i := 2; i < 12; i++ {
+		ls := make([]string, 8)
+		rs := make([]string, 8)
+		for j := range ls {
+			ls[j] = fmt.Sprintf("key-%d-%d", i, j)
+			rs[j] = fmt.Sprintf("val-%d-%d", i, j)
+		}
+		bt := table.NewBinaryTable(100+i, 100+i, fmt.Sprintf("filler%d.example", i), "l", "r", ls, rs)
+		maps = append(maps, mapping.Build(i, []*table.BinaryTable{bt}))
+	}
+	return maps
+}
+
+// sameMappings asserts got carries exactly want's content and answers every
+// left value identically.
+func sameMappings(t *testing.T, got, want []*mapping.Mapping) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("mapping count = %d, want %d", len(got), len(want))
+	}
+	for i, want := range want {
 		g := got[i]
 		if g.ID != want.ID {
 			t.Errorf("mapping %d: ID = %d, want %d", i, g.ID, want.ID)
@@ -52,7 +99,7 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(g.Pairs, want.Pairs) {
 			t.Errorf("mapping %d: pairs differ", i)
 		}
-		if !reflect.DeepEqual(g.Support, want.Support) {
+		if !reflect.DeepEqual(g.PairSupports(), want.PairSupports()) {
 			t.Errorf("mapping %d: support differs", i)
 		}
 		if !reflect.DeepEqual(g.TableIDs, want.TableIDs) {
@@ -81,73 +128,79 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexLookupParity asserts that an index rebuilt from a decoded
-// snapshot answers containment queries identically to an index over the
-// original mappings.
-func TestIndexLookupParity(t *testing.T) {
-	maps := smallMappings(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, maps); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Read(bytes.NewReader(buf.Bytes()))
+// TestRoundTrip: the legacy v1 file decodes to exactly the mappings it was
+// written from, and those mappings survive the v2 codec the same way.
+func TestRoundTrip(t *testing.T) {
+	want := fixtureMappings()
+	got, err := Decode(v1Fixture(t))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Decode(v1 fixture): %v", err)
 	}
-	ixA, ixB := index.Build(maps), index.Build(restored)
-	for _, m := range maps[:min(len(maps), 10)] {
-		var query []string
-		for _, p := range m.Pairs {
-			query = append(query, p.L)
-			if len(query) == 5 {
-				break
-			}
-		}
-		ha := ixA.LookupLeft(query, 0.6)
-		hb := ixB.LookupLeft(query, 0.6)
-		if len(ha) != len(hb) {
-			t.Fatalf("hit count differs for %v: %d vs %d", query, len(ha), len(hb))
-		}
-		for i := range ha {
-			if ha[i].Index != hb[i].Index || ha[i].Coverage != hb[i].Coverage || ha[i].Matched != hb[i].Matched {
-				t.Errorf("hit %d differs: %+v vs %+v", i, ha[i], hb[i])
-			}
-		}
+	sameMappings(t, got, want)
+
+	path := filepath.Join(t.TempDir(), "out.snap")
+	if err := WriteFileV2(path, want); err != nil {
+		t.Fatalf("WriteFileV2: %v", err)
 	}
+	got, err = ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	sameMappings(t, got, want)
 }
 
-func TestWriteFileReadFile(t *testing.T) {
-	maps := smallMappings(t)
-	path := filepath.Join(t.TempDir(), "out.snap")
-	if err := WriteFile(path, maps); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+// TestLoadTranscodesV1: Load and LoadBytes turn the legacy file into the
+// same verified v2 image a fresh WriteV2 of its mappings produces — v1 is a
+// storage format only, never a serving representation.
+func TestLoadTranscodesV1(t *testing.T) {
+	var want bytes.Buffer
+	if err := WriteV2(&want, fixtureMappings()); err != nil {
+		t.Fatal(err)
 	}
-	ix, got, err := LoadIndex(path)
+	fromPath, err := Load(v1FixturePath)
 	if err != nil {
-		t.Fatalf("LoadIndex: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	if len(got) != len(maps) || ix.Len() != len(maps) {
-		t.Fatalf("loaded %d mappings, index %d, want %d", len(got), ix.Len(), len(maps))
+	fromBytes, err := LoadBytes(v1Fixture(t))
+	if err != nil {
+		t.Fatalf("LoadBytes: %v", err)
+	}
+	for name, ld := range map[string]Loaded{"Load": fromPath, "LoadBytes": fromBytes} {
+		if ld.Format != 1 || ld.Handle == nil {
+			t.Fatalf("%s: format=%d handle=%v, want a handle over a v1 file", name, ld.Format, ld.Handle)
+		}
+		if err := ld.Handle.Verify(); err != nil {
+			t.Errorf("%s: transcoded image fails Verify: %v", name, err)
+		}
+		if !bytes.Equal(ld.Handle.Bytes(), want.Bytes()) {
+			t.Errorf("%s: transcoded image differs from WriteV2 of the same mappings", name)
+		}
+	}
+	// A v2 file takes the mmap route and reports what was on disk.
+	path := filepath.Join(t.TempDir(), "c2.snap")
+	if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ld.Handle.Close()
+	if ld.Format != 2 || ld.Handle.Path() != path || !bytes.Equal(ld.Handle.Bytes(), want.Bytes()) {
+		t.Fatalf("Load(v2): format=%d path=%q", ld.Format, ld.Handle.Path())
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	maps := []*mapping.Mapping{
-		mapping.Build(0, []*table.BinaryTable{
-			table.NewBinaryTable(0, 0, "d.example", "l", "r",
-				[]string{"Washington", "Oregon"}, []string{"WA", "OR"}),
-		}),
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, maps); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := v1Fixture(t)
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 3, 8, len(good) / 2, len(good) - 1} {
 			if _, err := Decode(good[:n]); err == nil {
 				t.Errorf("Decode of %d/%d bytes succeeded", n, len(good))
+			}
+			if _, err := LoadBytes(good[:n]); err == nil {
+				t.Errorf("LoadBytes of %d/%d bytes succeeded", n, len(good))
 			}
 		}
 	})
@@ -173,6 +226,34 @@ func TestDecodeErrors(t *testing.T) {
 		if _, err := Decode(bad); !errors.Is(err, ErrVersion) {
 			t.Errorf("bad version: err = %v, want ErrVersion", err)
 		}
+	})
+}
+
+// FuzzDecodeV1: Decode still parses bytes that arrive over HTTP (a v1
+// upload, a delta's v1 base). The footer is re-sealed inside the fuzz body
+// so mutations get past the checksum and reach the varint body decoder,
+// which must fail cleanly — never panic or over-allocate.
+func FuzzDecodeV1(f *testing.F) {
+	good := v1Fixture(f)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("MSNP\x01\xff\xff\xff\xff\x0f"))
+	flip := append([]byte(nil), good...)
+	flip[len(flip)/3] ^= 0x40
+	f.Add(flip)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < len(Magic)+1+4 {
+			return
+		}
+		data = append([]byte(nil), data...)
+		reseal(data)
+		maps, err := Decode(data)
+		if err != nil {
+			return
+		}
+		// Whatever decodes is then transcoded to serve; that may fail (an
+		// id past int32) but, like Decode, must not panic.
+		_, _ = FromMappings(maps)
 	})
 }
 

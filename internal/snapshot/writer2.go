@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"mapsynth/internal/index"
@@ -145,9 +146,7 @@ func encodeV2(maps []*mapping.Mapping) ([]byte, error) {
 		rec = put32(put32(rec, dOff), dCnt)
 
 		// Sorted distinct normalized values: the exact-membership tables,
-		// the Bloom contents, and (left) the inverted index terms. Adding
-		// the distinct values produces bit-identical filters to the heap
-		// source, which feeds NewBloom the same value lists.
+		// the Bloom contents, and (left) the inverted index terms.
 		left, right := m.NormalizedValues()
 		lvOff, lvCnt := b.putRefs(left)
 		rec = put32(put32(rec, lvOff), lvCnt)
@@ -218,7 +217,7 @@ func encodeV2(maps []*mapping.Mapping) ([]byte, error) {
 	}
 	fileSize := pos + 4
 
-	out := make([]byte, fileSize)
+	out := alignedBuf(int(fileSize)) // FromMappings serves typed views over it
 	copy(out[:4], Magic[:])
 	out[4] = Version2
 	binary.LittleEndian.PutUint32(out[8:], v2NumSections)
@@ -251,10 +250,11 @@ func WriteV2(w io.Writer, maps []*mapping.Mapping) error {
 	return err
 }
 
-// WriteFileV2 writes a v2 snapshot atomically (temp + fsync + rename),
-// mirroring WriteFile.
+// WriteFileV2 writes a v2 snapshot atomically: encode to a sibling temp
+// file, fsync, then rename over the destination so a crashed writer never
+// leaves a half-written snapshot at path.
 func WriteFileV2(path string, maps []*mapping.Mapping) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snap-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
 	if err != nil {
 		return err
 	}

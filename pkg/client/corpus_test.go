@@ -143,7 +143,7 @@ func TestCorpusAdminLifecycle(t *testing.T) {
 	air := c.Corpus("airports")
 
 	var snapA bytes.Buffer
-	if err := snapshot.Write(&snapA, codedMappings("A")); err != nil {
+	if err := snapshot.WriteV2(&snapA, codedMappings("A")); err != nil {
 		t.Fatal(err)
 	}
 	put, err := air.Upload(ctx, snapA.Bytes())
@@ -163,7 +163,7 @@ func TestCorpusAdminLifecycle(t *testing.T) {
 	}
 
 	var snapB bytes.Buffer
-	if err := snapshot.Write(&snapB, codedMappings("B")); err != nil {
+	if err := snapshot.WriteV2(&snapB, codedMappings("B")); err != nil {
 		t.Fatal(err)
 	}
 	put, err = air.Upload(ctx, snapB.Bytes())

@@ -209,8 +209,8 @@ type Health struct {
 type CorpusHealth struct {
 	Snapshot string `json:"snapshot"`
 	Version  int64  `json:"version"`
-	// Format is the snapshot format backing the live state: "memory", "v1"
-	// or "v2".
+	// Format is always "v2": every state is served from a v2 snapshot
+	// image, whatever it was loaded or built from.
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
@@ -324,17 +324,16 @@ type CorpusInfo struct {
 	Name     string `json:"name"`
 	Version  int64  `json:"version"`
 	Snapshot string `json:"snapshot"`
-	// Format is the snapshot format backing the live state: "memory", "v1"
-	// (decoded onto the heap) or "v2" (served zero-copy from a mapped
-	// region).
+	// Format is always "v2" (see CorpusHealth.Format).
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
 	// Shards is always 1 (see CorpusHealth.Shards).
 	Shards int `json:"shards"`
-	// MappedBytes is the mmapped region size of a v2 state; 0 otherwise.
+	// MappedBytes is the size of the state's snapshot image, mmapped or in
+	// server memory.
 	MappedBytes int64 `json:"mapped_bytes"`
-	// Madvise is the page-cache hint applied to a mapped v2 state's region
+	// Madvise is the page-cache hint applied to an mmapped state's region
 	// ("willneed" or "random"); empty when none.
 	Madvise string `json:"madvise,omitempty"`
 	// ActivationSeconds is how long the live state took from snapshot open
@@ -345,8 +344,8 @@ type CorpusInfo struct {
 	// History lists the versions available for Activate/Rollback, most
 	// recently live last.
 	History []int64 `json:"history"`
-	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's snapshot
-	// image; empty for heap-backed states.
+	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
+	// the content identity delta replication matches on.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; nil for corpora never
 	// ingested into.
