@@ -25,7 +25,6 @@ import (
 	"mapsynth/internal/graph"
 	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
-	"mapsynth/internal/mapreduce"
 	"mapsynth/internal/pool"
 	"mapsynth/internal/serve"
 	"mapsynth/internal/snapshot"
@@ -271,10 +270,9 @@ func BenchmarkEditDistance(b *testing.B) {
 // candidate set.
 func BenchmarkBlocking(b *testing.B) {
 	e := sharedEnv()
-	cands := compat.Precompute(e.Bins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compat.BlockedPairs(cands, 2)
+		compat.BlockedPairs(e.Cands, 2)
 	}
 }
 
@@ -282,10 +280,9 @@ func BenchmarkBlocking(b *testing.B) {
 // blocking), the dominant cost of table synthesis.
 func BenchmarkCompatibilityGraph(b *testing.B) {
 	e := sharedEnv()
-	cands := compat.Precompute(e.Bins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compat.BuildGraph(cands, compat.DefaultOptions(), 0)
+		compat.BuildGraph(e.Cands, compat.DefaultOptions(), 0)
 	}
 }
 
@@ -296,21 +293,6 @@ func BenchmarkCoherenceIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stats.BuildIndex(e.Corpus.Tables)
 	}
-}
-
-// BenchmarkHashToMin measures map-reduce connected components against BFS.
-func BenchmarkHashToMin(b *testing.B) {
-	e := sharedEnv()
-	b.Run("hashtomin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.Graph.HashToMinComponents(mapreduce.Config{})
-		}
-	})
-	b.Run("bfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.Graph.ConnectedComponents()
-		}
-	})
 }
 
 // BenchmarkIndexLookup measures bloom-backed containment lookup (the paper's

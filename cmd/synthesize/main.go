@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"text/tabwriter"
 
+	"mapsynth/internal/compat"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/corpusio"
 	"mapsynth/internal/curation"
@@ -193,6 +194,14 @@ func run() int {
 		}
 		fmt.Fprintf(tw, "  total\t\t%d mappings\t%v\t\n",
 			len(res.Mappings), res.Timings.Total.Round(1e5))
+		tw.Flush()
+		// What blocking's stop-word cap left uncounted; zeros mean nothing.
+		bs := res.Blocking
+		fmt.Printf("\nblocking cap (posting lists > %d skipped):\n", compat.MaxPostingLen)
+		tw = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+		fmt.Fprintln(tw, "  pass\tkeys skipped\tpair increments forgone")
+		fmt.Fprintf(tw, "  pair keys (w+)\t%d\t%d\n", bs.Pair.KeysSkipped, bs.Pair.IncrementsSkipped)
+		fmt.Fprintf(tw, "  left keys (w-)\t%d\t%d\n", bs.Left.KeysSkipped, bs.Left.IncrementsSkipped)
 		tw.Flush()
 	}
 

@@ -8,16 +8,28 @@
 // w+ is evaluated only for candidate pairs sharing at least ThetaOverlap
 // value pairs, and w- only for pairs sharing at least ThetaOverlap
 // left-hand-side values.
+//
+// Everything here runs on dense integer ids, not strings. PrecomputeParallel
+// takes each table's normalized view (table.BinaryTable.Norm, computed once
+// per table for all stages), interns the pair keys of the whole candidate
+// set into one dictionary and numbers them by rank in key order; a left
+// value's id is the rank of its run in that order. Blocking is then
+// ScanCount over posting arrays indexed by id, w+ an intersection of sorted
+// id slices and w- a merge-join of sorted left ids; strings are touched only
+// by the approximate matcher. BuildGraphCtx fuses blocking and scoring into
+// one pass over candidate rows and emits the edge list already sorted.
 package compat
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strings"
+	"unicode/utf8"
 
 	"mapsynth/internal/pool"
 	"mapsynth/internal/strmatch"
 	"mapsynth/internal/table"
-	"mapsynth/internal/textnorm"
 )
 
 // Options configures compatibility computation.
@@ -55,86 +67,116 @@ func DefaultOptions() Options {
 	}
 }
 
-// Candidate is the precomputed, normalized view of one BinaryTable used by
-// all pairwise computations.
+// Candidate is the interned view of one BinaryTable used by all pairwise
+// computations. Its ids are positions in the dictionary of the candidate set
+// it was precomputed with: candidates are comparable only with others from
+// the same PrecomputeParallel call.
 type Candidate struct {
 	// ID is the dense candidate index (== position in the slice returned
-	// by Precompute).
+	// by PrecomputeParallel).
 	ID int
 	// Bin is the underlying binary table.
 	Bin *table.BinaryTable
-	// PairKeys holds the distinct normalized pair keys, sorted.
-	PairKeys []string
-	// Lefts maps each distinct normalized left value to its distinct
-	// normalized right values (usually one; approximate FDs allow a few).
-	Lefts map[string][]string
-	// LeftKeys holds the distinct normalized left values, sorted.
-	LeftKeys []string
+	// PairIDs holds the ids of the distinct normalized pairs, ascending.
+	// Ids rank the set's pair keys in string order, so ascending id is
+	// ascending key — the order the greedy residual matcher visits.
+	PairIDs []uint32
+	// pairs[i] is the pair with id PairIDs[i].
+	pairs []normPair
+	// LeftIDs holds the ids of the distinct normalized left values,
+	// ascending. Pairs sorted by key are grouped by left value: those with
+	// left LeftIDs[i] are pairs[leftStart[i]:leftStart[i+1]].
+	LeftIDs   []uint32
+	leftStart []int32
 }
+
+// normPair is one normalized pair as the matcher needs it: both halves and
+// their lengths in runes, which every threshold is computed from.
+type normPair struct {
+	key    string // textnorm.PairKey(l, r)
+	split  int32  // len(l)
+	nl, nr int32  // rune counts of l and r
+}
+
+func (p *normPair) l() string { return p.key[:p.split] }
+func (p *normPair) r() string { return p.key[p.split+1:] }
 
 // Size returns the number of distinct normalized pairs.
-func (c *Candidate) Size() int { return len(c.PairKeys) }
+func (c *Candidate) Size() int { return len(c.PairIDs) }
 
-// Precompute normalizes every candidate once. The i-th output corresponds
-// to the i-th input and gets ID i.
-func Precompute(bins []*table.BinaryTable) []*Candidate {
-	out := make([]*Candidate, len(bins))
-	for i, b := range bins {
-		out[i] = PrecomputeOne(i, b)
-	}
-	return out
+// left returns the i-th distinct normalized left value.
+func (c *Candidate) left(i int) string { return c.pairs[c.leftStart[i]].l() }
+
+// rights returns the pairs holding the right values of the i-th left value.
+func (c *Candidate) rights(i int) []normPair {
+	return c.pairs[c.leftStart[i]:c.leftStart[i+1]]
 }
 
-// PrecomputeParallel is Precompute fanned out over the worker pool; each
-// candidate normalizes independently, so output is identical to Precompute
-// for any worker count. Cancellation returns ctx's error and a nil slice.
+// PrecomputeParallel builds the interned view of every candidate: the i-th
+// output corresponds to the i-th input and gets ID i. Normalizing and
+// sorting fan out over the worker pool; the dictionary pass between them is
+// sequential. Output is identical for any worker count. Cancellation
+// returns ctx's error and a nil slice.
 func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.Pool) ([]*Candidate, error) {
 	out := make([]*Candidate, len(bins))
 	if err := p.ForEach(ctx, len(bins), func(i int) {
-		out[i] = PrecomputeOne(i, bins[i])
+		norm := bins[i].Norm().Pairs
+		c := &Candidate{ID: i, Bin: bins[i], PairIDs: make([]uint32, len(norm)), pairs: make([]normPair, len(norm))}
+		for j, np := range norm {
+			c.pairs[j] = normPair{
+				key: np.Key, split: int32(len(np.L)),
+				nl: int32(utf8.RuneCountInString(np.L)), nr: int32(utf8.RuneCountInString(np.R)),
+			}
+		}
+		slices.SortFunc(c.pairs, func(x, y normPair) int { return strings.Compare(x.key, y.key) })
+		out[i] = c
 	}); err != nil {
 		return nil, err
 	}
+
+	// Intern every pair key, first come first numbered.
+	first := make(map[string]uint32)
+	var keys []*normPair // keys[id] is some candidate's copy of the pair
+	for _, c := range out {
+		for j := range c.pairs {
+			id, ok := first[c.pairs[j].key]
+			if !ok {
+				id = uint32(len(keys))
+				first[c.pairs[j].key] = id
+				keys = append(keys, &c.pairs[j])
+			}
+			c.PairIDs[j] = id
+		}
+	}
+	// Renumber by rank in key order. Sorted keys are grouped by their left
+	// value (it is a prefix up to the separator), so numbering the runs
+	// gives every left value a dense id without a second dictionary.
+	order := make([]uint32, len(keys))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(keys[x].key, keys[y].key) })
+	rank := make([]uint32, len(keys))
+	leftOf := make([]uint32, len(keys)) // by rank
+	lefts := uint32(0)
+	for r, id := range order {
+		rank[id] = uint32(r)
+		if r > 0 && keys[id].l() != keys[order[r-1]].l() {
+			lefts++
+		}
+		leftOf[r] = lefts
+	}
+	for _, c := range out {
+		for j, id := range c.PairIDs {
+			c.PairIDs[j] = rank[id]
+			if lid := leftOf[rank[id]]; j == 0 || lid != c.LeftIDs[len(c.LeftIDs)-1] {
+				c.LeftIDs = append(c.LeftIDs, lid)
+				c.leftStart = append(c.leftStart, int32(j))
+			}
+		}
+		c.leftStart = append(c.leftStart, int32(len(c.pairs)))
+	}
 	return out, nil
-}
-
-// PrecomputeOne builds the normalized view of a single candidate with the
-// given dense ID.
-func PrecomputeOne(id int, b *table.BinaryTable) *Candidate {
-	c := &Candidate{ID: id, Bin: b, Lefts: make(map[string][]string)}
-	keySet := make(map[string]struct{}, len(b.Pairs))
-	for _, p := range b.Pairs {
-		nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-		if !ok {
-			continue
-		}
-		k := textnorm.PairKey(nl, nr)
-		if _, dup := keySet[k]; dup {
-			continue
-		}
-		keySet[k] = struct{}{}
-		c.Lefts[nl] = appendUnique(c.Lefts[nl], nr)
-	}
-	c.PairKeys = make([]string, 0, len(keySet))
-	for k := range keySet {
-		c.PairKeys = append(c.PairKeys, k)
-	}
-	sort.Strings(c.PairKeys)
-	c.LeftKeys = make([]string, 0, len(c.Lefts))
-	for l := range c.Lefts {
-		c.LeftKeys = append(c.LeftKeys, l)
-	}
-	sort.Strings(c.LeftKeys)
-	return c
-}
-
-func appendUnique(s []string, v string) []string {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 // Weights carries the two edge weights between a candidate pair.
@@ -158,41 +200,51 @@ func NewComputer(opt Options) *Computer {
 	return &Computer{opt: opt, matcher: m}
 }
 
+// matchScratch holds the residual lists of one w+ evaluation so a worker
+// scoring many pairs reuses them. The zero value is ready to use.
+type matchScratch struct {
+	resA, resB []int32 // positions in a.pairs / b.pairs without an exact partner
+	used       []bool  // per resB entry: already matched approximately
+}
+
 // Positive computes w+(B, B') (Equation 3): shared value pairs are counted
 // by exact normalized-key intersection first; residual (unmatched) pairs are
 // then matched approximately (both sides must match within the edit-distance
 // threshold), greedily and at most once each.
 func (cp *Computer) Positive(a, b *Candidate) float64 {
-	if len(a.PairKeys) == 0 || len(b.PairKeys) == 0 {
-		return 0
-	}
-	inter, resA, resB := intersectSorted(a.PairKeys, b.PairKeys)
-	matched := inter
-	if len(resA) > 0 && len(resB) > 0 && len(resA)*len(resB) <= cp.opt.MaxApproxProduct {
-		matched += cp.approxResidual(resA, resB)
-	}
-	denom := len(a.PairKeys)
-	if len(b.PairKeys) < denom {
-		denom = len(b.PairKeys)
-	}
-	return float64(matched) / float64(denom)
+	return cp.positive(a, b, new(matchScratch))
 }
 
-// approxResidual greedily matches residual pair keys across the two tables
+func (cp *Computer) positive(a, b *Candidate, sc *matchScratch) float64 {
+	if len(a.PairIDs) == 0 || len(b.PairIDs) == 0 {
+		return 0
+	}
+	matched := intersectSorted(a.PairIDs, b.PairIDs, sc)
+	if len(sc.resA) > 0 && len(sc.resB) > 0 && len(sc.resA)*len(sc.resB) <= cp.opt.MaxApproxProduct {
+		matched += cp.approxResidual(a, b, sc)
+	}
+	return float64(matched) / float64(min(len(a.PairIDs), len(b.PairIDs)))
+}
+
+// approxResidual greedily matches residual pairs across the two tables
 // using approximate matching on both the left and right halves. Each
-// residual pair participates in at most one match.
-func (cp *Computer) approxResidual(resA, resB []string) int {
-	used := make([]bool, len(resB))
+// residual pair participates in at most one match. The outcome depends on
+// visiting order; residuals come in ascending id, which is ascending pair
+// key.
+func (cp *Computer) approxResidual(a, b *Candidate, sc *matchScratch) int {
+	sc.used = append(sc.used[:0], make([]bool, len(sc.resB))...)
 	count := 0
-	for _, ka := range resA {
-		la, ra := textnorm.SplitPairKey(ka)
-		for j, kb := range resB {
-			if used[j] {
+	for _, i := range sc.resA {
+		pa := &a.pairs[i]
+		la, ra := pa.l(), pa.r()
+		for j, k := range sc.resB {
+			if sc.used[j] {
 				continue
 			}
-			lb, rb := textnorm.SplitPairKey(kb)
-			if cp.matcher.MatchNormalized(la, lb) && cp.matcher.MatchNormalized(ra, rb) {
-				used[j] = true
+			pb := &b.pairs[k]
+			if cp.matcher.MatchNormalizedLen(la, pb.l(), int(pa.nl), int(pb.nl)) &&
+				cp.matcher.MatchNormalizedLen(ra, pb.r(), int(pa.nr), int(pb.nr)) {
+				sc.used[j] = true
 				count++
 				break
 			}
@@ -207,52 +259,47 @@ func (cp *Computer) approxResidual(resA, resB []string) int {
 // synonym) some right value of the other. The score is
 // -max{|F|/|B|, |F|/|B'|}, always <= 0.
 func (cp *Computer) Negative(a, b *Candidate) float64 {
-	if len(a.Lefts) == 0 || len(b.Lefts) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(small.Lefts) > len(large.Lefts) {
-		small, large = large, small
-	}
 	conflicts := 0
-	for l, rsA := range small.Lefts {
-		rsB, ok := large.Lefts[l]
-		if !ok {
-			continue
-		}
-		if cp.rightsConflict(rsA, rsB) {
+	cp.sharedLefts(a, b, func(i, j int) {
+		if cp.rightsConflict(a.rights(i), b.rights(j)) {
 			conflicts++
 		}
-	}
+	})
 	if conflicts == 0 {
 		return 0
 	}
-	denom := len(a.PairKeys)
-	if len(b.PairKeys) < denom {
-		denom = len(b.PairKeys)
+	return -float64(conflicts) / float64(min(len(a.PairIDs), len(b.PairIDs)))
+}
+
+// sharedLefts merge-joins the candidates' sorted left ids, calling fn with
+// the positions of every left value both hold.
+func (cp *Computer) sharedLefts(a, b *Candidate, fn func(i, j int)) {
+	for i, j := 0, 0; i < len(a.LeftIDs) && j < len(b.LeftIDs); {
+		switch {
+		case a.LeftIDs[i] == b.LeftIDs[j]:
+			fn(i, j)
+			i++
+			j++
+		case a.LeftIDs[i] < b.LeftIDs[j]:
+			i++
+		default:
+			j++
+		}
 	}
-	return -float64(conflicts) / float64(denom)
 }
 
 // rightsConflict reports whether two right-value sets disagree: true when
 // any value on one side has no approximate/synonym match on the other.
-func (cp *Computer) rightsConflict(rsA, rsB []string) bool {
-	for _, ra := range rsA {
+func (cp *Computer) rightsConflict(rsA, rsB []normPair) bool {
+	return cp.unmatched(rsA, rsB) || cp.unmatched(rsB, rsA)
+}
+
+// unmatched reports whether some right value of xs matches none of ys.
+func (cp *Computer) unmatched(xs, ys []normPair) bool {
+	for i := range xs {
 		found := false
-		for _, rb := range rsB {
-			if cp.matcher.MatchNormalized(ra, rb) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return true
-		}
-	}
-	for _, rb := range rsB {
-		found := false
-		for _, ra := range rsA {
-			if cp.matcher.MatchNormalized(ra, rb) {
+		for j := range ys {
+			if cp.matcher.MatchNormalizedLen(xs[i].r(), ys[j].r(), int(xs[i].nr), int(ys[j].nr)) {
 				found = true
 				break
 			}
@@ -265,26 +312,23 @@ func (cp *Computer) rightsConflict(rsA, rsB []string) bool {
 }
 
 // ConflictLeftValues returns the conflict set F(B, B') as the sorted list of
-// normalized left values with disagreeing right values. Used by conflict
-// resolution and tests.
+// normalized left values with disagreeing right values. Used by tests.
 func (cp *Computer) ConflictLeftValues(a, b *Candidate) []string {
 	var out []string
-	for l, rsA := range a.Lefts {
-		rsB, ok := b.Lefts[l]
-		if !ok {
-			continue
+	cp.sharedLefts(a, b, func(i, j int) {
+		if cp.rightsConflict(a.rights(i), b.rights(j)) {
+			out = append(out, a.left(i))
 		}
-		if cp.rightsConflict(rsA, rsB) {
-			out = append(out, l)
-		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
 
-// intersectSorted intersects two sorted string slices, returning the
-// intersection size and the residuals (elements unique to each side).
-func intersectSorted(a, b []string) (inter int, resA, resB []string) {
+// intersectSorted intersects two ascending id slices, returning the
+// intersection size and leaving the positions unique to each side in
+// sc.resA and sc.resB.
+func intersectSorted(a, b []uint32, sc *matchScratch) (inter int) {
+	resA, resB := sc.resA[:0], sc.resB[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -293,14 +337,19 @@ func intersectSorted(a, b []string) (inter int, resA, resB []string) {
 			i++
 			j++
 		case a[i] < b[j]:
-			resA = append(resA, a[i])
+			resA = append(resA, int32(i))
 			i++
 		default:
-			resB = append(resB, b[j])
+			resB = append(resB, int32(j))
 			j++
 		}
 	}
-	resA = append(resA, a[i:]...)
-	resB = append(resB, b[j:]...)
-	return inter, resA, resB
+	for ; i < len(a); i++ {
+		resA = append(resA, int32(i))
+	}
+	for ; j < len(b); j++ {
+		resB = append(resB, int32(j))
+	}
+	sc.resA, sc.resB = resA, resB
+	return inter
 }

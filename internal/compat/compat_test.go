@@ -33,7 +33,7 @@ func paperTables() []*Candidate {
 		{"Afghanistan", "AFG"}, {"Albania", "ALB"}, {"Algeria", "DZA"},
 		{"American Samoa", "ASM"}, {"South Korea", "KOR"}, {"US Virgin Islands", "VIR"},
 	})
-	return Precompute([]*table.BinaryTable{b1, b2, b3})
+	return precompute([]*table.BinaryTable{b1, b2, b3})
 }
 
 func TestPositiveCompatibilityExample7(t *testing.T) {
@@ -100,7 +100,7 @@ func TestContainmentFavorsSubset(t *testing.T) {
 		big[i] = [2]string{"left" + string(rune('a'+i%26)) + string(rune('0'+i/26)), "right" + string(rune('a'+i))}
 	}
 	small := big[:5]
-	cands := Precompute([]*table.BinaryTable{binFromPairs(0, big), binFromPairs(1, small)})
+	cands := precompute([]*table.BinaryTable{binFromPairs(0, big), binFromPairs(1, small)})
 	cp := NewComputer(DefaultOptions())
 	if got := cp.Positive(cands[0], cands[1]); math.Abs(got-1) > 1e-9 {
 		t.Errorf("containment w+ = %v, want 1", got)
@@ -145,12 +145,12 @@ func TestPrecomputeNormalizesAndDedups(t *testing.T) {
 	b := binFromPairs(0, [][2]string{
 		{"Japan", "JPN"}, {"JAPAN", "jpn"}, {"Japan[1]", "JPN"},
 	})
-	cands := Precompute([]*table.BinaryTable{b})
+	cands := precompute([]*table.BinaryTable{b})
 	if cands[0].Size() != 1 {
 		t.Errorf("normalized size = %d, want 1", cands[0].Size())
 	}
-	if len(cands[0].Lefts["japan"]) != 1 {
-		t.Errorf("Lefts = %v", cands[0].Lefts)
+	if len(cands[0].LeftIDs) != 1 || cands[0].left(0) != "japan" || len(cands[0].rights(0)) != 1 {
+		t.Errorf("lefts = %v with %d rights, want one left \"japan\" with one right", cands[0].LeftIDs, len(cands[0].rights(0)))
 	}
 }
 

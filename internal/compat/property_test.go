@@ -33,7 +33,7 @@ func randomCandidates(rng *rand.Rand, n int) []*Candidate {
 		}
 		bins[i] = table.NewBinaryTable(i, i, "d", "l", "r", ls, rs)
 	}
-	return Precompute(bins)
+	return precompute(bins)
 }
 
 // TestWeightInvariants checks, over random candidate pairs, the structural
@@ -92,7 +92,7 @@ func TestBlockingSoundness(t *testing.T) {
 		}
 		for i := range cands {
 			for j := i + 1; j < len(cands); j++ {
-				inter, _, _ := intersectSorted(cands[i].PairKeys, cands[j].PairKeys)
+				inter := intersectSorted(cands[i].PairIDs, cands[j].PairIDs, new(matchScratch))
 				if inter >= theta && !blocked[[2]int{i, j}] {
 					t.Fatalf("trial %d: pair (%d,%d) shares %d >= %d keys but was not blocked",
 						trial, i, j, inter, theta)
@@ -116,7 +116,7 @@ func TestSynonymsSuppressConflicts(t *testing.T) {
 	b := table.NewBinaryTable(1, 1, "d", "l", "r",
 		[]string{"k1", "k2", "k3", "k4"},
 		[]string{"Virgin Islands of the United States", "v2", "v3", "v4"})
-	cands := Precompute([]*table.BinaryTable{a, b})
+	cands := precompute([]*table.BinaryTable{a, b})
 
 	plain := NewComputer(DefaultOptions())
 	if got := plain.Negative(cands[0], cands[1]); got >= 0 {

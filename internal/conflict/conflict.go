@@ -8,6 +8,10 @@
 // (Independent Set), so Resolve greedily removes the table holding the value
 // pair with the most conflicts until none remain. MajorityVotePairs is the
 // simpler per-value baseline the paper compares against in Section 5.6.
+//
+// Nothing here normalizes values: every function reads the tables'
+// normalized views (table.BinaryTable.Norm), built once per table for all
+// stages of a run.
 package conflict
 
 import (
@@ -15,7 +19,6 @@ import (
 
 	"mapsynth/internal/strmatch"
 	"mapsynth/internal/table"
-	"mapsynth/internal/textnorm"
 )
 
 // Options configures conflict detection.
@@ -34,88 +37,136 @@ func DefaultOptions() Options {
 	return Options{FracEd: strmatch.DefaultFracEd, KEd: strmatch.DefaultKEd}
 }
 
-// Resolve runs Algorithm 4 on the candidate tables of one partition and
-// returns the kept tables and the removed ones. The kept set has no
-// conflicting value pairs across tables (nor within a table).
-func Resolve(cands []*table.BinaryTable, opt Options) (kept, removed []*table.BinaryTable) {
-	matcher := strmatch.NewMatcher(opt.FracEd, opt.KEd)
-	if opt.Synonyms != nil {
-		matcher.SetSynonyms(opt.Synonyms)
+// matcher builds the right-value matcher the options describe.
+func (o Options) matcher() *strmatch.Matcher {
+	m := strmatch.NewMatcher(o.FracEd, o.KEd)
+	if o.Synonyms != nil {
+		m.SetSynonyms(o.Synonyms)
 	}
-	kept = append(kept, cands...)
-	for {
-		worst, conflicts := mostConflictingTable(kept, matcher)
-		if conflicts == 0 {
-			break
+	return m
+}
+
+// Resolve runs Algorithm 4 on the candidate tables of one partition and
+// returns the kept tables and the removed ones, each in input order and
+// removal order respectively. The kept set has no conflicting value pairs
+// across tables (nor within a table).
+//
+// Every round removes the table whose worst value pair conflicts with the
+// most other pairs: cntV(v1,v2) is the number of distinct pairs of the kept
+// tables sharing the left value but disagreeing on the right, cntB(Bi) the
+// maximum over Bi's pairs. Ties break toward the table with fewer pairs
+// (removing it loses less coverage), then the higher candidate ID (later
+// extraction order), then the earlier position.
+//
+// The pairs come from the tables' normalized views and are interned once;
+// which right values disagree is decided once per pair of pairs. A removal
+// then only lowers the counts of the pairs that conflicted with what the
+// removed table alone contributed, so a round is integer work.
+func Resolve(cands []*table.BinaryTable, opt Options) (kept, removed []*table.BinaryTable) {
+	r := newResolver(cands, opt)
+	alive := make([]bool, len(cands))
+	for i := range alive {
+		alive[i] = true
+	}
+	for r.conflicting > 0 {
+		worst := r.mostConflictingTable(cands, alive)
+		alive[worst] = false
+		removed = append(removed, cands[worst])
+		r.remove(worst)
+	}
+	for i, b := range cands {
+		if alive[i] {
+			kept = append(kept, b)
 		}
-		removed = append(removed, kept[worst])
-		kept = append(kept[:worst], kept[worst+1:]...)
 	}
 	return kept, removed
 }
 
-// mostConflictingTable computes, over the union of distinct normalized pairs
-// of the kept tables, cntV(v1,v2) = number of conflicting value pairs, then
-// cntB(Bi) = max over Bi's pairs, and returns the index of the table with
-// the highest cntB together with that count. Ties break toward the table
-// with fewer pairs (removing it loses less coverage), then the higher
-// candidate ID (later extraction order).
-func mostConflictingTable(kept []*table.BinaryTable, matcher *strmatch.Matcher) (int, int) {
-	// Group the distinct pairs of the union by normalized left value.
-	type pairInfo struct {
+// resolver is the state of one Resolve call over the union of the tables'
+// distinct normalized pairs, numbered densely in first-seen order.
+type resolver struct {
+	// tablePairs[t] lists the pairs of table t.
+	tablePairs [][]int32
+	// holders[p] is the number of kept tables containing pair p.
+	holders []int32
+	// disagree[p] lists the pairs with p's left value whose right value does
+	// not match p's. The relation is symmetric.
+	disagree [][]int32
+	// cntV[p] is the number of pairs in disagree[p] some kept table holds.
+	cntV []int32
+	// conflicting is the number of held pairs with cntV > 0; resolution is
+	// done when it reaches zero.
+	conflicting int
+}
+
+func newResolver(cands []*table.BinaryTable, opt Options) *resolver {
+	matcher := opt.matcher()
+	r := &resolver{tablePairs: make([][]int32, len(cands))}
+	// Group the distinct pairs of the union by normalized left value; a
+	// group is a handful of right values, so a linear scan finds repeats.
+	type right struct {
 		nr string
+		id int32
 	}
-	byLeft := make(map[string][]pairInfo)
-	seen := make(map[string]struct{})
-	for _, b := range kept {
-		for _, p := range b.Pairs {
-			nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
+	groupOf := make(map[string]int32)
+	var groups [][]right
+	for t, b := range cands {
+		norm := b.Norm().Pairs
+		r.tablePairs[t] = make([]int32, len(norm))
+	pairs:
+		for i, np := range norm {
+			g, ok := groupOf[np.L]
 			if !ok {
-				continue
+				g = int32(len(groups))
+				groupOf[np.L] = g
+				groups = append(groups, nil)
 			}
-			k := textnorm.PairKey(nl, nr)
-			if _, dup := seen[k]; dup {
-				continue
+			for _, rt := range groups[g] {
+				if rt.nr == np.R {
+					r.tablePairs[t][i] = rt.id
+					r.holders[rt.id]++
+					continue pairs
+				}
 			}
-			seen[k] = struct{}{}
-			byLeft[nl] = append(byLeft[nl], pairInfo{nr: nr})
+			id := int32(len(r.holders))
+			groups[g] = append(groups[g], right{nr: np.R, id: id})
+			r.holders = append(r.holders, 1)
+			r.tablePairs[t][i] = id
 		}
 	}
-	// cntV per normalized pair key.
-	cntV := make(map[string]int)
-	for nl, infos := range byLeft {
-		if len(infos) < 2 {
+	r.disagree = make([][]int32, len(r.holders))
+	r.cntV = make([]int32, len(r.holders))
+	for _, rs := range groups {
+		for i := range rs {
+			for j := i + 1; j < len(rs); j++ {
+				if !matcher.MatchNormalized(rs[i].nr, rs[j].nr) {
+					r.disagree[rs[i].id] = append(r.disagree[rs[i].id], rs[j].id)
+					r.disagree[rs[j].id] = append(r.disagree[rs[j].id], rs[i].id)
+				}
+			}
+		}
+	}
+	for p, ds := range r.disagree {
+		r.cntV[p] = int32(len(ds))
+		if len(ds) > 0 {
+			r.conflicting++
+		}
+	}
+	return r
+}
+
+// mostConflictingTable returns the index of the kept table with the highest
+// cntB under Resolve's tie-breaking. It must only be called while some held
+// pair conflicts.
+func (r *resolver) mostConflictingTable(cands []*table.BinaryTable, alive []bool) int {
+	bestIdx, bestCnt, bestSize := -1, int32(0), 0
+	for i, b := range cands {
+		if !alive[i] {
 			continue
 		}
-		for i := range infos {
-			c := 0
-			for j := range infos {
-				if i == j {
-					continue
-				}
-				if !matcher.MatchNormalized(infos[i].nr, infos[j].nr) {
-					c++
-				}
-			}
-			if c > 0 {
-				cntV[textnorm.PairKey(nl, infos[i].nr)] = c
-			}
-		}
-	}
-	if len(cntV) == 0 {
-		return -1, 0
-	}
-	bestIdx, bestCnt, bestSize := -1, 0, 0
-	for i, b := range kept {
-		c := 0
-		for _, p := range b.Pairs {
-			nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-			if !ok {
-				continue
-			}
-			if v := cntV[textnorm.PairKey(nl, nr)]; v > c {
-				c = v
-			}
+		c := int32(0)
+		for _, p := range r.tablePairs[i] {
+			c = max(c, r.cntV[p])
 		}
 		if c == 0 {
 			continue
@@ -126,38 +177,54 @@ func mostConflictingTable(kept []*table.BinaryTable, matcher *strmatch.Matcher) 
 			better = true
 		case c == bestCnt && b.Size() < bestSize:
 			better = true
-		case c == bestCnt && b.Size() == bestSize && bestIdx >= 0 && b.ID > kept[bestIdx].ID:
+		case c == bestCnt && b.Size() == bestSize && b.ID > cands[bestIdx].ID:
 			better = true
 		}
 		if better {
 			bestIdx, bestCnt, bestSize = i, c, b.Size()
 		}
 	}
-	return bestIdx, bestCnt
+	return bestIdx
+}
+
+// remove takes table t out of the kept set: pairs only it held disappear
+// from the union, and with them their share of every disagreeing pair's
+// count.
+func (r *resolver) remove(t int) {
+	for _, p := range r.tablePairs[t] {
+		r.holders[p]--
+		if r.holders[p] > 0 {
+			continue
+		}
+		if r.cntV[p] > 0 {
+			r.conflicting--
+		}
+		for _, q := range r.disagree[p] {
+			if r.holders[q] == 0 {
+				continue
+			}
+			r.cntV[q]--
+			if r.cntV[q] == 0 {
+				r.conflicting--
+			}
+		}
+	}
 }
 
 // CountConflicts returns the number of normalized left values with
 // disagreeing right values across the union of the given tables. Zero means
 // the set already satisfies the mapping definition.
 func CountConflicts(cands []*table.BinaryTable, opt Options) int {
-	matcher := strmatch.NewMatcher(opt.FracEd, opt.KEd)
-	if opt.Synonyms != nil {
-		matcher.SetSynonyms(opt.Synonyms)
-	}
+	matcher := opt.matcher()
 	byLeft := make(map[string][]string)
 	seen := make(map[string]struct{})
 	for _, b := range cands {
-		for _, p := range b.Pairs {
-			nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-			if !ok {
+		for _, np := range b.Norm().Pairs {
+			if _, dup := seen[np.Key]; dup {
 				continue
 			}
-			k := textnorm.PairKey(nl, nr)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			byLeft[nl] = append(byLeft[nl], nr)
+			seen[np.Key] = struct{}{}
+			byLeft[np.L] = append(byLeft[np.L], np.R)
 		}
 	}
 	conflicts := 0
@@ -192,26 +259,16 @@ func MajorityVotePairs(cands []*table.BinaryTable) []table.Pair {
 	}
 	votes := make(map[string]map[string]*rightVote)
 	for _, b := range cands {
-		seenHere := make(map[string]struct{})
-		for _, p := range b.Pairs {
-			nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-			if !ok {
-				continue
-			}
-			k := textnorm.PairKey(nl, nr)
-			if _, dup := seenHere[k]; dup {
-				continue
-			}
-			seenHere[k] = struct{}{}
-			rm, okL := votes[nl]
+		for _, np := range b.Norm().Pairs {
+			rm, okL := votes[np.L]
 			if !okL {
 				rm = make(map[string]*rightVote)
-				votes[nl] = rm
+				votes[np.L] = rm
 			}
-			rv, okR := rm[nr]
+			rv, okR := rm[np.R]
 			if !okR {
-				rv = &rightVote{surface: p}
-				rm[nr] = rv
+				rv = &rightVote{surface: b.Pairs[np.Src]}
+				rm[np.R] = rv
 			}
 			rv.count++
 		}

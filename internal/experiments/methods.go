@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/extract"
 	"mapsynth/internal/graph"
+	"mapsynth/internal/pool"
 	"mapsynth/internal/stats"
 	"mapsynth/internal/table"
 )
@@ -62,7 +64,8 @@ func newEnvFrom(corpus *corpusgen.Corpus) *Env {
 	env.ExtractTime = time.Since(t0)
 
 	t0 = time.Now()
-	env.Cands = compat.Precompute(env.Bins)
+	// The background context is never cancelled, the only error there is.
+	env.Cands, _ = compat.PrecomputeParallel(context.Background(), env.Bins, pool.New(0))
 	env.Graph = compat.BuildGraph(env.Cands, compat.DefaultOptions(), 0)
 	env.GraphTime = time.Since(t0)
 	return env

@@ -6,6 +6,46 @@ import (
 	"testing"
 )
 
+// subgraph extracts the induced subgraph over the given vertices by scanning
+// every edge — the per-component path Decompose replaced, kept as its
+// oracle. It returns the new graph (dense ids 0..len(vertices)-1, in the
+// order given) and the mapping from new id to original id.
+func subgraph(g *Graph, vertices []int) (*Graph, []int) {
+	idx := make(map[int]int, len(vertices))
+	orig := make([]int, len(vertices))
+	for i, v := range vertices {
+		idx[v] = i
+		orig[i] = v
+	}
+	sub := New(len(vertices))
+	for _, e := range g.Edges() {
+		ia, oka := idx[e.A]
+		ib, okb := idx[e.B]
+		if oka && okb {
+			sub.AddEdge(ia, ib, e.Pos, e.Neg)
+		}
+	}
+	return sub, orig
+}
+
+func TestSubgraph(t *testing.T) {
+	g := New(5)
+	g.AddEdge(0, 2, 0.4, -0.1)
+	g.AddEdge(2, 4, 0.6, 0)
+	g.AddEdge(1, 3, 0.9, 0)
+	sub, orig := subgraph(g, []int{0, 2, 4})
+	if sub.NumVertices() != 3 || sub.NumEdges() != 2 {
+		t.Fatalf("subgraph wrong: %d vertices %d edges", sub.NumVertices(), sub.NumEdges())
+	}
+	if orig[0] != 0 || orig[1] != 2 || orig[2] != 4 {
+		t.Errorf("orig mapping = %v", orig)
+	}
+	e := sub.GetEdge(0, 1)
+	if e == nil || e.Pos != 0.4 || e.Neg != -0.1 {
+		t.Errorf("subgraph edge = %+v", e)
+	}
+}
+
 func TestDecomposeEmptyGraph(t *testing.T) {
 	if comps := New(0).Decompose(); len(comps) != 0 {
 		t.Errorf("Decompose on empty graph = %v, want none", comps)
@@ -51,15 +91,12 @@ func TestDecomposeManySingletons(t *testing.T) {
 }
 
 // TestDecomposeMatchesSubgraph is a property test: Decompose must agree
-// with the reference path ConnectedComponents + Subgraph on random graphs.
+// with the reference path ConnectedComponents + subgraph on random graphs,
+// edge for edge and in the same (sorted) order.
 func TestDecomposeMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(40)
-		g := New(n)
-		for e := rng.Intn(2 * n); e > 0; e-- {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Float64(), -rng.Float64())
-		}
+		g := randomGraph(rng, 1+rng.Intn(40))
 		comps := g.Decompose()
 		want := g.ConnectedComponents()
 		if len(comps) != len(want) {
@@ -70,18 +107,32 @@ func TestDecomposeMatchesSubgraph(t *testing.T) {
 				t.Fatalf("trial %d: component %d vertices %v, want %v",
 					trial, i, comps[i].Vertices, want[i])
 			}
-			refSub, _ := g.Subgraph(want[i])
-			if comps[i].Sub.NumEdges() != refSub.NumEdges() {
-				t.Fatalf("trial %d: component %d has %d edges, want %d",
-					trial, i, comps[i].Sub.NumEdges(), refSub.NumEdges())
-			}
-			for _, e := range refSub.Edges() {
-				got := comps[i].Sub.GetEdge(e.A, e.B)
-				if got == nil || got.Pos != e.Pos || got.Neg != e.Neg {
-					t.Fatalf("trial %d: component %d edge (%d,%d) = %+v, want %+v",
-						trial, i, e.A, e.B, got, e)
-				}
+			refSub, _ := subgraph(g, want[i])
+			if got, ref := comps[i].Sub.Edges(), refSub.Edges(); len(got)+len(ref) > 0 && !reflect.DeepEqual(got, ref) {
+				t.Fatalf("trial %d: component %d edges %v, want %v", trial, i, got, ref)
 			}
 		}
+	}
+}
+
+// TestDecomposeSubgraphsAreIndependent: the components share one backing
+// array, so growing one must not reach into the next.
+func TestDecomposeSubgraphsAreIndependent(t *testing.T) {
+	g := New(6)
+	g.AddEdge(0, 1, 0.5, 0)
+	g.AddEdge(1, 2, 0.5, 0)
+	g.AddEdge(3, 4, 0.7, 0)
+	g.AddEdge(4, 5, 0.7, 0)
+	comps := g.Decompose()
+	if len(comps) != 2 {
+		t.Fatalf("components = %d, want 2", len(comps))
+	}
+	comps[0].Sub.AddEdge(0, 2, 0.9, 0)
+	if comps[0].Sub.NumEdges() != 3 {
+		t.Errorf("first component has %d edges after AddEdge, want 3", comps[0].Sub.NumEdges())
+	}
+	want := []Edge{{0, 1, 0.7, 0}, {1, 2, 0.7, 0}}
+	if got := comps[1].Sub.Edges(); !reflect.DeepEqual(got, want) {
+		t.Errorf("second component's edges changed: %v, want %v", got, want)
 	}
 }

@@ -1,10 +1,18 @@
 // Package graph models the compatibility graph over candidate binary tables
-// (Section 4.2) and computes its connected components, both directly with
-// union-find and with the Hash-to-Min algorithm [13] over the mapreduce
-// engine, mirroring the paper's scale-out strategy (Appendix F).
+// (Section 4.2) and splits it into connected components (Appendix F).
+//
+// A Graph is a vertex count plus one flat edge list sorted by (A, B). The
+// compatibility builder produces its edges already in that order and hands
+// them over whole (FromSortedEdges); Decompose counting-sorts them into one
+// backing array shared by all components. Nothing in the package hashes or
+// allocates per edge.
 package graph
 
-import "sort"
+import (
+	"sort"
+
+	"mapsynth/internal/unionfind"
+)
 
 // Edge is one weighted edge of the compatibility graph. Pos carries the
 // positive compatibility w+ (Equation 3) and Neg the negative
@@ -15,34 +23,41 @@ type Edge struct {
 	Neg  float64
 }
 
-// Graph is an undirected weighted multigraph-free graph over dense vertex
-// ids [0, N). Parallel edges are not allowed: AddEdge overwrites.
+// Graph is an undirected weighted graph over dense vertex ids [0, N).
+// Parallel edges are not allowed: adding an edge twice keeps the later
+// weights.
+//
+// Edges added with AddEdge are sorted and de-duplicated on the first read
+// after them, so a Graph must not be read from several goroutines until one
+// read has completed; graphs from FromSortedEdges and Decompose are born
+// sorted and are safe for concurrent readers.
 type Graph struct {
 	n     int
-	edges map[[2]int]*Edge
-	adj   [][]int // adjacency lists of neighbor vertex ids
+	edges []Edge // sorted by (A, B) and duplicate-free unless dirty
+	dirty bool   // AddEdge appended since the last read
 }
 
 // New returns an empty graph over n vertices.
-func New(n int) *Graph {
-	return &Graph{
-		n:     n,
-		edges: make(map[[2]int]*Edge),
-		adj:   make([][]int, n),
-	}
+func New(n int) *Graph { return &Graph{n: n} }
+
+// FromSortedEdges returns the graph over n vertices with the given edges,
+// which must have A < B and be strictly ascending by (A, B). The slice is
+// not copied: the graph owns it from here on.
+func FromSortedEdges(n int, edges []Edge) *Graph {
+	return &Graph{n: n, edges: edges}
 }
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the number of stored edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return len(g.settled()) }
 
-func edgeKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
+func less(a, b Edge) bool {
+	if a.A != b.A {
+		return a.A < b.A
 	}
-	return [2]int{a, b}
+	return a.B < b.B
 }
 
 // AddEdge inserts or overwrites the edge between a and b with the given
@@ -51,113 +66,101 @@ func (g *Graph) AddEdge(a, b int, pos, neg float64) {
 	if a == b {
 		return
 	}
-	k := edgeKey(a, b)
-	if _, exists := g.edges[k]; !exists {
-		g.adj[k[0]] = append(g.adj[k[0]], k[1])
-		g.adj[k[1]] = append(g.adj[k[1]], k[0])
+	if a > b {
+		a, b = b, a
 	}
-	g.edges[k] = &Edge{A: k[0], B: k[1], Pos: pos, Neg: neg}
+	g.edges = append(g.edges, Edge{A: a, B: b, Pos: pos, Neg: neg})
+	g.dirty = true
 }
 
-// GetEdge returns the edge between a and b, or nil.
-func (g *Graph) GetEdge(a, b int) *Edge {
-	return g.edges[edgeKey(a, b)]
-}
-
-// Neighbors returns the vertex ids adjacent to v. The returned slice is
-// shared; callers must not modify it.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
-
-// Edges returns all edges sorted by (A, B) for deterministic iteration.
-func (g *Graph) Edges() []*Edge {
-	out := make([]*Edge, 0, len(g.edges))
-	for _, e := range g.edges {
+// settled returns the edge list sorted by (A, B) with one entry per vertex
+// pair, the last one added winning.
+func (g *Graph) settled() []Edge {
+	if !g.dirty {
+		return g.edges
+	}
+	es := g.edges
+	sort.SliceStable(es, func(i, j int) bool { return less(es[i], es[j]) })
+	out := es[:0]
+	for i, e := range es {
+		if i+1 < len(es) && es[i+1].A == e.A && es[i+1].B == e.B {
+			continue // a later AddEdge overwrote this one
+		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	g.edges, g.dirty = out, false
 	return out
 }
 
+// GetEdge returns the edge between a and b, or nil. The pointer aliases the
+// graph's storage and is invalidated by the next AddEdge.
+func (g *Graph) GetEdge(a, b int) *Edge {
+	if a > b {
+		a, b = b, a
+	}
+	es := g.settled()
+	i := sort.Search(len(es), func(i int) bool { return !less(es[i], Edge{A: a, B: b}) })
+	if i < len(es) && es[i].A == a && es[i].B == b {
+		return &es[i]
+	}
+	return nil
+}
+
+// Edges returns all edges sorted by (A, B). The slice is the graph's own:
+// callers must not modify it.
+func (g *Graph) Edges() []Edge { return g.settled() }
+
 // StripNegative zeroes the negative weight of every edge in place. Used by
 // the SynthesisPos ablation, which runs the pipeline without the FD-induced
-// negative signal.
+// negative signal. Edges left with both weights zero stay in the graph and
+// keep connecting their endpoints.
 func (g *Graph) StripNegative() {
-	for _, e := range g.edges {
-		e.Neg = 0
+	for i := range g.edges {
+		g.edges[i].Neg = 0
 	}
 }
 
 // ConnectedComponents partitions the vertices into components connected by
-// any edge (positive or negative weight alike), using breadth-first search.
+// any edge (positive or negative weight alike), using union-find.
 // Components are returned sorted by their smallest vertex, members ascending.
 // Isolated vertices form singleton components.
 func (g *Graph) ConnectedComponents() [][]int {
-	visited := make([]bool, g.n)
-	var comps [][]int
-	queue := make([]int, 0, 64)
-	for s := 0; s < g.n; s++ {
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		queue = queue[:0]
-		queue = append(queue, s)
-		comp := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.adj[v] {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, u)
-					comp = append(comp, u)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
+	comps, _ := g.components()
 	return comps
 }
 
-// PositiveComponents is ConnectedComponents restricted to edges with
-// positive weight at least minPos; vertices linked only by negative or weak
-// edges fall into separate components. This mirrors the paper's
-// divide-and-conquer step that groups tables "connected non-trivially by
-// positive edges" before per-component synthesis.
-func (g *Graph) PositiveComponents(minPos float64) [][]int {
-	sub := New(g.n)
-	for _, e := range g.edges {
-		if e.Pos >= minPos && e.Pos > 0 {
-			sub.AddEdge(e.A, e.B, e.Pos, e.Neg)
+// components returns the connected components, ordered by smallest vertex
+// with members ascending, and each vertex's component index. All member
+// lists share one backing array.
+func (g *Graph) components() (comps [][]int, compOf []int) {
+	uf := unionfind.New(g.n)
+	for _, e := range g.settled() {
+		uf.Union(e.A, e.B)
+	}
+	// Scanning vertices in ascending order meets every component at its
+	// smallest vertex first, so numbering components at first sight orders
+	// them by that vertex, and filling in the same order sorts the members.
+	compOf = make([]int, g.n)
+	rootComp := make([]int, g.n) // root -> component index + 1
+	var sizes []int
+	for v := 0; v < g.n; v++ {
+		r := uf.Find(v)
+		if rootComp[r] == 0 {
+			sizes = append(sizes, 0)
+			rootComp[r] = len(sizes)
 		}
+		compOf[v] = rootComp[r] - 1
+		sizes[compOf[v]]++
 	}
-	return sub.ConnectedComponents()
-}
-
-// Subgraph extracts the induced subgraph over the given vertices. It returns
-// the new graph (with dense ids 0..len(vertices)-1, in the order given) and
-// the mapping from new id to original id.
-func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
-	idx := make(map[int]int, len(vertices))
-	orig := make([]int, len(vertices))
-	for i, v := range vertices {
-		idx[v] = i
-		orig[i] = v
+	members := make([]int, g.n)
+	comps = make([][]int, len(sizes))
+	off := 0
+	for ci, sz := range sizes {
+		comps[ci] = members[off : off : off+sz]
+		off += sz
 	}
-	sub := New(len(vertices))
-	for _, e := range g.edges {
-		ia, oka := idx[e.A]
-		ib, okb := idx[e.B]
-		if oka && okb {
-			sub.AddEdge(ia, ib, e.Pos, e.Neg)
-		}
+	for v, ci := range compOf {
+		comps[ci] = append(comps[ci], v)
 	}
-	return sub, orig
+	return comps, compOf
 }

@@ -39,8 +39,16 @@ type Mapping struct {
 
 // Build assembles a Mapping from the candidate tables of one partition.
 // Duplicate pairs (after normalization) are merged, keeping the first-seen
-// surface form; support counts one per contributing candidate table.
+// surface form; support counts one per contributing candidate table. The
+// normalized pairs are read from the tables' views (table.BinaryTable.Norm),
+// not recomputed.
 func Build(id int, cands []*table.BinaryTable) *Mapping {
+	return build(id, cands, nil)
+}
+
+// build is Build restricted to the normalized pair keys in keep; a nil keep
+// admits every pair.
+func build(id int, cands []*table.BinaryTable, keep map[string]struct{}) *Mapping {
 	m := &Mapping{
 		ID:       id,
 		Support:  make(map[string]int),
@@ -56,29 +64,23 @@ func Build(id int, cands []*table.BinaryTable) *Mapping {
 		m.CandidateIDs = append(m.CandidateIDs, b.ID)
 		tids[b.TableID] = struct{}{}
 		doms[b.Domain] = struct{}{}
-		seenHere := make(map[string]struct{})
-		for _, p := range b.Pairs {
-			nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-			if !ok {
+		for _, np := range b.Norm().Pairs {
+			if _, hit := keep[np.Key]; keep != nil && !hit {
 				continue
 			}
-			k := textnorm.PairKey(nl, nr)
-			if _, dup := seenHere[k]; dup {
-				continue
+			p := b.Pairs[np.Src]
+			if _, exists := surface[np.Key]; !exists {
+				surface[np.Key] = p
 			}
-			seenHere[k] = struct{}{}
-			if _, exists := surface[k]; !exists {
-				surface[k] = p
-			}
-			m.Support[k]++
-			rm, okL := perLeft[nl]
+			m.Support[np.Key]++
+			rm, okL := perLeft[np.L]
 			if !okL {
 				rm = make(map[string]int, 1)
-				perLeft[nl] = rm
+				perLeft[np.L] = rm
 			}
-			rm[nr]++
-			if _, exists := m.surfaceR[nr]; !exists {
-				m.surfaceR[nr] = p.R
+			rm[np.R]++
+			if _, exists := m.surfaceR[np.R]; !exists {
+				m.surfaceR[np.R] = p.R
 			}
 		}
 	}
@@ -132,24 +134,7 @@ func BuildFromPairs(id int, pairs []table.Pair, cands []*table.BinaryTable) *Map
 		}
 		keep[textnorm.PairKey(nl, nr)] = struct{}{}
 	}
-	filtered := make([]*table.BinaryTable, 0, len(cands))
-	for _, b := range cands {
-		fb := &table.BinaryTable{
-			ID: b.ID, TableID: b.TableID, Domain: b.Domain,
-			LeftName: b.LeftName, RightName: b.RightName,
-		}
-		for _, p := range b.Pairs {
-			nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-			if !ok {
-				continue
-			}
-			if _, hit := keep[textnorm.PairKey(nl, nr)]; hit {
-				fb.Pairs = append(fb.Pairs, p)
-			}
-		}
-		filtered = append(filtered, fb)
-	}
-	return Build(id, filtered)
+	return build(id, cands, keep)
 }
 
 // PairSupports returns the support counts aligned with Pairs: element i is

@@ -132,6 +132,7 @@ func (e *Engine) RunIncremental(ctx context.Context, tables []*table.Table, inc 
 		return nil, err
 	}
 	res.Edges = gr.g.NumEdges()
+	res.Blocking = gr.blocking
 	res.Timings.Graph = lastStage(res).Duration
 
 	maps, err := runStage(ctx, e, res, e.cachedSynthesisStage(bins.bins, inc, res), gr)

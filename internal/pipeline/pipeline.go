@@ -115,7 +115,7 @@ type StageStats struct {
 	// Name is the stage identifier ("index", "extract", ...).
 	Name string
 	// Items is the number of input work items the stage iterated over
-	// (tables, candidates, scored pairs, components, partitions).
+	// (tables, candidates, candidate rows, components, partitions).
 	Items int
 	// Produced is the number of outputs the stage emitted.
 	Produced int
@@ -147,6 +147,10 @@ type Result struct {
 	Candidates int
 	// Edges is the number of non-zero compatibility edges.
 	Edges int
+	// Blocking counts the keys and pair increments that blocking's
+	// stop-word cap (compat.MaxPostingLen) skipped. All zero means every
+	// shared key was counted.
+	Blocking compat.BlockStats
 	// Components is the number of connected components of the
 	// compatibility graph — the parallelism width of the partition stage.
 	Components int
@@ -256,6 +260,7 @@ func (e *Engine) Run(ctx context.Context, tables []*table.Table) (*Result, error
 		return nil, err
 	}
 	res.Edges = gr.g.NumEdges()
+	res.Blocking = gr.blocking
 	res.Timings.Graph = lastStage(res).Duration
 
 	parts, err := runStage(ctx, e, res, e.partitionStage(), gr)

@@ -13,6 +13,7 @@ import (
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/extract"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/pool"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/stats"
 	"mapsynth/internal/synthesis"
@@ -29,7 +30,7 @@ func synthesizeReference(cfg Config, tables []*table.Table) []*mapping.Mapping {
 	bins, _ := ext.ExtractAll(tables)
 	copt := cfg.Compat
 	copt.Synonyms = cfg.Synonyms
-	cands := compat.Precompute(bins)
+	cands, _ := compat.PrecomputeParallel(context.Background(), bins, pool.New(1))
 	g := compat.BuildGraph(cands, copt, 1)
 	if cfg.DisableNegativeSignal {
 		g.StripNegative()

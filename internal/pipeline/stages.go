@@ -22,7 +22,8 @@ type extractOut struct {
 
 // graphOut is the graph stage's typed output.
 type graphOut struct {
-	g *graph.Graph
+	g        *graph.Graph
+	blocking compat.BlockStats
 }
 
 // partitionOut is the partition stage's typed output. The graph itself is
@@ -69,8 +70,9 @@ func (e *Engine) extractStage(idx *stats.CooccurrenceIndex) Stage[[]*table.Table
 	}
 }
 
-// graphStage normalizes candidates and builds the compatibility graph
-// (blocking + parallel w+/w- scoring), both on the shared pool.
+// graphStage interns the candidates' normalized views and builds the
+// compatibility graph, both on the shared pool: blocking and w+/w- scoring
+// run fused, one work item per candidate row.
 func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 	return Stage[extractOut, graphOut]{
 		Name:  "graph",
@@ -83,14 +85,14 @@ func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 			if err != nil {
 				return graphOut{}, err
 			}
-			g, err := compat.BuildGraphCtx(ctx, cands, copt, e.pool)
+			g, blocking, err := compat.BuildGraphCtx(ctx, cands, copt, e.pool)
 			if err != nil {
 				return graphOut{}, err
 			}
 			if e.cfg.DisableNegativeSignal {
 				g.StripNegative()
 			}
-			return graphOut{g: g}, nil
+			return graphOut{g: g, blocking: blocking}, nil
 		},
 	}
 }

@@ -24,7 +24,9 @@ const MaxCoherenceSample = 30
 // co-occur anywhere *else* in the corpus. Without the discount, a column of
 // unique garbage would score NPMI ≈ 1 from its own self-co-occurrence.
 func (x *CooccurrenceIndex) ColumnCoherence(values []string) float64 {
-	distinct := make([]string, 0, MaxCoherenceSample)
+	// The posting list of every sampled value is fetched once, here; the
+	// pairwise loop below then only intersects lists.
+	posts := make([][]int32, 0, MaxCoherenceSample)
 	seen := make(map[string]struct{}, MaxCoherenceSample)
 	for _, v := range values {
 		nv := textnorm.Normalize(v)
@@ -35,19 +37,19 @@ func (x *CooccurrenceIndex) ColumnCoherence(values []string) float64 {
 			continue
 		}
 		seen[nv] = struct{}{}
-		distinct = append(distinct, nv)
-		if len(distinct) >= MaxCoherenceSample {
+		posts = append(posts, x.columns[nv])
+		if len(posts) >= MaxCoherenceSample {
 			break
 		}
 	}
-	if len(distinct) < 2 {
+	if len(posts) < 2 {
 		return 1
 	}
 	var sum float64
 	var pairs int
-	for i := 0; i < len(distinct); i++ {
-		for j := i + 1; j < len(distinct); j++ {
-			s, ok := x.npmiDiscounted(distinct[i], distinct[j])
+	for i := 0; i < len(posts); i++ {
+		for j := i + 1; j < len(posts); j++ {
+			s, ok := x.npmiDiscounted(posts[i], posts[j])
 			if !ok {
 				continue // no evidence either way; neutral
 			}
@@ -63,18 +65,19 @@ func (x *CooccurrenceIndex) ColumnCoherence(values []string) float64 {
 	return sum / float64(pairs)
 }
 
-// npmiDiscounted is NPMI with one column of co-occurrence (the column under
-// evaluation) removed from all counts. The boolean is false when either
-// value never appears outside this column — such pairs carry no evidence
-// about coherence and are skipped (at web scale every real value occurs
-// elsewhere; at laptop scale long-tail synonyms may not).
-func (x *CooccurrenceIndex) npmiDiscounted(u, v string) (float64, bool) {
-	du := x.DocFreq(u) - 1
-	dv := x.DocFreq(v) - 1
+// npmiDiscounted is NPMI of two values, given their posting lists, with one
+// column of co-occurrence (the column under evaluation) removed from all
+// counts. The boolean is false when either value never appears outside this
+// column — such pairs carry no evidence about coherence and are skipped (at
+// web scale every real value occurs elsewhere; at laptop scale long-tail
+// synonyms may not).
+func (x *CooccurrenceIndex) npmiDiscounted(u, v []int32) (float64, bool) {
+	du := len(u) - 1
+	dv := len(v) - 1
 	if du <= 0 || dv <= 0 {
 		return 0, false
 	}
-	co := x.CoFreq(u, v) - 1
+	co := intersectCount(u, v) - 1
 	if co <= 0 || x.n <= 1 {
 		// Both values are known elsewhere but never together: strong
 		// evidence of incoherence.

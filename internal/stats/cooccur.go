@@ -16,7 +16,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 
 	"mapsynth/internal/table"
 	"mapsynth/internal/textnorm"
@@ -102,27 +101,51 @@ func (x *CooccurrenceIndex) DocFreq(v string) int { return len(x.columns[v]) }
 // CoFreq returns |C(u) ∩ C(v)|: the number of columns containing both
 // normalized values.
 func (x *CooccurrenceIndex) CoFreq(u, v string) int {
-	a, b := x.columns[u], x.columns[v]
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
+	return intersectCount(x.columns[u], x.columns[v])
+}
+
+// intersectCount returns the size of the intersection of two ascending,
+// duplicate-free posting lists.
+func intersectCount(a, b []int32) int {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	// a is shorter. Galloping intersection keeps this cheap for skewed lists.
+	// a is shorter. Lists of similar length are merged; a much longer b is
+	// searched instead, each search starting where the last one ended.
 	count := 0
-	lo := 0
-	for _, id := range a {
-		i := lo + sort.Search(len(b)-lo, func(k int) bool { return b[lo+k] >= id })
-		if i < len(b) && b[i] == id {
-			count++
-			lo = i + 1
-		} else {
-			lo = i
+	if len(b) < 8*len(a) {
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			switch {
+			case a[i] == b[j]:
+				count++
+				i++
+				j++
+			case a[i] < b[j]:
+				i++
+			default:
+				j++
+			}
 		}
-		if lo >= len(b) {
+		return count
+	}
+	for _, id := range a {
+		lo, hi := 0, len(b)
+		for lo < hi { // first position with b[pos] >= id
+			mid := int(uint(lo+hi) >> 1)
+			if b[mid] < id {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(b) {
 			break
 		}
+		if b[lo] == id {
+			count++
+			lo++
+		}
+		b = b[lo:]
 	}
 	return count
 }

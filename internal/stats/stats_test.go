@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"mapsynth/internal/table"
+	"mapsynth/internal/textnorm"
 )
 
 // corpusOf builds a corpus of single-column tables, one per value list.
@@ -179,6 +183,114 @@ func TestAppendEquivalence(t *testing.T) {
 					t.Fatalf("split %d: NPMI(%s,%s) %v vs %v", split, u, v, in, fn)
 				}
 			}
+		}
+	}
+}
+
+// TestIntersectCountMatchesSet checks both strategies of intersectCount —
+// the merge for lists of similar length and the search for skewed ones —
+// against a set, including empty lists and lists that end before the other.
+func TestIntersectCountMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randList := func(n, universe int) []int32 {
+		set := make(map[int32]struct{}, n)
+		for len(set) < n {
+			set[int32(rng.Intn(universe))] = struct{}{}
+		}
+		out := make([]int32, 0, n)
+		for v := range set {
+			out = append(out, v)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		universe := 1 + rng.Intn(400)
+		a := randList(rng.Intn(min(universe, 12)+1), universe)
+		b := randList(rng.Intn(min(universe, 300)+1), universe)
+		in := make(map[int32]struct{}, len(a))
+		for _, v := range a {
+			in[v] = struct{}{}
+		}
+		want := 0
+		for _, v := range b {
+			if _, ok := in[v]; ok {
+				want++
+			}
+		}
+		if got := intersectCount(a, b); got != want {
+			t.Fatalf("intersectCount(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got := intersectCount(b, a); got != want {
+			t.Fatalf("intersectCount(b, a) = %d, want %d for a=%v b=%v", got, want, a, b)
+		}
+	}
+}
+
+// TestColumnCoherenceMatchesPairwiseLookups recomputes S(C) the way it was
+// computed before posting lists were fetched once per value — DocFreq and
+// CoFreq looked up per pair — and requires the identical float.
+func TestColumnCoherenceMatchesPairwiseLookups(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	vocab := make([]string, 40)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("Value %d", i)
+	}
+	var cols [][]string
+	for c := 0; c < 60; c++ {
+		col := make([]string, 2+rng.Intn(40))
+		for i := range col {
+			col[i] = vocab[rng.Intn(len(vocab))]
+		}
+		cols = append(cols, col)
+	}
+	idx := BuildIndex(corpusOf(cols...))
+	for _, col := range cols {
+		var distinct []string
+		seen := map[string]bool{}
+		for _, v := range col {
+			nv := textnorm.Normalize(v)
+			if nv == "" || seen[nv] {
+				continue
+			}
+			seen[nv] = true
+			if distinct = append(distinct, nv); len(distinct) >= MaxCoherenceSample {
+				break
+			}
+		}
+		want := 1.0
+		if len(distinct) >= 2 {
+			var sum float64
+			pairs := 0
+			for i := range distinct {
+				for j := i + 1; j < len(distinct); j++ {
+					u, v := distinct[i], distinct[j]
+					du, dv := idx.DocFreq(u)-1, idx.DocFreq(v)-1
+					if du <= 0 || dv <= 0 {
+						continue
+					}
+					pairs++
+					co := idx.CoFreq(u, v) - 1
+					if co <= 0 || idx.n <= 1 {
+						sum += -1
+						continue
+					}
+					n := float64(idx.n)
+					puv := float64(co) / n
+					if puv >= 1 {
+						sum += 1
+						continue
+					}
+					sum += math.Log(puv/(float64(du)/n*(float64(dv)/n))) / (-math.Log(puv))
+				}
+			}
+			want = 0
+			if pairs > 0 {
+				want = sum / float64(pairs)
+			}
+		}
+		if got := idx.ColumnCoherence(col); got != want {
+			t.Fatalf("ColumnCoherence = %v, pairwise lookups give %v", got, want)
 		}
 	}
 }

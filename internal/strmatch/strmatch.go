@@ -14,7 +14,12 @@
 // DP matrix is filled, making a single comparison O(θed · min{|v1|, |v2|}).
 package strmatch
 
-import "mapsynth/internal/textnorm"
+import (
+	"unicode/utf8"
+	"unsafe"
+
+	"mapsynth/internal/textnorm"
+)
 
 // DefaultFracEd is the paper's fractional edit-distance threshold fed.
 const DefaultFracEd = 0.2
@@ -51,12 +56,12 @@ func (m *Matcher) SetSynonyms(s *SynonymFeed) { m.syn = s }
 // Threshold returns θed for a pair of already-normalized values:
 // min{⌊|v1|·fed⌋, ⌊|v2|·fed⌋, ked}. Lengths are in runes.
 func (m *Matcher) Threshold(v1, v2 string) int {
-	l1 := len([]rune(v1))
-	l2 := len([]rune(v2))
-	t1 := int(float64(l1) * m.fracEd)
-	t2 := int(float64(l2) * m.fracEd)
-	t := t1
-	if t2 < t {
+	return m.threshold(utf8.RuneCountInString(v1), utf8.RuneCountInString(v2))
+}
+
+func (m *Matcher) threshold(n1, n2 int) int {
+	t := int(float64(n1) * m.fracEd)
+	if t2 := int(float64(n2) * m.fracEd); t2 < t {
 		t = t2
 	}
 	if m.kEd < t {
@@ -69,14 +74,22 @@ func (m *Matcher) Threshold(v1, v2 string) int {
 // either exactly, via the synonym feed, or within the banded edit-distance
 // threshold.
 func (m *Matcher) MatchNormalized(v1, v2 string) bool {
+	return v1 == v2 || m.MatchNormalizedLen(v1, v2, utf8.RuneCountInString(v1), utf8.RuneCountInString(v2))
+}
+
+// MatchNormalizedLen is MatchNormalized for callers that already hold the
+// values' lengths in runes (n1, n2): comparing one value against many, they
+// count once instead of once per comparison. A length gap beyond the
+// threshold is rejected before any dynamic program runs.
+func (m *Matcher) MatchNormalizedLen(v1, v2 string, n1, n2 int) bool {
 	if v1 == v2 {
 		return true
 	}
 	if m.syn != nil && m.syn.AreSynonyms(v1, v2) {
 		return true
 	}
-	t := m.Threshold(v1, v2)
-	if t == 0 {
+	t := m.threshold(n1, n2)
+	if t == 0 || n1-n2 > t || n2-n1 > t {
 		return false
 	}
 	return WithinDistance(v1, v2, t)
@@ -88,15 +101,48 @@ func (m *Matcher) Match(v1, v2 string) bool {
 	return m.MatchNormalized(textnorm.Normalize(v1), textnorm.Normalize(v2))
 }
 
+// stackLen bounds the inputs WithinDistance handles without touching the
+// heap: decoded runes and DP rows of values up to this long live in stack
+// arrays. Cell values are names and codes, almost always shorter.
+const stackLen = 64
+
 // WithinDistance reports whether the Levenshtein distance between a and b is
 // at most maxDist, using a banded DP (Algorithm 2 in the paper) that fills
 // only cells within maxDist of the diagonal. It runs in
-// O(maxDist · min{|a|, |b|}) time and O(min{|a|,|b|}) space.
+// O(maxDist · min{|a|, |b|}) time and O(min{|a|,|b|}) space. Distances are in
+// runes; ASCII inputs are compared bytewise in place, others are decoded
+// first.
 func WithinDistance(a, b string, maxDist int) bool {
 	if maxDist < 0 {
 		return false
 	}
-	ra, rb := []rune(a), []rune(b)
+	if isASCII(a) && isASCII(b) {
+		// A read-only byte view of the strings: no copy, never written.
+		return withinDistance(unsafe.Slice(unsafe.StringData(a), len(a)),
+			unsafe.Slice(unsafe.StringData(b), len(b)), maxDist)
+	}
+	var bufA, bufB [stackLen]rune
+	return withinDistance(appendRunes(bufA[:0], a), appendRunes(bufB[:0], b), maxDist)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// withinDistance is the banded DP over bytes (ASCII inputs) or runes.
+func withinDistance[T byte | rune](ra, rb []T, maxDist int) bool {
 	if len(ra) > len(rb) {
 		ra, rb = rb, ra
 	}
@@ -104,16 +150,24 @@ func WithinDistance(a, b string, maxDist int) bool {
 	if len(rb)-len(ra) > maxDist {
 		return false
 	}
-	if maxDist == 0 {
-		return string(ra) == string(rb)
-	}
 	n, m2 := len(ra), len(rb)
+	if maxDist == 0 {
+		for i := range ra {
+			if ra[i] != rb[i] {
+				return false
+			}
+		}
+		return true
+	}
 	// prev[j] and cur[j] hold DP rows indexed by position in rb (0..m2).
 	// Cells outside the band are sentinel (maxDist + 1): "too far".
 	const pad = 1
 	inf := maxDist + pad
-	prev := make([]int, m2+1)
-	cur := make([]int, m2+1)
+	var rows [2 * (stackLen + 1)]int
+	prev, cur := rows[:stackLen+1], rows[stackLen+1:]
+	if m2 > stackLen {
+		prev, cur = make([]int, m2+1), make([]int, m2+1)
+	}
 	for j := 0; j <= m2; j++ {
 		if j <= maxDist {
 			prev[j] = j

@@ -30,26 +30,99 @@ func TestDistanceBasic(t *testing.T) {
 
 func TestWithinDistanceAgreesWithFullDP(t *testing.T) {
 	// Property: the banded check agrees with the exact distance for all
-	// thresholds on random short strings.
+	// thresholds, on every path WithinDistance has: ASCII compared in
+	// place, multibyte decoded to runes, one side of each, and inputs longer
+	// than the stack rows (stackLen) on either path.
 	rng := rand.New(rand.NewSource(7))
-	alphabet := "abcd"
-	randStr := func() string {
-		n := rng.Intn(12)
+	ascii := []rune("abcd")
+	multi := []rune("aé日𝄞") // 1-, 2-, 3- and 4-byte runes
+	randStr := func(alphabet []rune, maxLen int) string {
+		n := rng.Intn(maxLen)
 		var b strings.Builder
 		for i := 0; i < n; i++ {
-			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
 		}
 		return b.String()
 	}
-	for i := 0; i < 3000; i++ {
-		a, b := randStr(), randStr()
+	// mutate applies up to k random edits, so long strings stay within
+	// reach of the larger thresholds instead of always being "far".
+	mutate := func(s string, alphabet []rune, k int) string {
+		r := []rune(s)
+		for e := rng.Intn(k + 1); e > 0; e-- {
+			pos := rng.Intn(len(r) + 1)
+			switch op := rng.Intn(3); {
+			case op == 0 || len(r) == 0 || pos == len(r):
+				r = append(r[:pos], append([]rune{alphabet[rng.Intn(len(alphabet))]}, r[pos:]...)...)
+			case op == 1:
+				r = append(r[:pos], r[pos+1:]...)
+			default:
+				r[pos] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		return string(r)
+	}
+	check := func(a, b string) {
+		t.Helper()
 		d := Distance(a, b)
-		for _, th := range []int{0, 1, 2, 3, 5, 8} {
-			got := WithinDistance(a, b, th)
-			want := d <= th
-			if got != want {
+		for _, th := range []int{0, 1, 2, 3, 5, 8, 12} {
+			if got, want := WithinDistance(a, b, th), d <= th; got != want {
 				t.Fatalf("WithinDistance(%q, %q, %d) = %v, exact distance %d", a, b, th, got, d)
 			}
+			if WithinDistance(a, b, th) != WithinDistance(b, a, th) {
+				t.Fatalf("WithinDistance(%q, %q, %d) is not symmetric", a, b, th)
+			}
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		check(randStr(ascii, 12), randStr(ascii, 12))
+		check(randStr(multi, 12), randStr(multi, 12))
+		check(randStr(ascii, 12), randStr(multi, 12))
+	}
+	for i := 0; i < 300; i++ {
+		for _, alphabet := range [][]rune{ascii, multi} {
+			a := randStr(alphabet, 3*stackLen)
+			check(a, mutate(a, alphabet, 10))
+			check(a, mutate(a, multi, 10))
+			check(a, randStr(alphabet, 3*stackLen))
+		}
+	}
+	// Exactly at the stack-row boundary.
+	edge := strings.Repeat("a", stackLen)
+	check(edge, edge+"b")
+	check(edge[1:], edge)
+	check(edge+"bc", edge+"cb")
+}
+
+func TestWithinDistanceShortInputsDoNotAllocate(t *testing.T) {
+	for _, p := range [][2]string{
+		{"korea republic of south korea", "korea republic of north korea"},
+		{"côte d ivoire", "cote d ivoire"},
+	} {
+		if n := testing.AllocsPerRun(100, func() { WithinDistance(p[0], p[1], 5) }); n != 0 {
+			t.Errorf("WithinDistance(%q, %q) allocates %v times, want 0", p[0], p[1], n)
+		}
+	}
+}
+
+func TestMatchNormalizedLenAgrees(t *testing.T) {
+	// The length-aware entry point must decide exactly as MatchNormalized:
+	// its early length-gap rejection is an optimisation, not a new rule.
+	rng := rand.New(rand.NewSource(11))
+	m := NewMatcher(0.2, 10)
+	words := []string{"", "a", "usa", "rsa", "korea republic of", "korea republic",
+		"american samoa", "american samoa us", "côte d ivoire", "cote d ivoire",
+		strings.Repeat("x", 70), strings.Repeat("x", 68) + "yy"}
+	for i := 0; i < 2000; i++ {
+		a, b := words[rng.Intn(len(words))], words[rng.Intn(len(words))]
+		want := a == b
+		if !want {
+			if th := m.Threshold(a, b); th > 0 {
+				want = Distance(a, b) <= th
+			}
+		}
+		got := m.MatchNormalizedLen(a, b, len([]rune(a)), len([]rune(b)))
+		if got != want || m.MatchNormalized(a, b) != want {
+			t.Fatalf("match(%q, %q) = %v / %v, want %v", a, b, got, m.MatchNormalized(a, b), want)
 		}
 	}
 }

@@ -17,7 +17,6 @@
 package synthesis
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"sort"
@@ -75,26 +74,68 @@ type mergeEntry struct {
 	a, b int // partition roots at push time, a < b
 }
 
+// before orders merges for the queue: heavier first, then by partition ids
+// so the order is total and the merge sequence deterministic.
+func (e mergeEntry) before(o mergeEntry) bool {
+	if e.pos != o.pos {
+		return e.pos > o.pos
+	}
+	if e.a != o.a {
+		return e.a < o.a
+	}
+	return e.b < o.b
+}
+
+// mergeHeap is a binary max-heap of mergeEntry under before. (A typed heap:
+// container/heap boxes every entry it is handed, and the merge loop pops
+// one per edge.)
 type mergeHeap []mergeEntry
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].pos != h[j].pos {
-		return h[i].pos > h[j].pos // max-heap on weight
+// init establishes the heap order over entries appended directly.
+func (h mergeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a // deterministic tie-break
-	}
-	return h[i].b < h[j].b
 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *mergeHeap) push(e mergeEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *mergeHeap) pop() mergeEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+func (h mergeHeap) down(i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			return
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
 }
 
 // Greedy runs Algorithm 3: start with singleton partitions; repeatedly merge
@@ -139,14 +180,28 @@ func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, 
 	// pos[r][s] / neg[r][s]: aggregated weights between partition roots.
 	// Invariant: for active roots r, keys of pos[r]/neg[r] are active roots
 	// and the maps are symmetric.
+	// The maps are sized by degree up front: growing them one insert at a
+	// time was a third of the set-up cost.
+	edges := g.Edges()
+	posDeg, negDeg := make([]int, n), make([]int, n)
+	for _, e := range edges {
+		if e.Pos != 0 {
+			posDeg[e.A]++
+			posDeg[e.B]++
+		}
+		if e.Neg != 0 {
+			negDeg[e.A]++
+			negDeg[e.B]++
+		}
+	}
 	pos := make([]map[int]float64, n)
 	neg := make([]map[int]float64, n)
 	for i := 0; i < n; i++ {
-		pos[i] = make(map[int]float64)
-		neg[i] = make(map[int]float64)
+		pos[i] = make(map[int]float64, posDeg[i])
+		neg[i] = make(map[int]float64, negDeg[i])
 	}
-	h := &mergeHeap{}
-	for _, e := range g.Edges() {
+	h := make(mergeHeap, 0, len(edges))
+	for _, e := range edges {
 		if e.Pos != 0 {
 			pos[e.A][e.B] = e.Pos
 			pos[e.B][e.A] = e.Pos
@@ -156,17 +211,18 @@ func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, 
 			neg[e.B][e.A] = e.Neg
 		}
 		if e.Pos > 0 && e.Neg >= tau {
-			heap.Push(h, mergeEntry{pos: e.Pos, a: e.A, b: e.B})
+			h = append(h, mergeEntry{pos: e.Pos, a: e.A, b: e.B})
 		}
 	}
+	h.init()
 
 	iter := 0
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		iter++
 		if iter%greedyCancelStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		top := heap.Pop(h).(mergeEntry)
+		top := h.pop()
 		ra, rb := find(top.a), find(top.b)
 		if ra == rb {
 			continue // already merged
@@ -215,7 +271,7 @@ func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, 
 				if a > b {
 					a, b = b, a
 				}
-				heap.Push(h, mergeEntry{pos: w, a: a, b: b})
+				h.push(mergeEntry{pos: w, a: a, b: b})
 			}
 		}
 	}

@@ -17,12 +17,13 @@ import (
 // does not have exactly one negative edge below tau.
 func MinCutSingleNegative(g *graph.Graph, tau float64) (Partitioning, bool) {
 	var negEdge *graph.Edge
-	for _, e := range g.Edges() {
-		if e.Neg < tau {
+	edges := g.Edges()
+	for i := range edges {
+		if edges[i].Neg < tau {
 			if negEdge != nil {
 				return nil, false
 			}
-			negEdge = e
+			negEdge = &edges[i]
 		}
 	}
 	if negEdge == nil {
@@ -37,7 +38,7 @@ func MinCutSingleNegative(g *graph.Graph, tau float64) (Partitioning, bool) {
 	for i := range cap {
 		cap[i] = make([]float64, n)
 	}
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		if e.Pos > 0 {
 			cap[e.A][e.B] += e.Pos
 			cap[e.B][e.A] += e.Pos

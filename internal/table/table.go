@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
+
+	"mapsynth/internal/textnorm"
 )
 
 // Column is a single named column of string cells inside a Table.
@@ -96,6 +99,57 @@ type BinaryTable struct {
 	// Pairs holds the deduplicated (left, right) value pairs in first-seen
 	// order. Pairs with an empty left value are dropped at construction.
 	Pairs []Pair
+
+	// norm caches the normalized view, see Norm.
+	norm atomic.Pointer[Norm]
+}
+
+// NormPair is one distinct normalized value pair of a BinaryTable.
+type NormPair struct {
+	// L and R are the normalized values; L is never empty.
+	L, R string
+	// Key is textnorm.PairKey(L, R), the pair's identity across tables.
+	Key string
+	// Src indexes the first of the table's Pairs that normalizes to this
+	// pair — its representative surface form.
+	Src int
+}
+
+// Norm is the normalized view of a BinaryTable: its distinct normalized
+// pairs in first-seen order. Every value-based consumer — compatibility
+// scoring, conflict resolution, mapping assembly — reads this view, so a
+// table's values are normalized once however many stages look at them.
+type Norm struct {
+	Pairs []NormPair
+	// rawLen is len(BinaryTable.Pairs) when the view was built.
+	rawLen int
+}
+
+// Norm returns the table's normalized view, building it on first use. It is
+// safe for concurrent use. The view describes Pairs as they were when it was
+// built: edit Pairs only before the first call (appending is detected and
+// rebuilds the view; SortPairs drops it).
+func (b *BinaryTable) Norm() *Norm {
+	if v := b.norm.Load(); v != nil && v.rawLen == len(b.Pairs) {
+		return v
+	}
+	v := &Norm{Pairs: make([]NormPair, 0, len(b.Pairs)), rawLen: len(b.Pairs)}
+	seen := make(map[string]struct{}, len(b.Pairs))
+	for i, p := range b.Pairs {
+		nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
+		if !ok {
+			continue
+		}
+		k := textnorm.PairKey(nl, nr)
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		// L and R alias the key, so the view holds one string per pair.
+		v.Pairs = append(v.Pairs, NormPair{L: k[:len(nl)], R: k[len(nl)+1:], Key: k, Src: i})
+	}
+	b.norm.Store(v)
+	return v
 }
 
 // NewBinaryTable builds a BinaryTable from two parallel value slices,
@@ -185,6 +239,7 @@ func (b *BinaryTable) String() string {
 // SortPairs sorts the candidate's pairs lexicographically (left, then right).
 // Useful for deterministic output and tests.
 func (b *BinaryTable) SortPairs() {
+	b.norm.Store(nil)
 	sort.Slice(b.Pairs, func(i, j int) bool {
 		if b.Pairs[i].L != b.Pairs[j].L {
 			return b.Pairs[i].L < b.Pairs[j].L

@@ -1,8 +1,12 @@
 package table
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"mapsynth/internal/textnorm"
 )
 
 func TestTableBasics(t *testing.T) {
@@ -113,5 +117,62 @@ func TestPairSetMatchesPairs(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestNormView(t *testing.T) {
+	b := NewBinaryTable(0, 0, "d", "l", "r",
+		[]string{"Japan", "JAPAN", "Japan[1]", "[2]", "Peru", "---"},
+		[]string{"JPN", "jpn", "JPN", "x", "", "y"})
+	v := b.Norm()
+	want := []NormPair{
+		{L: "japan", R: "jpn", Key: "japan\x1fjpn", Src: 0},
+		{L: "peru", R: "", Key: "peru\x1f", Src: 4},
+	}
+	if len(v.Pairs) != len(want) {
+		t.Fatalf("Norm().Pairs = %+v, want %+v", v.Pairs, want)
+	}
+	for i := range want {
+		if v.Pairs[i] != want[i] {
+			t.Errorf("pair %d = %+v, want %+v", i, v.Pairs[i], want[i])
+		}
+	}
+	if b.Norm() != v {
+		t.Error("Norm must be computed once and cached")
+	}
+	// Editing Pairs is detected when it changes their number, and SortPairs
+	// drops the view because it moves the surface forms Src points at.
+	b.Pairs = append(b.Pairs, Pair{L: "Chile", R: "CHL"})
+	if got := b.Norm(); got == v || len(got.Pairs) != 3 {
+		t.Errorf("after append: %d pairs (same view: %v), want a rebuilt view of 3", len(got.Pairs), got == v)
+	}
+	b.SortPairs()
+	for _, np := range b.Norm().Pairs {
+		if p := b.Pairs[np.Src]; textnorm.Normalize(p.L) != np.L || textnorm.Normalize(p.R) != np.R {
+			t.Errorf("after SortPairs: Src of %+v points at %v", np, p)
+		}
+	}
+}
+
+func TestNormViewConcurrentFirstUse(t *testing.T) {
+	ls, rs := make([]string, 200), make([]string, 200)
+	for i := range ls {
+		ls[i], rs[i] = fmt.Sprintf("Left %d", i%150), fmt.Sprintf("R%d", i%150)
+	}
+	b := NewBinaryTable(0, 0, "d", "l", "r", ls, rs)
+	var wg sync.WaitGroup
+	sizes := make([]int, 8)
+	for g := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sizes[g] = len(b.Norm().Pairs)
+		}()
+	}
+	wg.Wait()
+	for _, n := range sizes {
+		if n != 150 {
+			t.Fatalf("concurrent Norm() saw %d pairs, want 150", n)
+		}
 	}
 }

@@ -12,15 +12,21 @@ package textnorm
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize canonicalizes a cell value for comparison: it lower-cases the
 // value, removes footnote marks like "[1]" or "[a]", replaces punctuation
 // with spaces, and collapses runs of whitespace. The empty string normalizes
-// to itself.
+// to itself. A value that is already normal is returned as is, without
+// allocating — the common case when serving normalizes query values and when
+// corpora carry lower-case codes.
 func Normalize(s string) string {
-	if s == "" {
-		return ""
+	if isNormal(s) {
+		return s
+	}
+	if out, ok := normalizeASCII(s); ok {
+		return out
 	}
 	s = stripFootnotes(s)
 	var b strings.Builder
@@ -40,6 +46,56 @@ func Normalize(s string) string {
 		}
 	}
 	return strings.TrimRight(b.String(), " ")
+}
+
+// isNormal reports whether s is a fixed point of Normalize that can be
+// recognised bytewise: ASCII lower-case letters and digits, separated by
+// single spaces, with no space at either end. (Normal values with non-ASCII
+// letters exist too; they take the general path and come out equal.)
+func isNormal(s string) bool {
+	prevSpace := true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			prevSpace = false
+		case c == ' ' && !prevSpace:
+			prevSpace = true
+		default:
+			return false
+		}
+	}
+	return !prevSpace || s == ""
+}
+
+// normalizeASCII is Normalize for the bulk of real cells — ASCII text
+// without footnote brackets — done bytewise into a buffer that stays on the
+// stack for values of ordinary length, so it allocates only its result. It
+// reports false, having done nothing, for any other input.
+func normalizeASCII(s string) (string, bool) {
+	var stack [64]byte
+	buf := stack[:0]
+	prevSpace := true // true suppresses a leading space
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf || c == '[':
+			return "", false
+		case 'A' <= c && c <= 'Z':
+			buf = append(buf, c+('a'-'A'))
+			prevSpace = false
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			buf = append(buf, c)
+			prevSpace = false
+		case !prevSpace:
+			buf = append(buf, ' ')
+			prevSpace = true
+		}
+	}
+	if prevSpace && len(buf) > 0 {
+		buf = buf[:len(buf)-1]
+	}
+	return string(buf), true
 }
 
 // stripFootnotes removes bracketed footnote markers such as "[1]", "[a]",
