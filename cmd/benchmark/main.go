@@ -6,92 +6,20 @@
 //	benchmark [-experiment all|figure7|figure8|figure9|figure10|figure11|
 //	           figure14|figure15|sensitivity|appendixJ|appendixI|extraction]
 //	          [-seed N]
-//	benchmark -suite [-out BENCH_N.json] [-seed N] [-scale F] [-duration D]
-//	          [-compare BENCH_OLD.json] [-tolerance F]
-//
-// With -suite it instead runs the serving performance suite (synthesis wall
-// time per stage, snapshot write time, cold activation cost, lookup ns/op
-// and allocs/op, and a closed-loop loadgen throughput/percentile run) and prints the result as JSON — the repeatable
-// baseline the BENCH_*.json trajectory is built from. With -compare the new
-// result is gated against an older report: any lower-is-better metric
-// present in both that grew past -tolerance (a ratio; 0.5 allows 1.5×)
-// fails the run with exit code 1, which is what the CI regression job keys
-// off.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"mapsynth/internal/benchmark"
 	"mapsynth/internal/experiments"
 )
-
-// runSuite executes the serving suite, writes its JSON to stdout and, when
-// -out is set, to a file. When compare names an older report, the new result
-// is gated against it and regressions fail the run.
-func runSuite(seed int64, scale float64, duration time.Duration, out, compare string, tolerance float64) int {
-	res, err := benchmark.RunSuite(context.Background(), benchmark.SuiteOptions{
-		Seed:     seed,
-		Scale:    scale,
-		Duration: duration,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchmark: %v\n", err)
-		return 1
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchmark: %v\n", err)
-		return 1
-	}
-	data = append(data, '\n')
-	os.Stdout.Write(data)
-	if out != "" {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchmark: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	}
-	if compare != "" {
-		old, err := benchmark.ReadResult(compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchmark: %v\n", err)
-			return 1
-		}
-		regs := benchmark.Compare(old, res, tolerance)
-		if len(regs) == 0 {
-			fmt.Fprintf(os.Stderr, "no regressions vs %s (tolerance %.2f)\n", compare, tolerance)
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "REGRESSIONS vs %s (tolerance %.2f):\n", compare, tolerance)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %-36s %.4g -> %.4g (%.2fx)\n", r.Metric, r.Old, r.New, r.Ratio)
-		}
-		return 1
-	}
-	return 0
-}
 
 func main() {
 	exp := flag.String("experiment", "all", "which experiment to run")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "corpus seed")
-	suite := flag.Bool("suite", false, "run the serving performance suite instead of the paper experiments")
-	scale := flag.Float64("scale", 1.0, "corpus scale for -suite; 1.0 is the full seed corpus")
-	duration := flag.Duration("duration", 3*time.Second, "loadgen serving phase length for -suite")
-	out := flag.String("out", "", "also write the -suite JSON result to this file")
-	compare := flag.String("compare", "", "gate the -suite result against this older BENCH_N.json; regressions exit nonzero")
-	tolerance := flag.Float64("tolerance", 0.5, "allowed growth ratio for -compare (0.5 allows 1.5x)")
 	flag.Parse()
-
-	if *suite {
-		os.Exit(runSuite(*seed, *scale, *duration, *out, *compare, *tolerance))
-	}
 
 	w := os.Stdout
 	needEnv := map[string]bool{

@@ -14,9 +14,9 @@ import (
 	"net/http"
 	"os"
 
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/serve"
 	"mapsynth/pkg/client"
 )
@@ -24,7 +24,11 @@ import (
 func main() {
 	fmt.Println("generating web corpus and synthesizing mappings...")
 	corpus := corpusgen.GenerateWeb(corpusgen.Options{Seed: 42})
-	res := core.New(core.DefaultConfig()).Synthesize(corpus.Tables)
+	res, err := pipeline.New(pipeline.DefaultConfig()).Run(context.Background(), corpus.Tables)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	c, shutdown, err := serveMappings(res.Mappings)
 	if err != nil {

@@ -17,11 +17,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/curation"
 	"mapsynth/internal/expansion"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/refdata"
 	"mapsynth/internal/serve"
 	"mapsynth/internal/snapshot"
@@ -44,7 +44,10 @@ func main() {
 func run() error {
 	fmt.Println("generating web corpus and synthesizing mappings...")
 	corpus := corpusgen.GenerateWeb(corpusgen.Options{Seed: 42})
-	res := core.New(core.DefaultConfig()).Synthesize(corpus.Tables)
+	res, err := pipeline.New(pipeline.DefaultConfig()).Run(context.Background(), corpus.Tables)
+	if err != nil {
+		return err
+	}
 
 	// 1. Curation view: popularity-ranked report of the clusters a human
 	// would inspect (the paper reviews only mappings from >= 8 domains).

@@ -21,9 +21,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/serve"
 	"mapsynth/internal/snapshot"
 	"mapsynth/pkg/client"
@@ -46,8 +46,16 @@ func run() error {
 	defer os.RemoveAll(dir)
 
 	fmt.Println("synthesizing web corpus (default) and enterprise corpus...")
-	web := core.New(core.DefaultConfig()).Synthesize(corpusgen.GenerateWeb(corpusgen.Options{Seed: 42}).Tables)
-	ent := core.New(core.DefaultConfig()).Synthesize(corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 42}).Tables)
+	ctx := context.Background()
+	engine := pipeline.New(pipeline.DefaultConfig())
+	web, err := engine.Run(ctx, corpusgen.GenerateWeb(corpusgen.Options{Seed: 42}).Tables)
+	if err != nil {
+		return err
+	}
+	ent, err := engine.Run(ctx, corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 42}).Tables)
+	if err != nil {
+		return err
+	}
 	webSnap := filepath.Join(dir, "web.snap")
 	entSnap := filepath.Join(dir, "enterprise.snap")
 	if err := snapshot.WriteFileV2(webSnap, web.Mappings); err != nil {
@@ -75,7 +83,6 @@ func run() error {
 	go hs.Serve(ln)
 	defer hs.Close()
 	c := client.New("http://" + ln.Addr().String())
-	ctx := context.Background()
 
 	infos, err := c.Corpora(ctx)
 	if err != nil {
@@ -106,7 +113,10 @@ func run() error {
 	// 4. Lifecycle: replace the enterprise corpus with a refreshed
 	// generation, roll it back, then re-activate it by version. Every
 	// swap is atomic; the default corpus never notices.
-	refreshed := core.New(core.DefaultConfig()).Synthesize(corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 7}).Tables)
+	refreshed, err := engine.Run(ctx, corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 7}).Tables)
+	if err != nil {
+		return err
+	}
 	refreshedSnap := filepath.Join(dir, "enterprise-v2.snap")
 	if err := snapshot.WriteFileV2(refreshedSnap, refreshed.Mappings); err != nil {
 		return err

@@ -13,8 +13,8 @@ import (
 	"net/http"
 	"os"
 
-	"mapsynth/internal/core"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/serve"
 	"mapsynth/internal/table"
 	"mapsynth/pkg/client"
@@ -45,9 +45,14 @@ func main() {
 			col("ioc", "GER", "USA", "FRA", "CHN")),
 	}
 
-	cfg := core.DefaultConfig()
+	cfg := pipeline.DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1 // toy corpus: skip statistics filter
-	result := core.New(cfg).Synthesize(corpus)
+	ctx := context.Background()
+	result, err := pipeline.New(cfg).Run(ctx, corpus)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("synthesized %d mappings from %d tables\n\n", len(result.Mappings), len(corpus))
 
 	// Serve the synthesized mappings on a local listener and talk to the
@@ -58,7 +63,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer shutdown()
-	ctx := context.Background()
 
 	h, err := c.Healthz(ctx)
 	if err != nil {

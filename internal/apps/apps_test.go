@@ -46,7 +46,7 @@ func TestAutoCorrectTable3(t *testing.T) {
 	// Table 3 of the paper: a state column mixing full names with
 	// abbreviations; the abbreviations get corrected to full names.
 	column := []string{"California", "Washington", "Oregon", "CA", "WA"}
-	res := AutoCorrect(ix, column, 2, 0.8)
+	res := autoCorrectOne(ix, AutoCorrectQuery{Column: column, MinEach: 2, MinCoverage: 0.8})
 	if res.MappingIndex != 0 {
 		t.Fatalf("MappingIndex = %d", res.MappingIndex)
 	}
@@ -65,7 +65,7 @@ func TestAutoCorrectMajorityAbbreviations(t *testing.T) {
 	ix := stateIndex()
 	// Majority abbreviations: the lone full name becomes an abbreviation.
 	column := []string{"CA", "WA", "OR", "Texas"}
-	res := AutoCorrect(ix, column, 1, 0.8)
+	res := autoCorrectOne(ix, AutoCorrectQuery{Column: column, MinEach: 1, MinCoverage: 0.8})
 	if res.MappingIndex != 0 || len(res.Corrections) != 1 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -76,7 +76,7 @@ func TestAutoCorrectMajorityAbbreviations(t *testing.T) {
 
 func TestAutoCorrectCleanColumn(t *testing.T) {
 	ix := stateIndex()
-	res := AutoCorrect(ix, []string{"California", "Washington"}, 1, 0.8)
+	res := autoCorrectOne(ix, AutoCorrectQuery{Column: []string{"California", "Washington"}, MinEach: 1, MinCoverage: 0.8})
 	if res.MappingIndex != -1 {
 		t.Errorf("clean column flagged: %+v", res)
 	}
@@ -86,7 +86,7 @@ func TestAutoFillTable4(t *testing.T) {
 	ix := stateIndex()
 	// Table 4 of the paper: city column, one example pair, fill the rest.
 	column := []string{"San Francisco", "Seattle", "Los Angeles", "Houston", "Denver"}
-	res := AutoFill(ix, column, []Example{{Left: "San Francisco", Right: "California"}}, 0.8)
+	res := autoFillOne(ix, AutoFillQuery{Column: column, Examples: []Example{{Left: "San Francisco", Right: "California"}}, MinCoverage: 0.8})
 	if res.MappingIndex != 1 {
 		t.Fatalf("MappingIndex = %d", res.MappingIndex)
 	}
@@ -100,8 +100,8 @@ func TestAutoFillTable4(t *testing.T) {
 
 func TestAutoFillRejectsContradictingExample(t *testing.T) {
 	ix := stateIndex()
-	res := AutoFill(ix, []string{"San Francisco", "Seattle"},
-		[]Example{{Left: "San Francisco", Right: "Nevada"}}, 0.8)
+	res := autoFillOne(ix, AutoFillQuery{Column: []string{"San Francisco", "Seattle"},
+		Examples: []Example{{Left: "San Francisco", Right: "Nevada"}}, MinCoverage: 0.8})
 	if res.MappingIndex != -1 {
 		t.Errorf("contradicting example accepted: %+v", res)
 	}
@@ -117,7 +117,7 @@ func TestAutoJoinTable5(t *testing.T) {
 	ix := indexOf(bridge)
 	keysA := []string{"GE", "WMT", "MSFT", "ORCL", "UPS"}
 	keysB := []string{"General Electric", "Walmart", "Oracle", "Microsoft Corp.", "AT&T Inc."}
-	res := AutoJoin(ix, keysA, keysB, 0.8)
+	res := autoJoinOne(ix, AutoJoinQuery{KeysA: keysA, KeysB: keysB, MinCoverage: 0.8})
 	if res.MappingIndex != 0 {
 		t.Fatalf("MappingIndex = %d", res.MappingIndex)
 	}
@@ -132,7 +132,7 @@ func TestAutoJoinTable5(t *testing.T) {
 
 func TestAutoJoinNoBridge(t *testing.T) {
 	ix := stateIndex()
-	res := AutoJoin(ix, []string{"zzz", "yyy"}, []string{"a"}, 0.5)
+	res := autoJoinOne(ix, AutoJoinQuery{KeysA: []string{"zzz", "yyy"}, KeysB: []string{"a"}, MinCoverage: 0.5})
 	if res.MappingIndex != -1 {
 		t.Errorf("expected no bridge, got %+v", res)
 	}

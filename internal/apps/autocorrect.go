@@ -5,10 +5,8 @@
 // and easy to scale" plug-in usage the paper advocates for pre-computed
 // mappings.
 //
-// Session is the supported entry point: it unifies the single and batch
-// call paths behind context-aware, query-struct methods. The positional
-// free functions and *Batch variants remain as deprecated byte-compatible
-// wrappers.
+// Session is the entry point: it unifies the single and batch call paths
+// behind context-aware, query-struct methods.
 package apps
 
 import (
@@ -40,23 +38,12 @@ type AutoCorrectResult struct {
 	Candidates []AutoCorrectResult
 }
 
-// AutoCorrect detects a column whose values mix the two sides of a known
+// autoCorrectOne detects a column whose values mix the two sides of a known
 // mapping (e.g. full state names and state abbreviations) and suggests
 // rewriting the minority side into the majority side using the mapping.
 //
-// minEach is the minimum number of values required on each side before the
-// mix is trusted (guards against coincidental overlaps); minCoverage is the
-// minimum fraction of column values the mapping must explain.
-//
-// Deprecated: use Session.AutoCorrect, which adds cancellation, pooling and
-// top-K candidates; this wrapper is kept byte-compatible for existing
-// callers.
-func AutoCorrect(ix Index, column []string, minEach int, minCoverage float64) AutoCorrectResult {
-	return autoCorrectOne(ix, AutoCorrectQuery{Column: column, MinEach: minEach, MinCoverage: minCoverage})
-}
-
-// autoCorrectOne answers one query; Candidates is populated only when the
-// query explicitly asked for TopK > 0.
+// Candidates is populated only when the query explicitly asked for
+// TopK > 0.
 func autoCorrectOne(ix Index, q AutoCorrectQuery) AutoCorrectResult {
 	k := q.TopK
 	if k < 1 {

@@ -23,24 +23,14 @@ type AutoFillResult struct {
 	Candidates []AutoFillResult
 }
 
-// AutoFill implements the Table-4 scenario: the user has a column of left
-// values and demonstrates the intended relationship with a few example
+// autoFillOne implements the Table-4 scenario: the user has a column of
+// left values and demonstrates the intended relationship with a few example
 // pairs; the system finds a synthesized mapping that covers the column and
 // agrees with every example, then fills the remaining rows.
 //
-// minCoverage is the minimum fraction of column values the mapping's left
-// column must contain.
-//
-// Deprecated: use Session.AutoFill, which adds cancellation, pooling and
-// top-K candidates; this wrapper is kept byte-compatible for existing
-// callers.
-func AutoFill(ix Index, column []string, examples []Example, minCoverage float64) AutoFillResult {
-	return autoFillOne(ix, AutoFillQuery{Column: column, Examples: examples, MinCoverage: minCoverage})
-}
-
-// autoFillOne answers one query; Candidates is populated only when the
-// query explicitly asked for TopK > 0, keeping TopK-less results identical
-// to the historical single-result shape.
+// Candidates is populated only when the query explicitly asked for
+// TopK > 0, keeping TopK-less results identical to the historical
+// single-result shape.
 func autoFillOne(ix Index, q AutoFillQuery) AutoFillResult {
 	k := q.TopK
 	if k < 1 {

@@ -28,24 +28,15 @@ type AutoJoinResult struct {
 	Candidates []AutoJoinResult
 }
 
-// AutoJoin implements the Table-5 scenario: table A's key column and table
-// B's key column use different representations (stock tickers vs company
-// names); a synthesized mapping whose left column covers A's keys and whose
-// right column covers B's keys acts as the bridge of a three-way join.
+// autoJoinOne implements the Table-5 scenario: table A's key column and
+// table B's key column use different representations (stock tickers vs
+// company names); a synthesized mapping whose left column covers A's keys
+// and whose right column covers B's keys acts as the bridge of a three-way
+// join. The mapping is chosen to maximize the number of bridged rows.
 //
-// The mapping is chosen to maximize the number of bridged rows; minCoverage
-// applies to A's column against the mapping's left side.
-//
-// Deprecated: use Session.AutoJoin, which adds cancellation, pooling and
-// top-K candidates; this wrapper is kept byte-compatible for existing
-// callers.
-func AutoJoin(ix Index, keysA, keysB []string, minCoverage float64) AutoJoinResult {
-	return autoJoinOne(ix, AutoJoinQuery{KeysA: keysA, KeysB: keysB, MinCoverage: minCoverage})
-}
-
-// autoJoinOne answers one query; Candidates is populated only when the
-// query explicitly asked for TopK > 0. Mappings that bridge zero rows
-// never qualify, matching the historical "best bridged > 0" selection.
+// Candidates is populated only when the query explicitly asked for
+// TopK > 0. Mappings that bridge zero rows never qualify, matching the
+// historical "best bridged > 0" selection.
 func autoJoinOne(ix Index, q AutoJoinQuery) AutoJoinResult {
 	k := q.TopK
 	if k < 1 {

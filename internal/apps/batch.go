@@ -1,13 +1,11 @@
 package apps
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"sync"
 
 	"mapsynth/internal/index"
-	"mapsynth/internal/pool"
 )
 
 // A multi-query Session call is the bulk counterpart of a single-query one:
@@ -25,66 +23,40 @@ import (
 //     repeated key columns), so this amortization is a real win, not a
 //     micro-optimization.
 
-// AutoFillQuery is one auto-fill column query, mirroring the arguments of
-// the deprecated AutoFill free function plus the optional TopK.
+// AutoFillQuery is one auto-fill column query.
 type AutoFillQuery struct {
-	Column      []string
-	Examples    []Example
+	Column   []string
+	Examples []Example
+	// MinCoverage is the minimum fraction of column values the mapping's
+	// left column must contain.
 	MinCoverage float64
 	// TopK, when > 0, additionally collects the results of the best K
 	// qualifying mappings into the result's Candidates.
 	TopK int
 }
 
-// AutoCorrectQuery is one auto-correct column query, mirroring the
-// arguments of the deprecated AutoCorrect free function plus the optional
-// TopK.
+// AutoCorrectQuery is one auto-correct column query.
 type AutoCorrectQuery struct {
-	Column      []string
-	MinEach     int
+	Column []string
+	// MinEach is the minimum number of values required on each side before
+	// the mix is trusted (guards against coincidental overlaps).
+	MinEach int
+	// MinCoverage is the minimum fraction of column values the mapping
+	// must explain.
 	MinCoverage float64
 	// TopK, when > 0, additionally collects the results of the best K
 	// qualifying mappings into the result's Candidates.
 	TopK int
 }
 
-// AutoJoinQuery is one key-column-pair join query, mirroring the arguments
-// of the deprecated AutoJoin free function plus the optional TopK.
+// AutoJoinQuery is one key-column-pair join query.
 type AutoJoinQuery struct {
 	KeysA, KeysB []string
-	MinCoverage  float64
+	// MinCoverage applies to A's column against the mapping's left side.
+	MinCoverage float64
 	// TopK, when > 0, additionally collects the results of the best K
 	// bridging mappings into the result's Candidates.
 	TopK int
-}
-
-// AutoFillBatch runs AutoFill over every query, fanning per-column work out
-// on p (nil selects a GOMAXPROCS-bounded pool) and sharing index lookups
-// between identical columns. results[i] equals AutoFill(ix, queries[i]...)
-// exactly. On cancellation it returns ctx's error and a nil slice.
-//
-// Deprecated: use Session.AutoFill — a batch is just a multi-query call.
-func AutoFillBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoFillQuery) ([]AutoFillResult, error) {
-	return NewSession(ix, WithPool(p)).AutoFill(ctx, queries)
-}
-
-// AutoCorrectBatch runs AutoCorrect over every query with the same pooling
-// and lookup sharing as AutoFillBatch. results[i] equals
-// AutoCorrect(ix, queries[i]...) exactly.
-//
-// Deprecated: use Session.AutoCorrect — a batch is just a multi-query call.
-func AutoCorrectBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoCorrectQuery) ([]AutoCorrectResult, error) {
-	return NewSession(ix, WithPool(p)).AutoCorrect(ctx, queries)
-}
-
-// AutoJoinBatch runs AutoJoin over every query. Lookup sharing keys on the
-// left key column (the side the index is consulted for), so joining one key
-// column against many target tables costs a single index scan. results[i]
-// equals AutoJoin(ix, queries[i]...) exactly.
-//
-// Deprecated: use Session.AutoJoin — a batch is just a multi-query call.
-func AutoJoinBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoJoinQuery) ([]AutoJoinResult, error) {
-	return NewSession(ix, WithPool(p)).AutoJoin(ctx, queries)
 }
 
 // CachedIndex wraps an Index so that repeated identical queries cost one

@@ -40,12 +40,12 @@ func TestAutoFillBatchMatchesSequential(t *testing.T) {
 		{Column: []string{"San Francisco", "Seattle"},
 			Examples: []Example{{Left: "San Francisco", Right: "Nevada"}}, MinCoverage: 0.8},
 	}
-	got, err := AutoFillBatch(context.Background(), ix, pool.New(4), queries)
+	got, err := NewSession(ix, WithPool(pool.New(4))).AutoFill(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want := AutoFill(ix, q.Column, q.Examples, q.MinCoverage)
+		want := autoFillOne(ix, q)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("query %d: batch = %+v, sequential = %+v", i, got[i], want)
 		}
@@ -59,12 +59,12 @@ func TestAutoCorrectBatchMatchesSequential(t *testing.T) {
 		{Column: []string{"CA", "WA", "OR", "Texas"}, MinEach: 1, MinCoverage: 0.8},
 		{Column: []string{"California", "Washington"}, MinEach: 1, MinCoverage: 0.8},
 	}
-	got, err := AutoCorrectBatch(context.Background(), ix, nil, queries)
+	got, err := NewSession(ix).AutoCorrect(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want := AutoCorrect(ix, q.Column, q.MinEach, q.MinCoverage)
+		want := autoCorrectOne(ix, q)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("query %d: batch = %+v, sequential = %+v", i, got[i], want)
 		}
@@ -78,12 +78,12 @@ func TestAutoJoinBatchMatchesSequential(t *testing.T) {
 			KeysB: []string{"TX", "CA", "WA"}, MinCoverage: 0.8},
 		{KeysA: []string{"zzz", "yyy"}, KeysB: []string{"a"}, MinCoverage: 0.5},
 	}
-	got, err := AutoJoinBatch(context.Background(), ix, pool.New(2), queries)
+	got, err := NewSession(ix, WithPool(pool.New(2))).AutoJoin(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want := AutoJoin(ix, q.KeysA, q.KeysB, q.MinCoverage)
+		want := autoJoinOne(ix, q)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("query %d: batch = %+v, sequential = %+v", i, got[i], want)
 		}
@@ -101,7 +101,7 @@ func TestBatchDeduplicatesLookups(t *testing.T) {
 	}
 	// A single worker makes the count deterministic; correctness under
 	// concurrency is covered by the sync.Once in the cache plus -race runs.
-	if _, err := AutoFillBatch(context.Background(), cix, pool.New(1), queries); err != nil {
+	if _, err := NewSession(cix, WithPool(pool.New(1))).AutoFill(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	if cix.lookups != 1 {
@@ -111,7 +111,7 @@ func TestBatchDeduplicatesLookups(t *testing.T) {
 	// Different parameters must not share.
 	queries = append(queries, AutoFillQuery{Column: col, MinCoverage: 0.5})
 	cix.lookups = 0
-	if _, err := AutoFillBatch(context.Background(), cix, pool.New(1), queries); err != nil {
+	if _, err := NewSession(cix, WithPool(pool.New(1))).AutoFill(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	if cix.lookups != 2 {
@@ -171,13 +171,13 @@ func TestBatchCancellation(t *testing.T) {
 	ix := stateIndex()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := AutoFillBatch(ctx, ix, nil, []AutoFillQuery{{Column: []string{"Seattle"}}}); err == nil || res != nil {
+	if res, err := NewSession(ix).AutoFill(ctx, []AutoFillQuery{{Column: []string{"Seattle"}}}); err == nil || res != nil {
 		t.Errorf("cancelled batch = (%v, %v), want nil result and an error", res, err)
 	}
-	if res, err := AutoCorrectBatch(ctx, ix, nil, []AutoCorrectQuery{{Column: []string{"CA"}}}); err == nil || res != nil {
+	if res, err := NewSession(ix).AutoCorrect(ctx, []AutoCorrectQuery{{Column: []string{"CA"}}}); err == nil || res != nil {
 		t.Errorf("cancelled batch = (%v, %v), want nil result and an error", res, err)
 	}
-	if res, err := AutoJoinBatch(ctx, ix, nil, []AutoJoinQuery{{KeysA: []string{"CA"}, KeysB: []string{"x"}}}); err == nil || res != nil {
+	if res, err := NewSession(ix).AutoJoin(ctx, []AutoJoinQuery{{KeysA: []string{"CA"}, KeysB: []string{"x"}}}); err == nil || res != nil {
 		t.Errorf("cancelled batch = (%v, %v), want nil result and an error", res, err)
 	}
 }
@@ -238,30 +238,30 @@ func TestBatchGoldenSeedCorpus(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := pool.New(workers)
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			gotF, err := AutoFillBatch(context.Background(), ix, p, fills)
+			gotF, err := NewSession(ix, WithPool(p)).AutoFill(context.Background(), fills)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range fills {
-				if want := AutoFill(ix, q.Column, q.Examples, q.MinCoverage); !reflect.DeepEqual(gotF[i], want) {
+				if want := autoFillOne(ix, q); !reflect.DeepEqual(gotF[i], want) {
 					t.Errorf("autofill %d: batch = %+v, sequential = %+v", i, gotF[i], want)
 				}
 			}
-			gotC, err := AutoCorrectBatch(context.Background(), ix, p, corrects)
+			gotC, err := NewSession(ix, WithPool(p)).AutoCorrect(context.Background(), corrects)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range corrects {
-				if want := AutoCorrect(ix, q.Column, q.MinEach, q.MinCoverage); !reflect.DeepEqual(gotC[i], want) {
+				if want := autoCorrectOne(ix, q); !reflect.DeepEqual(gotC[i], want) {
 					t.Errorf("autocorrect %d: batch = %+v, sequential = %+v", i, gotC[i], want)
 				}
 			}
-			gotJ, err := AutoJoinBatch(context.Background(), ix, p, joins)
+			gotJ, err := NewSession(ix, WithPool(p)).AutoJoin(context.Background(), joins)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range joins {
-				if want := AutoJoin(ix, q.KeysA, q.KeysB, q.MinCoverage); !reflect.DeepEqual(gotJ[i], want) {
+				if want := autoJoinOne(ix, q); !reflect.DeepEqual(gotJ[i], want) {
 					t.Errorf("autojoin %d: batch = %+v, sequential = %+v", i, gotJ[i], want)
 				}
 			}

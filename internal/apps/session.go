@@ -11,8 +11,8 @@ import (
 // within-call lookup deduplication, parameter defaults); its methods all
 // take a context and a slice of query structs — a single call is a
 // one-element slice, a batch is a longer one. The per-query results are
-// element-wise identical to the deprecated free functions, which is pinned
-// by golden equivalence tests.
+// element-wise identical to answering each query on its own, which is
+// pinned by golden equivalence tests.
 //
 // A Session is immutable after construction and safe for concurrent use;
 // the serving layer keeps one per loaded snapshot state.

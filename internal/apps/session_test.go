@@ -37,11 +37,11 @@ func sessionQueries() ([]AutoFillQuery, []AutoCorrectQuery, []AutoJoinQuery, []L
 	return fills, corrects, joins, lookups
 }
 
-// TestSessionMatchesFreeFunctions is the golden equivalence test of the v1
-// API redesign: for every query, the Session answer must be byte-identical
-// (JSON encoding) and structurally identical to the deprecated free
-// function's — across pool widths and with lookup dedup both on and off.
-func TestSessionMatchesFreeFunctions(t *testing.T) {
+// TestSessionMatchesSequential is the golden equivalence test of the
+// Session: a multi-query call — pooled, with lookup dedup on or off — must
+// answer every query byte-identically (JSON encoding) and structurally
+// identically to the per-query function run sequentially.
+func TestSessionMatchesSequential(t *testing.T) {
 	ix := stateIndex()
 	fills, corrects, joins, lookups := sessionQueries()
 	ctx := context.Background()
@@ -63,7 +63,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 			}
 			for i, q := range fills {
 				assertIdentical(t, fmt.Sprintf("autofill %d", i),
-					gotF[i], AutoFill(ix, q.Column, q.Examples, q.MinCoverage))
+					gotF[i], autoFillOne(ix, q))
 			}
 			gotC, err := v.sess.AutoCorrect(ctx, corrects)
 			if err != nil {
@@ -71,7 +71,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 			}
 			for i, q := range corrects {
 				assertIdentical(t, fmt.Sprintf("autocorrect %d", i),
-					gotC[i], AutoCorrect(ix, q.Column, q.MinEach, q.MinCoverage))
+					gotC[i], autoCorrectOne(ix, q))
 			}
 			gotJ, err := v.sess.AutoJoin(ctx, joins)
 			if err != nil {
@@ -79,10 +79,8 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 			}
 			for i, q := range joins {
 				assertIdentical(t, fmt.Sprintf("autojoin %d", i),
-					gotJ[i], AutoJoin(ix, q.KeysA, q.KeysB, q.MinCoverage))
+					gotJ[i], autoJoinOne(ix, q))
 			}
-			// Lookup has no legacy free function (it is new with Session);
-			// pin it against the single-query kernel directly.
 			gotL, err := v.sess.Lookup(ctx, lookups)
 			if err != nil {
 				t.Fatal(err)
@@ -95,11 +93,11 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 }
 
 // assertIdentical requires got and want to agree structurally and in their
-// JSON encoding (the byte-compatibility contract of the wrappers).
+// JSON encoding.
 func assertIdentical(t *testing.T, what string, got, want any) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: session = %+v, legacy = %+v", what, got, want)
+		t.Errorf("%s: session = %+v, sequential = %+v", what, got, want)
 		return
 	}
 	gb, err := json.Marshal(got)
@@ -111,7 +109,7 @@ func assertIdentical(t *testing.T, what string, got, want any) {
 		t.Fatalf("%s: %v", what, err)
 	}
 	if string(gb) != string(wb) {
-		t.Errorf("%s: JSON differs:\nsession: %s\nlegacy:  %s", what, gb, wb)
+		t.Errorf("%s: JSON differs:\nsession:    %s\nsequential: %s", what, gb, wb)
 	}
 }
 
@@ -128,7 +126,7 @@ func TestSessionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := AutoCorrect(ix, []string{"California", "Washington", "OR", "Texas"}, 2, 0.8); !reflect.DeepEqual(res[0], want) {
+	if want := autoCorrectOne(ix, AutoCorrectQuery{Column: []string{"California", "Washington", "OR", "Texas"}, MinEach: 2, MinCoverage: 0.8}); !reflect.DeepEqual(res[0], want) {
 		t.Errorf("defaulted = %+v, explicit = %+v", res[0], want)
 	}
 	// An explicit MinEach overrides the default and finds the fix.

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"mapsynth/internal/benchmark"
-	"mapsynth/internal/core"
 	"mapsynth/internal/expansion"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/refdata"
 	"mapsynth/internal/table"
 )
@@ -25,7 +25,7 @@ type UsefulnessShares struct {
 // shares depend on corpus composition, but meaningful mappings should
 // dominate.
 func AppendixJ(w io.Writer, env *Env, topN int) UsefulnessShares {
-	_, res := env.RunSynthesis(core.DefaultConfig())
+	_, res := env.RunSynthesis(pipeline.DefaultConfig())
 
 	// Truth sets for every relation present in the corpus, with kinds.
 	type rel struct {
@@ -116,7 +116,7 @@ type ExpansionResult struct {
 // cores are grown with trusted-source instances (a simulated data.gov feed),
 // which helps large or rare relations whose tail has little web presence.
 func AppendixI(w io.Writer, env *Env) []ExpansionResult {
-	_, res := env.RunSynthesis(core.DefaultConfig())
+	_, res := env.RunSynthesis(pipeline.DefaultConfig())
 	outputs := MappingOutputs(res)
 
 	// Trusted feeds: the full airport-IATA roster and the full CAS list.

@@ -5,7 +5,7 @@ import (
 	"os"
 	"testing"
 
-	"mapsynth/internal/core"
+	"mapsynth/internal/pipeline"
 )
 
 func sharedTestEnv(t *testing.T) *Env {
@@ -134,7 +134,7 @@ func TestSensitivitySubset(t *testing.T) {
 	// resulting mappings change very little").
 	var fs []float64
 	for _, th := range []float64{0.93, 0.95, 0.97} {
-		cfg := core.DefaultConfig()
+		cfg := pipeline.DefaultConfig()
 		cfg.Extract.ThetaFD = th
 		r, _ := env.RunSynthesis(cfg)
 		fs = append(fs, r.Avg.F)

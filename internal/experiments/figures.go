@@ -6,8 +6,8 @@ import (
 	"sort"
 	"time"
 
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
+	"mapsynth/internal/pipeline"
 )
 
 // Figure7 reproduces the paper's Figure 7: average F-score, precision and
@@ -54,7 +54,7 @@ func Figure9(w io.Writer, seed int64) []ScalePoint {
 	for _, f := range fractions {
 		corpus := corpusgen.GenerateWeb(corpusgen.Options{Seed: seed, SampleFraction: f})
 		t0 := time.Now()
-		core.New(core.DefaultConfig()).Synthesize(corpus.Tables)
+		synthesize(pipeline.DefaultConfig(), corpus.Tables)
 		points = append(points, ScalePoint{
 			Fraction: f,
 			Tables:   len(corpus.Tables),
@@ -77,7 +77,7 @@ func Figure9(w io.Writer, seed int64) []ScalePoint {
 // baseline on the 30-case Enterprise benchmark.
 func Figure10(w io.Writer, seed int64) (synth, entTable *MethodResult) {
 	env := NewEnterpriseEnv(seed)
-	synth, _ = env.RunSynthesis(core.DefaultConfig())
+	synth, _ = env.RunSynthesis(pipeline.DefaultConfig())
 	entTable = env.RunSingleTables("EntTable", "")
 	rows := [][]string{
 		{"method", "avg-F", "avg-P", "avg-R"},
@@ -92,7 +92,7 @@ func Figure10(w io.Writer, seed int64) (synth, entTable *MethodResult) {
 // with sample instances, taken from the most popular clusters.
 func Figure11(w io.Writer, seed int64) {
 	env := NewEnterpriseEnv(seed)
-	_, res := env.RunSynthesis(core.DefaultConfig())
+	_, res := env.RunSynthesis(pipeline.DefaultConfig())
 	fmt.Fprintln(w, "== Figure 11: example enterprise mappings (top clusters by popularity) ==")
 	n := 0
 	for _, m := range res.Mappings {
@@ -221,16 +221,16 @@ type Figure15Result struct {
 // conflict resolution, the precision/recall shift, and the comparison with
 // majority voting (Appendix K).
 func Figure15(w io.Writer, env *Env) Figure15Result {
-	withCfg := core.DefaultConfig()
+	withCfg := pipeline.DefaultConfig()
 	withRes, _ := env.RunSynthesis(withCfg)
 
-	noCfg := core.DefaultConfig()
-	noCfg.Resolution = core.ResolveNone
+	noCfg := pipeline.DefaultConfig()
+	noCfg.Resolution = pipeline.ResolveNone
 	noRes, _ := env.RunSynthesis(noCfg)
 	noRes.Name = "Synthesis W/O Resolution"
 
-	mvCfg := core.DefaultConfig()
-	mvCfg.Resolution = core.ResolveMajority
+	mvCfg := pipeline.DefaultConfig()
+	mvCfg.Resolution = pipeline.ResolveMajority
 	mvRes, _ := env.RunSynthesis(mvCfg)
 	mvRes.Name = "MajorityVoting"
 

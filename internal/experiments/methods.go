@@ -13,10 +13,10 @@ import (
 	"mapsynth/internal/baselines"
 	"mapsynth/internal/benchmark"
 	"mapsynth/internal/compat"
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/extract"
 	"mapsynth/internal/graph"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/pool"
 	"mapsynth/internal/stats"
 	"mapsynth/internal/table"
@@ -104,8 +104,18 @@ func pairSetsFromLists(lists [][]table.Pair) []benchmark.PairSet {
 	return out
 }
 
+// synthesize runs the full pipeline over tables. Run fails only when its
+// context is cancelled, which the experiments never do.
+func synthesize(cfg pipeline.Config, tables []*table.Table) *pipeline.Result {
+	res, err := pipeline.New(cfg).Run(context.Background(), tables)
+	if err != nil {
+		panic("experiments: uncancelled pipeline run failed: " + err.Error())
+	}
+	return res
+}
+
 // MappingOutputs converts a synthesis result to evaluation sets.
-func MappingOutputs(res *core.Result) []benchmark.PairSet {
+func MappingOutputs(res *pipeline.Result) []benchmark.PairSet {
 	out := make([]benchmark.PairSet, len(res.Mappings))
 	for i, m := range res.Mappings {
 		out[i] = benchmark.PairSetFromTablePairs(m.Pairs)
@@ -115,9 +125,9 @@ func MappingOutputs(res *core.Result) []benchmark.PairSet {
 
 // RunSynthesis runs the full pipeline (its own extraction and graph, so its
 // runtime is honest end-to-end) and evaluates it.
-func (e *Env) RunSynthesis(cfg core.Config) (*MethodResult, *core.Result) {
+func (e *Env) RunSynthesis(cfg pipeline.Config) (*MethodResult, *pipeline.Result) {
 	t0 := time.Now()
-	res := core.New(cfg).Synthesize(e.Corpus.Tables)
+	res := synthesize(cfg, e.Corpus.Tables)
 	rt := time.Since(t0)
 	name := "Synthesis"
 	if cfg.DisableNegativeSignal {
@@ -202,8 +212,8 @@ func (e *Env) RunKB(name string, seed int64) *MethodResult {
 
 // RunAllMethods runs the 12 methods of Figure 7 in the paper's order.
 func (e *Env) RunAllMethods(seed int64) []*MethodResult {
-	synth, _ := e.RunSynthesis(core.DefaultConfig())
-	posCfg := core.DefaultConfig()
+	synth, _ := e.RunSynthesis(pipeline.DefaultConfig())
+	posCfg := pipeline.DefaultConfig()
 	posCfg.DisableNegativeSignal = true
 	synthPos, _ := e.RunSynthesis(posCfg)
 	return []*MethodResult{

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"mapsynth/internal/core"
+	"mapsynth/internal/pipeline"
 )
 
 // SensitivityPoint is one parameter setting's outcome.
@@ -24,8 +24,8 @@ type SensitivityPoint struct {
 // efficiency knob with stable quality; θedge has a quality sweet spot.
 func Sensitivity(w io.Writer, env *Env) []SensitivityPoint {
 	var points []SensitivityPoint
-	run := func(param string, value float64, mutate func(*core.Config)) {
-		cfg := core.DefaultConfig()
+	run := func(param string, value float64, mutate func(*pipeline.Config)) {
+		cfg := pipeline.DefaultConfig()
 		mutate(&cfg)
 		r, res := env.RunSynthesis(cfg)
 		points = append(points, SensitivityPoint{
@@ -34,19 +34,19 @@ func Sensitivity(w io.Writer, env *Env) []SensitivityPoint {
 	}
 	for _, th := range []float64{0.93, 0.94, 0.95, 0.96, 0.97} {
 		th := th
-		run("theta", th, func(c *core.Config) { c.Extract.ThetaFD = th })
+		run("theta", th, func(c *pipeline.Config) { c.Extract.ThetaFD = th })
 	}
 	for _, tau := range []float64{0, -0.05, -0.1, -0.2, -0.4, -0.8} {
 		tau := tau
-		run("tau", tau, func(c *core.Config) { c.Tau = tau })
+		run("tau", tau, func(c *pipeline.Config) { c.Tau = tau })
 	}
 	for _, ov := range []float64{1, 2, 3, 4} {
 		ov := ov
-		run("theta_overlap", ov, func(c *core.Config) { c.Compat.ThetaOverlap = int(ov) })
+		run("theta_overlap", ov, func(c *pipeline.Config) { c.Compat.ThetaOverlap = int(ov) })
 	}
 	for _, te := range []float64{0.1, 0.2, 0.3, 0.5, 0.7, 0.85} {
 		te := te
-		run("theta_edge", te, func(c *core.Config) { c.Compat.ThetaEdge = te })
+		run("theta_edge", te, func(c *pipeline.Config) { c.Compat.ThetaEdge = te })
 	}
 	rows := [][]string{{"param", "value", "avg-F", "#mappings"}}
 	for _, p := range points {

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"mapsynth/internal/benchmark"
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
+	"mapsynth/internal/pipeline"
 )
 
 // TestSmokePipeline runs the whole pipeline on the web corpus and checks
@@ -16,8 +16,7 @@ func TestSmokePipeline(t *testing.T) {
 	corpus := corpusgen.GenerateWeb(corpusgen.Options{Seed: 42})
 	t.Logf("corpus: %d tables (%.1fs)", len(corpus.Tables), time.Since(start).Seconds())
 
-	syn := core.New(core.DefaultConfig())
-	res := syn.Synthesize(corpus.Tables)
+	res := synthesize(pipeline.DefaultConfig(), corpus.Tables)
 	t.Logf("extract: %+v filterRate=%.2f", res.ExtractStats, res.ExtractStats.FilterRate())
 	t.Logf("candidates=%d edges=%d partitions=%d removed=%d mappings=%d",
 		res.Candidates, res.Edges, res.Partitions, res.TablesRemoved, len(res.Mappings))

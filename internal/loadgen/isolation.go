@@ -20,47 +20,37 @@ import (
 // admission works, the victim barely notices the bully; if it regresses,
 // the ratio blows past the bound and CI fails.
 
-// IsolationConfig parameterizes RunIsolation. The zero value selects a
-// short two-phase run sized for CI.
-type IsolationConfig struct {
-	// PhaseDuration bounds each phase (solo, then contended); <= 0
-	// selects 2s.
-	PhaseDuration time.Duration
-	// Victim and Abuser name the two tenants; defaults "interactive" and
-	// "bulk".
-	Victim string
-	Abuser string
-	// VictimConcurrency / AbuserConcurrency are the closed-loop worker
-	// counts; <= 0 select 2 and 4.
-	VictimConcurrency int
-	AbuserConcurrency int
-	// Slots is the server's shared fair-queue capacity
-	// (Options.MaxBatchRows); <= 0 selects 4 — small, so the abuser's
-	// rows genuinely contend with the victim's lookups.
-	Slots int
-	// BatchSize is the abuser's NDJSON lines per request; <= 0 selects 32.
-	BatchSize int
-	// AbuserRate / AbuserBurst configure the abuser's token bucket; <= 0
-	// select 20 req/s with burst 4 — far below what an unpaced closed loop
-	// issues, so the abuser's throttle counters must move.
-	AbuserRate  float64
-	AbuserBurst int
-	// VictimWeight / AbuserWeight are the server-side QoS weights; <= 0
-	// select 4 and 1.
-	VictimWeight int
-	AbuserWeight int
-	// MaxP99Ratio bounds contended p99 / solo p99; <= 0 selects 2.0.
-	MaxP99Ratio float64
-	// SlackMs is absolute headroom added to the bound; <= 0 selects 15ms.
-	// It absorbs scheduler jitter when the solo baseline is
-	// sub-millisecond, and — because fair-queue slots are non-preemptive —
-	// it must cover one batch row's service time: an interactive request
-	// can be head-of-line blocked until the next slot release, so heavier
-	// corpora (longer rows) need proportionally more slack.
-	SlackMs float64
-	// Seed feeds both generators.
-	Seed int64
-}
+// The scenario's shape is fixed, so every run gates the same thing.
+const (
+	isoVictim = "interactive"
+	isoAbuser = "bulk"
+	// Closed-loop worker counts.
+	isoVictimConcurrency = 2
+	isoAbuserConcurrency = 4
+	// isoSlots is the server's shared fair-queue capacity
+	// (Options.MaxBatchRows) — small, so the abuser's rows genuinely
+	// contend with the victim's lookups.
+	isoSlots = 4
+	// isoBatchSize is the abuser's NDJSON lines per request.
+	isoBatchSize = 32
+	// isoAbuserRate / isoAbuserBurst configure the abuser's token bucket:
+	// far below what an unpaced closed loop issues, so the abuser's
+	// throttle counters must move.
+	isoAbuserRate  = 20.0
+	isoAbuserBurst = 4
+	// Server-side QoS weights.
+	isoVictimWeight = 4
+	isoAbuserWeight = 1
+	// isoMaxP99Ratio bounds contended p99 / solo p99.
+	isoMaxP99Ratio = 2.0
+	// isoSlackMs is absolute headroom added to the bound. It absorbs
+	// scheduler jitter when the solo baseline is sub-millisecond, and —
+	// because fair-queue slots are non-preemptive — it must cover one batch
+	// row's service time: an interactive request can be head-of-line
+	// blocked until the next slot release, so heavier corpora (longer rows)
+	// need proportionally more slack.
+	isoSlackMs = 15.0
+)
 
 // PhaseReport is one tenant's aggregate view of one phase.
 type PhaseReport struct {
@@ -71,9 +61,7 @@ type PhaseReport struct {
 	P99Ms     float64 `json:"p99_ms"`
 }
 
-// IsolationResult is the scenario's verdict plus the evidence behind it,
-// recorded into BENCH_N.json so the trajectory of the isolation margin is
-// tracked like any other performance number.
+// IsolationResult is the scenario's verdict plus the evidence behind it.
 type IsolationResult struct {
 	Victim string `json:"victim"`
 	Abuser string `json:"abuser"`
@@ -97,63 +85,21 @@ type IsolationResult struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-func (cfg *IsolationConfig) applyDefaults() {
-	if cfg.PhaseDuration <= 0 {
-		cfg.PhaseDuration = 2 * time.Second
-	}
-	if cfg.Victim == "" {
-		cfg.Victim = "interactive"
-	}
-	if cfg.Abuser == "" {
-		cfg.Abuser = "bulk"
-	}
-	if cfg.VictimConcurrency <= 0 {
-		cfg.VictimConcurrency = 2
-	}
-	if cfg.AbuserConcurrency <= 0 {
-		cfg.AbuserConcurrency = 4
-	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = 4
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.AbuserRate <= 0 {
-		cfg.AbuserRate = 20
-	}
-	if cfg.AbuserBurst <= 0 {
-		cfg.AbuserBurst = 4
-	}
-	if cfg.VictimWeight <= 0 {
-		cfg.VictimWeight = 4
-	}
-	if cfg.AbuserWeight <= 0 {
-		cfg.AbuserWeight = 1
-	}
-	if cfg.MaxP99Ratio <= 0 {
-		cfg.MaxP99Ratio = 2.0
-	}
-	if cfg.SlackMs <= 0 {
-		cfg.SlackMs = 15
-	}
-}
-
 // RunIsolation builds an in-process server over maps with the two tenants
-// configured, measures the victim's solo baseline, then reruns the victim
-// beside the abusive batch tenant and issues the verdict.
-func RunIsolation(ctx context.Context, cfg IsolationConfig, maps []*mapping.Mapping) (*IsolationResult, error) {
-	cfg.applyDefaults()
+// configured, measures the victim's solo baseline for one phase, then
+// reruns the victim beside the abusive batch tenant for another and issues
+// the verdict. seed feeds both generators.
+func RunIsolation(ctx context.Context, phase time.Duration, seed int64, maps []*mapping.Mapping) (*IsolationResult, error) {
 	wl, err := NewWorkload(maps)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: isolation workload: %w", err)
 	}
 	srv := serve.NewFromMappings(maps, serve.Options{
-		MaxBatchRows: cfg.Slots,
+		MaxBatchRows: isoSlots,
 		CacheSize:    1024,
 		Tenants: []qos.Spec{
-			{Name: cfg.Victim, Weight: cfg.VictimWeight},
-			{Name: cfg.Abuser, Weight: cfg.AbuserWeight, Rate: cfg.AbuserRate, Burst: cfg.AbuserBurst},
+			{Name: isoVictim, Weight: isoVictimWeight},
+			{Name: isoAbuser, Weight: isoAbuserWeight, Rate: isoAbuserRate, Burst: isoAbuserBurst},
 		},
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -163,22 +109,22 @@ func RunIsolation(ctx context.Context, cfg IsolationConfig, maps []*mapping.Mapp
 	// fair queue's Interactive band must protect.
 	victimCfg := Config{
 		BaseURL:     ts.URL,
-		Duration:    cfg.PhaseDuration,
-		Concurrency: cfg.VictimConcurrency,
+		Duration:    phase,
+		Concurrency: isoVictimConcurrency,
 		Mix:         map[string]int{OpLookup: 1},
-		Seed:        cfg.Seed,
-		Tenants:     []TenantShare{{Name: cfg.Victim, Share: 1}},
+		Seed:        seed,
+		Tenants:     []TenantShare{{Name: isoVictim, Share: 1}},
 		Client:      ts.Client(),
 	}
 	// The abuser floods wide batch streams through the Batch band, unpaced.
 	abuserCfg := Config{
 		BaseURL:     ts.URL,
-		Duration:    cfg.PhaseDuration,
-		Concurrency: cfg.AbuserConcurrency,
-		BatchSize:   cfg.BatchSize,
+		Duration:    phase,
+		Concurrency: isoAbuserConcurrency,
+		BatchSize:   isoBatchSize,
 		Mix:         map[string]int{OpBatchAutoFill: 1},
-		Seed:        cfg.Seed + 1,
-		Tenants:     []TenantShare{{Name: cfg.Abuser, Share: 1}},
+		Seed:        seed + 1,
+		Tenants:     []TenantShare{{Name: isoAbuser, Share: 1}},
 		Client:      ts.Client(),
 	}
 
@@ -209,15 +155,15 @@ func RunIsolation(ctx context.Context, cfg IsolationConfig, maps []*mapping.Mapp
 	}
 
 	res := &IsolationResult{
-		Victim:    cfg.Victim,
-		Abuser:    cfg.Abuser,
-		Solo:      phaseOf(soloRep, cfg.Victim),
-		Contended: phaseOf(contendedRep, cfg.Victim),
-		AbuserRun: phaseOf(abuserRep, cfg.Abuser),
-		Bound:     cfg.MaxP99Ratio,
-		SlackMs:   cfg.SlackMs,
+		Victim:    isoVictim,
+		Abuser:    isoAbuser,
+		Solo:      phaseOf(soloRep, isoVictim),
+		Contended: phaseOf(contendedRep, isoVictim),
+		AbuserRun: phaseOf(abuserRep, isoAbuser),
+		Bound:     isoMaxP99Ratio,
+		SlackMs:   isoSlackMs,
 	}
-	res.ServerThrottled = srv.Stats().Tenants[cfg.Abuser].Throttled
+	res.ServerThrottled = srv.Stats().Tenants[isoAbuser].Throttled
 	if res.Solo.P99Ms > 0 {
 		res.P99Ratio = res.Contended.P99Ms / res.Solo.P99Ms
 	}
@@ -230,9 +176,9 @@ func RunIsolation(ctx context.Context, cfg IsolationConfig, maps []*mapping.Mapp
 	if res.Solo.Requests == 0 || res.Contended.Requests == 0 {
 		fail("victim issued no requests (solo %d, contended %d)", res.Solo.Requests, res.Contended.Requests)
 	}
-	if limit := res.Solo.P99Ms*cfg.MaxP99Ratio + cfg.SlackMs; res.Contended.P99Ms > limit {
+	if limit := res.Solo.P99Ms*isoMaxP99Ratio + isoSlackMs; res.Contended.P99Ms > limit {
 		fail("victim contended p99 %.2fms exceeds %.2fms (solo %.2fms x %.1f + %.0fms slack)",
-			res.Contended.P99Ms, limit, res.Solo.P99Ms, cfg.MaxP99Ratio, cfg.SlackMs)
+			res.Contended.P99Ms, limit, res.Solo.P99Ms, isoMaxP99Ratio, isoSlackMs)
 	}
 	if res.Contended.Errors > 0 {
 		fail("victim saw %d errors while contended", res.Contended.Errors)

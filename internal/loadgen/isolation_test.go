@@ -10,7 +10,7 @@ import (
 
 // TestTenantIsolation is the CI gate of the QoS layer: an abusive batch
 // tenant and a well-behaved interactive tenant share one server, and the
-// victim's contended p99 must stay within the configured multiple of its
+// victim's contended p99 must stay within the fixed multiple of its
 // own solo baseline while the abuser's throttle counters move. Skipped
 // under -short (it runs two multi-second load phases); the test-full and
 // tenant-isolation CI jobs run it.
@@ -18,10 +18,7 @@ func TestTenantIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("isolation scenario runs multi-second load phases; skipped in -short")
 	}
-	res, err := RunIsolation(context.Background(), IsolationConfig{
-		PhaseDuration: 1500 * time.Millisecond,
-		Seed:          42,
-	}, testMappings())
+	res, err := RunIsolation(context.Background(), 1500*time.Millisecond, 42, testMappings())
 	if err != nil {
 		t.Fatal(err)
 	}

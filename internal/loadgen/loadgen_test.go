@@ -130,7 +130,8 @@ func TestRunMixedWorkload(t *testing.T) {
 
 // TestRunIngestLane mixes the opt-in ingest op into a query workload
 // against an ingest-enabled server: zero errors, ingest rows acknowledged,
-// and the server's staleness report shows the log head advancing.
+// the server's staleness report shows the log head advancing, and once load
+// stops the log drains (applied_lsn reaches head_lsn, nothing pending).
 func TestRunIngestLane(t *testing.T) {
 	maps := testMappings()
 	srv := serve.NewFromMappings(maps, serve.Options{
@@ -167,14 +168,29 @@ func TestRunIngestLane(t *testing.T) {
 	if ing.Rows != ing.Count*2 {
 		t.Errorf("ingest rows = %d, want %d (2 per request)", ing.Rows, ing.Count*2)
 	}
-	info, err := client.New(ts.URL).Corpus(client.DefaultCorpus).Get(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every counted row is durable; the head can run ahead of the count by
-	// a request the deadline tore down after the server's fsync.
-	if info.Ingest == nil || info.Ingest.HeadLSN < ing.Rows {
-		t.Fatalf("server head LSN = %+v, want >= %d durable rows", info.Ingest, ing.Rows)
+	// Bounded staleness: once load stops the log must drain. Poll through
+	// the public API — the same staleness report operators watch.
+	corpus := client.New(ts.URL).Corpus(client.DefaultCorpus)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		info, err := corpus.Get(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := info.Ingest
+		// Every counted row is durable; the head can run ahead of the count
+		// by a request the deadline tore down after the server's fsync.
+		if st == nil || st.HeadLSN < ing.Rows {
+			t.Fatalf("server head LSN = %+v, want >= %d durable rows", st, ing.Rows)
+		}
+		if st.AppliedLSN == st.HeadLSN && !st.Pending {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ingest log did not drain: applied_lsn %d, head_lsn %d, pending %v",
+				st.AppliedLSN, st.HeadLSN, st.Pending)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -98,8 +98,6 @@ func (wl *Workload) autoCorrectReq(rng *rand.Rand) client.AutoCorrectRequest {
 	}
 }
 
-// autoJoinReq builds an auto-join request joining a mapping's left column
-// against its right column — the representation bridge the app resolves.
 // ingestTable builds one table for the ingest op: a random mapping's value
 // pairs under a generator-owned domain. The material re-states pairs the
 // corpus already supports, so continuous ingestion reinforces mappings
@@ -116,6 +114,8 @@ func (wl *Workload) ingestTable(rng *rand.Rand) client.IngestTable {
 	}
 }
 
+// autoJoinReq builds an auto-join request joining a mapping's left column
+// against its right column — the representation bridge the app resolves.
 func (wl *Workload) autoJoinReq(rng *rand.Rand) client.AutoJoinRequest {
 	mc := wl.random(rng)
 	return client.AutoJoinRequest{

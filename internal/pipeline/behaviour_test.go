@@ -1,51 +1,26 @@
-package core
+package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"mapsynth/internal/table"
 )
 
-// miniCorpus builds a tiny corpus with two confusable code systems: tables
-// of relation A (x->1 style) and relation B sharing lefts but with
-// different rights on half the entities, plus one dirty table.
-func miniCorpus() []*table.Table {
-	mkTable := func(id int, domain string, lefts, rights []string) *table.Table {
-		return &table.Table{
-			ID: id, Domain: domain,
-			Columns: []table.Column{
-				{Name: "name", Values: lefts},
-				{Name: "code", Values: rights},
-			},
-		}
+// mustRun synthesizes tables with cfg, failing the test on error.
+func mustRun(t *testing.T, cfg Config, tables []*table.Table) *Result {
+	t.Helper()
+	res, err := New(cfg).Run(context.Background(), tables)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lefts := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
-	codesA := []string{"A1", "B2", "C3", "D4", "E5", "F6"}
-	codesB := []string{"A1", "B2", "X3", "Y4", "Z5", "W6"} // half conflict
-	var tables []*table.Table
-	id := 0
-	for i := 0; i < 6; i++ {
-		tables = append(tables, mkTable(id, domainOf(i), lefts, codesA))
-		id++
-	}
-	for i := 0; i < 6; i++ {
-		tables = append(tables, mkTable(id, domainOf(i+3), lefts, codesB))
-		id++
-	}
-	// One dirty A-table with two swapped codes.
-	dirty := []string{"A1", "B2", "D4", "C3", "E5", "F6"}
-	tables = append(tables, mkTable(id, "dirty.com", lefts, dirty))
-	return tables
-}
-
-func domainOf(i int) string {
-	return string(rune('a'+i%8)) + ".com"
+	return res
 }
 
 func TestSynthesizeSeparatesConfusableSystems(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1 // tiny corpus: skip PMI filtering
-	res := New(cfg).Synthesize(miniCorpus())
+	res := mustRun(t, cfg, miniCorpus())
 	if len(res.Mappings) < 2 {
 		t.Fatalf("mappings = %d, want at least the two systems", len(res.Mappings))
 	}
@@ -72,7 +47,7 @@ func TestSynthesizePosMergesThem(t *testing.T) {
 	cfg.Extract.CoherenceThreshold = -1
 	cfg.DisableNegativeSignal = true
 	cfg.Resolution = ResolveNone
-	res := New(cfg).Synthesize(miniCorpus())
+	res := mustRun(t, cfg, miniCorpus())
 	merged := false
 	for _, m := range res.Mappings {
 		seen := map[string]bool{}
@@ -118,7 +93,7 @@ func TestConflictResolutionRemovesDirtyTable(t *testing.T) {
 	})
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1
-	res := New(cfg).Synthesize(tables)
+	res := mustRun(t, cfg, tables)
 	if res.TablesRemoved == 0 {
 		t.Error("conflict resolution should remove the dirty table's candidates")
 	}
@@ -134,7 +109,7 @@ func TestResolutionStrategies(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Extract.CoherenceThreshold = -1
 		cfg.Resolution = strat
-		res := New(cfg).Synthesize(miniCorpus())
+		res := mustRun(t, cfg, miniCorpus())
 		if len(res.Mappings) == 0 {
 			t.Errorf("strategy %v produced no mappings", strat)
 		}
@@ -145,7 +120,7 @@ func TestMinDomainsFilter(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1
 	cfg.MinDomains = 50 // impossible
-	res := New(cfg).Synthesize(miniCorpus())
+	res := mustRun(t, cfg, miniCorpus())
 	if len(res.Mappings) != 0 {
 		t.Errorf("MinDomains filter ignored: %d mappings", len(res.Mappings))
 	}
@@ -154,7 +129,7 @@ func TestMinDomainsFilter(t *testing.T) {
 func TestTimingsPopulated(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1
-	res := New(cfg).Synthesize(miniCorpus())
+	res := mustRun(t, cfg, miniCorpus())
 	if res.Timings.Total <= 0 {
 		t.Error("total timing missing")
 	}
@@ -168,7 +143,7 @@ func TestTimingsPopulated(t *testing.T) {
 func TestMappingsSortedByPopularity(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1
-	res := New(cfg).Synthesize(miniCorpus())
+	res := mustRun(t, cfg, miniCorpus())
 	for i := 1; i < len(res.Mappings); i++ {
 		if res.Mappings[i].NumDomains() > res.Mappings[i-1].NumDomains() {
 			t.Errorf("mappings not sorted by popularity at %d", i)

@@ -20,8 +20,8 @@
 // parallel. After deterministic re-sorting and ID assignment the output is
 // byte-identical to a monolithic sequential pass for any worker count.
 //
-// internal/core.Synthesize is a thin façade over this engine; cmd/synthesize
-// and internal/serve's rebuild path drive it directly.
+// cmd/synthesize, internal/serve's rebuild path, the experiments and the
+// examples all drive this engine directly.
 package pipeline
 
 import (

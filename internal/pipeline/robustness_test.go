@@ -1,4 +1,4 @@
-package core
+package pipeline
 
 import (
 	"strings"
@@ -51,7 +51,7 @@ func TestPipelineSurvivesDegenerateCorpora(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Extract.CoherenceThreshold = -1
-			res := New(cfg).Synthesize(corpus)
+			res := mustRun(t, cfg, corpus)
 			if res == nil {
 				t.Fatal("nil result")
 			}
@@ -71,8 +71,8 @@ func TestPipelineDeterministic(t *testing.T) {
 	corpus := miniCorpus()
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1
-	a := New(cfg).Synthesize(corpus)
-	b := New(cfg).Synthesize(corpus)
+	a := mustRun(t, cfg, corpus)
+	b := mustRun(t, cfg, corpus)
 	if len(a.Mappings) != len(b.Mappings) {
 		t.Fatalf("mapping counts differ: %d vs %d", len(a.Mappings), len(b.Mappings))
 	}
@@ -96,7 +96,7 @@ func TestMappingsSatisfyFunctionalInvariant(t *testing.T) {
 	corpus := miniCorpus()
 	cfg := DefaultConfig()
 	cfg.Extract.CoherenceThreshold = -1
-	res := New(cfg).Synthesize(corpus)
+	res := mustRun(t, cfg, corpus)
 	for _, m := range res.Mappings {
 		byLeft := map[string]map[string]bool{}
 		for _, p := range m.Pairs {

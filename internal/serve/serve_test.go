@@ -156,12 +156,17 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono := index.FromSource(image)
+	sess := apps.NewSession(index.FromSource(image))
+	ctx := context.Background()
 
 	t.Run("autofill", func(t *testing.T) {
 		column := []string{"San Francisco", "Seattle", "Portland", "Houston"}
 		examples := []apps.Example{{Left: "San Francisco", Right: "California"}}
-		direct := apps.AutoFill(mono, column, examples, 0.8)
+		res, err := sess.AutoFill(ctx, []apps.AutoFillQuery{{Column: column, Examples: examples, MinCoverage: 0.8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := res[0]
 
 		var resp autoFillResponse
 		postJSON(t, h, "/autofill", map[string]any{
@@ -183,7 +188,11 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 
 	t.Run("autocorrect", func(t *testing.T) {
 		column := []string{"California", "Washington", "OR", "Texas", "NV"}
-		direct := apps.AutoCorrect(mono, column, 2, 0.8)
+		res, err := sess.AutoCorrect(ctx, []apps.AutoCorrectQuery{{Column: column, MinEach: 2, MinCoverage: 0.8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := res[0]
 		var resp autoCorrectResponse
 		postJSON(t, h, "/autocorrect", map[string]any{"column": column}, &resp)
 		if resp.MappingIndex != direct.MappingIndex {
@@ -197,7 +206,11 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 	t.Run("autojoin", func(t *testing.T) {
 		keysA := []string{"California", "Washington", "Oregon", "Texas"}
 		keysB := []string{"TX", "CA", "WA", "OR", "ZZ"}
-		direct := apps.AutoJoin(mono, keysA, keysB, 0.8)
+		res, err := sess.AutoJoin(ctx, []apps.AutoJoinQuery{{KeysA: keysA, KeysB: keysB, MinCoverage: 0.8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := res[0]
 		var resp autoJoinResponse
 		postJSON(t, h, "/autojoin", map[string]any{"keys_a": keysA, "keys_b": keysB}, &resp)
 		if resp.MappingIndex != direct.MappingIndex || resp.Bridged != direct.Bridged {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,9 +11,9 @@ import (
 	"reflect"
 	"testing"
 
-	"mapsynth/internal/core"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/table"
 )
 
@@ -22,7 +23,10 @@ import (
 func smallMappings(t testing.TB) []*mapping.Mapping {
 	t.Helper()
 	corpus := corpusgen.GenerateWeb(corpusgen.Options{Seed: 7, SampleFraction: 0.2})
-	res := core.New(core.DefaultConfig()).Synthesize(corpus.Tables)
+	res, err := pipeline.New(pipeline.DefaultConfig()).Run(context.Background(), corpus.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Mappings) == 0 {
 		t.Fatal("pipeline produced no mappings")
 	}
