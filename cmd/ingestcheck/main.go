@@ -1,7 +1,7 @@
 // Command ingestcheck is the live-ingestion subsystem's end-to-end
 // acceptance check, run by CI. It synthesizes a base corpus with one table
 // held out, boots an ingest-enabled source node and a follower replica
-// behind a scatter-gather coordinator, then proves the whole loop:
+// behind the replica-routing coordinator, then proves the whole loop:
 //
 //  1. The held-out table streams in through POST /v1/corpora/{name}/tables
 //     and the staleness report converges (applied LSN == head LSN).

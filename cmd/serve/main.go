@@ -8,6 +8,8 @@
 //	      [-cache 4096] [-history 4]
 //	      [-batch-requests 32] [-batch-rows 256] [-batch-write-timeout 30s]
 //	      [-tenants interactive:4,bulk:1:50:10,*:1:100]
+//	serve -peers n1=host1:8080,n2=host2:8080 [-addr :8080]
+//	      [-probe-interval 2s] [-peer-timeout 10s]
 //
 // One process serves many named corpora: -snapshot loads the "default"
 // corpus and each repeatable -corpus name=path flag loads a further one.
@@ -79,6 +81,13 @@
 // X-Request-ID; -log-format selects json or text, -log-level the threshold.
 // -pprof-addr exposes net/http/pprof plus a second /metrics on a separate
 // admin listener (off by default — keep it off public interfaces).
+//
+// Cluster coordinator (see docs/cluster.md): with -peers the process
+// serves no data itself. It fronts the named peers, every one a full
+// replica, as one logical service: each request is proxied to an alive
+// replica at the freshest corpus version, dead peers are routed around,
+// and with none alive requests answer 503 not_ready. POST /v1/cluster/roll
+// ships a corpus's snapshot from the freshest replica to the others.
 //
 // SIGHUP hot-reloads every corpus's current snapshot path; SIGINT/SIGTERM
 // drain in-flight requests and exit.
@@ -154,13 +163,13 @@ func serveAdmin(addr string, reg *metrics.Registry, logger *slog.Logger) {
 // runCoordinator is -peers mode: the process serves no data itself;
 // instead it probes the named peers and fronts them as one logical
 // service (see internal/cluster and docs/cluster.md).
-func runCoordinator(peersSpec string, numShards int, addr string, probeInterval, peerTimeout time.Duration, logger *slog.Logger) {
+func runCoordinator(peersSpec, addr string, probeInterval, peerTimeout time.Duration, logger *slog.Logger) {
 	peers, err := cluster.ParsePeers(peersSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: -peers: %v\n", err)
 		os.Exit(2)
 	}
-	topo, err := cluster.NewTopology(peers, numShards)
+	topo, err := cluster.NewTopology(peers, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: -peers: %v\n", err)
 		os.Exit(2)
@@ -178,7 +187,7 @@ func runCoordinator(peersSpec string, numShards int, addr string, probeInterval,
 	defer stop()
 	co.Start(ctx)
 	for _, p := range topo.Peers {
-		fmt.Printf("serve: peer %s at %s (shards %v)\n", p.Name, p.Addr, p.Shards)
+		fmt.Printf("serve: peer %s at %s\n", p.Name, p.Addr)
 	}
 	fmt.Printf("serve: coordinating %d peers on %s\n", len(topo.Peers), addr)
 	hs := &http.Server{Addr: addr, Handler: co.Handler()}
@@ -219,10 +228,9 @@ func main() {
 	tenantsFlag := flag.String("tenants", "", "per-tenant QoS specs as name[:weight[:rate[:burst]]] comma-separated; \"*\" is the template for unlisted tenants (e.g. 'interactive:4,bulk:1:50:10,*:1:100'); @file reads the specs from a file SIGHUP re-reads; empty = every tenant unlimited, weight 1")
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "max PUT /v1/corpora/{name} body bytes (snapshot uploads); beyond it 413 payload_too_large; 0 = the batch body bound")
 	madviseFlag := flag.String("madvise", "", "page-cache hint applied to mmapped v2 snapshots: willneed (preload: snapshot fits the cache) or random (no read-ahead: snapshot dwarfs it); empty = none")
-	peersFlag := flag.String("peers", "", "coordinator mode: comma-separated peers as name=addr[=s0+s1+...] (shard list empty = full replica); the process serves scatter-gather routing instead of data")
-	clusterShards := flag.Int("cluster-shards", 0, "coordinator mode: global shard count partial peers are judged against; 0 = inferred from the peer shard lists")
+	peersFlag := flag.String("peers", "", "coordinator mode: comma-separated full-replica peers as name=addr; the process routes each request to an alive replica instead of serving data")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "coordinator mode: peer health probe period")
-	peerTimeout := flag.Duration("peer-timeout", 10*time.Second, "coordinator mode: per-peer deadline on proxied and scattered calls")
+	peerTimeout := flag.Duration("peer-timeout", 10*time.Second, "coordinator mode: per-peer deadline on probes, proxied requests and roll transfers")
 	rebuildProfile := flag.String("rebuild-profile", "", "enable POST /reload {\"rebuild\":true}: corpus profile (web or enterprise) to re-synthesize from")
 	rebuildSeed := flag.Int64("rebuild-seed", 42, "corpus seed for -rebuild-profile")
 	rebuildWorkers := flag.Int("rebuild-workers", 0, "pipeline workers for rebuilds; 0 = GOMAXPROCS")
@@ -239,7 +247,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *peersFlag != "" {
-		runCoordinator(*peersFlag, *clusterShards, *addr, *probeInterval, *peerTimeout, logger)
+		runCoordinator(*peersFlag, *addr, *probeInterval, *peerTimeout, logger)
 		return
 	}
 	if *snapPath == "" {

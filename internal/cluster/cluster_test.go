@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -47,9 +49,9 @@ func testNode(t *testing.T, maps []*mapping.Mapping) (*httptest.Server, *serve.S
 }
 
 // newTestCoordinator builds a probed coordinator over the given peers.
-func newTestCoordinator(t *testing.T, peers []Peer, numShards int) *Coordinator {
+func newTestCoordinator(t *testing.T, peers []Peer) *Coordinator {
 	t.Helper()
-	topo, err := NewTopology(peers, numShards)
+	topo, err := NewTopology(peers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,54 +64,33 @@ func newTestCoordinator(t *testing.T, peers []Peer, numShards int) *Coordinator 
 }
 
 func TestParsePeers(t *testing.T) {
-	peers, err := ParsePeers("a=http://h1:1,b=h2:2,c=http://h3:3=0+2")
+	peers, err := ParsePeers("a=http://h1:1,b=h2:2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Peer{
 		{Name: "a", Addr: "http://h1:1"},
 		{Name: "b", Addr: "http://h2:2"}, // scheme defaulted
-		{Name: "c", Addr: "http://h3:3", Shards: []int{0, 2}},
 	}
 	if !reflect.DeepEqual(peers, want) {
 		t.Errorf("ParsePeers = %+v, want %+v", peers, want)
 	}
-	for _, bad := range []string{"", "a", "=x", "a=b=zz", "bad name!=http://x"} {
+	for _, bad := range []string{"", "a", "=x", "a=b=zz", "bad name!=http://x", "c=h:3=0+2"} {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Errorf("ParsePeers(%q) accepted", bad)
 		}
 	}
+	if _, err := ParsePeers("c=h:3=0+2"); err == nil || !strings.Contains(err.Error(), "partial peers") {
+		t.Errorf("third field rejected with %v, want the partial-peers message", err)
+	}
 	if _, err := NewTopology(peers, 2); err == nil {
-		t.Error("NewTopology accepted shard 2 in a 2-shard topology")
+		t.Error("NewTopology accepted a non-zero second argument")
 	}
-	topo, err := NewTopology(peers, 0)
-	if err != nil {
+	if _, err := NewTopology(append(peers, peers[0]), 0); err == nil {
+		t.Error("NewTopology accepted a duplicate peer name")
+	}
+	if _, err := NewTopology(peers, 0); err != nil {
 		t.Fatal(err)
-	}
-	if topo.NumShards != 3 {
-		t.Errorf("inferred NumShards = %d, want 3", topo.NumShards)
-	}
-}
-
-func TestMissingShards(t *testing.T) {
-	topo, err := NewTopology([]Peer{
-		{Name: "a", Addr: "http://a", Shards: []int{0, 1}},
-		{Name: "b", Addr: "http://b", Shards: []int{1, 2}},
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := func(Peer) bool { return true }
-	if got := topo.missingShards(all); got != nil {
-		t.Errorf("full coverage missing = %v", got)
-	}
-	onlyA := func(p Peer) bool { return p.Name == "a" }
-	if got := topo.missingShards(onlyA); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("a-only missing = %v, want [2]", got)
-	}
-	none := func(Peer) bool { return false }
-	if got := topo.missingShards(none); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("none missing = %v, want [0 1 2]", got)
 	}
 }
 
@@ -122,7 +103,7 @@ func TestReplicaProxyRouting(t *testing.T) {
 	co := newTestCoordinator(t, []Peer{
 		{Name: "n1", Addr: ts1.URL},
 		{Name: "n2", Addr: ts2.URL},
-	}, 0)
+	})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 	c := client.New(front.URL, client.WithRetries(0))
@@ -202,7 +183,7 @@ func TestVersionAwareRouting(t *testing.T) {
 	co := newTestCoordinator(t, []Peer{
 		{Name: "n1", Addr: ts1.URL},
 		{Name: "n2", Addr: ts2.URL},
-	}, 0)
+	})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 	c := client.New(front.URL, client.WithRetries(0))
@@ -219,91 +200,131 @@ func TestVersionAwareRouting(t *testing.T) {
 	}
 }
 
-// TestScatterGather: a corpus partitioned across two peers answers through
-// the merge path; killing one peer degrades honestly instead of failing.
-func TestScatterGather(t *testing.T) {
-	// Shard 0 holds the state mapping, shard 1 a disjoint vocabulary.
-	tsA, _ := testNode(t, codedMappings("A", "California", "Washington"))
-	tsB, _ := testNode(t, codedMappings("B", "Oregon", "Texas", "Nevada"))
-	co := newTestCoordinator(t, []Peer{
-		{Name: "a", Addr: tsA.URL, Shards: []int{0}},
-		{Name: "b", Addr: tsB.URL, Shards: []int{1}},
-	}, 2)
+// TestCoordinatorParity: through a coordinator over one replica, every
+// request answers exactly what the node answers directly — status,
+// Content-Type and body (minus the fields that tick between two requests)
+// — and with the replica dead every routed surface answers the 503
+// not_ready envelope.
+func TestCoordinatorParity(t *testing.T) {
+	node, _ := testNode(t, codedMappings("N"))
+	co := newTestCoordinator(t, []Peer{{Name: "n1", Addr: node.URL}})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 
-	get := func(path string) (int, map[string]any) {
-		t.Helper()
-		resp, err := http.Get(front.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, m
+	const column = `"column":["California","Washington","Oregon"]`
+	const mixed = `"column":["California","Washington","N-Or","N-Te"]`
+	batch := func(lines ...string) string { return strings.Join(lines, "\n") + "\n" }
+	cases := []struct {
+		name, method, path, body string
+		status                   int
+	}{
+		{"lookup", "GET", "/v1/lookup?key=California", "", 200},
+		{"autofill", "POST", "/v1/autofill", `{` + column + `,"top_k":3}`, 200},
+		{"autocorrect", "POST", "/v1/autocorrect", `{` + mixed + `,"top_k":3}`, 200},
+		{"autojoin", "POST", "/v1/autojoin",
+			`{"keys_a":["California","Oregon"],"keys_b":["N-Ca","N-Or"],"top_k":3}`, 200},
+		{"batch autofill", "POST", "/v1/batch/autofill",
+			batch(`{"id":"a",`+column+`}`, `{"id":"b","column":["Texas"],"top_k":2}`), 200},
+		{"batch autocorrect", "POST", "/v1/batch/autocorrect",
+			batch(`{"id":"a",`+mixed+`}`, `{"id":"b","column":[]}`), 200},
+		{"batch autojoin", "POST", "/v1/batch/autojoin",
+			batch(`{"id":"a","keys_a":["California"],"keys_b":["N-Ca"],"top_k":2}`), 200},
+		{"corpora", "GET", "/v1/corpora", "", 200},
+		{"snapshot", "GET", "/v1/corpora/default/snapshot", "", 200},
+		{"corpus_not_found", "GET", "/v1/corpora/nope/lookup?key=California", "", 404},
+		{"bad_request", "GET", "/v1/lookup", "", 400},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			direct := doRequest(t, node.URL, tc.method, tc.path, tc.body)
+			proxied := doRequest(t, front.URL, tc.method, tc.path, tc.body)
+			if direct.status != tc.status {
+				t.Fatalf("node answered %d, want %d: %s", direct.status, tc.status, direct.body)
+			}
+			if proxied.status != direct.status || proxied.contentType != direct.contentType {
+				t.Errorf("coordinator %d %q, node %d %q",
+					proxied.status, proxied.contentType, direct.status, direct.contentType)
+			}
+			if !bytes.Equal(proxied.body, direct.body) {
+				t.Errorf("bodies differ:\ncoordinator: %s\nnode:        %s", proxied.body, direct.body)
+			}
+		})
 	}
 
-	// A key only peer b holds: the scatter merge must surface b's answer.
-	code, m := get("/v1/lookup?key=Texas")
-	if code != http.StatusOK || m["found"] != true || m["value"] != "B-Te" {
-		t.Fatalf("scatter lookup = %d %v", code, m)
-	}
-	if m["degraded"] != false {
-		t.Errorf("healthy scatter reports degraded: %v", m)
-	}
-	// A key only peer a holds.
-	if _, m := get("/v1/lookup?key=California"); m["value"] != "A-Ca" {
-		t.Errorf("lookup California = %v", m)
-	}
-
-	// Autofill scatters too.
-	resp, err := http.Post(front.URL+"/v1/autofill", "application/json",
-		strings.NewReader(`{"column":["Oregon","Texas"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var af map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&af); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if af["found"] != true || af["degraded"] != false {
-		t.Fatalf("scatter autofill = %v", af)
-	}
-
-	// Batch endpoints cannot scatter: with no full replica they 503 with
-	// the structured envelope.
-	resp, err = http.Post(front.URL+"/v1/batch/autofill", "application/x-ndjson",
-		strings.NewReader(`{"column":["x"]}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("partitioned batch = %d, want 503", resp.StatusCode)
-	}
-
-	// Kill peer b: lookups for its keys degrade — still 200, best-effort
-	// answer, with the missing shard named.
-	tsB.Close()
+	node.Close()
 	co.ProbeOnce(context.Background())
-	code, m = get("/v1/lookup?key=Texas")
-	if code != http.StatusOK {
-		t.Fatalf("degraded lookup = %d %v", code, m)
+	for _, tc := range []struct{ method, path, body string }{
+		{"GET", "/v1/lookup?key=California", ""},
+		{"POST", "/v1/batch/autofill", batch(`{` + column + `}`)},
+		{"PUT", "/v1/corpora/other", `{"snapshot":"x.snap"}`},
+	} {
+		got := doRequest(t, front.URL, tc.method, tc.path, tc.body)
+		if got.status != http.StatusServiceUnavailable || !bytes.Contains(got.body, []byte(`"code":"not_ready"`)) {
+			t.Errorf("%s %s with no replica alive = %d %s, want 503 not_ready", tc.method, tc.path, got.status, got.body)
+		}
 	}
-	if m["found"] != false || m["degraded"] != true {
-		t.Errorf("degraded lookup = %v", m)
+}
+
+type answer struct {
+	status      int
+	contentType string
+	body        []byte
+}
+
+// doRequest sends one request with a fixed X-Request-ID (so the echoed
+// request_id agrees between the two routes) and returns the answer with
+// JSON bodies normalized: clock-dependent keys dropped, NDJSON lines sorted
+// (batch results stream in completion order). Other bodies stay raw.
+func doRequest(t *testing.T, base, method, path, body string) answer {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ms, ok := m["missing_shards"].([]any); !ok || len(ms) != 1 || ms[0] != float64(1) {
-		t.Errorf("missing_shards = %v", m["missing_shards"])
+	req.Header.Set("X-Request-ID", "parity-"+strings.ReplaceAll(path, "/", "."))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Keys on the surviving peer still answer.
-	if _, m := get("/v1/lookup?key=California"); m["value"] != "A-Ca" || m["degraded"] != true {
-		t.Errorf("surviving-half lookup = %v", m)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	a := answer{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: raw}
+	if !strings.Contains(a.contentType, "json") {
+		return a
+	}
+	var lines []string
+	for _, ln := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var v any
+		if err := json.Unmarshal(ln, &v); err != nil {
+			t.Fatalf("%s %s: bad JSON line %q: %v", method, path, ln, err)
+		}
+		out, _ := json.Marshal(dropClockKeys(v))
+		lines = append(lines, string(out))
+	}
+	sort.Strings(lines)
+	a.body = []byte(strings.Join(lines, "\n"))
+	return a
+}
+
+func dropClockKeys(v any) any {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			if k == "uptime_s" || k == "age_s" {
+				delete(x, k)
+			} else {
+				x[k] = dropClockKeys(e)
+			}
+		}
+	case []any:
+		for i, e := range x {
+			x[i] = dropClockKeys(e)
+		}
+	}
+	return v
 }
 
 // TestRoll: snapshot shipping walks the replica set; afterwards every peer
@@ -320,7 +341,7 @@ func TestRoll(t *testing.T) {
 		{Name: "n1", Addr: ts1.URL},
 		{Name: "n2", Addr: ts2.URL},
 		{Name: "n3", Addr: ts3.URL},
-	}, 0)
+	})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 	c := client.New(front.URL, client.WithRetries(0))
@@ -399,7 +420,7 @@ func TestRollDelta(t *testing.T) {
 		{Name: "n1", Addr: ts1.URL},
 		{Name: "n2", Addr: ts2.URL},
 		{Name: "n3", Addr: ts3.URL},
-	}, 0)
+	})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 
@@ -441,7 +462,7 @@ func TestClusterClient(t *testing.T) {
 	co := newTestCoordinator(t, []Peer{
 		{Name: "n1", Addr: ts1.URL},
 		{Name: "n2", Addr: ts2.URL},
-	}, 0)
+	})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 
@@ -471,15 +492,15 @@ func TestClusterClient(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHealthz: ok with everyone up, degraded with partial
-// coverage, 503 with nobody alive.
+// TestCoordinatorHealthz: ok with everyone up, still ok with one replica
+// dead, 503 with nobody alive.
 func TestCoordinatorHealthz(t *testing.T) {
 	tsA, _ := testNode(t, codedMappings("A"))
-	tsB, _ := testNode(t, codedMappings("B"))
+	tsB, _ := testNode(t, codedMappings("A"))
 	co := newTestCoordinator(t, []Peer{
-		{Name: "a", Addr: tsA.URL, Shards: []int{0}},
-		{Name: "b", Addr: tsB.URL, Shards: []int{1}},
-	}, 2)
+		{Name: "a", Addr: tsA.URL},
+		{Name: "b", Addr: tsB.URL},
+	})
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
 
@@ -498,8 +519,8 @@ func TestCoordinatorHealthz(t *testing.T) {
 	}
 	tsB.Close()
 	co.ProbeOnce(context.Background())
-	if code, m := status(); code != http.StatusOK || m["status"] != "degraded" {
-		t.Fatalf("half-dead cluster = %d %v", code, m)
+	if code, m := status(); code != http.StatusOK || m["status"] != "ok" || m["alive"] != float64(1) {
+		t.Fatalf("one replica dead = %d %v", code, m)
 	}
 	tsA.Close()
 	co.ProbeOnce(context.Background())

@@ -15,30 +15,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mapsynth/internal/pool"
 	"mapsynth/pkg/client"
 )
 
 // Options configures a Coordinator.
 type Options struct {
-	// PeerTimeout bounds every proxied or scattered peer call; <= 0
-	// selects 10s.
+	// PeerTimeout bounds every proxied peer call, probe and roll
+	// transfer; <= 0 selects 10s.
 	PeerTimeout time.Duration
 	// ProbeInterval paces the background health prober; <= 0 selects 2s.
 	ProbeInterval time.Duration
-	// Workers bounds the scatter fan-out concurrency; < 1 selects
-	// GOMAXPROCS.
-	Workers int
-	// HTTPClient overrides the transport used for probes and scattered
-	// calls (tests inject the httptest client). Proxied requests use the
-	// default transport regardless.
-	HTTPClient *http.Client
 	// Logger receives structured coordinator logs; nil discards them.
 	Logger *slog.Logger
 }
 
 // peerConn is one peer plus its runtime machinery: a typed SDK client for
-// probes and scatter, a reverse proxy for point-to-point routing, and the
+// probes and rolls, a reverse proxy for point-to-point routing, and the
 // latest probe result.
 type peerConn struct {
 	peer   Peer
@@ -61,9 +53,7 @@ type Coordinator struct {
 	topo  *Topology
 	peers []*peerConn
 	opts  Options
-	pool  *pool.Pool
 	log   *slog.Logger
-	hc    *http.Client
 	rr    atomic.Uint64
 }
 
@@ -80,17 +70,8 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: opts.PeerTimeout}
-	}
-	co := &Coordinator{
-		topo: topo,
-		opts: opts,
-		pool: pool.New(opts.Workers),
-		log:  log,
-		hc:   hc,
-	}
+	hc := &http.Client{Timeout: opts.PeerTimeout}
+	co := &Coordinator{topo: topo, opts: opts, log: log}
 	for i := range topo.Peers {
 		p := topo.Peers[i]
 		target, err := url.Parse(p.Addr)
@@ -198,38 +179,29 @@ func corpusOf(path string) string {
 	return rest
 }
 
-// route is the per-request data path. Preference order:
-//
-//  1. an alive full replica at the freshest probed version of the target
-//     corpus — reverse-proxied, round-robin among equals;
-//  2. no replica but a typed query endpoint — scatter across the alive
-//     partial peers and merge;
-//  3. otherwise 503: the surface (batch streams, admin) needs a replica.
+// route is the per-request data path: reverse-proxy to an alive replica at
+// the freshest probed version of the target corpus, round-robin among
+// equals; with no replica alive, answer 503 not_ready.
 func (co *Coordinator) route(w http.ResponseWriter, r *http.Request) {
-	corpus := corpusOf(r.URL.Path)
-	if pc := co.pickReplica(corpus); pc != nil {
-		ctx, cancel := context.WithTimeoutCause(r.Context(), co.opts.PeerTimeout, errPeerTimeout)
-		defer cancel()
-		pc.proxy.ServeHTTP(w, r.WithContext(ctx))
+	pc := co.pickReplica(corpusOf(r.URL.Path))
+	if pc == nil {
+		writeError(w, r, codeUnavailable, "no alive peers")
 		return
 	}
-	if op := typedOp(r.URL.Path); op != "" {
-		co.scatter(w, r, corpus, op)
-		return
-	}
-	writeError(w, r, codeUnavailable,
-		"no alive full replica for corpus "+corpus+" (endpoint cannot be scattered)")
+	ctx, cancel := context.WithTimeoutCause(r.Context(), co.opts.PeerTimeout, errPeerTimeout)
+	defer cancel()
+	pc.proxy.ServeHTTP(w, r.WithContext(ctx))
 }
 
-// pickReplica returns the next alive full-replica peer serving the corpus
-// at the freshest probed version, round-robin among the peers tied for
-// freshest; nil when none is alive.
+// pickReplica returns the next alive peer serving the corpus at the
+// freshest probed version, round-robin among the peers tied for freshest;
+// nil when none is alive.
 func (co *Coordinator) pickReplica(corpus string) *peerConn {
 	var best []*peerConn
 	bestVer := int64(-1)
 	for _, pc := range co.peers {
 		st := pc.status.Load()
-		if !st.alive || !pc.peer.FullCover(co.topo.NumShards) {
+		if !st.alive {
 			continue
 		}
 		ver := int64(0)
@@ -250,21 +222,6 @@ func (co *Coordinator) pickReplica(corpus string) *peerConn {
 	return best[int(co.rr.Add(1)-1)%len(best)]
 }
 
-// alivePeersCovering returns the alive peers holding at least one shard of
-// the corpus (all alive peers, in a shard-partitioned world), plus the
-// shards with no alive peer.
-func (co *Coordinator) alivePeersCovering() (alive []*peerConn, missing []int) {
-	aliveSet := make(map[string]bool)
-	for _, pc := range co.peers {
-		if pc.status.Load().alive {
-			alive = append(alive, pc)
-			aliveSet[pc.peer.Name] = true
-		}
-	}
-	missing = co.topo.missingShards(func(p Peer) bool { return aliveSet[p.Name] })
-	return alive, missing
-}
-
 // ---- error envelope + request IDs ----
 //
 // The coordinator speaks the exact v1 envelope of internal/serve so
@@ -276,7 +233,6 @@ type errorCode string
 
 const (
 	codeBadRequest       errorCode = "bad_request"
-	codeNotFound         errorCode = "not_found"
 	codeMethodNotAllowed errorCode = "method_not_allowed"
 	codeUnprocessable    errorCode = "unprocessable"
 	codeUnavailable      errorCode = "not_ready"
@@ -286,8 +242,6 @@ func statusFor(code errorCode) int {
 	switch code {
 	case codeBadRequest:
 		return http.StatusBadRequest
-	case codeNotFound:
-		return http.StatusNotFound
 	case codeMethodNotAllowed:
 		return http.StatusMethodNotAllowed
 	case codeUnprocessable:
@@ -325,7 +279,7 @@ func requestID(r *http.Request) string {
 // withRequestID assigns every request an ID (the client's plausible
 // X-Request-ID or a fresh one), echoes it in the response header, and —
 // crucially for a coordinator — stamps it on the request itself so proxied
-// and scattered peer calls carry the same ID end to end.
+// peer calls carry the same ID end to end.
 func withRequestID(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := clientRequestID(r.Header.Get("X-Request-ID"))

@@ -4,19 +4,26 @@ import (
 	"context"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"mapsynth/pkg/client"
 )
 
-// ProbeOnce probes every peer's /v1/healthz concurrently over the shared
-// worker pool and records the results. A probe learns two things the
-// router needs: liveness, and each corpus's version — the input to
-// version-aware replica selection during a snapshot roll.
+// ProbeOnce probes every peer's /v1/healthz concurrently and records the
+// results. A probe learns two things the router needs: liveness, and each
+// corpus's version — the input to version-aware replica selection during a
+// snapshot roll.
 func (co *Coordinator) ProbeOnce(ctx context.Context) {
-	_ = co.pool.ForEach(ctx, len(co.peers), func(i int) {
-		co.probePeer(ctx, co.peers[i])
-	})
+	var wg sync.WaitGroup
+	for _, pc := range co.peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			co.probePeer(ctx, pc)
+		}()
+	}
+	wg.Wait()
 }
 
 func (co *Coordinator) probePeer(ctx context.Context, pc *peerConn) {
@@ -45,15 +52,14 @@ func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) clusterInfo() client.ClusterInfo {
-	info := client.ClusterInfo{NumShards: co.topo.NumShards}
+	var info client.ClusterInfo
 	now := time.Now()
-	aliveSet := make(map[string]bool)
+	alive := 0
 	for _, pc := range co.peers {
 		st := pc.status.Load()
 		cp := client.ClusterPeer{
 			Name:       pc.peer.Name,
 			Addr:       pc.peer.Addr,
-			Shards:     pc.peer.Shards,
 			Alive:      st.alive,
 			Error:      st.err,
 			AgeSeconds: -1,
@@ -62,7 +68,7 @@ func (co *Coordinator) clusterInfo() client.ClusterInfo {
 			cp.AgeSeconds = now.Sub(st.probed).Seconds()
 		}
 		if st.alive {
-			aliveSet[pc.peer.Name] = true
+			alive++
 			cp.Corpora = make(map[string]client.ClusterCorpus, len(st.corpora))
 			for name, ch := range st.corpora {
 				cp.Corpora[name] = client.ClusterCorpus{
@@ -76,36 +82,28 @@ func (co *Coordinator) clusterInfo() client.ClusterInfo {
 		info.Peers = append(info.Peers, cp)
 	}
 	sort.Slice(info.Peers, func(a, b int) bool { return info.Peers[a].Name < info.Peers[b].Name })
-	info.MissingShards = co.topo.missingShards(func(p Peer) bool { return aliveSet[p.Name] })
-	info.Degraded = len(info.MissingShards) > 0
+	info.Degraded = alive == 0
 	return info
 }
 
-// handleHealthz is the coordinator's own health: ok while every shard has
-// an alive peer, degraded (still 200 — the coordinator itself is fine)
-// while some are missing, and 503 not_ready only when no peer at all is
-// alive, mirroring a single node's "no snapshot loaded yet".
+// handleHealthz is the coordinator's own health: ok while any peer is
+// alive, and 503 not_ready when none is, mirroring a single node's "no
+// snapshot loaded yet".
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	info := co.clusterInfo()
-	aliveCount := 0
-	for _, p := range info.Peers {
-		if p.Alive {
-			aliveCount++
-		}
-	}
-	if aliveCount == 0 {
+	if info.Degraded {
 		writeError(w, r, codeUnavailable, "no alive peers")
 		return
 	}
-	status := "ok"
-	if info.Degraded {
-		status = "degraded"
+	alive := 0
+	for _, p := range info.Peers {
+		if p.Alive {
+			alive++
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         status,
-		"peers":          len(info.Peers),
-		"alive":          aliveCount,
-		"num_shards":     info.NumShards,
-		"missing_shards": info.MissingShards,
+		"status": "ok",
+		"peers":  len(info.Peers),
+		"alive":  alive,
 	})
 }

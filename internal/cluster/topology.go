@@ -1,17 +1,14 @@
 // Package cluster turns N independent serve processes into one logical
-// mapping service. A Coordinator owns a static topology of peers (name,
-// address, shard assignment), probes their /v1/healthz for liveness and
-// per-corpus versions, and fronts the whole v1 HTTP surface:
+// mapping service. Every peer is a full replica: it holds the whole image
+// of every corpus it serves. A Coordinator owns a static topology of peers
+// (name, address), probes their /v1/healthz for liveness and per-corpus
+// versions, and fronts the whole v1 HTTP surface:
 //
-//   - when an alive peer covers every shard of the corpus (a replica), the
-//     request is reverse-proxied point-to-point to the freshest such
-//     replica, round-robin among equals — byte-identical answers, NDJSON
-//     batch streaming included;
-//   - when the corpus is partitioned across peers, the typed query
-//     endpoints scatter to every alive peer holding a shard, merge the
-//     ranked results with the same comparators a single node uses, and
-//     degrade honestly: a partial fan-out answers with "degraded": true
-//     plus the shard numbers that went unanswered;
+//   - every request is reverse-proxied point-to-point to an alive replica
+//     at the freshest probed version of the target corpus, round-robin
+//     among equals — byte-identical answers, NDJSON batch streaming
+//     included; dead replicas are routed around, and with none alive the
+//     request answers the 503 not_ready envelope;
 //   - replication is snapshot shipping over the existing corpus surface —
 //     Roll downloads the freshest replica's v2 snapshot bytes and PUTs
 //     them peer by peer, so a corpus reload walks the replica set with
@@ -25,59 +22,28 @@ package cluster
 import (
 	"fmt"
 	"net/url"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// Peer is one serve process in the topology.
+// Peer is one serve process in the topology: a full replica.
 type Peer struct {
 	// Name is the peer's stable identity, [A-Za-z0-9._-]{1,64}.
 	Name string
 	// Addr is the peer's base URL, e.g. "http://10.0.0.7:8080".
 	Addr string
-	// Shards lists the global shard numbers this peer holds; empty means
-	// the peer holds every shard (a full replica).
-	Shards []int
-}
-
-// FullCover reports whether the peer holds every one of n shards. An empty
-// shard list always covers; an explicit list covers when it contains each
-// of 0..n-1.
-func (p Peer) FullCover(n int) bool {
-	if len(p.Shards) == 0 {
-		return true
-	}
-	if n <= 0 {
-		return false
-	}
-	have := make(map[int]bool, len(p.Shards))
-	for _, s := range p.Shards {
-		have[s] = true
-	}
-	for s := 0; s < n; s++ {
-		if !have[s] {
-			return false
-		}
-	}
-	return true
 }
 
 // Topology is the static cluster layout the coordinator serves.
 type Topology struct {
 	Peers []Peer
-	// NumShards is the global shard count partial peers are judged
-	// against. Zero is legal only when every peer is a full replica.
-	NumShards int
 }
 
 // ParsePeers parses the -peers flag grammar: comma-separated
 //
-//	name=addr[=s0+s1+...]
+//	name=addr
 //
-// entries, e.g. "a=http://10.0.0.1:8080,b=http://10.0.0.2:8080=0+1".
-// A peer without a shard list is a full replica. Addresses without a
-// scheme default to http://.
+// entries, e.g. "a=http://10.0.0.1:8080,b=10.0.0.2:8080". Addresses
+// without a scheme default to http://.
 func ParsePeers(spec string) ([]Peer, error) {
 	var peers []Peer
 	for _, ent := range strings.Split(spec, ",") {
@@ -85,26 +51,19 @@ func ParsePeers(spec string) ([]Peer, error) {
 		if ent == "" {
 			continue
 		}
-		parts := strings.SplitN(ent, "=", 3)
-		if len(parts) < 2 || parts[0] == "" || parts[1] == "" {
-			return nil, fmt.Errorf("cluster: bad peer %q (want name=addr[=s0+s1+...])", ent)
+		name, addr, _ := strings.Cut(ent, "=")
+		if name == "" || addr == "" {
+			return nil, fmt.Errorf("cluster: bad peer %q (want name=addr)", ent)
 		}
-		p := Peer{Name: parts[0], Addr: normalizeAddr(parts[1])}
+		if strings.Contains(addr, "=") {
+			return nil, fmt.Errorf("cluster: bad peer %q: partial peers (name=addr=shards) were removed; every peer is a full replica (want name=addr)", ent)
+		}
+		p := Peer{Name: name, Addr: normalizeAddr(addr)}
 		if !validPeerName(p.Name) {
 			return nil, fmt.Errorf("cluster: bad peer name %q (want [A-Za-z0-9._-]{1,64})", p.Name)
 		}
 		if _, err := url.Parse(p.Addr); err != nil {
-			return nil, fmt.Errorf("cluster: bad peer address %q: %v", parts[1], err)
-		}
-		if len(parts) == 3 && parts[2] != "" {
-			for _, f := range strings.Split(parts[2], "+") {
-				s, err := strconv.Atoi(strings.TrimSpace(f))
-				if err != nil || s < 0 {
-					return nil, fmt.Errorf("cluster: bad shard %q in peer %q", f, p.Name)
-				}
-				p.Shards = append(p.Shards, s)
-			}
-			sort.Ints(p.Shards)
+			return nil, fmt.Errorf("cluster: bad peer address %q: %v", addr, err)
 		}
 		peers = append(peers, p)
 	}
@@ -135,69 +94,23 @@ func validPeerName(name string) bool {
 	return true
 }
 
-// NewTopology validates the peer set into a Topology. numShards <= 0 is
-// inferred as max(explicit shard)+1 when any peer lists shards; it stays 0
-// for an all-replica topology, where shard arithmetic is moot.
+// NewTopology validates the peer set into a Topology. numShards must be 0:
+// partial peers were removed, and the parameter remains only because the
+// benchmark module (bench/, which PRs outside its own archetype may not
+// edit) calls NewTopology(peers, 0).
 func NewTopology(peers []Peer, numShards int) (*Topology, error) {
+	if numShards != 0 {
+		return nil, fmt.Errorf("cluster: numShards %d: partial peers were removed; every peer is a full replica (pass 0)", numShards)
+	}
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: empty topology")
 	}
 	seen := make(map[string]bool, len(peers))
-	maxShard := -1
 	for _, p := range peers {
 		if seen[p.Name] {
 			return nil, fmt.Errorf("cluster: duplicate peer name %q", p.Name)
 		}
 		seen[p.Name] = true
-		for _, s := range p.Shards {
-			if s > maxShard {
-				maxShard = s
-			}
-		}
 	}
-	if numShards <= 0 {
-		numShards = maxShard + 1 // 0 when every peer is a full replica
-	}
-	for _, p := range peers {
-		for _, s := range p.Shards {
-			if s >= numShards {
-				return nil, fmt.Errorf("cluster: peer %q holds shard %d but the topology has %d shards",
-					p.Name, s, numShards)
-			}
-		}
-	}
-	return &Topology{Peers: peers, NumShards: numShards}, nil
-}
-
-// missingShards returns the shard numbers no peer accepted by keep covers,
-// nil when everything is covered. With NumShards == 0 (all-replica
-// topology) coverage means "at least one kept peer".
-func (t *Topology) missingShards(keep func(p Peer) bool) []int {
-	if t.NumShards == 0 {
-		for _, p := range t.Peers {
-			if keep(p) {
-				return nil
-			}
-		}
-		return []int{0}
-	}
-	covered := make([]bool, t.NumShards)
-	for _, p := range t.Peers {
-		if !keep(p) {
-			continue
-		}
-		if len(p.Shards) == 0 {
-			return nil
-		}
-		for _, s := range p.Shards {
-			covered[s] = true
-		}
-	}
-	var missing []int
-	for s, ok := range covered {
-		if !ok {
-			missing = append(missing, s)
-		}
-	}
-	return missing
+	return &Topology{Peers: peers}, nil
 }

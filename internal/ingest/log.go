@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"mapsynth/internal/table"
@@ -73,16 +74,33 @@ type logRecord struct {
 // Log is the durable append log of one corpus's ingested tables. Records
 // are framed [u32 length][u32 crc32][json payload] after a 4-byte magic;
 // appends are batched under one fsync; recovery truncates a torn tail
-// instead of refusing to start. A Log with no backing file ("" path) is
-// memory-only — same semantics, no durability.
+// instead of refusing to start. A failed write or fsync is fail-stop: the
+// file is cut back to its last acknowledged byte and every later Append
+// returns ErrLogFailed until a restart replays the log. A Log with no
+// backing file ("" path) is memory-only — same semantics, no durability.
 type Log struct {
 	mu        sync.Mutex
-	f         *os.File
+	f         logFile
 	path      string
 	rows      []TableRow
 	head      int64
+	size      int64 // bytes of magic plus acknowledged frames
+	failed    error // set by a failed write or fsync
 	truncated int64 // bytes dropped from a torn tail at recovery
 }
+
+// logFile is what Append and Close need of the backing file — the seam
+// tests use to inject short writes and failed fsyncs.
+type logFile interface {
+	io.WriteCloser
+	Sync() error
+	Truncate(size int64) error
+}
+
+// ErrLogFailed is returned by every Append after a write or fsync on the
+// log file failed. The log stays failed until the process restarts and
+// replays it; acknowledged rows are intact on disk.
+var ErrLogFailed = errors.New("ingest: append log failed (restart to recover)")
 
 // OpenLog opens (or creates) the append log at path, replaying every intact
 // record into memory. An empty path returns a memory-only log.
@@ -95,27 +113,38 @@ func OpenLog(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.f = f
-	if err := l.replay(); err != nil {
+	if err := l.replay(f); err != nil {
 		f.Close()
 		return nil, err
 	}
+	l.f = f
 	return l, nil
 }
 
 // replay reads the whole file, validating framing and per-record CRCs. The
 // first torn or corrupt record ends the log: everything after it is a
 // partial write from a crashed appender and is truncated away.
-func (l *Log) replay() error {
-	data, err := io.ReadAll(l.f)
+func (l *Log) replay(f *os.File) error {
+	data, err := io.ReadAll(f)
 	if err != nil {
 		return err
 	}
 	if len(data) == 0 {
-		if _, err := l.f.Write(logMagic[:]); err != nil {
+		// A new file: its directory entry must be as durable as the first
+		// acknowledged frame.
+		l.size = int64(len(logMagic))
+		if _, err := f.Write(logMagic[:]); err != nil {
 			return err
 		}
-		return l.f.Sync()
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		d, err := os.Open(filepath.Dir(l.path))
+		if err != nil {
+			return err
+		}
+		defer d.Close()
+		return d.Sync()
 	}
 	if len(data) < len(logMagic) || [4]byte(data[:4]) != logMagic {
 		return fmt.Errorf("ingest: %s is not an append log (bad magic)", l.path)
@@ -144,13 +173,14 @@ func (l *Log) replay() error {
 		off += int64(8 + ln)
 		buf = buf[8+ln:]
 	}
+	l.size = off
 	if rest := int64(len(data)) - off; rest > 0 {
 		l.truncated = rest
-		if err := l.f.Truncate(off); err != nil {
+		if err := f.Truncate(off); err != nil {
 			return err
 		}
 	}
-	_, err = l.f.Seek(0, io.SeekEnd)
+	_, err = f.Seek(0, io.SeekEnd)
 	return err
 }
 
@@ -164,6 +194,9 @@ func (l *Log) Append(rows []TableRow) ([]int64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return nil, l.failed
+	}
 	lsns := make([]int64, len(rows))
 	var frame bytes.Buffer
 	for i, r := range rows {
@@ -180,12 +213,19 @@ func (l *Log) Append(rows []TableRow) ([]int64, error) {
 		frame.Write(payload)
 	}
 	if l.f != nil {
-		if _, err := l.f.Write(frame.Bytes()); err != nil {
-			return nil, err
+		_, err := l.f.Write(frame.Bytes())
+		if err == nil {
+			err = l.f.Sync()
 		}
-		if err := l.f.Sync(); err != nil {
-			return nil, err
+		if err != nil {
+			// Fail-stop: cut the file back to the last acknowledged byte —
+			// a torn frame would hide every later frame from replay, and a
+			// complete but unacknowledged one would hold the LSNs the next
+			// batch reuses.
+			l.failed = fmt.Errorf("%w: %v", ErrLogFailed, err)
+			return nil, errors.Join(err, l.f.Truncate(l.size))
 		}
+		l.size += int64(frame.Len())
 	}
 	l.rows = append(l.rows, rows...)
 	l.head += int64(len(rows))

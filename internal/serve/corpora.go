@@ -41,7 +41,6 @@ type corpusInfo struct {
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
-	Shards   int    `json:"shards"`
 	// MappedBytes is the size of the state's snapshot image, mmapped or in
 	// process memory.
 	MappedBytes int64 `json:"mapped_bytes,omitempty"`
@@ -73,7 +72,6 @@ func (s *Server) infoFor(c *corpus) corpusInfo {
 		Format:            wireFormat,
 		Mappings:          st.NumMappings(),
 		Pairs:             st.handle.Pairs(),
-		Shards:            wireShards,
 		MappedBytes:       st.MappedBytes(),
 		Madvise:           st.Madvise,
 		ActivationSeconds: st.ActivationSeconds,

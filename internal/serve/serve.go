@@ -135,14 +135,10 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// wireShards and wireFormat are what the "shards" and "format" fields of
-// /v1/corpora, /v1/stats and healthz report. Index sharding is gone and
-// every state is a v2 image; the fields stay on the wire so response
-// envelopes and SDK types do not change.
-const (
-	wireShards = 1
-	wireFormat = "v2"
-)
+// wireFormat is what the "format" field of /v1/corpora, /v1/stats and
+// healthz reports: every state is a v2 image; the field stays on the wire
+// so response envelopes and SDK types do not change.
+const wireFormat = "v2"
 
 // State is one immutable loaded corpus version: a v2 snapshot image (an
 // mmapped file, or built in process memory from mappings, an upload or a
@@ -854,7 +850,6 @@ type corpusHealth struct {
 	Format     string  `json:"format"`
 	Mappings   int     `json:"mappings"`
 	Pairs      int     `json:"pairs"`
-	Shards     int     `json:"shards"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
 	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
@@ -883,7 +878,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Format:      wireFormat,
 			Mappings:    st.NumMappings(),
 			Pairs:       st.handle.Pairs(),
-			Shards:      wireShards,
 			LoadedAt:    st.LoadedAt.UTC().Format(time.RFC3339),
 			AgeSeconds:  time.Since(st.LoadedAt).Seconds(),
 			SnapshotCRC: fmt.Sprintf("%08x", st.imageCRC()),
@@ -987,7 +981,6 @@ func (s *Server) statsFor(c *corpus) StatsSnapshot {
 			"loaded_at":    st.LoadedAt.UTC().Format(time.RFC3339),
 			"mappings":     st.NumMappings(),
 			"pairs":        st.handle.Pairs(),
-			"shards":       wireShards,
 			"mapped_bytes": st.MappedBytes(),
 			"activation_s": st.ActivationSeconds,
 		},

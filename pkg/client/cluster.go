@@ -23,12 +23,9 @@ type ClusterCorpus struct {
 
 // ClusterPeer is one peer's entry in ClusterInfo.
 type ClusterPeer struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-	// Shards lists the global shards the peer holds; empty means it is a
-	// full replica.
-	Shards []int `json:"shards,omitempty"`
-	Alive  bool  `json:"alive"`
+	Name  string `json:"name"`
+	Addr  string `json:"addr"`
+	Alive bool   `json:"alive"`
 	// Error is the last probe failure, empty while alive.
 	Error string `json:"error,omitempty"`
 	// AgeSeconds is how long ago the last probe completed; negative when
@@ -42,14 +39,10 @@ type ClusterPeer struct {
 // and its live view of peer health.
 type ClusterInfo struct {
 	ResponseMeta
-	// NumShards is the global shard count; 0 for an all-replica topology.
-	NumShards int `json:"num_shards"`
-	// Degraded is true when some shard has no alive peer — fan-out answers
-	// will carry degraded:true until coverage recovers.
-	Degraded bool `json:"degraded"`
-	// MissingShards lists the uncovered shards while degraded.
-	MissingShards []int         `json:"missing_shards,omitempty"`
-	Peers         []ClusterPeer `json:"peers"`
+	// Degraded is true when no peer is alive: every routed request answers
+	// 503 not_ready until one recovers.
+	Degraded bool          `json:"degraded"`
+	Peers    []ClusterPeer `json:"peers"`
 }
 
 // Cluster fetches a coordinator's topology and health view. Against a
@@ -113,10 +106,9 @@ func (c *Client) RollCluster(ctx context.Context, req RollRequest) (*RollReport,
 // ClusterClient routes queries directly to a cluster's data nodes. It
 // bootstraps from one coordinator URL: NewCluster fetches /v1/cluster,
 // learns the peer set, and thereafter sends single queries round-robin to
-// the alive full replicas — skipping the coordinator hop — while anything
-// it cannot route itself (batch streams, partitioned corpora, admin) goes
-// to the coordinator, which scatters or proxies as needed. Refresh re-reads
-// the topology; call it on a timer or after errors to track peer churn.
+// the alive replicas — skipping the coordinator hop — while batch streams
+// and admin go to the coordinator, which proxies them. Refresh re-reads the
+// topology; call it on a timer or after errors to track peer churn.
 type ClusterClient struct {
 	seed *Client
 	opts []Option
@@ -139,8 +131,7 @@ func NewCluster(ctx context.Context, seedURL string, opts ...Option) (*ClusterCl
 }
 
 // Refresh re-fetches the topology from the coordinator and rebuilds the
-// direct-routing peer set: alive full replicas only — partial peers need
-// the coordinator's merge and are left to it.
+// direct-routing peer set: every alive peer.
 func (cc *ClusterClient) Refresh(ctx context.Context) error {
 	info, err := cc.seed.Cluster(ctx)
 	if err != nil {
@@ -148,7 +139,7 @@ func (cc *ClusterClient) Refresh(ctx context.Context) error {
 	}
 	var direct []*Client
 	for _, p := range info.Peers {
-		if p.Alive && len(p.Shards) == 0 {
+		if p.Alive {
 			direct = append(direct, New(p.Addr, cc.opts...))
 		}
 	}
@@ -163,8 +154,8 @@ func (cc *ClusterClient) Refresh(ctx context.Context) error {
 func (cc *ClusterClient) Coordinator() *Client { return cc.seed }
 
 // pick returns the next direct peer round-robin, falling back to the
-// coordinator when no full replica is alive (the coordinator can still
-// scatter across partial peers).
+// coordinator when no peer was alive at the last Refresh (it answers
+// not_ready, or routes to a peer that has since recovered).
 func (cc *ClusterClient) pick() *Client {
 	peers := *cc.peers.Load()
 	if len(peers) == 0 {
@@ -194,7 +185,7 @@ func (cc *ClusterClient) AutoJoin(ctx context.Context, req AutoJoinRequest) (*Au
 }
 
 // BatchAutoFill streams through the coordinator, which pins the NDJSON
-// stream to one full replica.
+// stream to one replica.
 func (cc *ClusterClient) BatchAutoFill(ctx context.Context, reqs []AutoFillRequest, fn func(BatchLine[AutoFillResponse]) error) (*BatchTrailer, error) {
 	return cc.seed.BatchAutoFill(ctx, reqs, fn)
 }

@@ -211,12 +211,9 @@ type CorpusHealth struct {
 	Version  int64  `json:"version"`
 	// Format is always "v2": every state is served from a v2 snapshot
 	// image, whatever it was loaded or built from.
-	Format   string `json:"format"`
-	Mappings int    `json:"mappings"`
-	Pairs    int    `json:"pairs"`
-	// Shards is always 1: index sharding was removed, the field stays so
-	// the wire shape does not change.
-	Shards     int     `json:"shards"`
+	Format     string  `json:"format"`
+	Mappings   int     `json:"mappings"`
+	Pairs      int     `json:"pairs"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
 	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's snapshot
@@ -328,8 +325,6 @@ type CorpusInfo struct {
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
-	// Shards is always 1 (see CorpusHealth.Shards).
-	Shards int `json:"shards"`
 	// MappedBytes is the size of the state's snapshot image, mmapped or in
 	// server memory.
 	MappedBytes int64 `json:"mapped_bytes"`
