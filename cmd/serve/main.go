@@ -377,7 +377,7 @@ func main() {
 		Logger:            logger,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: loading snapshots: %v\n", err)
+		fmt.Fprintf(os.Stderr, "serve: starting: %v\n", err)
 		os.Exit(1)
 	}
 	for _, name := range srv.CorpusNames() {

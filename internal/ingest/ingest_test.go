@@ -227,6 +227,9 @@ func TestIngestorParity(t *testing.T) {
 		if st.Pending || st.AppliedLSN != st.HeadLSN || st.LagSeconds != 0 {
 			t.Fatalf("status not converged after Sync: %+v", st)
 		}
+		if st.LastSynthesisMs <= 0 || st.LastPublishMs < 0 || st.LastRunMs != st.LastSynthesisMs+st.LastPublishMs {
+			t.Fatalf("run time not split into synthesis + publish: %+v", st)
+		}
 	}
 	if st := ing.Status(); st.Runs != hold {
 		t.Fatalf("runs = %d, want %d", st.Runs, hold)

@@ -47,6 +47,11 @@ type Status struct {
 	CacheMisses int     `json:"cache_misses"`
 	LogPath     string  `json:"log_path,omitempty"`
 	LogBytesCut int64   `json:"log_bytes_truncated,omitempty"`
+
+	// LastSynthesisMs (RunIncremental) and LastPublishMs (image build and
+	// swap) split the last successful run: they sum to LastRunMs.
+	LastSynthesisMs float64 `json:"last_synthesis_ms,omitempty"`
+	LastPublishMs   float64 `json:"last_publish_ms,omitempty"`
 }
 
 // Ingestor folds one corpus's append log into its served mapping set. Appends
@@ -72,12 +77,13 @@ type Ingestor struct {
 
 	runs      atomic.Int64
 	runErrors atomic.Int64
-	lastRunMs atomic.Int64 // microseconds, reported as ms
 
 	errMu       sync.Mutex
 	lastErr     string
 	cacheHits   int
 	cacheMisses int
+	// lastSynthesis and lastPublish time the last successful run's phases.
+	lastSynthesis, lastPublish time.Duration
 }
 
 // NewIngestor opens the corpus's append log (replaying any persisted rows)
@@ -165,6 +171,7 @@ func (ing *Ingestor) run(ctx context.Context) error {
 
 	t0 := time.Now()
 	res, err := ing.eng.RunIncremental(ctx, tables, ing.inc)
+	t1 := time.Now()
 	if err == nil && ing.publish != nil {
 		err = ing.publish(res.Mappings, head)
 	}
@@ -175,6 +182,7 @@ func (ing *Ingestor) run(ctx context.Context) error {
 		ing.lastErr = err.Error()
 	} else {
 		ing.lastErr = ""
+		ing.lastSynthesis, ing.lastPublish = t1.Sub(t0), time.Since(t1)
 	}
 	ing.errMu.Unlock()
 	if err != nil {
@@ -182,7 +190,6 @@ func (ing *Ingestor) run(ctx context.Context) error {
 		return err
 	}
 	ing.runs.Add(1)
-	ing.lastRunMs.Store(time.Since(t0).Microseconds())
 	ing.applied.Store(head)
 	if ing.log.Head() == head {
 		ing.pendingSince.Store(0)
@@ -200,7 +207,6 @@ func (ing *Ingestor) Status() Status {
 		AppliedLSN: ing.applied.Load(),
 		Runs:       ing.runs.Load(),
 		RunErrors:  ing.runErrors.Load(),
-		LastRunMs:  float64(ing.lastRunMs.Load()) / 1e3,
 		LogPath:    ing.log.Path(),
 	}
 	st.Pending = st.HeadLSN != st.AppliedLSN
@@ -212,7 +218,10 @@ func (ing *Ingestor) Status() Status {
 	st.LastError = ing.lastErr
 	st.CacheHits = ing.cacheHits
 	st.CacheMisses = ing.cacheMisses
+	st.LastSynthesisMs = float64(ing.lastSynthesis.Microseconds()) / 1e3
+	st.LastPublishMs = float64(ing.lastPublish.Microseconds()) / 1e3
 	ing.errMu.Unlock()
+	st.LastRunMs = st.LastSynthesisMs + st.LastPublishMs
 	return st
 }
 

@@ -74,7 +74,8 @@ type logRecord struct {
 // Log is the durable append log of one corpus's ingested tables. Records
 // are framed [u32 length][u32 crc32][json payload] after a 4-byte magic;
 // appends are batched under one fsync; recovery truncates a torn tail
-// instead of refusing to start. A failed write or fsync is fail-stop: the
+// instead of refusing to start, and refuses (ErrLogCorrupt) a damaged frame
+// with intact ones after it. A failed write or fsync is fail-stop: the
 // file is cut back to its last acknowledged byte and every later Append
 // returns ErrLogFailed until a restart replays the log. A Log with no
 // backing file ("" path) is memory-only — same semantics, no durability.
@@ -96,6 +97,12 @@ type logFile interface {
 	Sync() error
 	Truncate(size int64) error
 }
+
+// ErrLogCorrupt is returned by OpenLog when a frame in the middle of the log
+// fails its CRC, decoding or LSN check while an intact frame follows it:
+// damage a crash cannot cause, which replay refuses to truncate away. The
+// error names the file and the bad frame's offset; the file is untouched.
+var ErrLogCorrupt = errors.New("ingest: append log corrupt")
 
 // ErrLogFailed is returned by every Append after a write or fsync on the
 // log file failed. The log stays failed until the process restarts and
@@ -121,9 +128,12 @@ func OpenLog(path string) (*Log, error) {
 	return l, nil
 }
 
-// replay reads the whole file, validating framing and per-record CRCs. The
-// first torn or corrupt record ends the log: everything after it is a
-// partial write from a crashed appender and is truncated away.
+// replay reads the whole file, validating framing and per-record CRCs. A
+// torn tail — a frame that runs past EOF, or a bad one with no intact frame
+// after it — is a partial write from a crashed appender and is truncated
+// away. A bad frame followed by an intact one is not a crash artifact:
+// truncating there would delete acknowledged rows, so replay returns
+// ErrLogCorrupt and leaves the file as it is.
 func (l *Log) replay(f *os.File) error {
 	data, err := io.ReadAll(f)
 	if err != nil {
@@ -152,26 +162,23 @@ func (l *Log) replay(f *os.File) error {
 	off := int64(len(logMagic))
 	buf := data[len(logMagic):]
 	for len(buf) > 0 {
-		if len(buf) < 8 {
-			break // torn frame header
-		}
-		ln := binary.LittleEndian.Uint32(buf)
-		crc := binary.LittleEndian.Uint32(buf[4:])
-		if uint64(ln) > uint64(len(buf)-8) {
-			break // torn payload
-		}
-		payload := buf[8 : 8+ln]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt record: stop here, keep the intact prefix
-		}
-		var rec logRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.LSN != l.head+1 {
+		rec, rest, bad, torn := nextFrame(buf)
+		if torn {
 			break
+		}
+		if bad == "" && rec.LSN != l.head+1 {
+			bad = fmt.Sprintf("lsn %d, want %d", rec.LSN, l.head+1)
+		}
+		if bad != "" {
+			if _, _, next, torn := nextFrame(rest); !torn && next == "" {
+				return fmt.Errorf("%w: %s: frame at offset %d: %s, but an intact frame follows it", ErrLogCorrupt, l.path, off, bad)
+			}
+			break // torn tail: keep the intact prefix
 		}
 		l.rows = append(l.rows, rec.TableRow)
 		l.head++
-		off += int64(8 + ln)
-		buf = buf[8+ln:]
+		off += int64(len(buf) - len(rest))
+		buf = rest
 	}
 	l.size = off
 	if rest := int64(len(data)) - off; rest > 0 {
@@ -182,6 +189,28 @@ func (l *Log) replay(f *os.File) error {
 	}
 	_, err = f.Seek(0, io.SeekEnd)
 	return err
+}
+
+// nextFrame parses the frame at the head of buf. torn reports a frame that
+// runs past the end of buf; otherwise rest is what follows the frame and
+// bad names the check it fails, "" when its CRC matches and its payload
+// decodes.
+func nextFrame(buf []byte) (rec logRecord, rest []byte, bad string, torn bool) {
+	if len(buf) < 8 {
+		return rec, nil, "", true
+	}
+	ln := binary.LittleEndian.Uint32(buf)
+	if uint64(ln) > uint64(len(buf)-8) {
+		return rec, nil, "", true
+	}
+	payload, rest := buf[8:8+ln], buf[8+ln:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:]) {
+		return rec, rest, "crc mismatch", false
+	}
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, rest, "undecodable record", false
+	}
+	return rec, rest, "", false
 }
 
 // Append assigns the next LSNs to rows, persists them under a single fsync,

@@ -1,14 +1,17 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -175,4 +178,76 @@ func intactPrefix(data []byte) []TableRow {
 		data = data[8+n:]
 	}
 	return rows
+}
+
+// TestLogMidCorruptionDeclared: a damaged frame with an intact frame after
+// it is not a torn tail. Truncating there would delete an acknowledged row,
+// so OpenLog refuses with ErrLogCorrupt, naming the file and the frame's
+// offset, and leaves the file byte for byte as it was.
+func TestLogMidCorruptionDeclared(t *testing.T) {
+	rows := []TableRow{
+		twoColRow("a.test", [][2]string{{"x", "1"}}),
+		twoColRow("b.test", [][2]string{{"y", "2"}}),
+		twoColRow("c.test", [][2]string{{"z", "3"}}),
+	}
+	path := filepath.Join(t.TempDir(), "c.mlog")
+	lg, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := lg.Append([]TableRow{r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lg.Close()
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame 2 starts after the magic and frame 1.
+	second := len(logMagic) + 8 + int(binary.LittleEndian.Uint32(good[len(logMagic):]))
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte)
+	}{
+		{"payload byte flipped", func(b []byte) { b[second+8+3] ^= 0xff }},
+		{"crc flipped", func(b []byte) { b[second+4] ^= 0x01 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			tc.damage(bad)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lg, err := OpenLog(path)
+			if !errors.Is(err, ErrLogCorrupt) {
+				if lg != nil {
+					lg.Close()
+				}
+				t.Fatalf("OpenLog = %v, want ErrLogCorrupt", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, fmt.Sprintf("offset %d", second)) {
+				t.Fatalf("error %q does not name the file and offset %d", msg, second)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {
+				t.Fatal("OpenLog modified a corrupt log it refused")
+			}
+		})
+	}
+
+	// The same damage in the last frame is a torn tail: truncated as before.
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-3] ^= 0xff
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenLog(path)
+	if err != nil {
+		t.Fatalf("torn tail refused: %v", err)
+	}
+	defer re.Close()
+	if re.Head() != 2 || re.Truncated() == 0 {
+		t.Fatalf("torn tail: head=%d truncated=%d, want head 2 and bytes cut", re.Head(), re.Truncated())
+	}
 }

@@ -4,10 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"time"
 
 	"mapsynth/internal/ingest"
 	"mapsynth/internal/mapping"
@@ -163,7 +168,9 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 			Corpus: name,
 			Config: s.ingestConfig(),
 			Publish: func(maps []*mapping.Mapping, lsn int64) error {
-				return s.publishIngest(name, maps)
+				return s.publishIngest(name, func() (*snapshot.Handle, error) {
+					return snapshot.FromMappings(maps)
+				})
 			},
 		}
 		if dir := s.ingest.Dir(); dir != "" {
@@ -179,32 +186,27 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 		// Without base tables the engine synthesizes over the ingested
 		// tables alone, so a bare publish would replace a snapshot-served
 		// corpus with just that output — wiping content the server cannot
-		// regenerate. Freeze the live mapping set now and union it under
-		// every publish: the pre-ingest corpus is a fixed base layer,
-		// ingested synthesis stacks on top with fresh IDs.
+		// regenerate. Freeze the live mapping set now and stack every
+		// publish on it: the pre-ingest corpus is a fixed base layer,
+		// encoded once, and ingested synthesis is appended with fresh IDs.
 		if len(opts.Base) == 0 {
-			if frozen, image := s.frozenBase(name); len(frozen) > 0 {
-				maxID := 0
-				for _, m := range frozen {
-					if m.ID > maxID {
-						maxID = m.ID
-					}
-				}
-				inner := opts.Publish
+			prefix, maxID, err := s.frozenBase(name)
+			if err != nil {
+				return nil, err
+			}
+			if prefix != nil {
 				opts.Publish = func(maps []*mapping.Mapping, lsn int64) error {
-					// frozen's strings are views into image, which may be
-					// an mmapped file long gone from the history ring.
-					defer runtime.KeepAlive(image)
-					out := make([]*mapping.Mapping, 0, len(frozen)+len(maps))
-					out = append(out, frozen...)
+					tail := make([]*mapping.Mapping, len(maps))
 					for i, m := range maps {
 						// Shallow-copy before renumbering: the engine's
 						// output is shared with its component cache.
 						nm := *m
 						nm.ID = maxID + 1 + i
-						out = append(out, &nm)
+						tail[i] = &nm
 					}
-					return inner(out, lsn)
+					return s.publishIngest(name, func() (*snapshot.Handle, error) {
+						return prefix.Image(tail)
+					})
 				}
 			}
 		}
@@ -212,15 +214,60 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 	})
 }
 
-// frozenBase captures the corpus's currently served mapping set as the
-// fixed base layer for base-less ingestion, with the image the mappings
-// are views into. Nil when the corpus is empty.
-func (s *Server) frozenBase(name string) ([]*mapping.Mapping, *snapshot.Handle) {
+// frozenBase encodes the corpus's currently served mapping set once as the
+// fixed base layer of base-less ingestion, and returns it with the largest
+// mapping ID in it. The prefix copies every string it keeps, so the state
+// is held only while it builds. Nil when the corpus is empty.
+func (s *Server) frozenBase(name string) (*snapshot.Prefix, int, error) {
 	st := s.CorpusState(name)
 	if st == nil || st.NumMappings() == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
-	return st.handle.Materialize(), st.handle
+	// The materialized mappings are views into st's image, which may be
+	// an mmapped file: keep it mapped until NewPrefix has copied them.
+	defer runtime.KeepAlive(st)
+	frozen := st.handle.Materialize()
+	maxID := 0
+	for _, m := range frozen {
+		maxID = max(maxID, m.ID)
+	}
+	prefix, err := snapshot.NewPrefix(frozen)
+	return prefix, maxID, err
+}
+
+// recoverIngest reopens the append log of every served corpus found under
+// IngestDir and kicks synthesis, so rows acknowledged before a restart are
+// served again without a new post. A log that fails to open (ErrLogCorrupt
+// among others) fails start-up; a log naming no served corpus is left alone
+// with a warning.
+func (s *Server) recoverIngest() error {
+	dir := s.ingest.Dir()
+	if dir == "" {
+		return nil
+	}
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("scanning ingest dir: %w", err)
+	}
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), ".mlog")
+		if !ok || e.IsDir() {
+			continue
+		}
+		if s.CorpusState(name) == nil {
+			s.logger.Warn("ingest log names no served corpus; not replayed", "path", filepath.Join(dir, e.Name()), "corpus", name)
+			continue
+		}
+		ing, err := s.ingestorFor(name)
+		if err != nil {
+			return fmt.Errorf("recovering corpus %q from its ingest log: %w", name, err)
+		}
+		ing.Kick()
+	}
+	return nil
 }
 
 func (s *Server) ingestConfig() pipeline.Config {
@@ -232,18 +279,23 @@ func (s *Server) ingestConfig() pipeline.Config {
 	return cfg
 }
 
-// publishIngest installs a synthesized mapping set as the corpus's next
+// publishIngest installs an ingest-synthesized image as the corpus's next
 // version. Like every state it is a canonical v2 image: byte-addressable
 // for snapshot GETs, CRC-identified for delta shipping — and byte-identical
 // to what an offline rebuild over the same tables would snapshot (the
 // incremental engine's golden parity contract). swapIn is atomic, so
 // queries never observe a partially applied version.
-func (s *Server) publishIngest(name string, maps []*mapping.Mapping) error {
+func (s *Server) publishIngest(name string, image func() (*snapshot.Handle, error)) error {
 	c := s.reg.shell(name)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_, err := s.installMappings(name, maps, "")
-	return err
+	t0 := time.Now()
+	h, err := image()
+	if err != nil {
+		return err
+	}
+	s.swapIn(name, s.newState(h, "", t0))
+	return nil
 }
 
 // ingestStatusFor returns the corpus's staleness report, nil when the

@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +20,7 @@ import (
 
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/ingest"
+	"mapsynth/internal/pipeline"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 )
@@ -455,6 +460,20 @@ func twoColTable(id int, domain string, keys, vals []string) *table.Table {
 	}
 }
 
+// townPosts is two ingest rounds, each two tables in distinct domains
+// carrying one relation with enough rows to clear MinPairs, so the ingested
+// content itself synthesizes: towns to IL-n codes, then towns to OH-n.
+func townPosts() [2][]*table.Table {
+	keys := []string{"Springfield", "Shelbyville", "Ogdenville", "North Haverbrook", "Capital City"}
+	vals := []string{"IL-1", "IL-2", "IL-3", "IL-4", "IL-5"}
+	keys2 := []string{"Cypress Creek", "Little Pwagmattasquarmsettport", "Brockway", "Waverly Hills", "New Horsefly"}
+	vals2 := []string{"OH-1", "OH-2", "OH-3", "OH-4", "OH-5"}
+	return [2][]*table.Table{
+		{twoColTable(100, "towns.example", keys, vals), twoColTable(101, "gazetteer.example", keys, vals)},
+		{twoColTable(102, "towns2.example", keys2, vals2), twoColTable(103, "gazetteer2.example", keys2, vals2)},
+	}
+}
+
 // TestIngestWithoutBasePreservesCorpus pins the base-less contract: when a
 // server has no IngestBase source (the common "serve -snapshot X
 // -ingest-dir D" deployment), ingesting must stack synthesized mappings on
@@ -474,15 +493,8 @@ func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 		t.Fatal("corpus empty before ingest")
 	}
 
-	// Two tables in distinct domains carrying the same relation, enough
-	// rows to clear MinPairs, so the ingested content itself synthesizes.
-	keys := []string{"Springfield", "Shelbyville", "Ogdenville", "North Haverbrook", "Capital City"}
-	vals := []string{"IL-1", "IL-2", "IL-3", "IL-4", "IL-5"}
-	tabs := []*table.Table{
-		twoColTable(100, "towns.example", keys, vals),
-		twoColTable(101, "gazetteer.example", keys, vals),
-	}
-	_, trailer := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, tabs...))
+	posts := townPosts()
+	_, trailer := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, posts[0]...))
 	if trailer.Synthesis != "applied" {
 		t.Fatalf("synthesis = %q (%s), want applied", trailer.Synthesis, trailer.SynthesisError)
 	}
@@ -510,13 +522,7 @@ func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 
 	// A second ingest round must keep stacking on the same frozen base,
 	// not re-freeze the (already unioned) live state.
-	keys2 := []string{"Cypress Creek", "Little Pwagmattasquarmsettport", "Brockway", "Waverly Hills", "New Horsefly"}
-	vals2 := []string{"OH-1", "OH-2", "OH-3", "OH-4", "OH-5"}
-	tabs2 := []*table.Table{
-		twoColTable(102, "towns2.example", keys2, vals2),
-		twoColTable(103, "gazetteer2.example", keys2, vals2),
-	}
-	_, trailer = postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, tabs2...))
+	_, trailer = postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, posts[1]...))
 	if trailer.Synthesis != "applied" {
 		t.Fatalf("second synthesis = %q (%s), want applied", trailer.Synthesis, trailer.SynthesisError)
 	}
@@ -527,5 +533,144 @@ func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 		if !lr.Found || lr.Value != probe.want {
 			t.Fatalf("lookup %q after second ingest: %+v, want %q", probe.key, lr, probe.want)
 		}
+	}
+}
+
+// TestIngestWithoutBaseImageParity pins the bytes of a base-less publish:
+// after two posts the served image is exactly WriteV2 of the frozen base
+// followed by the engine's output over the ingested tables, renumbered
+// after the base's largest ID.
+func TestIngestWithoutBaseImageParity(t *testing.T) {
+	srv := NewFromMappings(testMappings(), Options{IngestDir: t.TempDir()})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+
+	_, pre := getSnapshot(t, h, "/v1/corpora/default/snapshot")
+	baseImage, err := snapshot.OpenBytes(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseImage.Materialize()
+	maxID := 0
+	for _, m := range want {
+		maxID = max(maxID, m.ID)
+	}
+
+	var ingested []*table.Table
+	for _, tabs := range townPosts() {
+		if _, tr := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, tabs...)); tr.Synthesis != "applied" {
+			t.Fatalf("synthesis = %q (%s), want applied", tr.Synthesis, tr.SynthesisError)
+		}
+		// The tables as the ingestor materializes them: wire rows with
+		// dense IDs from 0 (there are no base tables).
+		for _, tab := range tabs {
+			row := ingest.TableRow{Domain: tab.Domain, Title: tab.Title}
+			for _, c := range tab.Columns {
+				row.Columns = append(row.Columns, ingest.ColumnRow{Name: c.Name, Values: c.Values})
+			}
+			ingested = append(ingested, row.Table(len(ingested)))
+		}
+	}
+	res, err := pipeline.New(srv.ingestConfig()).Run(context.Background(), ingested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Mappings) == 0 {
+		t.Fatal("ingested tables synthesized nothing; the test would not cover the tail")
+	}
+	for i, m := range res.Mappings {
+		nm := *m
+		nm.ID = maxID + 1 + i
+		want = append(want, &nm)
+	}
+	var wb bytes.Buffer
+	if err := snapshot.WriteV2(&wb, want); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := getSnapshot(t, h, "/v1/corpora/default/snapshot"); !bytes.Equal(got, wb.Bytes()) {
+		t.Fatalf("served image (%d bytes) differs from WriteV2(base ++ renumbered synthesis) (%d bytes)", len(got), wb.Len())
+	}
+}
+
+// TestIngestRecoveredAtStartup: acknowledged rows are served after a restart
+// without anyone posting again. Server A acknowledges two tables and
+// closes; server B, started on the same snapshot and ingest directory,
+// must converge to serving them by itself. A log naming no served corpus
+// is skipped with a warning, and a log damaged mid-file refuses start-up
+// with ErrLogCorrupt instead of losing acknowledged rows.
+func TestIngestRecoveredAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "base.snap")
+	if err := snapshot.WriteFileV2(snap, testMappings()); err != nil {
+		t.Fatal(err)
+	}
+	ingestDir := filepath.Join(dir, "ingest")
+	if err := os.Mkdir(ingestDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	opts := Options{SnapshotPath: snap, IngestDir: ingestDir,
+		Logger: slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))}
+
+	a, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr := postIngest(t, a.Handler(), "/v1/corpora/default/tables?wait=1", tableNDJSON(t, townPosts()[0]...))
+	a.Close()
+	if tr.Synthesis != "applied" || tr.HeadLSN != 2 {
+		t.Fatalf("server A trailer %+v, want 2 rows applied", tr)
+	}
+	logPath := filepath.Join(ingestDir, DefaultCorpus+".mlog")
+	acked, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ingestDir, "ghost.mlog"), acked, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(opts)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer b.Close()
+	h := b.Handler()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var lr lookupResponse
+		getJSON(t, h, "/v1/lookup?key=Springfield", &lr)
+		var info corpusInfo
+		getJSON(t, h, "/v1/corpora/default", &info)
+		if lr.Found && lr.Value == "IL-1" && info.Ingest != nil &&
+			info.Ingest.HeadLSN == 2 && info.Ingest.AppliedLSN == info.Ingest.HeadLSN {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted server never served the acknowledged rows: lookup %+v, ingest %+v", lr, info.Ingest)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var lr lookupResponse
+	if getJSON(t, h, "/v1/lookup?key=California", &lr); !lr.Found || lr.Value != "CA" {
+		t.Fatalf("pre-ingest key lost after recovery: %+v", lr)
+	}
+	if !strings.Contains(logs.String(), "ghost.mlog") {
+		t.Fatalf("no warning for the log naming no served corpus; log output: %s", logs.String())
+	}
+	b.Close()
+
+	// Damage the first of the two frames: the second is intact, so
+	// start-up must refuse rather than truncate it away.
+	bad := append([]byte(nil), acked...)
+	bad[4+8+2] ^= 0xff
+	if err := os.WriteFile(logPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := New(opts); !errors.Is(err, ingest.ErrLogCorrupt) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("start-up over a log corrupt mid-file = %v, want ErrLogCorrupt", err)
 	}
 }

@@ -261,7 +261,8 @@ func newServer(opts Options) *Server {
 }
 
 // New loads the snapshot at opts.SnapshotPath as the default corpus, plus
-// every entry of opts.Corpora, and returns a ready server.
+// every entry of opts.Corpora, recovers every served corpus's append log
+// under opts.IngestDir (see recoverIngest), and returns a ready server.
 func New(opts Options) (*Server, error) {
 	s := newServer(opts)
 	if _, err := s.Reload(opts.SnapshotPath); err != nil {
@@ -279,6 +280,10 @@ func New(opts Options) (*Server, error) {
 		if _, err := s.LoadCorpusContext(context.Background(), name, opts.Corpora[name]); err != nil {
 			return nil, err
 		}
+	}
+	if err := s.recoverIngest(); err != nil {
+		s.Close() // the logs recovered before the failing one
+		return nil, err
 	}
 	return s, nil
 }

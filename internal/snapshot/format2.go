@@ -120,10 +120,10 @@ type span struct {
 }
 
 // Handle is an opened v2 snapshot: the raw region (a mapped file, or an
-// image in process memory from FromMappings/OpenBytes) plus typed views over
-// its sections. It is the one production index.Source — index.FromSource(h)
-// serves containment queries directly from the region — and what every
-// serving state is backed by.
+// image in process memory from FromMappings, Prefix.Image or OpenBytes)
+// plus typed views over its sections. It is the one production
+// index.Source — index.FromSource(h) serves containment queries directly
+// from the region — and what every serving state is backed by.
 // Mappings materialize lazily on first hit and are cached; the strings they
 // carry are views into the region, so materialized mappings must not
 // outlive the Handle. The serving layer guarantees that by keeping the
@@ -334,7 +334,8 @@ func (h *Handle) Close() error {
 func (h *Handle) Path() string { return h.path }
 
 // Mapped reports whether the handle is backed by an mmapped file region
-// (Open) rather than an image in process memory (FromMappings, OpenBytes).
+// (Open) rather than an image in process memory (FromMappings,
+// Prefix.Image, OpenBytes).
 func (h *Handle) Mapped() bool { return h.mapped }
 
 // MappedBytes returns the size of the backing image in bytes, mmapped or

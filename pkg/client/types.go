@@ -247,6 +247,10 @@ type IngestStatus struct {
 	LogPath     string `json:"log_path,omitempty"`
 	// LogBytesTruncated counts bytes of torn tail discarded at replay.
 	LogBytesTruncated int64 `json:"log_bytes_truncated,omitempty"`
+	// LastSynthesisMs (incremental synthesis) and LastPublishMs (image
+	// build and swap) split the last run: they sum to LastRunMs.
+	LastSynthesisMs float64 `json:"last_synthesis_ms,omitempty"`
+	LastPublishMs   float64 `json:"last_publish_ms,omitempty"`
 }
 
 // EndpointStats is one endpoint's counters in Stats.
