@@ -11,7 +11,7 @@
 // workload runs through the coordinator while a roll re-ships the corpus
 // replica-by-replica mid-run: zero client-visible errors across the whole
 // run, the roll reaches every follower, and the cluster ends healthy with
-// every replica alive at the shipped version.
+// every replica alive at the shipped version and the source's snapshot CRC.
 //
 // Usage:
 //
@@ -198,12 +198,28 @@ func run(duration time.Duration, scale float64, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("GET /v1/cluster after roll: %w", err)
 	}
+	// Version numbers are per-node counters; the snapshot CRC is what shows
+	// every replica now serves the source's exact image.
+	var srcCRC string
+	for _, p := range info.Peers {
+		if p.Name == rollRep.Source {
+			srcCRC = p.Corpora[client.DefaultCorpus].SnapshotCRC
+		}
+	}
+	if srcCRC == "" {
+		return fmt.Errorf("roll source %s reports no snapshot_crc after roll", rollRep.Source)
+	}
 	for _, p := range info.Peers {
 		if !p.Alive {
 			return fmt.Errorf("peer %s not alive after roll: %s", p.Name, p.Error)
 		}
-		if got := p.Corpora[client.DefaultCorpus].Version; got != rollRep.SourceVersion {
-			return fmt.Errorf("peer %s at version %d after roll, want %d", p.Name, got, rollRep.SourceVersion)
+		got := p.Corpora[client.DefaultCorpus]
+		if got.Version != rollRep.SourceVersion {
+			return fmt.Errorf("peer %s at version %d after roll, want %d", p.Name, got.Version, rollRep.SourceVersion)
+		}
+		if got.SnapshotCRC != srcCRC {
+			return fmt.Errorf("peer %s serves snapshot_crc %s after roll, source %s has %s",
+				p.Name, got.SnapshotCRC, rollRep.Source, srcCRC)
 		}
 	}
 	return nil

@@ -6,11 +6,9 @@
 //  1. The held-out table streams in through POST /v1/corpora/{name}/tables
 //     and the staleness report converges (applied LSN == head LSN).
 //  2. The incrementally synthesized snapshot is byte-identical to a
-//     from-scratch rebuild over base+ingested tables — the parity contract
-//     that makes delta shipping trustworthy.
-//  3. A cluster roll ships the change to the follower as a delta, the
-//     delta is under 20% of the full snapshot's bytes for this one-table
-//     change, and the follower's snapshot comes out byte-identical.
+//     from-scratch rebuild over base+ingested tables.
+//  3. A cluster roll ships the source's full image to the follower, and
+//     the follower's snapshot comes out byte-identical.
 //
 // Usage:
 //
@@ -68,14 +66,9 @@ func run(scale float64, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("base synthesis: %w", err)
 	}
-	var baseSnap bytes.Buffer
-	if err := snapshot.WriteV2(&baseSnap, baseRes.Mappings); err != nil {
-		return fmt.Errorf("base snapshot: %w", err)
-	}
 
 	// 2. Source node with ingestion enabled, follower without, both
-	// starting from the identical v2 base image so the follower's
-	// snapshot CRC names a base the source still holds in history.
+	// serving the base mappings.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ingestDir, err := os.MkdirTemp("", "ingestcheck")
 	if err != nil {
@@ -97,11 +90,6 @@ func run(scale float64, seed int64) error {
 	defer tsSource.Close()
 	tsFollower := httptest.NewServer(follower.Handler())
 	defer tsFollower.Close()
-	for _, u := range []string{tsSource.URL, tsFollower.URL} {
-		if _, err := client.New(u).Corpus(client.DefaultCorpus).Upload(ctx, baseSnap.Bytes()); err != nil {
-			return fmt.Errorf("installing base image on %s: %w", u, err)
-		}
-	}
 
 	topo, err := cluster.NewTopology([]cluster.Peer{
 		{Name: "source", Addr: tsSource.URL},
@@ -169,30 +157,30 @@ func run(scale float64, seed int64) error {
 	fmt.Printf("ingestcheck: incremental synthesis byte-identical to full rebuild (%d mappings, %d bytes)\n",
 		len(fullRes.Mappings), len(liveSnap))
 
-	// 5. Wait for the coordinator to probe both nodes — the roll's delta
-	// preference keys off the follower's probed snapshot CRC.
+	// 5. Wait for the coordinator to see both nodes alive: a roll skips
+	// peers it has not probed alive.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ci, err := sdk.Cluster(ctx)
 		if err == nil {
-			ready := 0
+			alive := 0
 			for _, p := range ci.Peers {
-				if p.Alive && p.Corpora[client.DefaultCorpus].SnapshotCRC != "" {
-					ready++
+				if p.Alive {
+					alive++
 				}
 			}
-			if ready == 2 {
+			if alive == 2 {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("coordinator never probed CRC-identified replicas")
+			return fmt.Errorf("coordinator never probed both replicas alive")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// 6. Delta roll: the follower must catch up via a delta that is under
-	// 20% of the full snapshot, and come out byte-identical.
+	// 6. Roll: the follower receives the source's full image and must come
+	// out byte-identical.
 	rep, err := sdk.RollCluster(ctx, client.RollRequest{Source: "source"})
 	if err != nil {
 		return fmt.Errorf("roll: %w", err)
@@ -200,22 +188,17 @@ func run(scale float64, seed int64) error {
 	if len(rep.Rolled) != 1 {
 		return fmt.Errorf("roll reached %d replicas, want 1: %+v", len(rep.Rolled), rep)
 	}
-	rolled := rep.Rolled[0]
-	if !rolled.Delta {
-		return fmt.Errorf("follower rolled with a full image (%d bytes), want a delta", rolled.Bytes)
+	if rolled := rep.Rolled[0]; rolled.Bytes != int64(len(liveSnap)) || rep.ShippedBytes != rolled.Bytes {
+		return fmt.Errorf("roll shipped %d bytes (report total %d), want the %d-byte full image",
+			rolled.Bytes, rep.ShippedBytes, len(liveSnap))
 	}
-	if limit := rep.Bytes / 5; rolled.Bytes >= limit {
-		return fmt.Errorf("delta %d bytes, want < 20%% of the %d-byte full snapshot (%d)",
-			rolled.Bytes, rep.Bytes, limit)
-	}
-	fmt.Printf("ingestcheck: delta roll shipped %d of %d bytes (%.1f%%)\n",
-		rolled.Bytes, rep.Bytes, 100*float64(rolled.Bytes)/float64(rep.Bytes))
+	fmt.Printf("ingestcheck: roll shipped %d bytes in %.0fms\n", rep.ShippedBytes, rep.DurationMs)
 	followerSnap, _, err := client.New(tsFollower.URL).Corpus(client.DefaultCorpus).Snapshot(ctx)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(followerSnap, liveSnap) {
-		return fmt.Errorf("follower snapshot differs from source after delta roll")
+		return fmt.Errorf("follower snapshot differs from source after roll")
 	}
 	return nil
 }

@@ -65,10 +65,7 @@
 // into new snapshot versions (only dirty compatibility-graph components
 // re-run; the result is byte-identical to an offline rebuild). With
 // -rebuild-profile set, ingested tables extend that generated corpus;
-// otherwise each corpus starts from the ingested tables alone. Replicas
-// catch up with delta snapshots: GET /v1/corpora/{name}/snapshot?since=V
-// (or ?since_crc=HEX) ships only changed sections, falling back to the
-// full image when the base is unknown.
+// otherwise each corpus starts from the ingested tables alone.
 //
 // Observability (see docs/observability.md):
 //

@@ -1,6 +1,6 @@
 // Command snapinfo inspects a mapping snapshot file without serving it:
 // format version, section layout, mapping/pair counts, and checksum status
-// for the mmap-able v2 layout, delta files and the legacy v1 stream.
+// for the mmap-able v2 layout and the legacy v1 stream.
 //
 // Usage:
 //
@@ -11,10 +11,8 @@
 // CRC, every per-section CRC, and the structural invariants (in-bounds
 // references, sorted term table) — the full integrity pass that activation
 // deliberately skips to stay O(1). For a v1 file it decodes the stream,
-// which verifies the whole-file CRC as a side effect. For a delta file it
-// prints the base/target identities (versions and CRCs), the changed v2
-// sections, and the copy/literal op split; parsing a delta verifies its
-// footer CRC and every literal body, so no separate -verify pass exists.
+// which verifies the whole-file CRC as a side effect; any other version
+// byte fails with snapshot.ErrVersion.
 //
 // Exit status is 0 when every file checks out, 1 when any file fails.
 package main
@@ -23,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"mapsynth/internal/snapshot"
 )
@@ -70,45 +67,10 @@ func describe(path string, verify bool) error {
 		fmt.Printf("  size:     %d bytes\n", info.Size())
 	}
 
-	switch head[4] {
-	case snapshot.Version2:
+	if head[4] == snapshot.Version2 {
 		return describeV2(path, verify)
-	case snapshot.VersionDelta:
-		return describeDelta(path)
 	}
 	return describeV1(path)
-}
-
-// describeDelta parses a delta file and prints what it would do to its
-// base: the base/target identities (version counters and whole-file CRCs),
-// which v2 sections changed, and the copy/literal op split. OpenDelta
-// verifies the footer CRC and every literal body before returning, so a
-// successful parse is the integrity check — there is nothing further for
-// -verify to add without the base snapshot at hand.
-func describeDelta(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	d, err := snapshot.OpenDelta(data)
-	if err != nil {
-		fmt.Printf("  checksum: FAIL\n")
-		return err
-	}
-	fmt.Printf("  kind:     delta (applies to a base snapshot, not loadable alone)\n")
-	fmt.Printf("  base:     version %d, crc %08x\n", d.BaseVersion, d.BaseCRC)
-	fmt.Printf("  target:   version %d, crc %08x\n", d.TargetVersion, d.TargetCRC)
-	fmt.Printf("  mappings: %d base -> %d target (%d copied, %d literal)\n",
-		d.BaseCount, d.TargetCount(), d.Copies(), d.Literals)
-	changed := make([]string, 0, 16)
-	for i := 0; i < 16; i++ {
-		if d.ChangedSections&(1<<i) != 0 {
-			changed = append(changed, snapshot.SectionName(i+1))
-		}
-	}
-	fmt.Printf("  changed:  %s\n", strings.Join(changed, " "))
-	fmt.Printf("  checksum: ok (footer CRC + literal bodies, verified by parse)\n")
-	return nil
 }
 
 // describeV1 decodes the varint stream; Decode checks the whole-file CRC

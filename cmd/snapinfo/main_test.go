@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,60 +14,69 @@ import (
 	"mapsynth/internal/table"
 )
 
-// TestDescribe exercises describe on all three on-disk formats — v1, v2,
-// and a delta between two v2 images — plus the corruption path.
+// TestDescribe exercises describe on both loadable formats — v1 and v2 —
+// and on the files it must refuse: a v2 image with one flipped byte (caught
+// by -verify, not by the O(1) header check) and a file whose version byte
+// is 3, which no reader accepts.
 func TestDescribe(t *testing.T) {
-	build := func(prefix string, n int) []*mapping.Mapping {
-		states := []string{"California", "Washington", "Oregon", "Texas"}
-		coded := make([]string, len(states))
-		for i, s := range states {
-			coded[i] = prefix + "-" + s[:2]
-		}
-		var maps []*mapping.Mapping
-		for id := 0; id < n; id++ {
-			bt := table.NewBinaryTable(id, id, fmt.Sprintf("%s%d.example", prefix, id), "s", "c", states, coded)
-			maps = append(maps, mapping.Build(id, []*table.BinaryTable{bt}))
-		}
-		return maps
+	states := []string{"California", "Washington", "Oregon", "Texas"}
+	coded := make([]string, len(states))
+	for i, s := range states {
+		coded[i] = "A-" + s[:2]
+	}
+	var maps []*mapping.Mapping
+	for id := 0; id < 3; id++ {
+		bt := table.NewBinaryTable(id, id, fmt.Sprintf("a%d.example", id), "s", "c", states, coded)
+		maps = append(maps, mapping.Build(id, []*table.BinaryTable{bt}))
 	}
 	dir := t.TempDir()
-	baseMaps := build("A", 3)
-	targetMaps := append(build("A", 3), build("B", 1)...)
 
 	// The last file the v1 writer wrote (see internal/snapshot's tests).
 	v1 := "../../internal/snapshot/testdata/states.v1.snap"
-	v2a, v2b := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
-	if err := snapshot.WriteFileV2(v2a, baseMaps); err != nil {
+	v2 := filepath.Join(dir, "a.snap")
+	if err := snapshot.WriteFileV2(v2, maps); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.WriteFileV2(v2b, targetMaps); err != nil {
-		t.Fatal(err)
-	}
-	baseData, _ := os.ReadFile(v2a)
-	targetData, _ := os.ReadFile(v2b)
-	delta, err := snapshot.BuildDelta(baseData, targetData, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpath := filepath.Join(dir, "ab.delta")
-	if err := os.WriteFile(dpath, delta, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{v1, v2a, dpath} {
+	for _, path := range []string{v1, v2} {
 		if err := describe(path, true); err != nil {
 			t.Errorf("describe(%s): %v", path, err)
 		}
 	}
 
-	// A flipped byte in the delta op stream must fail, not print garbage.
-	bad := bytes.Clone(delta)
-	bad[len(bad)/2] ^= 0xff
-	bpath := filepath.Join(dir, "bad.delta")
-	if err := os.WriteFile(bpath, bad, 0o644); err != nil {
+	write := func(name string, data []byte) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good, err := os.ReadFile(v2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := describe(bpath, false); err == nil {
-		t.Error("corrupted delta described without error")
+	h, err := snapshot.OpenBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	for _, s := range h.Sections() {
+		if s.Name == "arena" {
+			flipped[s.Offset+s.Length/2] ^= 0x01
+		}
+	}
+	bad := write("flipped.snap", flipped)
+	if err := describe(bad, false); err != nil {
+		t.Errorf("a flip inside a section must get past the header check: %v", err)
+	}
+	if err := describe(bad, true); err == nil {
+		t.Error("bit-flipped v2 passed -verify")
+	}
+
+	// Magic, version byte 3, a payload and a valid CRC footer.
+	v3 := append(append([]byte(nil), snapshot.Magic[:]...), 3, 0, 0, 0)
+	v3 = binary.LittleEndian.AppendUint32(v3, crc32.ChecksumIEEE(v3))
+	if err := describe(write("v3.snap", v3), true); err == nil {
+		t.Error("version-3 file described without error")
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/serve"
-	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 	"mapsynth/pkg/client"
 )
@@ -328,7 +327,8 @@ func dropClockKeys(v any) any {
 }
 
 // TestRoll: snapshot shipping walks the replica set; afterwards every peer
-// serves the source's data at a fresh version.
+// serves the source's data at a fresh version, from an image byte-identical
+// to the source's, and each follower was shipped that full image once.
 func TestRoll(t *testing.T) {
 	ts1, srv1 := testNode(t, codedMappings("V1"))
 	ts2, _ := testNode(t, codedMappings("V1"))
@@ -353,6 +353,29 @@ func TestRoll(t *testing.T) {
 	if rep.Source != "n1" || rep.SourceVersion != 2 || len(rep.Rolled) != 2 {
 		t.Fatalf("roll report = %+v", rep)
 	}
+	ctx := context.Background()
+	src, _, err := client.New(ts1.URL).Corpus("default").Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bytes != int64(len(src)) || rep.ShippedBytes != int64(len(rep.Rolled))*rep.Bytes {
+		t.Fatalf("bytes = %d, shipped_bytes = %d; want %d and %d×%d",
+			rep.Bytes, rep.ShippedBytes, len(src), len(rep.Rolled), len(src))
+	}
+	for _, rp := range rep.Rolled {
+		if rp.Bytes != rep.Bytes {
+			t.Errorf("peer %s was shipped %d bytes, want the %d-byte image", rp.Peer, rp.Bytes, rep.Bytes)
+		}
+	}
+	for _, u := range []string{ts2.URL, ts3.URL} {
+		data, _, err := client.New(u).Corpus("default").Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, src) {
+			t.Errorf("node %s snapshot differs from the source's after roll", u)
+		}
+	}
 	// Every node now answers with the new data, directly.
 	for _, u := range []string{ts1.URL, ts2.URL, ts3.URL} {
 		lr, err := client.New(u).Lookup(context.Background(), "California")
@@ -371,85 +394,6 @@ func TestRoll(t *testing.T) {
 	for _, p := range info.Peers {
 		if v := p.Corpora["default"].Version; v != 2 {
 			t.Errorf("peer %s version = %d, want 2", p.Name, v)
-		}
-	}
-}
-
-// TestRollDelta: a roll to peers whose probed state is CRC-identified ships
-// deltas, not full images — and the result is byte-identical to a full roll.
-func TestRollDelta(t *testing.T) {
-	// Two mapping generations sharing most content: v2 changes one mapping
-	// out of many, so a delta between their snapshots is small.
-	generation := func(tag string) []*mapping.Mapping {
-		maps := codedMappings(tag)
-		for i := 1; i <= 20; i++ {
-			ls, rs := make([]string, 8), make([]string, 8)
-			for j := range ls {
-				ls[j] = fmt.Sprintf("key-%d-%d", i, j)
-				rs[j] = fmt.Sprintf("val-%d-%d", i, j)
-			}
-			bt := table.NewBinaryTable(100+i, 100+i, fmt.Sprintf("fill%d.example", i), "l", "r", ls, rs)
-			maps = append(maps, mapping.Build(i, []*table.BinaryTable{bt}))
-		}
-		return maps
-	}
-	snap := func(maps []*mapping.Mapping) []byte {
-		var buf bytes.Buffer
-		if err := snapshot.WriteV2(&buf, maps); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	snapA, snapB := snap(generation("A")), snap(generation("B"))
-
-	ts1, _ := testNode(t, codedMappings("seed"))
-	ts2, _ := testNode(t, codedMappings("seed"))
-	ts3, _ := testNode(t, codedMappings("seed"))
-	ctx := context.Background()
-	// Everyone starts on generation A (v2-backed, so each node's healthz
-	// reports the snapshot CRC); the source then moves to B.
-	for _, u := range []string{ts1.URL, ts2.URL, ts3.URL} {
-		if _, err := client.New(u).Corpus("default").Upload(ctx, snapA); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := client.New(ts1.URL).Corpus("default").Upload(ctx, snapB); err != nil {
-		t.Fatal(err)
-	}
-	co := newTestCoordinator(t, []Peer{
-		{Name: "n1", Addr: ts1.URL},
-		{Name: "n2", Addr: ts2.URL},
-		{Name: "n3", Addr: ts3.URL},
-	})
-	front := httptest.NewServer(co.Handler())
-	t.Cleanup(front.Close)
-
-	rep, err := client.New(front.URL, client.WithRetries(0)).RollCluster(ctx, client.RollRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Source != "n1" || len(rep.Rolled) != 2 {
-		t.Fatalf("roll report = %+v", rep)
-	}
-	for _, rp := range rep.Rolled {
-		if !rp.Delta {
-			t.Errorf("peer %s rolled with a full image, want delta", rp.Peer)
-		}
-		if rp.Bytes >= rep.Bytes {
-			t.Errorf("peer %s delta (%d bytes) not smaller than full (%d)", rp.Peer, rp.Bytes, rep.Bytes)
-		}
-	}
-	if rep.ShippedBytes >= 2*rep.Bytes {
-		t.Errorf("shipped %d bytes, full-image roll would be %d", rep.ShippedBytes, 2*rep.Bytes)
-	}
-	// Byte parity: every peer now serves exactly the source's image.
-	for _, u := range []string{ts2.URL, ts3.URL} {
-		data, _, err := client.New(u).Corpus("default").Snapshot(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, snapB) {
-			t.Errorf("peer %s snapshot differs after delta roll", u)
 		}
 	}
 }

@@ -19,12 +19,10 @@ import (
 // version; after the walk every touched peer is re-probed so version-aware
 // routing sees the new state immediately.
 //
-// Deltas are preferred: when a peer's last probe reported the snapshot CRC
-// it serves, the coordinator asks the source for a delta against that base
-// (?since_crc) and ships only changed sections. Any miss — the source no
-// longer holds the base, the delta wouldn't save bytes, or the peer refuses
-// the delta (its state moved since the probe) — falls back to the full
-// image for that peer; the roll never fails because an optimization did.
+// Every follower receives the same full image and verifies it completely
+// before installing it: at the sizes served here that is faster than
+// building and applying a delta on any link above ~15 MB/s, because a
+// delta decodes and re-encodes the whole corpus (docs/cluster.md).
 func (co *Coordinator) Roll(ctx context.Context, corpus, source string) (*client.RollReport, error) {
 	t0 := time.Now()
 	if corpus == "" {
@@ -48,23 +46,7 @@ func (co *Coordinator) Roll(ctx context.Context, corpus, source string) (*client
 		if pc == src || !pc.status.Load().alive {
 			continue
 		}
-		payload, isDelta := data, false
-		if ch, ok := pc.status.Load().corpora[corpus]; ok && ch.SnapshotCRC != "" {
-			if res, derr := src.cli.Corpus(corpus).SnapshotSince(ctx, 0, ch.SnapshotCRC); derr == nil &&
-				res.Delta && res.Version == version {
-				payload, isDelta = res.Data, true
-			}
-		}
-		put, err := pc.cli.Corpus(corpus).Upload(ctx, payload)
-		if err != nil && isDelta {
-			// The peer's state moved since the probe (or the delta's base
-			// CRC check tripped): retry with the full image before giving
-			// up on the peer.
-			co.log.Warn("delta roll refused, retrying full",
-				"peer", pc.peer.Name, "corpus", corpus, "error", err)
-			payload, isDelta = data, false
-			put, err = pc.cli.Corpus(corpus).Upload(ctx, payload)
-		}
+		put, err := pc.cli.Corpus(corpus).Upload(ctx, data)
 		if err != nil {
 			// Stop the walk at the first failure: the already-rolled peers
 			// keep the new state (every install was atomic), the rest keep
@@ -73,10 +55,10 @@ func (co *Coordinator) Roll(ctx context.Context, corpus, source string) (*client
 				pc.peer.Name, len(rep.Rolled), err)
 		}
 		co.log.Info("replica rolled", "peer", pc.peer.Name, "corpus", corpus,
-			"version", put.Version, "delta", isDelta, "bytes", len(payload))
+			"version", put.Version, "bytes", len(data))
 		rep.Rolled = append(rep.Rolled, client.RolledPeer{
-			Peer: pc.peer.Name, Version: put.Version, Delta: isDelta, Bytes: int64(len(payload))})
-		rep.ShippedBytes += int64(len(payload))
+			Peer: pc.peer.Name, Version: put.Version, Bytes: int64(len(data))})
+		rep.ShippedBytes += int64(len(data))
 		co.probePeer(ctx, pc)
 	}
 	co.probePeer(ctx, src)

@@ -56,7 +56,7 @@ type corpusInfo struct {
 	// most recently live last.
 	History []int64 `json:"history,omitempty"`
 	// SnapshotCRC is the whole-file CRC of the state's snapshot image (hex)
-	// — the content identity delta replication matches on.
+	// — its content identity, comparable across nodes.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness (log head vs applied LSN);
 	// absent for corpora never ingested into.
@@ -147,11 +147,7 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name st
 			writeError(w, r, CodeBadRequest, "reading snapshot body: "+err.Error())
 			return
 		}
-		if snapshot.IsDelta(data) {
-			st, err = s.LoadCorpusDelta(name, data)
-		} else {
-			st, err = s.LoadCorpusSnapshot(name, data)
-		}
+		st, err = s.LoadCorpusSnapshot(name, data)
 	} else {
 		var req putCorpusRequest
 		if _, perr := body.Peek(1); perr == nil { // non-empty body
@@ -229,23 +225,10 @@ func (s *Server) writeUploadTooLarge(w http.ResponseWriter, r *http.Request, err
 // replication. Every state is a v2 image, so the response streams it
 // zero-copy and any node can act as a roll source. The X-Corpus-Version
 // header carries the source version for the replicator's convergence check.
-// The ?since=V and ?since_crc=HEX query parameters request a delta: the
-// caller names the full snapshot it already holds (by this corpus's version
-// number, or — across nodes, whose version counters are unrelated — by the
-// snapshot's whole-file CRC), and if that base is still available in the
-// live state or the history ring, the response is a delta file
-// reconstructing the live snapshot from it. The X-Delta-Base and
-// X-Delta-Base-CRC headers mark a delta response. Any miss — unknown base,
-// encoding failure, a delta no smaller than the image — silently falls back
-// to the full snapshot: the parameters are an optimization, not a contract.
+// Query parameters are ignored: every answer is the full image.
 func (s *Server) handleCorpusSnapshot(c *corpus, w http.ResponseWriter, r *http.Request) {
 	st := c.state.Load()
 	data := st.handle.Bytes()
-	if delta, base := s.corpusDelta(c, st, r); delta != nil {
-		w.Header().Set("X-Delta-Base", strconv.FormatInt(base.Version, 10))
-		w.Header().Set("X-Delta-Base-CRC", fmt.Sprintf("%08x", base.imageCRC()))
-		data = delta
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Header().Set("X-Corpus-Version", strconv.FormatInt(st.Version, 10))
@@ -253,37 +236,6 @@ func (s *Server) handleCorpusSnapshot(c *corpus, w http.ResponseWriter, r *http.
 	if r.Method != http.MethodHead {
 		_, _ = w.Write(data)
 	}
-}
-
-// corpusDelta builds the delta response for a snapshot GET carrying ?since
-// or ?since_crc, or returns nil when the request wants (or must fall back
-// to) the full snapshot.
-func (s *Server) corpusDelta(c *corpus, live *State, r *http.Request) ([]byte, *State) {
-	q := r.URL.Query()
-	sinceStr, crcStr := q.Get("since"), q.Get("since_crc")
-	if sinceStr == "" && crcStr == "" {
-		return nil, nil
-	}
-	var version int64
-	var crc uint64
-	var err error
-	if sinceStr != "" {
-		if version, err = strconv.ParseInt(sinceStr, 10, 64); err != nil || version < 1 {
-			return nil, nil
-		}
-	} else if crc, err = strconv.ParseUint(crcStr, 16, 32); err != nil {
-		return nil, nil
-	}
-	base := c.findState(version, uint32(crc))
-	if base == nil {
-		return nil, nil
-	}
-	liveData := live.handle.Bytes()
-	delta, err := snapshot.BuildDelta(base.handle.Bytes(), liveData, base.Version, live.Version)
-	if err != nil || len(delta) >= len(liveData) {
-		return nil, nil // a delta that doesn't save bytes is not worth a two-format protocol
-	}
-	return delta, base
 }
 
 func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request, name string) {

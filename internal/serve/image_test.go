@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
+	"strings"
 	"testing"
 
 	"mapsynth/internal/mapping"
@@ -67,13 +71,12 @@ func TestCorruptUploadRejected(t *testing.T) {
 	}
 }
 
-// TestEveryStateIsADeltaBase: states installed from mappings in hand —
-// NewFromMappings, then two rebuild reloads — are v2 images like any other:
-// CRC-identified on the metadata surfaces and usable as the base of a delta
-// snapshot GET once a newer version is live.
-func TestEveryStateIsADeltaBase(t *testing.T) {
-	// Each install adds one mapping to the previous set, so a delta is a
-	// handful of copy ops and one literal against a multi-page full image.
+// TestEveryStateShipsItsImage: states installed from mappings in hand —
+// NewFromMappings, then two rebuild reloads — are v2 images like any other.
+// Each install is CRC-identified afresh on the metadata surface, its
+// snapshot GET streams exactly the bytes WriteV2 writes for its mappings,
+// and the reported snapshot_crc is those bytes' footer.
+func TestEveryStateShipsItsImage(t *testing.T) {
 	sets := [][]*mapping.Mapping{testMappings()}
 	for i := 1; i <= 2; i++ {
 		extra := codedMappings(fmt.Sprintf("X%d", i))[0]
@@ -90,7 +93,6 @@ func TestEveryStateIsADeltaBase(t *testing.T) {
 	h := srv.Handler()
 
 	var prevCRC string
-	var prevFull []byte
 	for i := range sets {
 		if i > 0 {
 			if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusOK {
@@ -102,27 +104,78 @@ func TestEveryStateIsADeltaBase(t *testing.T) {
 		if info.Format != "v2" || info.SnapshotCRC == "" || info.SnapshotCRC == prevCRC || info.Mappings != len(sets[i]) {
 			t.Fatalf("install %d: info = %+v, want a fresh CRC-identified v2 image of %d mappings", i, info, len(sets[i]))
 		}
-		_, full := getSnapshot(t, h, "/v1/corpora/default/snapshot")
-		full = append([]byte(nil), full...)
+		var want bytes.Buffer
+		if err := snapshot.WriteV2(&want, sets[i]); err != nil {
+			t.Fatal(err)
+		}
+		_, got := getSnapshot(t, h, "/v1/corpora/default/snapshot")
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("install %d: snapshot GET (%d bytes) differs from WriteV2 of its mappings (%d bytes)", i, len(got), want.Len())
+		}
+		if footer := fmt.Sprintf("%08x", binary.LittleEndian.Uint32(got[len(got)-4:])); info.SnapshotCRC != footer {
+			t.Fatalf("install %d: snapshot_crc %s, image footer %s", i, info.SnapshotCRC, footer)
+		}
+		prevCRC = info.SnapshotCRC
+	}
+}
 
-		if i > 0 {
-			rec, body := getSnapshot(t, h, "/v1/corpora/default/snapshot?since_crc="+prevCRC)
-			if got := rec.Header().Get("X-Delta-Base-CRC"); got != prevCRC || !snapshot.IsDelta(body) {
-				t.Fatalf("install %d: since_crc=%s answered X-Delta-Base-CRC %q, delta=%v (%d bytes)",
-					i, prevCRC, got, snapshot.IsDelta(body), len(body))
-			}
-			d, err := snapshot.OpenDelta(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rebuilt, err := d.Apply(prevFull)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rebuilt, full) {
-				t.Fatalf("install %d: delta over the previous image does not reproduce the live one", i)
+// TestSnapshotDelta: a snapshot GET that asks for a delta, the way older
+// replicas did — by the CRC of the previous image or by version 1 — gets
+// the live image's exact bytes and exactly the headers of a plain GET.
+// Replicas always ship full images; the query string is ignored.
+func TestSnapshotDelta(t *testing.T) {
+	srv, _ := newTestServer(t, 8)
+	h := srv.Handler()
+	var first corpusInfo
+	getJSON(t, h, "/v1/corpora/default", &first)
+	var next bytes.Buffer
+	if err := snapshot.WriteV2(&next, append(testMappings(), codedMappings("NEW")...)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, h, http.MethodPut, "/v1/corpora/default", next.Bytes(), "application/octet-stream"); rec.Code != http.StatusOK {
+		t.Fatalf("upload = %d: %s", rec.Code, rec.Body)
+	}
+	plain, _ := getSnapshot(t, h, "/v1/corpora/default/snapshot")
+	for _, q := range []string{"since_crc=" + first.SnapshotCRC, "since=1"} {
+		rec, body := getSnapshot(t, h, "/v1/corpora/default/snapshot?"+q)
+		if !bytes.Equal(body, next.Bytes()) {
+			t.Errorf("%s: answered %d bytes, want the live %d-byte image", q, len(body), next.Len())
+		}
+		for k := range rec.Header() {
+			if _, ok := plain.Header()[k]; !ok {
+				t.Errorf("%s: response carries %s, which a plain GET does not", q, k)
 			}
 		}
-		prevCRC, prevFull = info.SnapshotCRC, full
+	}
+}
+
+// TestDeltaUpload: a version-3 body — the byte the retired delta format
+// used — with a valid CRC footer is refused with 422 naming the version, and
+// the corpus keeps serving the image it had.
+func TestDeltaUpload(t *testing.T) {
+	srv, _ := newTestServer(t, 8)
+	h := srv.Handler()
+	var before corpusInfo
+	getJSON(t, h, "/v1/corpora/default", &before)
+
+	body := append(append([]byte(nil), snapshot.Magic[:]...), 3)
+	body = append(body, "any payload"...)
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	rec := do(t, h, http.MethodPut, "/v1/corpora/default", body, "application/octet-stream")
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("version-3 upload = %d: %s", rec.Code, rec.Body)
+	}
+	if rec.Code != http.StatusUnprocessableEntity || env.Error.Code != string(CodeUnprocessable) ||
+		!strings.Contains(env.Error.Message, "unsupported format version: 3") {
+		t.Fatalf("version-3 upload = %d %+v, want 422 unprocessable naming version 3", rec.Code, env.Error)
+	}
+	var after corpusInfo
+	getJSON(t, h, "/v1/corpora/default", &after)
+	if after.Version != before.Version || after.SnapshotCRC != before.SnapshotCRC {
+		t.Fatalf("after refused upload: version %d crc %s, want %d %s",
+			after.Version, after.SnapshotCRC, before.Version, before.SnapshotCRC)
 	}
 }

@@ -280,8 +280,8 @@ func (s *Server) ingestConfig() pipeline.Config {
 }
 
 // publishIngest installs an ingest-synthesized image as the corpus's next
-// version. Like every state it is a canonical v2 image: byte-addressable
-// for snapshot GETs, CRC-identified for delta shipping — and byte-identical
+// version. Like every state it is a canonical v2 image: shipped as is by
+// snapshot GETs, CRC-identified on the metadata surfaces — and byte-identical
 // to what an offline rebuild over the same tables would snapshot (the
 // incremental engine's golden parity contract). swapIn is atomic, so
 // queries never observe a partially applied version.

@@ -210,135 +210,10 @@ func TestIngestAcksBeforeSynthesis(t *testing.T) {
 	}
 }
 
-// TestSnapshotDelta exercises the delta path of GET /snapshot: ?since and
-// ?since_crc return a delta that reconstructs the live image byte-for-byte,
-// and any unknown base silently falls back to the full snapshot.
-func TestSnapshotDelta(t *testing.T) {
-	base, held := ingestCorpus(t, 2)
-	srv := newIngestServer(t, base)
-	h := srv.Handler()
-
-	// Version A: first held-out table ingested.
-	_, trA := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, held[0]))
-	if trA.Synthesis != "applied" {
-		t.Fatalf("synthesis A: %q (%s)", trA.Synthesis, trA.SynthesisError)
-	}
-	recA, fullA := getSnapshot(t, h, "/v1/corpora/default/snapshot")
-	versionA := recA.Header().Get("X-Corpus-Version")
-	crcA, ok := snapshot.FileCRC(fullA)
-	if !ok {
-		t.Fatal("snapshot A has no trailing CRC")
-	}
-	fullA = append([]byte(nil), fullA...)
-
-	// Version B: second table ingested.
-	_, trB := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, held[1]))
-	if trB.Synthesis != "applied" {
-		t.Fatalf("synthesis B: %q (%s)", trB.Synthesis, trB.SynthesisError)
-	}
-	_, fullB := getSnapshot(t, h, "/v1/corpora/default/snapshot")
-	fullB = append([]byte(nil), fullB...)
-
-	check := func(param string) {
-		t.Helper()
-		rec, body := getSnapshot(t, h, "/v1/corpora/default/snapshot?"+param)
-		if !snapshot.IsDelta(body) {
-			t.Fatalf("%s: response is not a delta (%d bytes)", param, len(body))
-		}
-		if got := rec.Header().Get("X-Delta-Base"); got != versionA {
-			t.Fatalf("%s: X-Delta-Base = %q, want %q", param, got, versionA)
-		}
-		if got := rec.Header().Get("X-Delta-Base-CRC"); got != fmt.Sprintf("%08x", crcA) {
-			t.Fatalf("%s: X-Delta-Base-CRC = %q, want %08x", param, got, crcA)
-		}
-		if len(body) >= len(fullB) {
-			t.Fatalf("%s: delta (%d bytes) not smaller than full (%d bytes)", param, len(body), len(fullB))
-		}
-		d, err := snapshot.OpenDelta(body)
-		if err != nil {
-			t.Fatalf("%s: OpenDelta: %v", param, err)
-		}
-		rebuilt, err := d.Apply(fullA)
-		if err != nil {
-			t.Fatalf("%s: Apply: %v", param, err)
-		}
-		if !bytes.Equal(rebuilt, fullB) {
-			t.Fatalf("%s: delta-rebuilt snapshot differs from full snapshot", param)
-		}
-	}
-	check("since=" + versionA)
-	check(fmt.Sprintf("since_crc=%08x", crcA))
-
-	// Unknown bases fall back to the full snapshot — the parameter is an
-	// optimization, not a contract.
-	for _, param := range []string{"since=9999", "since_crc=deadbeef", "since=bogus"} {
-		rec, body := getSnapshot(t, h, "/v1/corpora/default/snapshot?"+param)
-		if snapshot.IsDelta(body) || rec.Header().Get("X-Delta-Base") != "" {
-			t.Fatalf("%s: expected full-snapshot fallback, got delta", param)
-		}
-		if !bytes.Equal(body, fullB) {
-			t.Fatalf("%s: fallback body differs from full snapshot", param)
-		}
-	}
-}
-
-// TestDeltaUpload ships a delta to a second server: PUT sniffs the delta
-// magic, resolves the base by CRC among live+history, and installs the
-// rebuilt image as a new version. A delta with no matching base is refused.
-func TestDeltaUpload(t *testing.T) {
-	base, held := ingestCorpus(t, 2)
-	srv := newIngestServer(t, base)
-	h := srv.Handler()
-
-	_, trA := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, held[0]))
-	recA, fullA := getSnapshot(t, h, "/v1/corpora/default/snapshot")
-	versionA := recA.Header().Get("X-Corpus-Version")
-	fullA = append([]byte(nil), fullA...)
-	_, trB := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, held[1]))
-	if trA.Synthesis != "applied" || trB.Synthesis != "applied" {
-		t.Fatalf("synthesis: %q/%q", trA.Synthesis, trB.Synthesis)
-	}
-	_, fullB := getSnapshot(t, h, "/v1/corpora/default/snapshot")
-	fullB = append([]byte(nil), fullB...)
-	_, delta := getSnapshot(t, h, "/v1/corpora/default/snapshot?since="+versionA)
-	if !snapshot.IsDelta(delta) {
-		t.Fatal("no delta to ship")
-	}
-	delta = append([]byte(nil), delta...)
-
-	follower := NewFromMappings(testMappings(), Options{})
-	defer follower.Close()
-	fh := follower.Handler()
-
-	put := func(name string, data []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPut, "/v1/corpora/"+name, bytes.NewReader(data))
-		req.Header.Set("Content-Type", "application/octet-stream")
-		fh.ServeHTTP(rec, req)
-		return rec
-	}
-
-	// No base yet: the delta must be refused, not half-applied.
-	if rec := put("rep", delta); rec.Code == http.StatusOK || rec.Code == http.StatusCreated {
-		t.Fatalf("delta without base accepted: %d %s", rec.Code, rec.Body.String())
-	}
-	if rec := put("rep", fullA); rec.Code != http.StatusCreated {
-		t.Fatalf("full upload = %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec := put("rep", delta); rec.Code != http.StatusOK {
-		t.Fatalf("delta upload = %d: %s", rec.Code, rec.Body.String())
-	}
-	_, got := getSnapshot(t, fh, "/v1/corpora/rep/snapshot")
-	if !bytes.Equal(got, fullB) {
-		t.Fatal("delta-rolled follower snapshot differs from source")
-	}
-}
-
 // TestIngestRegistryChurn hammers one corpus with concurrent ingestion,
-// activate/rollback flips, delta-or-full snapshot reads and corpus
-// delete/recreate (on a sibling), asserting under -race that every served
-// snapshot is a complete, CRC-valid image — no version is ever visible with
-// a partially applied delta.
+// activate/rollback flips, snapshot reads and corpus delete/recreate (on a
+// sibling), asserting under -race that every served snapshot is a complete,
+// CRC-valid image — no version is ever visible half-installed.
 func TestIngestRegistryChurn(t *testing.T) {
 	base, held := ingestCorpus(t, 4)
 	srv := newIngestServer(t, base)
@@ -410,8 +285,8 @@ func TestIngestRegistryChurn(t *testing.T) {
 		}
 	}()
 
-	// Readers: every snapshot answer must be a complete image — a full v2
-	// file with a valid trailing CRC, or a delta that applies cleanly.
+	// Readers: every snapshot answer must be a complete v2 image that loads
+	// and passes the full integrity check.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
@@ -423,16 +298,11 @@ func TestIngestRegistryChurn(t *testing.T) {
 					report("snapshot GET = %d", rec.Code)
 					continue
 				}
-				data := rec.Body.Bytes()
-				if snapshot.IsDelta(data) {
-					report("plain snapshot GET returned a delta")
-					continue
+				ld, err := snapshot.LoadBytes(rec.Body.Bytes())
+				if err == nil {
+					err = ld.Handle.Verify()
 				}
-				if _, ok := snapshot.FileCRC(data); !ok {
-					report("served snapshot missing trailing CRC (partial image?)")
-					continue
-				}
-				if _, err := snapshot.LoadBytes(append([]byte(nil), data...)); err != nil {
+				if err != nil {
 					report("served snapshot does not load: %v", err)
 				}
 			}

@@ -290,72 +290,12 @@ func (s *Server) LoadCorpusContext(ctx context.Context, name, path string) (*Sta
 	return s.swapIn(name, s.newState(ld.Handle, path, t0)), nil
 }
 
-// findState returns the live or history state matching version (when
-// version > 0) or whose v2 image CRC equals crc (when version == 0) — the
-// two ways a delta requester can name its base. nil when nothing matches.
-func (c *corpus) findState(version int64, crc uint32) *State {
-	match := func(st *State) bool {
-		if version > 0 {
-			return st.Version == version
-		}
-		return st.imageCRC() == crc
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur := c.state.Load(); cur != nil && match(cur) {
-		return cur
-	}
-	for i := len(c.history) - 1; i >= 0; i-- {
-		if match(c.history[i]) {
-			return c.history[i]
-		}
-	}
-	return nil
-}
-
-// LoadCorpusDelta applies an uploaded delta snapshot to the named corpus —
-// the PUT-with-delta-bytes path of delta-shipped replication. The base is
-// located by the delta's own base CRC among the live and history states;
-// applying verifies both the base and the reconstructed target CRCs, and
-// the whole read-apply-install sequence holds the corpus's write lock, so
-// a concurrent load cannot slip a different base underneath and queries
-// can never observe a partially applied delta (installs are one atomic
-// pointer swap of a fully verified state).
-func (s *Server) LoadCorpusDelta(name string, data []byte) (*State, error) {
-	if !validCorpusName(name) {
-		return nil, fmt.Errorf("serve: invalid corpus name %q (want 1-64 chars of [A-Za-z0-9._-])", name)
-	}
-	t0 := time.Now()
-	d, err := snapshot.OpenDelta(data)
-	if err != nil {
-		return nil, fmt.Errorf("corpus %q: opening delta: %w", name, err)
-	}
-	c := s.reg.shell(name)
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.state.Load() == nil {
-		return nil, fmt.Errorf("corpus %q: cannot apply a delta to a corpus with no state (roll a full snapshot first)", name)
-	}
-	base := c.findState(0, d.BaseCRC)
-	if base == nil {
-		return nil, fmt.Errorf("corpus %q: no state matches delta base crc %08x (base version %d): %w",
-			name, d.BaseCRC, d.BaseVersion, snapshot.ErrDeltaBase)
-	}
-	target, err := d.Apply(base.handle.Bytes())
-	if err != nil {
-		return nil, fmt.Errorf("corpus %q: applying delta to v%d: %w", name, base.Version, err)
-	}
-	ld, err := snapshot.LoadBytes(target)
-	if err != nil {
-		return nil, fmt.Errorf("corpus %q: decoding delta result: %w", name, err)
-	}
-	return s.swapIn(name, s.newState(ld.Handle, "", t0)), nil
-}
-
 // LoadCorpusSnapshot opens an uploaded snapshot body as the named corpus —
-// the PUT-with-bytes path. Unlike a file the operator put on disk, the
+// the PUT-with-bytes path, and how a cluster roll installs the source's
+// image on each follower. Unlike a file the operator put on disk, the
 // bytes crossed a network, so the image is fully verified (every CRC plus
-// the structural walk) before it can go live. The resulting state has no
+// the structural walk) before it can go live; any version byte other than
+// 1 or 2 fails with snapshot.ErrVersion. The resulting state has no
 // snapshot path, so it can only be replaced by another PUT, not re-read.
 func (s *Server) LoadCorpusSnapshot(name string, data []byte) (*State, error) {
 	if !validCorpusName(name) {

@@ -177,12 +177,9 @@ func (st *State) NumMappings() int { return st.handle.Len() }
 // process memory.
 func (st *State) MappedBytes() int64 { return st.handle.MappedBytes() }
 
-// imageCRC returns the whole-file CRC of the state's snapshot image — the
-// content identity delta shipping matches bases on.
-func (st *State) imageCRC() uint32 {
-	crc, _ := snapshot.FileCRC(st.handle.Bytes())
-	return crc
-}
+// imageCRC returns the whole-file CRC of the state's snapshot image — its
+// content identity across nodes, whose version counters are unrelated.
+func (st *State) imageCRC() uint32 { return st.handle.CRC() }
 
 // serveDefaults are the documented server-side defaults applied to omitted
 // request parameters, installed on every state's Session.
@@ -858,7 +855,7 @@ type corpusHealth struct {
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
 	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
-	// the base identity a replica quotes in ?since_crc to request a delta.
+	// equal CRCs on two nodes mean they serve the same image.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; absent when the corpus has
 	// never been ingested into.

@@ -349,6 +349,10 @@ func (h *Handle) MappedBytes() int64 { return int64(len(h.data)) }
 // it past Close.
 func (h *Handle) Bytes() []byte { return h.data }
 
+// CRC returns the image's whole-file CRC, read from its footer: two images
+// are byte-identical exactly when their CRCs match (up to CRC collisions).
+func (h *Handle) CRC() uint32 { return le32(h.data, len(h.data)-4) }
+
 // Pairs returns the total pair count across all mappings (from the header).
 func (h *Handle) Pairs() int { return h.pairN }
 
@@ -541,7 +545,7 @@ func (h *Handle) materialize(i int) *mapping.Mapping {
 }
 
 // Materialize returns every mapping, for consumers that walk the whole set
-// (Decode, delta building, base-less ingestion). Like Mapping, the strings
+// (Decode, base-less ingestion). Like Mapping, the strings
 // are views into the region and must not outlive the Handle.
 func (h *Handle) Materialize() []*mapping.Mapping {
 	out := make([]*mapping.Mapping, h.n)

@@ -2,14 +2,13 @@
 // versioned binary artifact — the index-once/serve-many split: cmd/synthesize
 // writes a snapshot at the end of a pipeline run, and cmd/serve (or any other
 // consumer) opens it and answers queries from the image without re-running
-// synthesis. Format v2 (format2.go) is the one representation written and
-// served; deltas between v2 images are format v3 (delta.go).
+// synthesis. Format v2 (format2.go) is the one representation written,
+// served and shipped between replicas.
 //
 // Format v1 is a read-only legacy: old files stay loadable forever (Decode;
 // Load and LoadBytes transcode them to a v2 image once, at load), but
-// nothing writes it any more. Its per-mapping body encoding lives on as the
-// literal record of the delta codec. Layout (all integers varint-encoded,
-// strings length-prefixed):
+// nothing writes it any more. Layout (all integers varint-encoded, strings
+// length-prefixed):
 //
 //	magic "MSNP" | version byte 1 | mapping count
 //	per mapping:
@@ -26,14 +25,12 @@
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/table"
@@ -58,79 +55,6 @@ var (
 	// table, misaligned or overlapping sections, or out-of-range references.
 	ErrLayout = errors.New("snapshot: invalid layout")
 )
-
-// mappingWriter serializes v1 varint payloads with sticky error handling.
-// Its mapping method emits one mapping's body — the delta codec's literal
-// record (delta.go), and the unit a v1 file repeats per mapping.
-type mappingWriter struct {
-	w       *bufio.Writer
-	scratch [binary.MaxVarintLen64]byte
-	err     error
-}
-
-func (mw *mappingWriter) uvarint(v uint64) {
-	if mw.err != nil {
-		return
-	}
-	n := binary.PutUvarint(mw.scratch[:], v)
-	_, mw.err = mw.w.Write(mw.scratch[:n])
-}
-
-func (mw *mappingWriter) str(s string) {
-	mw.uvarint(uint64(len(s)))
-	if mw.err == nil {
-		_, mw.err = mw.w.WriteString(s)
-	}
-}
-
-// ints delta-encodes a sorted ascending id list: Build keeps these sorted,
-// so deltas are small non-negative varints.
-func (mw *mappingWriter) ints(ids []int) {
-	mw.uvarint(uint64(len(ids)))
-	prev := 0
-	for i, id := range ids {
-		d := id - prev
-		if d < 0 || (i == 0 && id < 0) {
-			if mw.err == nil {
-				mw.err = fmt.Errorf("snapshot: ids not sorted ascending: %v", ids)
-			}
-			return
-		}
-		mw.uvarint(uint64(d))
-		prev = id
-	}
-}
-
-// mapping writes one mapping's complete v1 body.
-func (mw *mappingWriter) mapping(m *mapping.Mapping) {
-	mw.uvarint(uint64(m.ID))
-	mw.uvarint(uint64(len(m.Pairs)))
-	for _, p := range m.Pairs {
-		mw.str(p.L)
-		mw.str(p.R)
-	}
-	for _, s := range m.PairSupports() {
-		mw.uvarint(uint64(s))
-	}
-	mw.ints(m.TableIDs)
-	mw.uvarint(uint64(len(m.Domains)))
-	for _, d := range m.Domains {
-		mw.str(d)
-	}
-	mw.ints(m.CandidateIDs)
-	sr := m.SurfaceRights()
-	mw.uvarint(uint64(len(sr)))
-	// Deterministic output: iterate keys in sorted order.
-	keys := make([]string, 0, len(sr))
-	for k := range sr {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		mw.str(k)
-		mw.str(sr[k])
-	}
-}
 
 // ReadFile decodes the snapshot file at path (v1 or v2) onto the heap.
 func ReadFile(path string) ([]*mapping.Mapping, error) {
@@ -285,11 +209,9 @@ func (d *decoder) str() string {
 	return s
 }
 
-// mapping decodes one v1 mapping body — the inverse of
-// mappingWriter.mapping, shared by Decode and the delta codec's literal
-// records. Every count is bounds-checked against the remaining buffer
-// before allocation, so arbitrary bytes fail cleanly instead of
-// over-allocating.
+// mapping decodes one v1 mapping body. Every count is bounds-checked
+// against the remaining buffer before allocation, so arbitrary bytes fail
+// cleanly instead of over-allocating.
 func (d *decoder) mapping() (*mapping.Mapping, error) {
 	id := int(d.uvarint())
 	np := int(d.uvarint())

@@ -223,18 +223,25 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	})
 	t.Run("badversion", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[4] = 99
-		// Re-stamp the checksum so only the version is wrong.
-		reseal(bad)
-		if _, err := Decode(bad); !errors.Is(err, ErrVersion) {
-			t.Errorf("bad version: err = %v, want ErrVersion", err)
+		// 3 is the retired delta format's version byte: rejected like any
+		// other unknown version, by Decode and by the upload path alike.
+		for _, v := range []byte{3, 99} {
+			bad := append([]byte(nil), good...)
+			bad[4] = v
+			// Re-stamp the checksum so only the version is wrong.
+			reseal(bad)
+			if _, err := Decode(bad); !errors.Is(err, ErrVersion) {
+				t.Errorf("version %d: Decode err = %v, want ErrVersion", v, err)
+			}
+			if _, err := LoadBytes(bad); !errors.Is(err, ErrVersion) {
+				t.Errorf("version %d: LoadBytes err = %v, want ErrVersion", v, err)
+			}
 		}
 	})
 }
 
 // FuzzDecodeV1: Decode still parses bytes that arrive over HTTP (a v1
-// upload, a delta's v1 base). The footer is re-sealed inside the fuzz body
+// upload). The footer is re-sealed inside the fuzz body
 // so mutations get past the checksum and reach the varint body decoder,
 // which must fail cleanly — never panic or over-allocate.
 func FuzzDecodeV1(f *testing.F) {

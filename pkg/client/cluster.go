@@ -15,9 +15,9 @@ type ClusterCorpus struct {
 	Version  int64  `json:"version"`
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
-	// SnapshotCRC is the whole-file CRC of the peer's live snapshot — the
-	// base identity a roll uses to ship this peer a delta instead of a
-	// full image. Empty when the peer's state is not CRC-identified.
+	// SnapshotCRC is the whole-file CRC of the peer's live snapshot. Version
+	// numbers are per-node counters; equal CRCs are what say two peers
+	// serve the same image.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 }
 
@@ -68,11 +68,7 @@ type RollRequest struct {
 type RolledPeer struct {
 	Peer    string `json:"peer"`
 	Version int64  `json:"version"`
-	// Delta reports the peer was rolled with a delta snapshot (only the
-	// sections changed since the base it already held).
-	Delta bool `json:"delta,omitempty"`
-	// Bytes is what was actually shipped to this peer (the delta's size
-	// when Delta, the full image's otherwise).
+	// Bytes is what was shipped to this peer: the full image.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -83,8 +79,7 @@ type RollReport struct {
 	Source        string `json:"source"`
 	SourceVersion int64  `json:"source_version"`
 	// Bytes is the full snapshot image's size; ShippedBytes is what
-	// actually crossed the wire to all peers — with delta rolls it can be
-	// far below Bytes * len(Rolled).
+	// crossed the wire to all peers, Bytes * len(Rolled).
 	Bytes        int64        `json:"bytes"`
 	ShippedBytes int64        `json:"shipped_bytes"`
 	Rolled       []RolledPeer `json:"rolled"`

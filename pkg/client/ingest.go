@@ -8,17 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 )
 
 // Live ingestion: Corpus.IngestTables streams tables into the server's
 // durable append log at POST /v1/corpora/{name}/tables, where the
 // incremental synthesis engine folds them into new snapshot versions.
-// Corpus.SnapshotSince fetches the live snapshot as a delta against a base
-// the caller already holds — the replication primitive that lets a follower
-// catch up shipping only changed sections.
 
 // IngestColumn is one column of an ingested table.
 type IngestColumn struct {
@@ -182,63 +177,4 @@ func (cc *Corpus) IngestTables(ctx context.Context, tables []IngestTable, opts I
 		return nil, ErrSevered
 	}
 	return trailer, nil
-}
-
-// SnapshotResult is a snapshot download that may be a delta.
-type SnapshotResult struct {
-	// Data is the response body: a full v2 snapshot, or — when Delta — a
-	// delta file that snapshot.OpenDelta/Apply reconstructs the full image
-	// from. Either form is directly accepted by Corpus.Upload on another
-	// node (the server sniffs the format).
-	Data []byte
-	// Version is the source's live version (X-Corpus-Version).
-	Version int64
-	// Delta reports the body is a delta against the requested base.
-	Delta bool
-	// BaseVersion / BaseCRC identify the base a delta applies to
-	// (X-Delta-Base / X-Delta-Base-CRC); zero values on a full snapshot.
-	BaseVersion int64
-	BaseCRC     string
-}
-
-// SnapshotSince downloads this corpus's live snapshot, requesting a delta
-// against a base the caller already holds: sinceVersion names it by this
-// server's version counter, sinceCRC (hex, as reported in snapshot_crc of
-// CorpusInfo/CorpusHealth) by content — the form that works across nodes,
-// whose version counters are unrelated. Zero/empty values skip the
-// respective parameter. The server answers with a delta only when it still
-// holds the base and the delta actually saves bytes; any miss falls back to
-// the full snapshot, so callers must check Delta rather than assume.
-func (cc *Corpus) SnapshotSince(ctx context.Context, sinceVersion int64, sinceCRC string) (*SnapshotResult, error) {
-	path := cc.prefix + "/snapshot"
-	q := url.Values{}
-	if sinceVersion > 0 {
-		q.Set("since", strconv.FormatInt(sinceVersion, 10))
-	}
-	if sinceCRC != "" {
-		q.Set("since_crc", sinceCRC)
-	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	resp, err := cc.c.send(ctx, http.MethodGet, path, nil, "")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: reading snapshot body: %w", err)
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, parseAPIError(resp, data)
-	}
-	res := &SnapshotResult{Data: data}
-	res.Version, _ = strconv.ParseInt(resp.Header.Get("X-Corpus-Version"), 10, 64)
-	if base := resp.Header.Get("X-Delta-Base"); base != "" {
-		res.Delta = true
-		res.BaseVersion, _ = strconv.ParseInt(base, 10, 64)
-		res.BaseCRC = resp.Header.Get("X-Delta-Base-CRC")
-	}
-	return res, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/serve"
-	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 )
 
@@ -105,10 +104,11 @@ func TestIngestTables(t *testing.T) {
 	}
 }
 
-// TestSnapshotSince checks the delta download path end to end: a delta
-// against a held base reconstructs the live image, an unknown base falls
-// back to the full snapshot, and the delta round-trips through Upload.
-func TestSnapshotSince(t *testing.T) {
+// TestSnapshotRoundTrip checks the replication primitive end to end: after
+// an ingest publishes a new version, Snapshot returns the live version and
+// its full image, and Upload installs those bytes on another corpus as a
+// byte-identical state with the same snapshot_crc.
+func TestSnapshotRoundTrip(t *testing.T) {
 	c, held := ingestService(t)
 	ctx := context.Background()
 	def := c.Corpus(DefaultCorpus)
@@ -116,79 +116,34 @@ func TestSnapshotSince(t *testing.T) {
 	if _, err := def.IngestTables(ctx, []IngestTable{ingestTableOf(held[0])}, IngestOptions{Wait: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	fullA, versionA, err := def.Snapshot(ctx)
+	full, version, err := def.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infoA, err := def.Get(ctx)
+	info, err := def.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := def.IngestTables(ctx, []IngestTable{ingestTableOf(held[1])}, IngestOptions{Wait: true}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fullB, versionB, err := def.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if versionB <= versionA {
-		t.Fatalf("versions did not advance: %d -> %d", versionA, versionB)
+	if version != info.Version || version < 2 {
+		t.Fatalf("snapshot version %d, live version %d: want the ingest-published version", version, info.Version)
 	}
 
-	for name, fetch := range map[string]func() (*SnapshotResult, error){
-		"since":     func() (*SnapshotResult, error) { return def.SnapshotSince(ctx, versionA, "") },
-		"since_crc": func() (*SnapshotResult, error) { return def.SnapshotSince(ctx, 0, infoA.SnapshotCRC) },
-	} {
-		res, err := fetch()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.Delta || res.BaseVersion != versionA || res.Version != versionB {
-			t.Fatalf("%s: result = delta=%v base=%d version=%d, want delta v%d->v%d",
-				name, res.Delta, res.BaseVersion, res.Version, versionA, versionB)
-		}
-		if len(res.Data) >= len(fullB) {
-			t.Fatalf("%s: delta (%d bytes) not smaller than full (%d bytes)", name, len(res.Data), len(fullB))
-		}
-		d, err := snapshot.OpenDelta(res.Data)
-		if err != nil {
-			t.Fatalf("%s: OpenDelta: %v", name, err)
-		}
-		rebuilt, err := d.Apply(fullA)
-		if err != nil {
-			t.Fatalf("%s: Apply: %v", name, err)
-		}
-		if !bytes.Equal(rebuilt, fullB) {
-			t.Fatalf("%s: delta-rebuilt image differs from full snapshot", name)
-		}
-	}
-
-	// Unknown base: silent fallback to the full image.
-	res, err := def.SnapshotSince(ctx, 0, "deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delta || !bytes.Equal(res.Data, fullB) {
-		t.Fatal("unknown base did not fall back to the full snapshot")
-	}
-
-	// The delta body Uploads directly: a follower holding fullA catches up.
-	res, err = def.SnapshotSince(ctx, versionA, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	follower := c.Corpus("follower")
-	if _, err := follower.Upload(ctx, fullA); err != nil {
+	if _, err := follower.Upload(ctx, full); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := follower.Upload(ctx, res.Data); err != nil {
-		t.Fatalf("delta upload: %v", err)
 	}
 	got, _, err := follower.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, fullB) {
-		t.Fatal("delta-rolled follower differs from source")
+	if !bytes.Equal(got, full) {
+		t.Fatal("uploaded follower's snapshot differs from source")
+	}
+	finfo, err := follower.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finfo.SnapshotCRC != info.SnapshotCRC {
+		t.Fatalf("follower snapshot_crc %s, source %s", finfo.SnapshotCRC, info.SnapshotCRC)
 	}
 }

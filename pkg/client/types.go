@@ -216,8 +216,8 @@ type CorpusHealth struct {
 	Pairs      int     `json:"pairs"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
-	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's snapshot
-	// image — the content identity to quote in SnapshotSince's sinceCRC.
+	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
+	// its content identity, comparable across nodes.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; nil for corpora never
 	// ingested into.
@@ -344,7 +344,7 @@ type CorpusInfo struct {
 	// recently live last.
 	History []int64 `json:"history"`
 	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
-	// the content identity delta replication matches on.
+	// its content identity, comparable across nodes.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; nil for corpora never
 	// ingested into.
