@@ -1,7 +1,8 @@
 // Package mapsynth's root benchmark harness: one testing.B benchmark per
 // table/figure of the paper's evaluation (EXPERIMENTS.md maps them), plus
-// micro-benchmarks for the build-side primitives. Serving costs are not
-// measured here: bench/'s per-layer ledger owns them. Run with:
+// micro-benchmarks for the build-side primitives and for the applications
+// over a served image. End-to-end serving costs are not measured here:
+// bench/'s per-layer ledger owns them. Run with:
 //
 //	go test -bench=. -benchmem
 package mapsynth
@@ -10,16 +11,21 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"mapsynth/internal/apps"
 	"mapsynth/internal/baselines"
 	"mapsynth/internal/compat"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/experiments"
 	"mapsynth/internal/graph"
+	"mapsynth/internal/index"
+	"mapsynth/internal/mapping"
 	"mapsynth/internal/pipeline"
+	"mapsynth/internal/snapshot"
 	"mapsynth/internal/stats"
 	"mapsynth/internal/strmatch"
 	"mapsynth/internal/synthesis"
@@ -294,4 +300,115 @@ func BenchmarkExperimentFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.Figure7(io.Discard, e, experiments.DefaultSeed)
 	}
+}
+
+// appsQueries is the query pool of bench/'s query-mixed workload, rebuilt
+// here: per application, columns of up to 16 pairs cut from the served
+// mappings at seeded offsets, with the workload's parameters.
+type appsQueries struct {
+	keys    []string
+	fill    []apps.AutoFillQuery
+	correct []apps.AutoCorrectQuery
+	join    []apps.AutoJoinQuery
+}
+
+func newAppsQueries(maps []*mapping.Mapping, n int) appsQueries {
+	var usable []*mapping.Mapping
+	for _, m := range maps {
+		if len(m.Pairs) >= 4 {
+			usable = append(usable, m)
+		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	var qs appsQueries
+	for i := 0; i < n; i++ {
+		m := usable[rng.Intn(len(usable))]
+		rows := min(16, len(m.Pairs))
+		off := rng.Intn(len(m.Pairs) - rows + 1)
+		lefts, rights := make([]string, rows), make([]string, rows)
+		for j, p := range m.Pairs[off : off+rows] {
+			lefts[j], rights[j] = p.L, p.R
+		}
+		qs.keys = append(qs.keys, lefts[rng.Intn(rows)])
+		qs.fill = append(qs.fill, apps.AutoFillQuery{Column: lefts, MinCoverage: 0.8,
+			Examples: []apps.Example{{Left: lefts[0], Right: rights[0]}}})
+		// Mostly left values with a minority of right values mixed in.
+		split := rows - rows/3
+		mixed := append(append([]string{}, lefts[:split]...), rights[split:]...)
+		qs.correct = append(qs.correct, apps.AutoCorrectQuery{Column: mixed, MinEach: 2, MinCoverage: 0.8})
+		qs.join = append(qs.join, apps.AutoJoinQuery{KeysA: lefts, KeysB: rights, MinCoverage: 0.8})
+	}
+	return qs
+}
+
+var (
+	appsOnce    sync.Once
+	appsSession *apps.Session
+	appsPool    appsQueries
+	appsErr     error
+)
+
+// appsFixture serves the scale-2 web corpus (bench/'s served corpus) as an
+// in-memory v2 image and draws the query pool from its mappings.
+func appsFixture(b *testing.B) (*apps.Session, appsQueries) {
+	appsOnce.Do(func() {
+		c := corpusgen.GenerateWeb(corpusgen.Options{Seed: 42, Scale: 2})
+		res, err := pipeline.New(pipeline.DefaultConfig()).Run(context.Background(), c.Tables)
+		if err != nil {
+			appsErr = err
+			return
+		}
+		h, err := snapshot.FromMappings(res.Mappings)
+		if err != nil {
+			appsErr = err
+			return
+		}
+		appsSession = apps.NewSession(index.FromSource(h))
+		appsPool = newAppsQueries(res.Mappings, 256)
+	})
+	if appsErr != nil {
+		b.Fatal(appsErr)
+	}
+	return appsSession, appsPool
+}
+
+// appsSink keeps the benchmarked calls' results alive.
+var appsSink any
+
+// BenchmarkApps measures one single-query Session call per application
+// over the pool, mappings already materialized (a warm server), with
+// allocations: the work above the index that every served query pays.
+func BenchmarkApps(b *testing.B) {
+	sess, qs := appsFixture(b)
+	ctx := context.Background()
+	run := func(name string, call func(i int) (any, error)) {
+		b.Run(name, func(b *testing.B) {
+			for i := range qs.keys { // materialize every mapping the pool hits
+				if _, err := call(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := call(i % len(qs.keys))
+				if err != nil {
+					b.Fatal(err)
+				}
+				appsSink = res
+			}
+		})
+	}
+	run("Lookup", func(i int) (any, error) {
+		return sess.Lookup(ctx, []apps.LookupQuery{{Key: qs.keys[i]}})
+	})
+	run("AutoFill", func(i int) (any, error) {
+		return sess.AutoFill(ctx, []apps.AutoFillQuery{qs.fill[i]})
+	})
+	run("AutoCorrect", func(i int) (any, error) {
+		return sess.AutoCorrect(ctx, []apps.AutoCorrectQuery{qs.correct[i]})
+	})
+	run("AutoJoin", func(i int) (any, error) {
+		return sess.AutoJoin(ctx, []apps.AutoJoinQuery{qs.join[i]})
+	})
 }

@@ -10,8 +10,6 @@
 package apps
 
 import (
-	"sort"
-
 	"mapsynth/internal/index"
 	"mapsynth/internal/textnorm"
 )
@@ -56,9 +54,14 @@ func autoCorrectOne(ix Index, q AutoCorrectQuery) AutoCorrectResult {
 	if len(hits) > k {
 		hits = hits[:k]
 	}
+	// The column is normalized once for every hit.
+	normed := make([]string, len(q.Column))
+	for i, v := range q.Column {
+		normed[i] = textnorm.Normalize(v)
+	}
 	cands := make([]AutoCorrectResult, len(hits))
 	for i, hit := range hits {
-		cands[i] = autoCorrectForHit(hit, q.Column)
+		cands[i] = autoCorrectForHit(hit, q.Column, normed)
 	}
 	res := cands[0]
 	if q.TopK > 0 {
@@ -68,78 +71,46 @@ func autoCorrectOne(ix Index, q AutoCorrectQuery) AutoCorrectResult {
 }
 
 // autoCorrectForHit computes the corrections one mapping suggests for the
-// column.
-func autoCorrectForHit(hit index.Hit, column []string) AutoCorrectResult {
+// column, whose normalized values are normed. A minority cell is replaced
+// by the other side of the first pair, in Pairs order, that holds it.
+func autoCorrectForHit(hit index.Hit, column, normed []string) AutoCorrectResult {
 	m := hit.Mapping
 	// Classify every cell: left-side, right-side, or unknown.
-	leftOf := make(map[string]string)  // normalized right -> left surface
-	rightOf := make(map[string]string) // normalized left -> right surface
-	leftSurface := make(map[string]string)
-	rightSurface := make(map[string]string)
-	for _, p := range m.Pairs {
-		nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-		if !ok {
-			continue
-		}
-		if _, dup := leftOf[nr]; !dup {
-			leftOf[nr] = p.L
-		}
-		if _, dup := rightOf[nl]; !dup {
-			rightOf[nl] = p.R
-		}
-		if _, dup := leftSurface[nl]; !dup {
-			leftSurface[nl] = p.L
-		}
-		if _, dup := rightSurface[nr]; !dup {
-			rightSurface[nr] = p.R
-		}
-	}
-	type cellSide struct {
-		row  int
-		side int // 0 unknown, 1 left, 2 right
-	}
-	sides := make([]cellSide, len(column))
+	const (
+		unknown = iota
+		left
+		right
+	)
+	sides := make([]int8, len(column))
 	leftCount, rightCount := 0, 0
-	for i, v := range column {
-		nv := textnorm.Normalize(v)
-		_, isL := leftSurface[nv]
-		_, isR := rightSurface[nv]
-		s := cellSide{row: i}
+	for i, nv := range normed {
+		_, isL := m.FirstWithLeft(nv)
+		_, isR := m.FirstWithRight(nv)
 		switch {
-		case isL && !isR:
-			s.side = 1
+		case isL: // ambiguous values follow the left column
+			sides[i] = left
 			leftCount++
-		case isR && !isL:
-			s.side = 2
+		case isR:
+			sides[i] = right
 			rightCount++
-		case isL && isR:
-			s.side = 1 // ambiguous values follow the left column
-			leftCount++
 		}
-		sides[i] = s
 	}
 	res := AutoCorrectResult{MappingIndex: hit.Index}
 	// The majority side is canonical; minority cells get translated.
 	majorityLeft := leftCount >= rightCount
-	for _, s := range sides {
-		nv := textnorm.Normalize(column[s.row])
+	for i, side := range sides {
+		var repl string
 		switch {
-		case majorityLeft && s.side == 2:
-			if repl, ok := leftOf[nv]; ok {
-				res.Corrections = append(res.Corrections, Correction{
-					Row: s.row, Original: column[s.row], Suggested: repl,
-				})
-			}
-		case !majorityLeft && s.side == 1:
-			if repl, ok := rightOf[nv]; ok {
-				res.Corrections = append(res.Corrections, Correction{
-					Row: s.row, Original: column[s.row], Suggested: repl,
-				})
-			}
+		case majorityLeft && side == right:
+			p, _ := m.FirstWithRight(normed[i])
+			repl = p.L
+		case !majorityLeft && side == left:
+			p, _ := m.FirstWithLeft(normed[i])
+			repl = p.R
+		default:
+			continue
 		}
+		res.Corrections = append(res.Corrections, Correction{Row: i, Original: column[i], Suggested: repl})
 	}
-	sort.Slice(res.Corrections, func(i, j int) bool {
-		return res.Corrections[i].Row < res.Corrections[j].Row
-	})
 	return res
 }

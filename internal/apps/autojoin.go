@@ -55,9 +55,14 @@ func autoJoinOne(ix Index, q AutoJoinQuery) AutoJoinResult {
 		}
 		bRows[nv] = append(bRows[nv], i)
 	}
+	// A's keys are normalized once for every hit.
+	normA := make([]string, len(q.KeysA))
+	for i, v := range q.KeysA {
+		normA[i] = textnorm.Normalize(v)
+	}
 	var cands []AutoJoinResult
 	for _, hit := range hits {
-		res := autoJoinForHit(hit, q.KeysA, bRows)
+		res := autoJoinForHit(hit, normA, bRows)
 		if res.Bridged == 0 {
 			continue
 		}
@@ -91,28 +96,32 @@ func autoJoinOne(ix Index, q AutoJoinQuery) AutoJoinResult {
 	return res
 }
 
-// autoJoinForHit joins keysA against the pre-indexed B rows through one
-// mapping; Rows is left in discovery order for the caller to sort.
-func autoJoinForHit(hit index.Hit, keysA []string, bRows map[string][]int) AutoJoinResult {
+// autoJoinForHit joins A's normalized keys against the pre-indexed B rows
+// through one mapping; Rows is left in discovery order for the caller to
+// sort.
+func autoJoinForHit(hit index.Hit, normA []string, bRows map[string][]int) AutoJoinResult {
 	m := hit.Mapping
 	res := AutoJoinResult{MappingIndex: hit.Index}
-	seenLeft := make(map[int]struct{})
-	for i, v := range keysA {
-		// Try every recorded right surface form: synthesized mappings
-		// carry synonymous mentions, and B may use any of them.
-		seenJoin := make(map[int]struct{})
-		for _, r := range m.LookupAll(v) {
-			nr := textnorm.Normalize(r)
+	for i, nl := range normA {
+		// Try every recorded right: synthesized mappings carry synonymous
+		// mentions, and B may use any of them. Distinct rights name
+		// disjoint sets of B rows, so no row pair is found twice.
+		win, others, ok := m.Rights(nl)
+		if !ok {
+			continue
+		}
+		before := len(res.Rows)
+		for _, j := range bRows[win] {
+			res.Rows = append(res.Rows, JoinRow{LeftRow: i, RightRow: j})
+		}
+		for _, nr := range others {
 			for _, j := range bRows[nr] {
-				if _, dup := seenJoin[j]; dup {
-					continue
-				}
-				seenJoin[j] = struct{}{}
 				res.Rows = append(res.Rows, JoinRow{LeftRow: i, RightRow: j})
-				seenLeft[i] = struct{}{}
 			}
 		}
+		if len(res.Rows) > before {
+			res.Bridged++
+		}
 	}
-	res.Bridged = len(seenLeft)
 	return res
 }

@@ -57,9 +57,10 @@ func WriteMappingsTSV(w io.Writer, mappings []*mapping.Mapping) error {
 		return err
 	}
 	for _, m := range mappings {
-		for _, p := range m.Pairs {
+		sups := m.PairSupports()
+		for i, p := range m.Pairs {
 			if _, err := fmt.Fprintf(bw, "%d\t%s\t%s\t%d\t%d\t%d\n",
-				m.ID, tsvField(p.L), tsvField(p.R), m.SupportOf(p),
+				m.ID, tsvField(p.L), tsvField(p.R), sups[i],
 				m.NumTables(), m.NumDomains()); err != nil {
 				return err
 			}

@@ -104,9 +104,9 @@ type logFile interface {
 // error names the file and the bad frame's offset; the file is untouched.
 var ErrLogCorrupt = errors.New("ingest: append log corrupt")
 
-// ErrLogFailed is returned by every Append after a write or fsync on the
-// log file failed. The log stays failed until the process restarts and
-// replays it; acknowledged rows are intact on disk.
+// ErrLogFailed is returned by the Append whose write or fsync on the log
+// file failed, and by every Append after it. The log stays failed until the
+// process restarts and replays it; acknowledged rows are intact on disk.
 var ErrLogFailed = errors.New("ingest: append log failed (restart to recover)")
 
 // OpenLog opens (or creates) the append log at path, replaying every intact
@@ -252,7 +252,7 @@ func (l *Log) Append(rows []TableRow) ([]int64, error) {
 			// complete but unacknowledged one would hold the LSNs the next
 			// batch reuses.
 			l.failed = fmt.Errorf("%w: %v", ErrLogFailed, err)
-			return nil, errors.Join(err, l.f.Truncate(l.size))
+			return nil, errors.Join(l.failed, l.f.Truncate(l.size))
 		}
 		l.size += int64(frame.Len())
 	}

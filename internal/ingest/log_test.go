@@ -70,8 +70,8 @@ func TestLogFailStop(t *testing.T) {
 			fault := tc.fault
 			fault.logFile = lg.f
 			lg.f = &fault
-			if _, err := lg.Append([]TableRow{lost}); err == nil {
-				t.Fatal("append with an injected fault succeeded")
+			if _, err := lg.Append([]TableRow{lost}); !errors.Is(err, ErrLogFailed) {
+				t.Fatalf("append with an injected fault = %v, want ErrLogFailed", err)
 			}
 			if lsns, err := lg.Append([]TableRow{later}); !errors.Is(err, ErrLogFailed) {
 				t.Fatalf("append after a failure = %v, %v; want ErrLogFailed", lsns, err)

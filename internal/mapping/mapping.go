@@ -6,6 +6,7 @@ package mapping
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mapsynth/internal/table"
@@ -20,9 +21,6 @@ type Mapping struct {
 	// Pairs holds the distinct value pairs (one representative surface form
 	// per normalized pair), sorted for determinism.
 	Pairs []table.Pair
-	// Support counts, per normalized pair key, how many candidate tables
-	// contributed the pair.
-	Support map[string]int
 	// TableIDs lists the distinct source table IDs that contributed.
 	TableIDs []int
 	// Domains lists the distinct provenance domains, sorted.
@@ -30,11 +28,110 @@ type Mapping struct {
 	// CandidateIDs lists the BinaryTable IDs merged into this mapping.
 	CandidateIDs []int
 
-	// lookup maps each normalized left value to its best-supported
-	// normalized right value.
-	lookup map[string]string
 	// surface maps normalized right values to a representative surface form.
 	surfaceR map[string]string
+	// idx indexes Pairs by normalized value; every query-time accessor
+	// reads it instead of normalizing stored pairs.
+	idx pairIndex
+}
+
+// pairIndex is a mapping's pairs indexed by normalized value. Build and
+// Restore derive it once, from normalized forms they already hold, so
+// answering a query never normalizes a stored pair.
+type pairIndex struct {
+	// supports[i] is the number of candidate tables that contributed
+	// Pairs[i]; 0 for a pair whose left value does not normalize.
+	supports []int32
+	// lefts maps each normalized left value to its entry in entries.
+	lefts   map[string]int32
+	entries []leftEntry
+	// rights maps each normalized right value to the position of the first
+	// pair holding it.
+	rights map[string]int32
+	// otherPos and otherR hold, for lefts with more than one right, the
+	// positions and normalized rights of the non-winning pairs: one run per
+	// left, in Pairs order.
+	otherPos []int32
+	otherR   []string
+}
+
+// leftEntry is what the index records for one normalized left value.
+type leftEntry struct {
+	// win is the lookup winner: the normalized right with the highest
+	// support, then the lexicographically smallest.
+	win      string
+	winPos   int32 // position of the winning pair
+	firstPos int32 // position of the first pair with this left
+	off, n   int32 // the left's run in otherPos/otherR
+}
+
+// normPair is one stored pair with its normalized values and support: what
+// the pair index is derived from. l is "" for a pair whose left value does
+// not normalize, which the index leaves out.
+type normPair struct {
+	p    table.Pair
+	l, r string
+	sup  int
+}
+
+// newPairIndex derives the index of the pairs norm describes, in Pairs
+// order. Each left's winner is its highest-supported right, ties going to
+// the lexicographically smallest.
+func newPairIndex(norm []normPair) pairIndex {
+	x := pairIndex{
+		// Most lefts have one right, so lefts are sized for one per pair;
+		// many rights are shared, so rights grow as needed.
+		supports: make([]int32, len(norm)),
+		lefts:    make(map[string]int32, len(norm)),
+		entries:  make([]leftEntry, 0, len(norm)),
+		rights:   make(map[string]int32),
+	}
+	more := 0
+	for i, np := range norm {
+		if np.l == "" {
+			continue
+		}
+		sup := int32(min(max(np.sup, 0), math.MaxInt32))
+		x.supports[i] = sup
+		if _, seen := x.rights[np.r]; !seen {
+			x.rights[np.r] = int32(i)
+		}
+		k, seen := x.lefts[np.l]
+		if !seen {
+			x.lefts[np.l] = int32(len(x.entries))
+			x.entries = append(x.entries, leftEntry{win: np.r, winPos: int32(i), firstPos: int32(i)})
+			continue
+		}
+		// n counts the left's further pairs until the runs are laid out.
+		e := &x.entries[k]
+		e.n++
+		more++
+		if w := x.supports[e.winPos]; sup > w || sup == w && np.r < e.win {
+			e.win, e.winPos = np.r, int32(i)
+		}
+	}
+	if more == 0 {
+		return x
+	}
+	// A left with n further pairs has at most n non-winning ones.
+	off := int32(0)
+	for k := range x.entries {
+		e := &x.entries[k]
+		e.off, off, e.n = off, off+e.n, 0
+	}
+	x.otherPos, x.otherR = make([]int32, off), make([]string, off)
+	for i, np := range norm {
+		if np.l == "" {
+			continue
+		}
+		e := &x.entries[x.lefts[np.l]]
+		if np.r == e.win {
+			continue
+		}
+		x.otherPos[e.off+e.n], x.otherR[e.off+e.n] = int32(i), np.r
+		e.n++
+	}
+	return x
 }
 
 // Build assembles a Mapping from the candidate tables of one partition.
@@ -49,17 +146,12 @@ func Build(id int, cands []*table.BinaryTable) *Mapping {
 // build is Build restricted to the normalized pair keys in keep; a nil keep
 // admits every pair.
 func build(id int, cands []*table.BinaryTable, keep map[string]struct{}) *Mapping {
-	m := &Mapping{
-		ID:       id,
-		Support:  make(map[string]int),
-		lookup:   make(map[string]string),
-		surfaceR: make(map[string]string),
-	}
-	surface := make(map[string]table.Pair)
+	m := &Mapping{ID: id, surfaceR: make(map[string]string)}
 	tids := make(map[int]struct{})
 	doms := make(map[string]struct{})
-	// support per normalized left: right -> count, to pick lookup winners.
-	perLeft := make(map[string]map[string]int)
+	// One entry per distinct normalized pair, found by its key.
+	at := make(map[string]int)
+	var norm []normPair
 	for _, b := range cands {
 		m.CandidateIDs = append(m.CandidateIDs, b.ID)
 		tids[b.TableID] = struct{}{}
@@ -68,47 +160,31 @@ func build(id int, cands []*table.BinaryTable, keep map[string]struct{}) *Mappin
 			if _, hit := keep[np.Key]; keep != nil && !hit {
 				continue
 			}
+			if k, seen := at[np.Key]; seen {
+				norm[k].sup++
+				continue
+			}
+			at[np.Key] = len(norm)
 			p := b.Pairs[np.Src]
-			if _, exists := surface[np.Key]; !exists {
-				surface[np.Key] = p
-			}
-			m.Support[np.Key]++
-			rm, okL := perLeft[np.L]
-			if !okL {
-				rm = make(map[string]int, 1)
-				perLeft[np.L] = rm
-			}
-			rm[np.R]++
+			norm = append(norm, normPair{p: p, l: np.L, r: np.R, sup: 1})
 			if _, exists := m.surfaceR[np.R]; !exists {
 				m.surfaceR[np.R] = p.R
 			}
 		}
 	}
-	m.Pairs = make([]table.Pair, 0, len(surface))
-	for _, p := range surface {
-		m.Pairs = append(m.Pairs, p)
-	}
-	sort.Slice(m.Pairs, func(i, j int) bool {
-		if m.Pairs[i].L != m.Pairs[j].L {
-			return m.Pairs[i].L < m.Pairs[j].L
+	// Distinct normalized pairs have distinct surface forms, so this order
+	// is total.
+	sort.Slice(norm, func(i, j int) bool {
+		if norm[i].p.L != norm[j].p.L {
+			return norm[i].p.L < norm[j].p.L
 		}
-		return m.Pairs[i].R < m.Pairs[j].R
+		return norm[i].p.R < norm[j].p.R
 	})
-	for nl, rm := range perLeft {
-		bestR, bestC := "", -1
-		// Deterministic winner: highest count, then lexicographic.
-		rs := make([]string, 0, len(rm))
-		for r := range rm {
-			rs = append(rs, r)
-		}
-		sort.Strings(rs)
-		for _, r := range rs {
-			if rm[r] > bestC {
-				bestR, bestC = r, rm[r]
-			}
-		}
-		m.lookup[nl] = bestR
+	m.Pairs = make([]table.Pair, len(norm))
+	for i := range norm {
+		m.Pairs[i] = norm[i].p
 	}
+	m.idx = newPairIndex(norm)
 	for t := range tids {
 		m.TableIDs = append(m.TableIDs, t)
 	}
@@ -138,12 +214,11 @@ func BuildFromPairs(id int, pairs []table.Pair, cands []*table.BinaryTable) *Map
 }
 
 // PairSupports returns the support counts aligned with Pairs: element i is
-// the number of candidate tables that contributed Pairs[i]. Persistence
-// formats store this slice instead of the keyed Support map.
+// the number of candidate tables that contributed Pairs[i].
 func (m *Mapping) PairSupports() []int {
-	out := make([]int, len(m.Pairs))
-	for i, p := range m.Pairs {
-		out[i] = m.SupportOf(p)
+	out := make([]int, len(m.idx.supports))
+	for i, s := range m.idx.supports {
+		out[i] = int(s)
 	}
 	return out
 }
@@ -163,58 +238,36 @@ func (m *Mapping) SurfaceRights() map[string]string {
 // Restore reconstructs a Mapping from persisted fields, the inverse of the
 // export accessors above. pairSupports must align with pairs; tableIDs,
 // domains and candidateIDs are stored sorted by Build and are kept as given.
-// The internal lookup table is re-derived from the supports using the same
-// deterministic winner rule as Build (highest support, then lexicographically
-// smallest right value), so a restored mapping answers Lookup/LookupAll
-// identically to the original.
+// The pair index is re-derived with the same winner rule as Build, so a
+// restored mapping answers every query identically to the original. Pairs
+// are expected distinct after normalization, as Build leaves them; supports
+// are clamped to [0, math.MaxInt32].
 func Restore(id int, pairs []table.Pair, pairSupports []int,
 	tableIDs []int, domains []string, candidateIDs []int,
 	surfaceR map[string]string) *Mapping {
 	m := &Mapping{
 		ID:           id,
 		Pairs:        pairs,
-		Support:      make(map[string]int, len(pairs)),
 		TableIDs:     tableIDs,
 		Domains:      domains,
 		CandidateIDs: candidateIDs,
-		lookup:       make(map[string]string),
 		surfaceR:     surfaceR,
 	}
 	if m.surfaceR == nil {
 		m.surfaceR = make(map[string]string)
 	}
-	perLeft := make(map[string]map[string]int)
+	norm := make([]normPair, len(pairs))
 	for i, p := range pairs {
 		nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
 		if !ok {
 			continue
 		}
-		sup := 0
+		norm[i] = normPair{l: nl, r: nr}
 		if i < len(pairSupports) {
-			sup = pairSupports[i]
+			norm[i].sup = pairSupports[i]
 		}
-		m.Support[textnorm.PairKey(nl, nr)] = sup
-		rm, okL := perLeft[nl]
-		if !okL {
-			rm = make(map[string]int, 1)
-			perLeft[nl] = rm
-		}
-		rm[nr] = sup
 	}
-	for nl, rm := range perLeft {
-		bestR, bestC := "", -1
-		rs := make([]string, 0, len(rm))
-		for r := range rm {
-			rs = append(rs, r)
-		}
-		sort.Strings(rs)
-		for _, r := range rs {
-			if rm[r] > bestC {
-				bestR, bestC = r, rm[r]
-			}
-		}
-		m.lookup[nl] = bestR
-	}
+	m.idx = newPairIndex(norm)
 	return m
 }
 
@@ -224,22 +277,12 @@ func Restore(id int, pairs []table.Pair, pairSupports []int,
 // tables, filters and postings from them, so an image answers membership
 // exactly as the mapping would.
 func (m *Mapping) NormalizedValues() (left, right []string) {
-	lset := make(map[string]struct{}, len(m.Pairs))
-	rset := make(map[string]struct{}, len(m.Pairs))
-	for _, p := range m.Pairs {
-		nl, nr, ok := textnorm.NormalizePair(p.L, p.R)
-		if !ok {
-			continue
-		}
-		lset[nl] = struct{}{}
-		rset[nr] = struct{}{}
-	}
-	left = make([]string, 0, len(lset))
-	for v := range lset {
+	left = make([]string, 0, len(m.idx.lefts))
+	for v := range m.idx.lefts {
 		left = append(left, v)
 	}
-	right = make([]string, 0, len(rset))
-	for v := range rset {
+	right = make([]string, 0, len(m.idx.rights))
+	for v := range m.idx.rights {
 		right = append(right, v)
 	}
 	sort.Strings(left)
@@ -257,7 +300,20 @@ func (m *Mapping) SupportOf(p table.Pair) int {
 	if !ok {
 		return 0
 	}
-	return m.Support[textnorm.PairKey(nl, nr)]
+	k, ok := m.idx.lefts[nl]
+	if !ok {
+		return 0
+	}
+	e := &m.idx.entries[k]
+	if nr == e.win {
+		return int(m.idx.supports[e.winPos])
+	}
+	for j := e.off; j < e.off+e.n; j++ {
+		if m.idx.otherR[j] == nr {
+			return int(m.idx.supports[m.idx.otherPos[j]])
+		}
+	}
+	return 0
 }
 
 // NumTables returns the number of distinct source tables.
@@ -270,14 +326,15 @@ func (m *Mapping) NumDomains() int { return len(m.Domains) }
 // Lookup maps a left value (any surface form) to the best-supported right
 // value's representative surface form.
 func (m *Mapping) Lookup(left string) (string, bool) {
-	nr, ok := m.lookup[textnorm.Normalize(left)]
+	k, ok := m.idx.lefts[textnorm.Normalize(left)]
 	if !ok {
 		return "", false
 	}
-	if s, okS := m.surfaceR[nr]; okS {
+	win := m.idx.entries[k].win
+	if s, okS := m.surfaceR[win]; okS {
 		return s, true
 	}
-	return nr, true
+	return win, true
 }
 
 // LookupAll returns every right surface form recorded for the left value,
@@ -285,45 +342,51 @@ func (m *Mapping) Lookup(left string) (string, bool) {
 // synonymous right mentions for one left value (Table 6 of the paper);
 // applications like auto-join try all of them.
 func (m *Mapping) LookupAll(left string) []string {
-	nl := textnorm.Normalize(left)
-	if _, ok := m.lookup[nl]; !ok {
+	k, ok := m.idx.lefts[textnorm.Normalize(left)]
+	if !ok {
 		return nil
 	}
-	var out []string
-	if winner, ok := m.surfaceR[m.lookup[nl]]; ok {
+	e := &m.idx.entries[k]
+	out := make([]string, 0, 1+e.n)
+	if winner, ok := m.surfaceR[e.win]; ok {
 		out = append(out, winner)
 	}
-	for _, p := range m.Pairs {
-		pl, pr, ok := textnorm.NormalizePair(p.L, p.R)
-		if !ok || pl != nl {
-			continue
-		}
-		if pr == m.lookup[nl] {
-			continue // majority winner already included
-		}
-		out = append(out, p.R)
+	for _, i := range m.idx.otherPos[e.off : e.off+e.n] {
+		out = append(out, m.Pairs[i].R)
 	}
 	return out
 }
 
-// ContainsLeft reports whether the mapping knows the left value.
-func (m *Mapping) ContainsLeft(left string) bool {
-	_, ok := m.lookup[textnorm.Normalize(left)]
-	return ok
+// Rights returns the normalized right values recorded for the normalized
+// left value nl: the majority winner, and the others in Pairs order. ok is
+// false when no pair has left nl. The caller must not modify others.
+func (m *Mapping) Rights(nl string) (winner string, others []string, ok bool) {
+	k, ok := m.idx.lefts[nl]
+	if !ok {
+		return "", nil, false
+	}
+	e := &m.idx.entries[k]
+	return e.win, m.idx.otherR[e.off : e.off+e.n], true
 }
 
-// RightValues returns the distinct normalized right values.
-func (m *Mapping) RightValues() []string {
-	set := make(map[string]struct{})
-	for _, p := range m.Pairs {
-		set[textnorm.Normalize(p.R)] = struct{}{}
+// FirstWithLeft returns the first pair, in Pairs order, whose normalized
+// left value is nl.
+func (m *Mapping) FirstWithLeft(nl string) (table.Pair, bool) {
+	k, ok := m.idx.lefts[nl]
+	if !ok {
+		return table.Pair{}, false
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	return m.Pairs[m.idx.entries[k].firstPos], true
+}
+
+// FirstWithRight returns the first pair, in Pairs order, whose normalized
+// right value is nr, among the pairs whose left value normalizes.
+func (m *Mapping) FirstWithRight(nr string) (table.Pair, bool) {
+	i, ok := m.idx.rights[nr]
+	if !ok {
+		return table.Pair{}, false
 	}
-	sort.Strings(out)
-	return out
+	return m.Pairs[i], true
 }
 
 // DirectionStats describes how functional each direction of the mapping is,

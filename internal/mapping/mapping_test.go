@@ -31,7 +31,7 @@ func TestBuildDedupAndProvenance(t *testing.T) {
 		t.Errorf("tables=%d domains=%d", m.NumTables(), m.NumDomains())
 	}
 	// Support counts candidates per normalized pair.
-	if got := m.Support["japan\x1fjpn"]; got != 3 {
+	if got := m.SupportOf(table.Pair{L: "japan", R: "Jpn"}); got != 3 {
 		t.Errorf("support(japan) = %d, want 3", got)
 	}
 }
@@ -48,8 +48,8 @@ func TestLookup(t *testing.T) {
 	if _, ok := m.Lookup("nowhere"); ok {
 		t.Error("unknown left should miss")
 	}
-	if !m.ContainsLeft("WASHINGTON  ") {
-		t.Error("ContainsLeft should normalize")
+	if _, ok := m.Lookup("WASHINGTON  "); !ok {
+		t.Error("Lookup should normalize")
 	}
 }
 
@@ -91,13 +91,16 @@ func TestBuildFromPairsFiltering(t *testing.T) {
 	}
 }
 
-func TestRightValues(t *testing.T) {
+func TestNormalizedValues(t *testing.T) {
 	m := Build(0, []*table.BinaryTable{bin(0, 1, "d", [][2]string{
-		{"a", "X"}, {"b", "X"}, {"c", "Y"},
+		{"a", "X"}, {"B", "X"}, {"c", "Y"},
 	})})
-	rv := m.RightValues()
+	lv, rv := m.NormalizedValues()
+	if len(lv) != 3 || lv[0] != "a" || lv[1] != "b" || lv[2] != "c" {
+		t.Errorf("left values = %v", lv)
+	}
 	if len(rv) != 2 || rv[0] != "x" || rv[1] != "y" {
-		t.Errorf("RightValues = %v", rv)
+		t.Errorf("right values = %v", rv)
 	}
 }
 

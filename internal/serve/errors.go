@@ -57,6 +57,10 @@ const (
 	CodeInternal ErrorCode = "internal"
 	// CodeNotReady: the server has no loaded snapshot state to answer from.
 	CodeNotReady ErrorCode = "not_ready"
+	// CodeIngestLogFailed: a write or fsync on the corpus's ingest log
+	// failed (ingest.ErrLogFailed). The log refuses every append until the
+	// server restarts and replays it; acknowledged rows are intact.
+	CodeIngestLogFailed ErrorCode = "ingest_log_failed"
 )
 
 // statusForCode maps an error class to its HTTP status.
@@ -74,7 +78,7 @@ func statusForCode(code ErrorCode) int {
 		return http.StatusTooManyRequests
 	case CodePayloadTooLarge:
 		return http.StatusRequestEntityTooLarge
-	case CodeNotReady:
+	case CodeNotReady, CodeIngestLogFailed:
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

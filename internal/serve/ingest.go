@@ -121,7 +121,7 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	// visible to synthesis) together.
 	lsns, err := ing.Append(rows)
 	if err != nil {
-		writeError(w, r, CodeInternal, "ingest log append: "+err.Error())
+		writeError(w, r, appendErrorCode(err), "ingest log append: "+err.Error())
 		return
 	}
 	// The rows are durable: acknowledge them now. Only the trailer reports
@@ -156,6 +156,16 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 		trailer.Version = st.Version
 	}
 	_ = enc.Encode(trailer)
+}
+
+// appendErrorCode classifies a failed ingest append: a failed log is a
+// declared, lasting condition (503 until restart); anything else is
+// internal.
+func appendErrorCode(err error) ErrorCode {
+	if errors.Is(err, ingest.ErrLogFailed) {
+		return CodeIngestLogFailed
+	}
+	return CodeInternal
 }
 
 // ingestorFor returns the corpus's ingestor, creating it on first use: the

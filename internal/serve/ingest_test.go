@@ -544,3 +544,29 @@ func TestIngestRecoveredAtStartup(t *testing.T) {
 		t.Fatalf("start-up over a log corrupt mid-file = %v, want ErrLogCorrupt", err)
 	}
 }
+
+// TestIngestLogFailedIsDeclared: an append that fails because the log has
+// failed answers 503 ingest_log_failed, however the error is wrapped; any
+// other append error stays a 500 internal.
+func TestIngestLogFailedIsDeclared(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		code   ErrorCode
+		status int
+	}{
+		{fmt.Errorf("%w: write c.mlog: no space left on device", ingest.ErrLogFailed), CodeIngestLogFailed, http.StatusServiceUnavailable},
+		{errors.Join(fmt.Errorf("%w: fsync", ingest.ErrLogFailed), errors.New("truncate failed")), CodeIngestLogFailed, http.StatusServiceUnavailable},
+		{errors.New("encode frame"), CodeInternal, http.StatusInternalServerError},
+	} {
+		code := appendErrorCode(tc.err)
+		if code != tc.code || statusForCode(code) != tc.status {
+			t.Errorf("append error %q answers %d %s, want %d %s", tc.err, statusForCode(code), code, tc.status, tc.code)
+		}
+		rec := httptest.NewRecorder()
+		writeError(rec, httptest.NewRequest(http.MethodPost, "/v1/corpora/default/tables", nil), code, "ingest log append: "+tc.err.Error())
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != tc.status || env.Error.Code != tc.code {
+			t.Errorf("envelope for %q: status %d, body %s (%v)", tc.err, rec.Code, rec.Body.Bytes(), err)
+		}
+	}
+}

@@ -16,10 +16,10 @@ type APIError struct {
 	// Code is the machine-readable error class: "bad_request",
 	// "not_found", "corpus_not_found", "method_not_allowed",
 	// "unprocessable", "overloaded", "quota_exhausted", "internal",
-	// "not_ready". Empty when the server spoke the pre-v1 bare-string
-	// envelope. Both 429 codes carry RetryAfter: "overloaded" means the
-	// shared batch budget is saturated, "quota_exhausted" means this
-	// tenant's own rate limit is.
+	// "not_ready", "ingest_log_failed". Empty when the server spoke the
+	// pre-v1 bare-string envelope. Both 429 codes carry RetryAfter:
+	// "overloaded" means the shared batch budget is saturated,
+	// "quota_exhausted" means this tenant's own rate limit is.
 	Code string
 	// Message is the human-readable explanation.
 	Message string
