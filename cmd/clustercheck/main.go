@@ -126,15 +126,6 @@ func run(duration time.Duration, scale float64, seed int64) error {
 			alive, len(peers), info.Degraded)
 	}
 
-	// The cluster-aware SDK client must bootstrap from the same surface.
-	cc, err := client.NewCluster(ctx, front.URL)
-	if err != nil {
-		return fmt.Errorf("client.NewCluster: %w", err)
-	}
-	if _, err := cc.Lookup(ctx, res.Mappings[0].Pairs[0].L); err != nil {
-		return fmt.Errorf("cluster-client lookup: %w", err)
-	}
-
 	// 4. Throughput must scale with node count.
 	wl, err := loadgen.NewWorkload(res.Mappings)
 	if err != nil {

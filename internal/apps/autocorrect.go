@@ -42,7 +42,7 @@ type AutoCorrectResult struct {
 //
 // Candidates is populated only when the query explicitly asked for
 // TopK > 0.
-func autoCorrectOne(ix Index, q AutoCorrectQuery) AutoCorrectResult {
+func autoCorrectOne(ix lookupIndex, q AutoCorrectQuery) AutoCorrectResult {
 	k := q.TopK
 	if k < 1 {
 		k = 1

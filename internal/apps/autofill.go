@@ -31,7 +31,7 @@ type AutoFillResult struct {
 // Candidates is populated only when the query explicitly asked for
 // TopK > 0, keeping TopK-less results identical to the historical
 // single-result shape.
-func autoFillOne(ix Index, q AutoFillQuery) AutoFillResult {
+func autoFillOne(ix lookupIndex, q AutoFillQuery) AutoFillResult {
 	k := q.TopK
 	if k < 1 {
 		k = 1
@@ -49,7 +49,7 @@ func autoFillOne(ix Index, q AutoFillQuery) AutoFillResult {
 
 // autoFillCandidates collects up to k qualifying mappings' fill results in
 // index-rank order (most contributing domains first).
-func autoFillCandidates(ix Index, q AutoFillQuery, k int) []AutoFillResult {
+func autoFillCandidates(ix lookupIndex, q AutoFillQuery, k int) []AutoFillResult {
 	hits := ix.LookupLeft(q.Column, q.MinCoverage)
 	var out []AutoFillResult
 	for _, hit := range hits {

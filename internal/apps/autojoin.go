@@ -37,7 +37,7 @@ type AutoJoinResult struct {
 // Candidates is populated only when the query explicitly asked for
 // TopK > 0. Mappings that bridge zero rows never qualify, matching the
 // historical "best bridged > 0" selection.
-func autoJoinOne(ix Index, q AutoJoinQuery) AutoJoinResult {
+func autoJoinOne(ix lookupIndex, q AutoJoinQuery) AutoJoinResult {
 	k := q.TopK
 	if k < 1 {
 		k = 1

@@ -16,7 +16,7 @@ import (
 //
 //   - per-column work is spread across the Session's worker pool, so a
 //     batch uses every core instead of one;
-//   - index lookups are deduplicated within the call (CachedIndex):
+//   - index lookups are deduplicated within the call (cachedIndex):
 //     identical (column, parameters) queries share a single LookupLeft /
 //     MixedColumnHits scan, which is the dominant cost per column.
 //     Spreadsheet workloads repeat columns often (copies of sheets,
@@ -59,15 +59,24 @@ type AutoJoinQuery struct {
 	TopK int
 }
 
-// CachedIndex wraps an Index so that repeated identical queries cost one
-// underlying scan. It is what gives a batch its lookup amortization; the
-// serving layer wraps one around the corpus index per /batch/* request.
-// Safe for concurrent use; each distinct query computes exactly once even
-// under concurrent access. The cache only grows, so a CachedIndex is meant
-// to live for one batch, not for a process lifetime (the serving layer has
-// its own bounded LRU for that).
-type CachedIndex struct {
-	ix Index
+// lookupIndex is the containment-lookup surface the applications run on:
+// the session's *index.MappingIndex, the dedup wrapper below, or a test's
+// counting fake. Every implementation answers with the same globally
+// ordered hit list.
+type lookupIndex interface {
+	LookupLeft(values []string, minCoverage float64) []index.Hit
+	MixedColumnHits(values []string, minEach int, minCoverage float64) []index.Hit
+}
+
+// cachedIndex wraps a lookupIndex so that repeated identical queries cost
+// one underlying scan. It is what gives a multi-query call, and every call
+// on a Stream session, its lookup amortization. Safe for concurrent use;
+// each distinct query computes exactly once even under concurrent access.
+// The cache only grows, so a cachedIndex is meant to live for one call or
+// one stream, not for a process lifetime (the serving layer has its own
+// bounded LRU for that).
+type cachedIndex struct {
+	ix lookupIndex
 	mu sync.Mutex
 	m  map[string]*lookupEntry
 }
@@ -77,16 +86,16 @@ type lookupEntry struct {
 	hits []index.Hit
 }
 
-// NewCachedIndex returns an empty per-batch cache over ix.
-func NewCachedIndex(ix Index) *CachedIndex {
-	return &CachedIndex{ix: ix, m: make(map[string]*lookupEntry)}
+// newCachedIndex returns an empty cache over ix.
+func newCachedIndex(ix lookupIndex) *cachedIndex {
+	return &cachedIndex{ix: ix, m: make(map[string]*lookupEntry)}
 }
 
 // LookupLeft answers exactly like the wrapped index, computing each
 // distinct (values, minCoverage) query once. The returned hit slice is
 // shared between identical queries and must be treated as read-only —
 // which all application helpers do.
-func (c *CachedIndex) LookupLeft(values []string, minCoverage float64) []index.Hit {
+func (c *cachedIndex) LookupLeft(values []string, minCoverage float64) []index.Hit {
 	return c.hits(queryKey('L', values, 0, minCoverage), func() []index.Hit {
 		return c.ix.LookupLeft(values, minCoverage)
 	})
@@ -94,13 +103,13 @@ func (c *CachedIndex) LookupLeft(values []string, minCoverage float64) []index.H
 
 // MixedColumnHits answers exactly like the wrapped index, computing each
 // distinct (values, minEach, minCoverage) query once.
-func (c *CachedIndex) MixedColumnHits(values []string, minEach int, minCoverage float64) []index.Hit {
+func (c *cachedIndex) MixedColumnHits(values []string, minEach int, minCoverage float64) []index.Hit {
 	return c.hits(queryKey('M', values, minEach, minCoverage), func() []index.Hit {
 		return c.ix.MixedColumnHits(values, minEach, minCoverage)
 	})
 }
 
-func (c *CachedIndex) hits(key string, compute func() []index.Hit) []index.Hit {
+func (c *cachedIndex) hits(key string, compute func() []index.Hit) []index.Hit {
 	c.mu.Lock()
 	e := c.m[key]
 	if e == nil {

@@ -12,10 +12,10 @@ import (
 	"mapsynth/internal/pool"
 )
 
-// countingIndex wraps an Index and counts the scans that reach it, so tests
-// can observe within-batch lookup deduplication.
+// countingIndex wraps a lookupIndex and counts the scans that reach it, so
+// tests can observe lookup deduplication.
 type countingIndex struct {
-	ix           Index
+	ix           lookupIndex
 	lookups      int
 	mixedLookups int
 }
@@ -101,7 +101,8 @@ func TestBatchDeduplicatesLookups(t *testing.T) {
 	}
 	// A single worker makes the count deterministic; correctness under
 	// concurrency is covered by the sync.Once in the cache plus -race runs.
-	if _, err := NewSession(cix, WithPool(pool.New(1))).AutoFill(context.Background(), queries); err != nil {
+	sess := &Session{ix: cix, pool: pool.New(1)}
+	if _, err := sess.AutoFill(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	if cix.lookups != 1 {
@@ -111,11 +112,45 @@ func TestBatchDeduplicatesLookups(t *testing.T) {
 	// Different parameters must not share.
 	queries = append(queries, AutoFillQuery{Column: col, MinCoverage: 0.5})
 	cix.lookups = 0
-	if _, err := NewSession(cix, WithPool(pool.New(1))).AutoFill(context.Background(), queries); err != nil {
+	if _, err := sess.AutoFill(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	if cix.lookups != 2 {
 		t.Errorf("lookups = %d, want 2 (two distinct coverages)", cix.lookups)
+	}
+}
+
+// TestStreamDeduplicatesAcrossCalls pins the cross-call contract the
+// server's /batch/* streams rely on: single-query calls on one Stream
+// session share index scans, a plain session's single calls do not, and
+// every Stream session starts with an empty cache.
+func TestStreamDeduplicatesAcrossCalls(t *testing.T) {
+	cix := &countingIndex{ix: stateIndex()}
+	sess := &Session{ix: cix, pool: pool.New(1)}
+	q := []AutoFillQuery{{Column: []string{"San Francisco", "Seattle", "Los Angeles"}, MinCoverage: 0.8}}
+	ctx := context.Background()
+	fill := func(s *Session, calls int) int {
+		t.Helper()
+		cix.lookups = 0
+		for i := 0; i < calls; i++ {
+			if _, err := s.AutoFill(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cix.lookups
+	}
+	if n := fill(sess, 8); n != 8 {
+		t.Errorf("plain session: lookups = %d, want 8 (single calls are not cached)", n)
+	}
+	stream := sess.Stream()
+	if n := fill(stream, 8); n != 1 {
+		t.Errorf("stream session: lookups = %d, want 1 (8 identical calls share one scan)", n)
+	}
+	if n := fill(sess.Stream(), 1); n != 1 {
+		t.Errorf("second stream session: lookups = %d, want 1 (a new stream starts empty)", n)
+	}
+	if n := fill(stream, 1); n != 0 {
+		t.Errorf("first stream session after another: lookups = %d, want 0 (its cache is its own)", n)
 	}
 }
 
@@ -149,7 +184,7 @@ func TestQueryKeyInjective(t *testing.T) {
 // encoding.
 func TestCachedIndexParity(t *testing.T) {
 	ix := stateIndex()
-	cix := NewCachedIndex(ix)
+	cix := newCachedIndex(ix)
 	queries := [][]string{
 		{"California", "Washington", "Oregon"},
 		{"California", "WA", "OR", "Texas"},

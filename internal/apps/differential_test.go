@@ -55,7 +55,7 @@ func oracleSupportOf(m *mapping.Mapping, p table.Pair) int {
 	return 0
 }
 
-func oracleLookup(ix Index, key string) LookupResult {
+func oracleLookup(ix lookupIndex, key string) LookupResult {
 	res := LookupResult{Key: key, MappingIndex: -1}
 	hits := ix.LookupLeft([]string{key}, 1)
 	if len(hits) == 0 {
@@ -77,7 +77,7 @@ func oracleLookup(ix Index, key string) LookupResult {
 	return res
 }
 
-func oracleAutoFill(ix Index, q AutoFillQuery) AutoFillResult {
+func oracleAutoFill(ix lookupIndex, q AutoFillQuery) AutoFillResult {
 	k := max(q.TopK, 1)
 	var cands []AutoFillResult
 	for _, hit := range ix.LookupLeft(q.Column, q.MinCoverage) {
@@ -114,7 +114,7 @@ func oracleAutoFill(ix Index, q AutoFillQuery) AutoFillResult {
 	return res
 }
 
-func oracleAutoCorrect(ix Index, q AutoCorrectQuery) AutoCorrectResult {
+func oracleAutoCorrect(ix lookupIndex, q AutoCorrectQuery) AutoCorrectResult {
 	hits := ix.MixedColumnHits(q.Column, q.MinEach, q.MinCoverage)
 	if len(hits) == 0 {
 		return AutoCorrectResult{MappingIndex: -1}
@@ -200,7 +200,7 @@ func oracleAutoCorrectForHit(hit index.Hit, column []string) AutoCorrectResult {
 	return res
 }
 
-func oracleAutoJoin(ix Index, q AutoJoinQuery) AutoJoinResult {
+func oracleAutoJoin(ix lookupIndex, q AutoJoinQuery) AutoJoinResult {
 	hits := ix.LookupLeft(q.KeysA, q.MinCoverage)
 	if len(hits) == 0 {
 		return AutoJoinResult{MappingIndex: -1}

@@ -32,7 +32,7 @@ type LookupResult struct {
 // whose left column contains the key, the one with the most contributing
 // domains (the paper's popularity signal — LookupLeft's order) supplies
 // the value.
-func lookupOne(ix Index, key string) LookupResult {
+func lookupOne(ix lookupIndex, key string) LookupResult {
 	res := LookupResult{Key: key, MappingIndex: -1}
 	hits := ix.LookupLeft([]string{key}, 1)
 	if len(hits) == 0 {

@@ -3,24 +3,27 @@ package apps
 import (
 	"context"
 
+	"mapsynth/internal/index"
 	"mapsynth/internal/pool"
 )
 
 // Session is the unified entry point to the mapping applications. One
 // Session wraps one lookup index plus execution policy (worker pool,
-// within-call lookup deduplication, parameter defaults); its methods all
-// take a context and a slice of query structs — a single call is a
-// one-element slice, a batch is a longer one. The per-query results are
-// element-wise identical to answering each query on its own, which is
-// pinned by golden equivalence tests.
+// parameter defaults); its methods all take a context and a slice of query
+// structs — a single call is a one-element slice, a batch is a longer one.
+// Identical lookups within one multi-query call share a single index scan.
+// The per-query results are element-wise identical to answering each query
+// on its own, which is pinned by golden equivalence tests.
 //
 // A Session is immutable after construction and safe for concurrent use;
 // the serving layer keeps one per loaded snapshot state.
 type Session struct {
-	ix       Index
+	ix       lookupIndex
 	pool     *pool.Pool
-	dedup    bool
 	defaults Defaults
+	// stream, when set, deduplicates lookups across every call on this
+	// session (see Stream) instead of within each call.
+	stream *cachedIndex
 }
 
 // Defaults fills zero-valued query parameters, so embedders can configure
@@ -48,14 +51,6 @@ func WithPool(p *pool.Pool) Option {
 	}
 }
 
-// WithCache toggles within-call index-lookup deduplication (default on):
-// identical (column, parameters) queries inside one multi-query call share
-// a single index scan. Results are identical either way; only the work
-// changes. Single-query calls never pay the dedup bookkeeping.
-func WithCache(enabled bool) Option {
-	return func(s *Session) { s.dedup = enabled }
-}
-
 // WithDefaults installs parameter defaults applied to zero-valued query
 // fields.
 func WithDefaults(d Defaults) Option {
@@ -63,8 +58,8 @@ func WithDefaults(d Defaults) Option {
 }
 
 // NewSession returns a Session answering queries against ix.
-func NewSession(ix Index, opts ...Option) *Session {
-	s := &Session{ix: ix, dedup: true}
+func NewSession(ix *index.MappingIndex, opts ...Option) *Session {
+	s := &Session{ix: ix}
 	for _, o := range opts {
 		o(s)
 	}
@@ -74,12 +69,26 @@ func NewSession(ix Index, opts ...Option) *Session {
 	return s
 }
 
-// queryIndex picks the lookup surface for one call: the raw index for
-// single queries, a fresh per-call dedup wrapper for multi-query calls
-// (when enabled).
-func (s *Session) queryIndex(n int) Index {
-	if s.dedup && n > 1 {
-		return NewCachedIndex(s.ix)
+// Stream returns a session with the same index, pool and defaults whose
+// index lookups are deduplicated across every call made on it: a stream of
+// single-query calls (one /batch/* request, say) gets the amortization of
+// one multi-query call. Its cache only grows, so a stream session is meant
+// to live for one such stream; each Stream call starts an empty one.
+func (s *Session) Stream() *Session {
+	c := *s
+	c.stream = newCachedIndex(s.ix)
+	return &c
+}
+
+// queryIndex picks the lookup surface for one call: a stream session's
+// shared cache, else the raw index for single queries and a fresh per-call
+// dedup wrapper for multi-query calls.
+func (s *Session) queryIndex(n int) lookupIndex {
+	switch {
+	case s.stream != nil:
+		return s.stream
+	case n > 1:
+		return newCachedIndex(s.ix)
 	}
 	return s.ix
 }

@@ -38,8 +38,8 @@ func sessionQueries() ([]AutoFillQuery, []AutoCorrectQuery, []AutoJoinQuery, []L
 }
 
 // TestSessionMatchesSequential is the golden equivalence test of the
-// Session: a multi-query call — pooled, with lookup dedup on or off — must
-// answer every query byte-identically (JSON encoding) and structurally
+// Session: a multi-query call — pooled, within-call or stream-wide lookup
+// dedup — must answer every query byte-identically (JSON encoding) and structurally
 // identically to the per-query function run sequentially.
 func TestSessionMatchesSequential(t *testing.T) {
 	ix := stateIndex()
@@ -51,7 +51,7 @@ func TestSessionMatchesSequential(t *testing.T) {
 		sess *Session
 	}{
 		{"defaults", NewSession(ix)},
-		{"no-dedup", NewSession(ix, WithCache(false))},
+		{"stream", NewSession(ix).Stream()},
 		{"pool-1", NewSession(ix, WithPool(pool.New(1)))},
 		{"pool-4", NewSession(ix, WithPool(pool.New(4)))},
 	}

@@ -398,44 +398,6 @@ func TestRoll(t *testing.T) {
 	}
 }
 
-// TestClusterClient: NewCluster bootstraps from the coordinator and routes
-// queries directly to replicas.
-func TestClusterClient(t *testing.T) {
-	ts1, _ := testNode(t, codedMappings("N"))
-	ts2, _ := testNode(t, codedMappings("N"))
-	co := newTestCoordinator(t, []Peer{
-		{Name: "n1", Addr: ts1.URL},
-		{Name: "n2", Addr: ts2.URL},
-	})
-	front := httptest.NewServer(co.Handler())
-	t.Cleanup(front.Close)
-
-	cc, err := client.NewCluster(context.Background(), front.URL, client.WithRetries(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		lr, err := cc.Lookup(context.Background(), "California")
-		if err != nil || !lr.Found {
-			t.Fatalf("cluster client lookup %d: %v %+v", i, err, lr)
-		}
-	}
-	af, err := cc.AutoFill(context.Background(), client.AutoFillRequest{Column: []string{"California"}})
-	if err != nil || !af.Found {
-		t.Fatalf("cluster client autofill: %v %+v", err, af)
-	}
-	// Batch goes through the coordinator.
-	var lines int
-	if _, err := cc.BatchAutoFill(context.Background(), []client.AutoFillRequest{
-		{ID: "x", Column: []string{"California"}},
-	}, func(client.BatchLine[client.AutoFillResponse]) error { lines++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if lines != 1 {
-		t.Errorf("batch lines = %d", lines)
-	}
-}
-
 // TestCoordinatorHealthz: ok with everyone up, still ok with one replica
 // dead, 503 with nobody alive.
 func TestCoordinatorHealthz(t *testing.T) {

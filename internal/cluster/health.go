@@ -46,7 +46,7 @@ func (co *Coordinator) probePeer(ctx context.Context, pc *peerConn) {
 }
 
 // handleCluster answers GET /v1/cluster: the static topology annotated
-// with the live probe view — the bootstrap surface of client.NewCluster.
+// with the live probe view.
 func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, co.clusterInfo())
 }

@@ -1,3 +1,12 @@
+// Package index provides fast containment lookup over synthesized mapping
+// tables. The paper motivates pre-computed mappings partly because they can
+// be "indexed ... using hash-based techniques (e.g., bloom filters) for
+// efficient lookup based on value containment" (Section 1); this package is
+// that index. An exact inverted index over normalized left values names the
+// candidate mappings of a query and counts their matches, so a query costs
+// the postings it walks rather than a probe of every mapping; a Bloom
+// filter per right column screens the exact right-side membership check
+// auto-correct runs on those candidates.
 package index
 
 import (
@@ -5,6 +14,7 @@ import (
 	"slices"
 
 	"mapsynth/internal/mapping"
+	"mapsynth/internal/snapshot"
 	"mapsynth/internal/textnorm"
 )
 
@@ -14,26 +24,23 @@ import (
 // candidate generator: a query walks the postings of its distinct values and
 // counts matches per mapping, so its cost follows the postings it touches,
 // not the number of mappings indexed. The postings, value tables and
-// mappings live in a Source — a v2 snapshot image (snapshot.Handle) — and
-// are read in place; the index itself holds no data.
+// mappings live in a v2 snapshot image and are read in place; the index
+// itself holds no data.
 type MappingIndex struct {
-	src Source
+	h *snapshot.Handle
 }
 
-// FromSource serves containment queries over src: snapshot.Open for a
-// file, snapshot.FromMappings for mappings in hand.
-func FromSource(src Source) *MappingIndex {
-	return &MappingIndex{src: src}
+// FromSource serves containment queries over the image h: snapshot.Open
+// for a file, snapshot.FromMappings for mappings in hand.
+func FromSource(h *snapshot.Handle) *MappingIndex {
+	return &MappingIndex{h: h}
 }
 
 // Len returns the number of indexed mappings.
-func (ix *MappingIndex) Len() int { return ix.src.Len() }
+func (ix *MappingIndex) Len() int { return ix.h.Len() }
 
-// Mapping returns the i-th indexed mapping.
-func (ix *MappingIndex) Mapping(i int) *mapping.Mapping { return ix.src.Mapping(i) }
-
-// Source returns the index's storage backend.
-func (ix *MappingIndex) Source() Source { return ix.src }
+// Mapping returns the i-th indexed mapping, materialized on first access.
+func (ix *MappingIndex) Mapping(i int) *mapping.Mapping { return ix.h.Mapping(i) }
 
 // Hit is one candidate mapping for a query column.
 type Hit struct {
@@ -70,19 +77,19 @@ func normalizeQuery(values []string) []string {
 // ascending mapping position, with each mapping whose left column contains
 // at least one of them and how many it contains. Postings of a mapped
 // snapshot are not validated at open, so positions outside [0, Len()) are
-// skipped here instead of reaching Source.Mapping or the exact-membership
+// skipped here instead of reaching Handle.Mapping or the exact-membership
 // accessors.
 func (ix *MappingIndex) leftMatches(normed []string, visit func(i, matched int)) {
 	var ids []int32
 	if len(normed) == 1 {
-		ids = ix.src.Postings(normed[0]) // already ascending; only read below
+		ids = ix.h.Postings(normed[0]) // already ascending; only read below
 	} else {
 		for _, nv := range normed {
-			ids = append(ids, ix.src.Postings(nv)...)
+			ids = append(ids, ix.h.Postings(nv)...)
 		}
 		slices.Sort(ids)
 	}
-	n := ix.src.Len()
+	n := ix.h.Len()
 	for lo := 0; lo < len(ids); {
 		hi := lo + 1
 		for hi < len(ids) && ids[hi] == ids[lo] {
@@ -107,7 +114,7 @@ func (ix *MappingIndex) LookupLeft(values []string, minCoverage float64) []Hit {
 	ix.leftMatches(normed, func(i, matched int) {
 		cov := float64(matched) / float64(len(normed))
 		if cov >= minCoverage {
-			hits = append(hits, Hit{Index: i, Mapping: ix.src.Mapping(i), Coverage: cov, Matched: matched})
+			hits = append(hits, Hit{Index: i, Mapping: ix.h.Mapping(i), Coverage: cov, Matched: matched})
 		}
 	})
 	slices.SortFunc(hits, func(a, b Hit) int {
@@ -133,9 +140,9 @@ func (ix *MappingIndex) MixedColumnHits(values []string, minEach int, minCoverag
 		return nil
 	}
 	minEach = max(minEach, 1)
-	hashes := make([]Hash, len(normed))
+	hashes := make([]snapshot.Hash, len(normed))
 	for j, nv := range normed {
-		hashes[j] = HashOf(nv)
+		hashes[j] = snapshot.HashOf(nv)
 	}
 	var hits []Hit
 	// A hit has at least one value on the left, so the left postings name
@@ -148,14 +155,14 @@ func (ix *MappingIndex) MixedColumnHits(values []string, minEach int, minCoverag
 		for j, nv := range normed {
 			// Bloom screen then exact check; the filters have no false
 			// negatives, so the conjunction equals exact membership.
-			if ix.src.MayContainRight(i, hashes[j]) && ix.src.InRight(i, nv) && !ix.src.InLeft(i, nv) {
+			if ix.h.MayContainRight(i, hashes[j]) && ix.h.InRight(i, nv) && !ix.h.InLeft(i, nv) {
 				rightVals++
 			}
 		}
 		total := leftVals + rightVals
 		cov := float64(total) / float64(len(normed))
 		if rightVals >= minEach && cov >= minCoverage {
-			hits = append(hits, Hit{Index: i, Mapping: ix.src.Mapping(i), Coverage: cov, Matched: total})
+			hits = append(hits, Hit{Index: i, Mapping: ix.h.Mapping(i), Coverage: cov, Matched: total})
 		}
 	})
 	slices.SortFunc(hits, func(a, b Hit) int {

@@ -1,7 +1,6 @@
 package index_test
 
 import (
-	"fmt"
 	"testing"
 
 	"mapsynth/internal/index"
@@ -29,63 +28,6 @@ func mappingOf(id int, pairs [][2]string) *mapping.Mapping {
 	}
 	b := table.NewBinaryTable(id, id, "d", "l", "r", ls, rs)
 	return mapping.Build(id, []*table.BinaryTable{b})
-}
-
-func TestBloomBasics(t *testing.T) {
-	b := index.NewBloom(100, 0.01)
-	keys := []string{"alpha", "beta", "gamma", "delta"}
-	for _, k := range keys {
-		b.Add(k)
-	}
-	for _, k := range keys {
-		if !b.MayContain(k) {
-			t.Errorf("false negative for %q", k)
-		}
-	}
-	if b.Len() != len(keys) {
-		t.Errorf("Len = %d", b.Len())
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	b := index.NewBloom(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		b.Add(fmt.Sprintf("member-%d", i))
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if b.MayContain(fmt.Sprintf("absent-%d", i)) {
-			fp++
-		}
-	}
-	rate := float64(fp) / probes
-	if rate > 0.03 {
-		t.Errorf("false positive rate %.4f exceeds 3x target", rate)
-	}
-}
-
-func TestBloomNeverFalseNegative(t *testing.T) {
-	b := index.NewBloom(10, 0.001) // deliberately undersized relative to inserts
-	for i := 0; i < 500; i++ {
-		b.Add(fmt.Sprintf("k%d", i))
-	}
-	for i := 0; i < 500; i++ {
-		if !b.MayContain(fmt.Sprintf("k%d", i)) {
-			t.Fatalf("false negative at %d", i)
-		}
-	}
-}
-
-func TestBloomDegenerateParams(t *testing.T) {
-	b := index.NewBloom(0, 5.0) // clamped
-	b.Add("x")
-	if !b.MayContain("x") {
-		t.Error("clamped filter must still work")
-	}
-	if b.Bits() < 64 {
-		t.Errorf("Bits = %d, want >= 64", b.Bits())
-	}
 }
 
 func TestLookupLeft(t *testing.T) {

@@ -47,6 +47,9 @@ type Status struct {
 	CacheMisses int     `json:"cache_misses"`
 	LogPath     string  `json:"log_path,omitempty"`
 	LogBytesCut int64   `json:"log_bytes_truncated,omitempty"`
+	// LogFailed is the error that failed the append log (see ErrLogFailed):
+	// every append answers it until a restart. Empty while healthy.
+	LogFailed string `json:"log_failed,omitempty"`
 
 	// LastSynthesisMs (RunIncremental) and LastPublishMs (image build and
 	// swap) split the last successful run: they sum to LastRunMs.
@@ -214,6 +217,9 @@ func (ing *Ingestor) Status() Status {
 		st.LagSeconds = time.Since(time.Unix(0, since)).Seconds()
 	}
 	st.LogBytesCut = ing.log.Truncated()
+	if err := ing.log.Failed(); err != nil {
+		st.LogFailed = err.Error()
+	}
 	ing.errMu.Lock()
 	st.LastError = ing.lastErr
 	st.CacheHits = ing.cacheHits

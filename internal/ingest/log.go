@@ -276,6 +276,14 @@ func (l *Log) Head() int64 {
 	return l.head
 }
 
+// Failed returns the error that failed the log (wrapping ErrLogFailed),
+// nil while it is healthy.
+func (l *Log) Failed() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
+
 // Truncated reports how many bytes of torn tail recovery dropped.
 func (l *Log) Truncated() int64 { return l.truncated }
 

@@ -96,6 +96,35 @@ func TestLogFailStop(t *testing.T) {
 	}
 }
 
+// TestStatusReportsLogFailure: a failed log is declared in the ingestor's
+// status, not only on the next append: LogFailed is empty while the log is
+// healthy and names ErrLogFailed once an fsync has failed.
+func TestStatusReportsLogFailure(t *testing.T) {
+	ing, err := NewIngestor(Options{Corpus: "c", LogPath: filepath.Join(t.TempDir(), "c.mlog")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	if _, err := ing.Append([]TableRow{twoColRow("acked.test", [][2]string{{"x", "1"}})}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ing.Status().LogFailed; got != "" {
+		t.Fatalf("healthy log: LogFailed = %q, want empty", got)
+	}
+	ing.log.f = &faultFile{logFile: ing.log.f, failSync: true}
+	if _, err := ing.Append([]TableRow{twoColRow("lost.test", [][2]string{{"y", "2"}})}); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("append with an injected fsync failure = %v, want ErrLogFailed", err)
+	}
+	got := ing.Status().LogFailed
+	if !strings.Contains(got, ErrLogFailed.Error()) || !strings.Contains(got, "injected fsync failure") {
+		t.Fatalf("failed log: LogFailed = %q, want ErrLogFailed and its cause", got)
+	}
+	// The failure is sticky: a later status still reports it.
+	if ing.Status().LogFailed != got {
+		t.Fatal("LogFailed changed without a restart")
+	}
+}
+
 // FuzzOpenLog: whatever follows the magic, OpenLog either fails or serves
 // exactly the intact prefix of frames — and that log takes an append at
 // head+1 which survives another reopen.

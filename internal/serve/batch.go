@@ -123,8 +123,8 @@ func (s *Server) handleBatchAutoJoin(c *corpus, w http.ResponseWriter, r *http.R
 
 // streamBatch is the shared driver: admission control, incremental decode,
 // bounded fan-out, and the single-writer response stream. handle answers
-// one input line against the pinned state and the per-request caching
-// index; its bool reports success (false lines are counted as errors in
+// one input line against the pinned state and the per-request stream
+// session; its bool reports success (false lines are counted as errors in
 // the limiter and trailer).
 func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.Request, handle func(ctx context.Context, st *State, sess *apps.Session, i int, req Req) (any, bool)) bool {
 	if r.Method != http.MethodPost {
@@ -140,14 +140,11 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 
 	// Pin the corpus's state once: every line of one batch answers against
 	// the same snapshot even if a reload, activate or rollback lands
-	// mid-stream. The per-request Session wraps a caching index, giving
-	// this request the within-batch lookup amortization of a multi-query
-	// apps call: identical columns across lines share one index query.
+	// mid-stream. The per-request stream session gives this request the
+	// within-batch lookup amortization of a multi-query apps call:
+	// identical columns across lines share one index query.
 	st := c.state.Load()
-	sess := apps.NewSession(apps.NewCachedIndex(st.Index),
-		apps.WithCache(false), // the shared wrapper above already dedups
-		apps.WithDefaults(serveDefaults),
-		apps.WithPool(s.pool))
+	sess := st.session.Stream()
 	// The stream context also covers writer health: when the response side
 	// dies (client stopped reading past BatchWriteTimeout), cancelling it
 	// makes the decoder stop admitting rows and in-flight workers drop
@@ -270,7 +267,7 @@ func answerRow[Req any](ctx context.Context, st *State, sess *apps.Session, i in
 // apps.Session, and is shared verbatim by the single-request handler and
 // the batch stream, so the two surfaces cannot drift. sess is the query
 // surface to use — the pinned state's long-lived session for single
-// requests, a per-request caching session for batches (st is still needed
+// requests, a per-request stream session for batches (st is still needed
 // for mapping provenance). A non-nil computeError is an error response
 // (status from its code on the single endpoint, an error line in a batch).
 

@@ -155,6 +155,12 @@ func TestIngestEndpoint(t *testing.T) {
 	if info.Mappings == 0 {
 		t.Fatal("ingest-published state has no mappings")
 	}
+	if info.Ingest.LogFailed != "" {
+		t.Fatalf("healthy log reports log_failed = %q", info.Ingest.LogFailed)
+	}
+	if body := scrape(t, h); !strings.Contains(body, `mapsynth_ingest_log_failed{corpus="default"} 0`) {
+		t.Error("exposition missing mapsynth_ingest_log_failed at 0 for a healthy log")
+	}
 }
 
 // TestIngestAcksBeforeSynthesis pins the ?wait=1 contract: the per-row

@@ -241,6 +241,17 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 				emit([]string{name}, ing.Status().LagSeconds)
 			}
 		})
+	reg.GaugeVecFunc("mapsynth_ingest_log_failed",
+		"1 when a corpus's ingest log has failed and refuses appends until a restart, else 0.", []string{"corpus"},
+		func(emit func([]string, float64)) {
+			for name, ing := range s.ingest.All() {
+				failed := 0.0
+				if ing.Status().LogFailed != "" {
+					failed = 1
+				}
+				emit([]string{name}, failed)
+			}
+		})
 	reg.CounterVecFunc("mapsynth_ingest_runs_total",
 		"Completed incremental synthesis runs per corpus.", []string{"corpus"},
 		func(emit func([]string, float64)) {

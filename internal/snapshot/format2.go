@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/table"
 )
@@ -121,9 +120,9 @@ type span struct {
 
 // Handle is an opened v2 snapshot: the raw region (a mapped file, or an
 // image in process memory from FromMappings, Prefix.Image or OpenBytes)
-// plus typed views over its sections. It is the one production
-// index.Source — index.FromSource(h) serves containment queries directly
-// from the region — and what every serving state is backed by.
+// plus typed views over its sections. It is what every serving state is
+// backed by: index.FromSource(h) serves containment queries directly from
+// the region through the read methods below.
 // Mappings materialize lazily on first hit and are cached; the strings they
 // carry are views into the region, so materialized mappings must not
 // outlive the Handle. The serving layer guarantees that by keeping the
@@ -149,8 +148,6 @@ type Handle struct {
 	maps   []atomic.Pointer[mapping.Mapping]
 	closed atomic.Bool
 }
-
-var _ index.Source = (*Handle)(nil)
 
 // Open maps the v2 snapshot at path read-only and validates its header and
 // section table — O(sections), not O(corpus); the data itself is paged in
@@ -366,8 +363,6 @@ func (h *Handle) Sections() []SectionInfo {
 	return out
 }
 
-// ---- index.Source ----
-
 // Len returns the number of mappings.
 func (h *Handle) Len() int { return h.n }
 
@@ -388,18 +383,19 @@ func (h *Handle) str(off, ln uint32) string {
 }
 
 // bloomAt probes the filter whose parameters sit at rec[field:].
-func (h *Handle) bloomAt(rec []byte, field int, hash index.Hash) bool {
+func (h *Handle) bloomAt(rec []byte, field int, hash Hash) bool {
 	off, mBits, k := le32(rec, field), le32(rec, field+4), le32(rec, field+8)
 	words := (uint64(mBits) + 63) / 64
 	w0 := uint64(off) / 8
 	if off%8 != 0 || w0+words > uint64(len(h.bloom)) {
 		return false
 	}
-	return index.BloomContains(h.bloom[w0:w0+words], uint64(mBits), int(k), hash)
+	return bloomContains(h.bloom[w0:w0+words], uint64(mBits), int(k), hash)
 }
 
-// MayContainRight probes mapping i's persisted right-column Bloom filter.
-func (h *Handle) MayContainRight(i int, hash index.Hash) bool {
+// MayContainRight probes mapping i's persisted right-column Bloom filter
+// with a precomputed hash (never false negatives).
+func (h *Handle) MayContainRight(i int, hash Hash) bool {
 	return h.bloomAt(h.record(i), recRBloom, hash)
 }
 
@@ -410,7 +406,9 @@ func (h *Handle) termStr(j int) string {
 }
 
 // Postings returns the ascending mapping positions whose left column
-// contains nl, straight out of the mapped postings section.
+// contains nl, straight out of the mapped postings section. The slice is
+// read-only, and an unverified image may return positions outside
+// [0, Len()); index.MappingIndex skips those.
 func (h *Handle) Postings(nl string) []int32 {
 	n := len(h.terms) / v2TermEntry
 	j := sort.Search(n, func(j int) bool { return h.termStr(j) >= nl })

@@ -7,12 +7,10 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"testing"
-
-	"mapsynth/internal/index"
 )
 
 // v2Bytes encodes the shared test corpus as a v2 snapshot.
-func v2Bytes(t *testing.T) []byte {
+func v2Bytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteV2(&buf, smallMappings(t)); err != nil {
@@ -114,7 +112,8 @@ func fixTableCRCs(data []byte, secIdx int) {
 }
 
 // queryNoPanic drives every read path of a (possibly corrupt) open handle;
-// the only acceptable failure mode is empty answers.
+// the only acceptable failure mode is empty answers. The index queries over
+// the same images run in the external test package (query_test.go).
 func queryNoPanic(t *testing.T, h *Handle) {
 	t.Helper()
 	defer func() {
@@ -122,7 +121,7 @@ func queryNoPanic(t *testing.T, h *Handle) {
 			t.Fatalf("querying a corrupt handle panicked: %v", r)
 		}
 	}()
-	hash := index.HashOf("california")
+	hash := HashOf("california")
 	for i := 0; i < h.Len(); i++ {
 		h.MayContainRight(i, hash)
 		h.InLeft(i, "california")
@@ -130,26 +129,24 @@ func queryNoPanic(t *testing.T, h *Handle) {
 		h.Mapping(i)
 	}
 	h.Postings("california")
-	ix := index.FromSource(h)
-	ix.LookupLeft([]string{"california", "texas"}, 0.5)
-	ix.MixedColumnHits([]string{"california", "ca"}, 1, 0.5)
 }
 
-func TestV2CorruptionMatrix(t *testing.T) {
-	good := v2Bytes(t)
+// v2Corruption is one case of the corruption matrix.
+type v2Corruption struct {
+	name    string
+	mutate  func(d []byte) []byte
+	openErr error // expected Open error; nil means Open succeeds
+	// verifyErr is checked when openErr is nil.
+	verifyErr error
+}
 
-	// findRecordField locates record 0's field at the given offset, in file
-	// coordinates.
+// v2Corruptions returns the corruption matrix over the valid image good.
+func v2Corruptions(good []byte) []v2Corruption {
+	// Record 0's and the terms section's offsets, in file coordinates.
 	recSecOff := binary.LittleEndian.Uint64(good[v2HeaderSize+(secRecords-1)*v2SectionEntry+8:])
 	termsSecOff := binary.LittleEndian.Uint64(good[v2HeaderSize+(secTerms-1)*v2SectionEntry+8:])
 
-	cases := []struct {
-		name    string
-		mutate  func(d []byte) []byte
-		openErr error // expected Open error; nil means Open succeeds
-		// verifyErr is checked when openErr is nil.
-		verifyErr error
-	}{
+	return []v2Corruption{
 		{"truncated tiny", func(d []byte) []byte { return d[:10] }, ErrTruncated, nil},
 		{"truncated mid table", func(d []byte) []byte { return d[:v2TableEnd-20] }, ErrTruncated, nil},
 		{"truncated tail", func(d []byte) []byte { return d[:len(d)-100] }, ErrTruncated, nil},
@@ -233,8 +230,11 @@ func TestV2CorruptionMatrix(t *testing.T) {
 			return d
 		}, nil, ErrChecksum},
 	}
+}
 
-	for _, tc := range cases {
+func TestV2CorruptionMatrix(t *testing.T) {
+	good := v2Bytes(t)
+	for _, tc := range v2Corruptions(good) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte(nil), good...))
 			h, err := OpenBytes(data)
@@ -259,7 +259,7 @@ func TestV2CorruptionMatrix(t *testing.T) {
 
 // badPostingImage returns a copy of a valid image in which the first posting
 // of term is Len()+7, with every checksum re-sealed: the one corruption the
-// index cannot bounds-check inside the Source, because the value is a
+// index cannot bounds-check inside the Handle, because the value is a
 // mapping position rather than a section offset.
 func badPostingImage(t testing.TB, good []byte, term string) []byte {
 	t.Helper()
@@ -282,8 +282,8 @@ func badPostingImage(t testing.TB, good []byte, term string) []byte {
 }
 
 // TestV2OutOfRangePosting: Open does not read the postings section, so a
-// mapping position past the record table reaches the query path; it must be
-// skipped there (and reported by Verify), never indexed with.
+// mapping position past the record table reaches the query path; Verify
+// must report it. That the index skips it is checked in query_test.go.
 func TestV2OutOfRangePosting(t *testing.T) {
 	good := v2Bytes(t)
 	h, err := OpenBytes(badPostingImage(t, good, "california"))
@@ -294,20 +294,6 @@ func TestV2OutOfRangePosting(t *testing.T) {
 		t.Fatalf("Verify = %v, want %v", verr, ErrLayout)
 	}
 	queryNoPanic(t, h)
-	ref, err := OpenBytes(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := index.FromSource(ref).LookupLeft([]string{"California"}, 1)
-	got := index.FromSource(h).LookupLeft([]string{"California"}, 1)
-	if len(want) == 0 || len(got) != len(want)-1 {
-		t.Fatalf("bad posting: %d hits, want the clean image's %d minus the patched one", len(got), len(want))
-	}
-	for _, hit := range got {
-		if hit.Index < 0 || hit.Index >= h.Len() {
-			t.Fatalf("hit at position %d of %d", hit.Index, h.Len())
-		}
-	}
 }
 
 // TestV2FooterContract pins the compatibility rule the format doc mandates:
@@ -322,41 +308,4 @@ func TestV2FooterContract(t *testing.T) {
 	if string(data[:4]) != string(Magic[:]) {
 		t.Fatal("v2 file does not open with the shared snapshot magic")
 	}
-}
-
-func FuzzOpenV2(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, smallMappings(f)); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte("MSNP\x02garbage"))
-	flip := append([]byte(nil), good...)
-	flip[len(flip)/3] ^= 0x40
-	f.Add(flip)
-	f.Add(badPostingImage(f, good, "california"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := OpenBytes(data)
-		if err != nil {
-			return
-		}
-		_ = h.Verify()
-		hash := index.HashOf("ca")
-		n := h.Len()
-		if n > 64 {
-			n = 64
-		}
-		for i := 0; i < n; i++ {
-			h.MayContainRight(i, hash)
-			h.InLeft(i, "ca")
-			h.Mapping(i)
-		}
-		h.Postings("california")
-		ix := index.FromSource(h)
-		ix.LookupLeft([]string{"california"}, 0.5)
-		ix.LookupLeft([]string{"california", "texas"}, 0.5)
-		ix.MixedColumnHits([]string{"california", "ca"}, 1, 0.5)
-	})
 }

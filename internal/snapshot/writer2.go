@@ -12,7 +12,6 @@ import (
 	"sort"
 	"unsafe"
 
-	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
 )
 
@@ -206,15 +205,15 @@ func (b *v2Builder) putInts(ids []int) (uint32, uint32) {
 
 // putBloom serializes a filter's words and returns (byte offset, bits, k).
 // Word-only appends keep every filter 8-byte aligned within the section.
-func (b *v2Builder) putBloom(f *index.Bloom) (uint32, uint32, uint32) {
+func (b *v2Builder) putBloom(f *bloom) (uint32, uint32, uint32) {
 	off := b.off32(secBloom)
-	for _, w := range f.Words() {
+	for _, w := range f.bits {
 		b.sec[secBloom] = binary.LittleEndian.AppendUint64(b.sec[secBloom], w)
 	}
-	if f.Bits() > math.MaxUint32 {
+	if f.m > math.MaxUint32 {
 		b.fail(secBloom)
 	}
-	return off, uint32(f.Bits()), uint32(f.K())
+	return off, uint32(f.m), uint32(f.k)
 }
 
 // addMappings appends one record per mapping, with its pairs, ints,
@@ -270,14 +269,14 @@ func (b *v2Builder) addMappings(maps []*mapping.Mapping) {
 		}
 		rec = put32(put32(rec, sOff), uint32(len(keys)))
 
-		lb := index.NewBloom(len(m.Pairs), 0.01)
-		rb := index.NewBloom(len(m.Pairs), 0.01)
+		lb := newBloom(len(m.Pairs), 0.01)
+		rb := newBloom(len(m.Pairs), 0.01)
 		for _, nl := range left {
-			lb.Add(nl)
+			lb.add(nl)
 			b.inverted[nl] = append(b.inverted[nl], pos)
 		}
 		for _, nr := range right {
-			rb.Add(nr)
+			rb.add(nr)
 		}
 		lbOff, lbBits, lbK := b.putBloom(lb)
 		rec = put32(put32(put32(rec, lbOff), lbBits), lbK)

@@ -2,10 +2,7 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"sync"
-	"sync/atomic"
 )
 
 // ---- cluster wire types (GET /v1/cluster on a coordinator) ----
@@ -94,103 +91,4 @@ func (c *Client) RollCluster(ctx context.Context, req RollRequest) (*RollReport,
 		return nil, err
 	}
 	return &rep, nil
-}
-
-// ---- cluster-aware client ----
-
-// ClusterClient routes queries directly to a cluster's data nodes. It
-// bootstraps from one coordinator URL: NewCluster fetches /v1/cluster,
-// learns the peer set, and thereafter sends single queries round-robin to
-// the alive replicas — skipping the coordinator hop — while batch streams
-// and admin go to the coordinator, which proxies them. Refresh re-reads the
-// topology; call it on a timer or after errors to track peer churn.
-type ClusterClient struct {
-	seed *Client
-	opts []Option
-
-	mu    sync.Mutex
-	peers atomic.Pointer[[]*Client]
-	rr    atomic.Uint64
-}
-
-// NewCluster returns a ClusterClient bootstrapped from the coordinator at
-// seedURL. The options apply to the seed client and every per-peer client.
-// A failed initial topology fetch is an error — a cluster client that
-// cannot see the cluster is misconfiguration, not a degraded mode.
-func NewCluster(ctx context.Context, seedURL string, opts ...Option) (*ClusterClient, error) {
-	cc := &ClusterClient{seed: New(seedURL, opts...), opts: opts}
-	if err := cc.Refresh(ctx); err != nil {
-		return nil, fmt.Errorf("client: cluster bootstrap from %s: %w", seedURL, err)
-	}
-	return cc, nil
-}
-
-// Refresh re-fetches the topology from the coordinator and rebuilds the
-// direct-routing peer set: every alive peer.
-func (cc *ClusterClient) Refresh(ctx context.Context) error {
-	info, err := cc.seed.Cluster(ctx)
-	if err != nil {
-		return err
-	}
-	var direct []*Client
-	for _, p := range info.Peers {
-		if p.Alive {
-			direct = append(direct, New(p.Addr, cc.opts...))
-		}
-	}
-	cc.mu.Lock()
-	cc.peers.Store(&direct)
-	cc.mu.Unlock()
-	return nil
-}
-
-// Coordinator returns the client for the seed coordinator itself, for
-// surfaces the ClusterClient does not route (admin, stats, rolls).
-func (cc *ClusterClient) Coordinator() *Client { return cc.seed }
-
-// pick returns the next direct peer round-robin, falling back to the
-// coordinator when no peer was alive at the last Refresh (it answers
-// not_ready, or routes to a peer that has since recovered).
-func (cc *ClusterClient) pick() *Client {
-	peers := *cc.peers.Load()
-	if len(peers) == 0 {
-		return cc.seed
-	}
-	return peers[int(cc.rr.Add(1)-1)%len(peers)]
-}
-
-// Lookup answers a single-key query on the next replica round-robin.
-func (cc *ClusterClient) Lookup(ctx context.Context, key string) (*LookupResponse, error) {
-	return cc.pick().Lookup(ctx, key)
-}
-
-// AutoFill answers one auto-fill query on the next replica round-robin.
-func (cc *ClusterClient) AutoFill(ctx context.Context, req AutoFillRequest) (*AutoFillResponse, error) {
-	return cc.pick().AutoFill(ctx, req)
-}
-
-// AutoCorrect answers one auto-correct query on the next replica round-robin.
-func (cc *ClusterClient) AutoCorrect(ctx context.Context, req AutoCorrectRequest) (*AutoCorrectResponse, error) {
-	return cc.pick().AutoCorrect(ctx, req)
-}
-
-// AutoJoin answers one auto-join query on the next replica round-robin.
-func (cc *ClusterClient) AutoJoin(ctx context.Context, req AutoJoinRequest) (*AutoJoinResponse, error) {
-	return cc.pick().AutoJoin(ctx, req)
-}
-
-// BatchAutoFill streams through the coordinator, which pins the NDJSON
-// stream to one replica.
-func (cc *ClusterClient) BatchAutoFill(ctx context.Context, reqs []AutoFillRequest, fn func(BatchLine[AutoFillResponse]) error) (*BatchTrailer, error) {
-	return cc.seed.BatchAutoFill(ctx, reqs, fn)
-}
-
-// BatchAutoCorrect streams through the coordinator.
-func (cc *ClusterClient) BatchAutoCorrect(ctx context.Context, reqs []AutoCorrectRequest, fn func(BatchLine[AutoCorrectResponse]) error) (*BatchTrailer, error) {
-	return cc.seed.BatchAutoCorrect(ctx, reqs, fn)
-}
-
-// BatchAutoJoin streams through the coordinator.
-func (cc *ClusterClient) BatchAutoJoin(ctx context.Context, reqs []AutoJoinRequest, fn func(BatchLine[AutoJoinResponse]) error) (*BatchTrailer, error) {
-	return cc.seed.BatchAutoJoin(ctx, reqs, fn)
 }

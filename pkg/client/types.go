@@ -247,6 +247,10 @@ type IngestStatus struct {
 	LogPath     string `json:"log_path,omitempty"`
 	// LogBytesTruncated counts bytes of torn tail discarded at replay.
 	LogBytesTruncated int64 `json:"log_bytes_truncated,omitempty"`
+	// LogFailed is the error that failed the append log: every append
+	// answers 503 ingest_log_failed until the server restarts. Empty while
+	// healthy.
+	LogFailed string `json:"log_failed,omitempty"`
 	// LastSynthesisMs (incremental synthesis) and LastPublishMs (image
 	// build and swap) split the last run: they sum to LastRunMs.
 	LastSynthesisMs float64 `json:"last_synthesis_ms,omitempty"`
