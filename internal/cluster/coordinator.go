@@ -95,7 +95,7 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 			}
 			pc.markDead(err)
 			co.log.Warn("peer proxy failed", "peer", p.Name, "error", err, "request_id", requestID(r))
-			writeError(w, r, codeUnavailable, "peer "+p.Name+" unreachable: "+err.Error())
+			writeError(w, r, client.CodeNotReady, "peer "+p.Name+" unreachable: "+err.Error())
 		}
 		pc.proxy = proxy
 		pc.status.Store(&peerStatus{})
@@ -141,13 +141,12 @@ func (co *Coordinator) Start(ctx context.Context) {
 }
 
 // Handler returns the coordinator's HTTP surface: the cluster endpoints
-// plus a catch-all that routes every v1 (and legacy) path to peers.
+// plus a catch-all that routes every other path to peers.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/cluster", co.getOnly(co.handleCluster))
 	mux.HandleFunc("/v1/cluster/roll", co.handleRoll)
 	mux.HandleFunc("/v1/healthz", co.getOnly(co.handleHealthz))
-	mux.HandleFunc("/healthz", co.getOnly(co.handleHealthz))
 	mux.HandleFunc("/", co.route)
 	return withRequestID(mux)
 }
@@ -155,7 +154,7 @@ func (co *Coordinator) Handler() http.Handler {
 func (co *Coordinator) getOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, r, codeMethodNotAllowed, "GET required")
+			writeError(w, r, client.CodeMethodNotAllowed, "GET required")
 			return
 		}
 		h(w, r)
@@ -185,7 +184,7 @@ func corpusOf(path string) string {
 func (co *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 	pc := co.pickReplica(corpusOf(r.URL.Path))
 	if pc == nil {
-		writeError(w, r, codeUnavailable, "no alive peers")
+		writeError(w, r, client.CodeNotReady, "no alive peers")
 		return
 	}
 	ctx, cancel := context.WithTimeoutCause(r.Context(), co.opts.PeerTimeout, errPeerTimeout)
@@ -224,40 +223,15 @@ func (co *Coordinator) pickReplica(corpus string) *peerConn {
 
 // ---- error envelope + request IDs ----
 //
-// The coordinator speaks the exact v1 envelope of internal/serve so
-// clients cannot tell a coordinator error from a node error. The helpers
-// are deliberately duplicated rather than imported: internal/cluster
-// depends only on pkg/client, never on internal/serve.
+// The coordinator answers errors with pkg/client's envelope and codes, the
+// ones every node speaks, so clients cannot tell a coordinator error from
+// a node error.
 
-type errorCode string
-
-const (
-	codeBadRequest       errorCode = "bad_request"
-	codeMethodNotAllowed errorCode = "method_not_allowed"
-	codeUnprocessable    errorCode = "unprocessable"
-	codeUnavailable      errorCode = "not_ready"
-)
-
-func statusFor(code errorCode) int {
-	switch code {
-	case codeBadRequest:
-		return http.StatusBadRequest
-	case codeMethodNotAllowed:
-		return http.StatusMethodNotAllowed
-	case codeUnprocessable:
-		return http.StatusUnprocessableEntity
-	case codeUnavailable:
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, code errorCode, msg string) {
-	writeJSON(w, statusFor(code), map[string]any{"error": map[string]any{
-		"code":       code,
-		"message":    msg,
-		"request_id": requestID(r),
+func writeError(w http.ResponseWriter, r *http.Request, code, msg string) {
+	writeJSON(w, client.StatusOf(code), client.ErrorEnvelope{Error: client.ErrorBody{
+		Code:      code,
+		Message:   msg,
+		RequestID: requestID(r),
 	}})
 }
 

@@ -92,7 +92,7 @@ func (co *Coordinator) clusterInfo() client.ClusterInfo {
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	info := co.clusterInfo()
 	if info.Degraded {
-		writeError(w, r, codeUnavailable, "no alive peers")
+		writeError(w, r, client.CodeNotReady, "no alive peers")
 		return
 	}
 	alive := 0

@@ -102,13 +102,13 @@ func (co *Coordinator) rollSource(corpus, source string) (*peerConn, error) {
 // handleRoll is POST /v1/cluster/roll, the HTTP face of Roll.
 func (co *Coordinator) handleRoll(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, codeMethodNotAllowed, "POST required")
+		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return
 	}
 	var req client.RollRequest
 	if r.Body != nil {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err.Error() != "EOF" {
-			writeError(w, r, codeBadRequest, "bad request body: "+err.Error())
+			writeError(w, r, client.CodeBadRequest, "bad request body: "+err.Error())
 			return
 		}
 	}
@@ -117,17 +117,17 @@ func (co *Coordinator) handleRoll(w http.ResponseWriter, r *http.Request) {
 		if rep != nil && len(rep.Rolled) > 0 {
 			// A partial roll is reported as unprocessable with the progress
 			// embedded, so the operator knows exactly which replicas moved.
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"error": map[string]any{
-					"code":       codeUnprocessable,
-					"message":    err.Error(),
-					"request_id": requestID(r),
+			writeJSON(w, http.StatusUnprocessableEntity, client.ErrorEnvelope{
+				Error: client.ErrorBody{
+					Code:      client.CodeUnprocessable,
+					Message:   err.Error(),
+					RequestID: requestID(r),
 				},
-				"rolled": rep.Rolled,
+				Rolled: rep.Rolled,
 			})
 			return
 		}
-		writeError(w, r, codeUnprocessable, err.Error())
+		writeError(w, r, client.CodeUnprocessable, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)

@@ -9,6 +9,7 @@ import (
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/pipeline"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // PublishFunc installs a freshly synthesized mapping set as the corpus's new
@@ -31,30 +32,6 @@ type Options struct {
 	// Publish installs each synthesized version; nil discards results
 	// (useful in tests exercising only the log).
 	Publish PublishFunc
-}
-
-// Status is a point-in-time staleness and progress report.
-type Status struct {
-	HeadLSN     int64   `json:"head_lsn"`
-	AppliedLSN  int64   `json:"applied_lsn"`
-	LagSeconds  float64 `json:"lag_seconds"`
-	Pending     bool    `json:"pending"`
-	Runs        int64   `json:"runs"`
-	RunErrors   int64   `json:"run_errors,omitempty"`
-	LastError   string  `json:"last_error,omitempty"`
-	LastRunMs   float64 `json:"last_run_ms,omitempty"`
-	CacheHits   int     `json:"cache_hits"`
-	CacheMisses int     `json:"cache_misses"`
-	LogPath     string  `json:"log_path,omitempty"`
-	LogBytesCut int64   `json:"log_bytes_truncated,omitempty"`
-	// LogFailed is the error that failed the append log (see ErrLogFailed):
-	// every append answers it until a restart. Empty while healthy.
-	LogFailed string `json:"log_failed,omitempty"`
-
-	// LastSynthesisMs (RunIncremental) and LastPublishMs (image build and
-	// swap) split the last successful run: they sum to LastRunMs.
-	LastSynthesisMs float64 `json:"last_synthesis_ms,omitempty"`
-	LastPublishMs   float64 `json:"last_publish_ms,omitempty"`
 }
 
 // Ingestor folds one corpus's append log into its served mapping set. Appends
@@ -203,9 +180,11 @@ func (ing *Ingestor) run(ctx context.Context) error {
 	return nil
 }
 
-// Status reports head/applied LSNs, lag, and run counters.
-func (ing *Ingestor) Status() Status {
-	st := Status{
+// Status reports head/applied LSNs, lag, and run counters: the staleness
+// report GET /v1/corpora/{name}, /v1/stats and /v1/healthz serve as
+// "ingest".
+func (ing *Ingestor) Status() client.IngestStatus {
+	st := client.IngestStatus{
 		HeadLSN:    ing.log.Head(),
 		AppliedLSN: ing.applied.Load(),
 		Runs:       ing.runs.Load(),
@@ -216,7 +195,7 @@ func (ing *Ingestor) Status() Status {
 	if since := ing.pendingSince.Load(); st.Pending && since > 0 {
 		st.LagSeconds = time.Since(time.Unix(0, since)).Seconds()
 	}
-	st.LogBytesCut = ing.log.Truncated()
+	st.LogBytesTruncated = ing.log.Truncated()
 	if err := ing.log.Failed(); err != nil {
 		st.LogFailed = err.Error()
 	}

@@ -18,7 +18,7 @@ import (
 // is needed.
 type reqMeta struct {
 	corpus  string
-	errCode ErrorCode
+	errCode string
 	// tenant is the admitted tenant (admitTenant fills it in); the log
 	// line carries its name and streamBatch reads its weight for row
 	// admission.
@@ -34,7 +34,7 @@ func metaFrom(r *http.Request) *reqMeta {
 
 // noteErrCode records the envelope code written for this request; the last
 // writer wins, matching what the client actually received.
-func noteErrCode(r *http.Request, code ErrorCode) {
+func noteErrCode(r *http.Request, code string) {
 	if m := metaFrom(r); m != nil {
 		m.errCode = code
 	}
@@ -112,7 +112,7 @@ func (s *Server) instrument(mux *http.ServeMux, next http.Handler) http.Handler 
 			status = http.StatusOK // handler wrote nothing: net/http sends 200
 		}
 		if meta.errCode != "" {
-			s.errorsTotal.With(string(meta.errCode)).Inc()
+			s.errorsTotal.With(meta.errCode).Inc()
 		}
 		level := slog.LevelInfo
 		switch {
@@ -140,7 +140,7 @@ func (s *Server) instrument(mux *http.ServeMux, next http.Handler) http.Handler 
 			attrs = append(attrs, slog.String("tenant", meta.tenant.name))
 		}
 		if meta.errCode != "" {
-			attrs = append(attrs, slog.String("code", string(meta.errCode)))
+			attrs = append(attrs, slog.String("code", meta.errCode))
 		}
 		if r.RemoteAddr != "" {
 			attrs = append(attrs, slog.String("remote", r.RemoteAddr))

@@ -13,6 +13,7 @@ import (
 
 	"mapsynth/internal/qos"
 	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 // TestSnapshotUploadBound: -max-upload-bytes bounds the PUT body on both
@@ -32,12 +33,12 @@ func TestSnapshotUploadBound(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upload status = %d, want 413: %s", rec.Code, rec.Body.String())
 	}
-	var env errorEnvelope
+	var env client.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error.Code != CodePayloadTooLarge {
-		t.Errorf("code = %q, want %q", env.Error.Code, CodePayloadTooLarge)
+	if env.Error.Code != client.CodePayloadTooLarge {
+		t.Errorf("code = %q, want %q", env.Error.Code, client.CodePayloadTooLarge)
 	}
 	if !strings.Contains(env.Error.Message, "32 bytes") {
 		t.Errorf("message does not name the bound: %q", env.Error.Message)
@@ -98,7 +99,7 @@ func TestCorpusSnapshotDownload(t *testing.T) {
 	if up.Code != http.StatusCreated {
 		t.Fatalf("shipped upload status = %d: %s", up.Code, up.Body.String())
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, fh, "/v1/corpora/shipped/lookup?key=California", &lr)
 	if !lr.Found {
 		t.Errorf("shipped corpus lookup = %+v", lr)
@@ -308,7 +309,7 @@ func TestRegistryConcurrentLifecycle(t *testing.T) {
 	if put.Version < 1 {
 		t.Errorf("final version = %d", put.Version)
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, h, "/v1/corpora/hot/lookup?key=California", &lr)
 	if !lr.Found || lr.Value != "CC-Ca" {
 		t.Errorf("final lookup = %+v", lr)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mapsynth/internal/apps"
+	"mapsynth/pkg/client"
 )
 
 // The /batch/* endpoints are the bulk counterparts of the single-column
@@ -28,96 +29,64 @@ import (
 // bound with 429 + Retry-After, and pauses body decoding at the row bound
 // so overload turns into TCP backpressure instead of dropped work.
 
-// batchErrorLine reports one input line that could not be answered: a
+// rowErrorLine is the line for one input that could not be answered: a
 // malformed JSON line (which also ends decoding — NDJSON cannot be resynced
-// after a syntax error) or a validation failure. The error payload is the
-// same structured object as top-level error envelopes, minus the request ID
-// (the stream's trailer carries it once).
-type batchErrorLine struct {
-	Index int      `json:"index"`
-	ID    string   `json:"id,omitempty"`
-	Error apiError `json:"error"`
+// after a syntax error) or a validation failure. Its error object is the
+// top-level envelope's minus the request ID (the stream's trailer carries
+// it once).
+type rowErrorLine struct {
+	client.RowHead
+	client.ErrorEnvelope
 }
 
-func errorLine(index int, id string, ce *computeError) batchErrorLine {
-	return batchErrorLine{Index: index, ID: id, Error: apiError{Code: ce.code, Message: ce.msg}}
+func errorLine(index int, id string, ce *computeError) rowErrorLine {
+	return rowErrorLine{client.RowHead{Index: index, ID: id}, client.ErrorEnvelope{Error: client.ErrorBody{Code: ce.code, Message: ce.msg}}}
 }
 
-// batchTrailer is the final line of every batch response stream.
-type batchTrailer struct {
-	Done bool `json:"done"`
-	// Results counts per-input lines emitted (answers plus error lines).
-	Results int `json:"results"`
-	// Errors counts the error lines among them.
-	Errors int `json:"errors"`
-	// Truncated reports that the request body was abandoned before EOF
-	// (malformed line or client disconnect); absent on clean streams.
-	Truncated bool `json:"truncated,omitempty"`
-	// RequestID echoes the request's X-Request-ID, so a stored batch
-	// result can be tied back to server logs.
-	RequestID string `json:"request_id,omitempty"`
-}
-
-type batchFillRequest struct {
-	ID string `json:"id"`
-	autoFillRequest
-}
-
-type batchFillLine struct {
-	Index int    `json:"index"`
-	ID    string `json:"id,omitempty"`
-	autoFillResponse
-}
-
-type batchCorrectRequest struct {
-	ID string `json:"id"`
-	autoCorrectRequest
-}
-
-type batchCorrectLine struct {
-	Index int    `json:"index"`
-	ID    string `json:"id,omitempty"`
-	autoCorrectResponse
-}
-
-type batchJoinRequest struct {
-	ID string `json:"id"`
-	autoJoinRequest
-}
-
-type batchJoinLine struct {
-	Index int    `json:"index"`
-	ID    string `json:"id,omitempty"`
-	autoJoinResponse
-}
+// The answer lines: the input's index and id, then the single endpoint's
+// response fields.
+type (
+	fillLine struct {
+		client.RowHead
+		client.AutoFillResponse
+	}
+	correctLine struct {
+		client.RowHead
+		client.AutoCorrectResponse
+	}
+	joinLine struct {
+		client.RowHead
+		client.AutoJoinResponse
+	}
+)
 
 func (s *Server) handleBatchAutoFill(c *corpus, w http.ResponseWriter, r *http.Request) bool {
-	return streamBatch(s, c, w, r, func(ctx context.Context, st *State, sess *apps.Session, i int, req batchFillRequest) (any, bool) {
-		resp, ce := autoFillCompute(ctx, st, sess, req.autoFillRequest)
+	return streamBatch(s, c, w, r, func(ctx context.Context, st *State, sess *apps.Session, i int, req client.AutoFillRequest) (any, bool) {
+		resp, ce := autoFillCompute(ctx, st, sess, req)
 		if ce != nil {
 			return errorLine(i, req.ID, ce), false
 		}
-		return batchFillLine{Index: i, ID: req.ID, autoFillResponse: resp}, true
+		return fillLine{client.RowHead{Index: i, ID: req.ID}, resp}, true
 	})
 }
 
 func (s *Server) handleBatchAutoCorrect(c *corpus, w http.ResponseWriter, r *http.Request) bool {
-	return streamBatch(s, c, w, r, func(ctx context.Context, st *State, sess *apps.Session, i int, req batchCorrectRequest) (any, bool) {
-		resp, ce := autoCorrectCompute(ctx, st, sess, req.autoCorrectRequest)
+	return streamBatch(s, c, w, r, func(ctx context.Context, st *State, sess *apps.Session, i int, req client.AutoCorrectRequest) (any, bool) {
+		resp, ce := autoCorrectCompute(ctx, st, sess, req)
 		if ce != nil {
 			return errorLine(i, req.ID, ce), false
 		}
-		return batchCorrectLine{Index: i, ID: req.ID, autoCorrectResponse: resp}, true
+		return correctLine{client.RowHead{Index: i, ID: req.ID}, resp}, true
 	})
 }
 
 func (s *Server) handleBatchAutoJoin(c *corpus, w http.ResponseWriter, r *http.Request) bool {
-	return streamBatch(s, c, w, r, func(ctx context.Context, st *State, sess *apps.Session, i int, req batchJoinRequest) (any, bool) {
-		resp, ce := autoJoinCompute(ctx, st, sess, req.autoJoinRequest)
+	return streamBatch(s, c, w, r, func(ctx context.Context, st *State, sess *apps.Session, i int, req client.AutoJoinRequest) (any, bool) {
+		resp, ce := autoJoinCompute(ctx, st, sess, req)
 		if ce != nil {
 			return errorLine(i, req.ID, ce), false
 		}
-		return batchJoinLine{Index: i, ID: req.ID, autoJoinResponse: resp}, true
+		return joinLine{client.RowHead{Index: i, ID: req.ID}, resp}, true
 	})
 }
 
@@ -128,7 +97,7 @@ func (s *Server) handleBatchAutoJoin(c *corpus, w http.ResponseWriter, r *http.R
 // the limiter and trailer).
 func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.Request, handle func(ctx context.Context, st *State, sess *apps.Session, i int, req Req) (any, bool)) bool {
 	if r.Method != http.MethodPost {
-		return writeError(w, r, CodeMethodNotAllowed, "POST required")
+		return writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 	}
 	if !s.batch.tryAcquireRequest() {
 		return writeOverloaded(w, r, batchRetryAfter, "batch capacity saturated, retry later")
@@ -171,7 +140,7 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 	results := make(chan line)
 	// decodeFail carries at most one terminal decoder problem; emitted
 	// after all in-flight rows have answered.
-	decodeFail := make(chan batchErrorLine, 1)
+	decodeFail := make(chan rowErrorLine, 1)
 	go func() {
 		defer close(results)
 		var wg sync.WaitGroup
@@ -182,14 +151,14 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 			var req Req
 			if err := dec.Decode(&req); err != nil {
 				if !errors.Is(err, io.EOF) {
-					decodeFail <- errorLine(i, "", &computeError{CodeBadRequest, "bad request line: " + err.Error()})
+					decodeFail <- errorLine(i, "", &computeError{client.CodeBadRequest, "bad request line: " + err.Error()})
 				}
 				return
 			}
 			// The row bound is enforced here, before the next line is even
 			// read: saturation stalls the decoder, not the answer stream.
 			if s.acquireRow(ctx, tn) != nil {
-				decodeFail <- errorLine(i, "", &computeError{CodeInternal, "request cancelled"})
+				decodeFail <- errorLine(i, "", &computeError{client.CodeInternal, "request cancelled"})
 				return
 			}
 			wg.Add(1)
@@ -228,7 +197,7 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 			flusher.Flush()
 		}
 	}
-	trailer := batchTrailer{Done: true, RequestID: requestID(r)}
+	trailer := client.BatchTrailer{Done: true, RequestID: requestID(r)}
 	for ln := range results {
 		writeLine(ln.v)
 		trailer.Results++
@@ -255,7 +224,7 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 func answerRow[Req any](ctx context.Context, st *State, sess *apps.Session, i int, req Req, handle func(context.Context, *State, *apps.Session, int, Req) (any, bool)) (v any, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			v, ok = errorLine(i, "", &computeError{CodeInternal, fmt.Sprintf("internal error answering row: %v", r)}), false
+			v, ok = errorLine(i, "", &computeError{client.CodeInternal, fmt.Sprintf("internal error answering row: %v", r)}), false
 		}
 	}()
 	return handle(ctx, st, sess, i, req)
@@ -293,16 +262,16 @@ func validateParams(minCoverage float64, topK int) *computeError {
 	return nil
 }
 
-func autoFillCompute(ctx context.Context, st *State, sess *apps.Session, req autoFillRequest) (autoFillResponse, *computeError) {
+func autoFillCompute(ctx context.Context, st *State, sess *apps.Session, req client.AutoFillRequest) (client.AutoFillResponse, *computeError) {
 	if len(req.Column) == 0 {
-		return autoFillResponse{}, badRequestf("column must not be empty")
+		return client.AutoFillResponse{}, badRequestf("column must not be empty")
 	}
 	if ce := validateParams(req.MinCoverage, req.TopK); ce != nil {
-		return autoFillResponse{}, ce
+		return client.AutoFillResponse{}, ce
 	}
 	examples := make([]apps.Example, len(req.Examples))
 	for i, e := range req.Examples {
-		examples[i] = apps.Example{Left: e.Left, Right: e.Right}
+		examples[i] = apps.Example(e)
 	}
 	results, err := sess.AutoFill(ctx, []apps.AutoFillQuery{{
 		Column:      req.Column,
@@ -311,12 +280,12 @@ func autoFillCompute(ctx context.Context, st *State, sess *apps.Session, req aut
 		TopK:        req.TopK,
 	}})
 	if err != nil {
-		return autoFillResponse{}, &computeError{CodeInternal, "request cancelled: " + err.Error()}
+		return client.AutoFillResponse{}, &computeError{client.CodeInternal, "request cancelled: " + err.Error()}
 	}
 	res := results[0]
-	resp := autoFillResponse{
+	resp := client.AutoFillResponse{
 		Found:             res.MappingIndex >= 0,
-		autoFillCandidate: autoFillView(st, res, len(req.Column)),
+		AutoFillCandidate: autoFillView(st, res, len(req.Column)),
 	}
 	for _, c := range res.Candidates {
 		resp.Candidates = append(resp.Candidates, autoFillView(st, c, len(req.Column)))
@@ -324,28 +293,28 @@ func autoFillCompute(ctx context.Context, st *State, sess *apps.Session, req aut
 	return resp, nil
 }
 
-func autoFillView(st *State, res apps.AutoFillResult, columnLen int) autoFillCandidate {
-	c := autoFillCandidate{MappingIndex: res.MappingIndex}
+func autoFillView(st *State, res apps.AutoFillResult, columnLen int) client.AutoFillCandidate {
+	c := client.AutoFillCandidate{MappingIndex: res.MappingIndex}
 	if res.MappingIndex >= 0 {
 		c.MappingID = st.Index.Mapping(res.MappingIndex).ID
 		for row := 0; row < columnLen; row++ {
 			if v, ok := res.Filled[row]; ok {
-				c.Filled = append(c.Filled, filledCell{Row: row, Value: v})
+				c.Filled = append(c.Filled, client.FilledCell{Row: row, Value: v})
 			}
 		}
 	}
 	return c
 }
 
-func autoCorrectCompute(ctx context.Context, st *State, sess *apps.Session, req autoCorrectRequest) (autoCorrectResponse, *computeError) {
+func autoCorrectCompute(ctx context.Context, st *State, sess *apps.Session, req client.AutoCorrectRequest) (client.AutoCorrectResponse, *computeError) {
 	if len(req.Column) == 0 {
-		return autoCorrectResponse{}, badRequestf("column must not be empty")
+		return client.AutoCorrectResponse{}, badRequestf("column must not be empty")
 	}
 	if ce := validateParams(req.MinCoverage, req.TopK); ce != nil {
-		return autoCorrectResponse{}, ce
+		return client.AutoCorrectResponse{}, ce
 	}
 	if req.MinEach < 0 {
-		return autoCorrectResponse{}, badRequestf("min_each must be >= 0, got %d", req.MinEach)
+		return client.AutoCorrectResponse{}, badRequestf("min_each must be >= 0, got %d", req.MinEach)
 	}
 	results, err := sess.AutoCorrect(ctx, []apps.AutoCorrectQuery{{
 		Column:      req.Column,
@@ -354,12 +323,12 @@ func autoCorrectCompute(ctx context.Context, st *State, sess *apps.Session, req 
 		TopK:        req.TopK,
 	}})
 	if err != nil {
-		return autoCorrectResponse{}, &computeError{CodeInternal, "request cancelled: " + err.Error()}
+		return client.AutoCorrectResponse{}, &computeError{client.CodeInternal, "request cancelled: " + err.Error()}
 	}
 	res := results[0]
-	resp := autoCorrectResponse{
+	resp := client.AutoCorrectResponse{
 		Found:                res.MappingIndex >= 0,
-		autoCorrectCandidate: autoCorrectView(st, res),
+		AutoCorrectCandidate: autoCorrectView(st, res),
 	}
 	for _, c := range res.Candidates {
 		resp.Candidates = append(resp.Candidates, autoCorrectView(st, c))
@@ -367,20 +336,23 @@ func autoCorrectCompute(ctx context.Context, st *State, sess *apps.Session, req 
 	return resp, nil
 }
 
-func autoCorrectView(st *State, res apps.AutoCorrectResult) autoCorrectCandidate {
-	c := autoCorrectCandidate{MappingIndex: res.MappingIndex, Corrections: res.Corrections}
+func autoCorrectView(st *State, res apps.AutoCorrectResult) client.AutoCorrectCandidate {
+	c := client.AutoCorrectCandidate{MappingIndex: res.MappingIndex}
 	if res.MappingIndex >= 0 {
 		c.MappingID = st.Index.Mapping(res.MappingIndex).ID
+	}
+	for _, cor := range res.Corrections {
+		c.Corrections = append(c.Corrections, client.Correction(cor))
 	}
 	return c
 }
 
-func autoJoinCompute(ctx context.Context, st *State, sess *apps.Session, req autoJoinRequest) (autoJoinResponse, *computeError) {
+func autoJoinCompute(ctx context.Context, st *State, sess *apps.Session, req client.AutoJoinRequest) (client.AutoJoinResponse, *computeError) {
 	if len(req.KeysA) == 0 || len(req.KeysB) == 0 {
-		return autoJoinResponse{}, badRequestf("keys_a and keys_b must not be empty")
+		return client.AutoJoinResponse{}, badRequestf("keys_a and keys_b must not be empty")
 	}
 	if ce := validateParams(req.MinCoverage, req.TopK); ce != nil {
-		return autoJoinResponse{}, ce
+		return client.AutoJoinResponse{}, ce
 	}
 	results, err := sess.AutoJoin(ctx, []apps.AutoJoinQuery{{
 		KeysA:       req.KeysA,
@@ -389,12 +361,12 @@ func autoJoinCompute(ctx context.Context, st *State, sess *apps.Session, req aut
 		TopK:        req.TopK,
 	}})
 	if err != nil {
-		return autoJoinResponse{}, &computeError{CodeInternal, "request cancelled: " + err.Error()}
+		return client.AutoJoinResponse{}, &computeError{client.CodeInternal, "request cancelled: " + err.Error()}
 	}
 	res := results[0]
-	resp := autoJoinResponse{
+	resp := client.AutoJoinResponse{
 		Found:             res.MappingIndex >= 0,
-		autoJoinCandidate: autoJoinView(st, res),
+		AutoJoinCandidate: autoJoinView(st, res),
 	}
 	for _, c := range res.Candidates {
 		resp.Candidates = append(resp.Candidates, autoJoinView(st, c))
@@ -402,12 +374,12 @@ func autoJoinCompute(ctx context.Context, st *State, sess *apps.Session, req aut
 	return resp, nil
 }
 
-func autoJoinView(st *State, res apps.AutoJoinResult) autoJoinCandidate {
-	c := autoJoinCandidate{MappingIndex: res.MappingIndex, Bridged: res.Bridged}
+func autoJoinView(st *State, res apps.AutoJoinResult) client.AutoJoinCandidate {
+	c := client.AutoJoinCandidate{MappingIndex: res.MappingIndex, Bridged: res.Bridged}
 	if res.MappingIndex >= 0 {
 		c.MappingID = st.Index.Mapping(res.MappingIndex).ID
 		for _, row := range res.Rows {
-			c.Rows = append(c.Rows, joinedRow{LeftRow: row.LeftRow, RightRow: row.RightRow})
+			c.Rows = append(c.Rows, client.JoinedRow{LeftRow: row.LeftRow, RightRow: row.RightRow})
 		}
 	}
 	return c

@@ -18,6 +18,7 @@ import (
 
 	"mapsynth/internal/apps"
 	"mapsynth/internal/qos"
+	"mapsynth/pkg/client"
 )
 
 // postNDJSON sends body to url and parses the NDJSON response into one
@@ -53,12 +54,12 @@ func rowError(row map[string]any) (code, msg string) {
 
 // batchParts splits a parsed NDJSON response into per-row lines (keyed by
 // index) and the trailer, failing on duplicates or a missing trailer.
-func batchParts(t *testing.T, lines []json.RawMessage) (map[int]map[string]any, batchTrailer) {
+func batchParts(t *testing.T, lines []json.RawMessage) (map[int]map[string]any, client.BatchTrailer) {
 	t.Helper()
 	if len(lines) == 0 {
 		t.Fatal("empty NDJSON response")
 	}
-	var trailer batchTrailer
+	var trailer client.BatchTrailer
 	if err := json.Unmarshal(lines[len(lines)-1], &trailer); err != nil || !trailer.Done {
 		t.Fatalf("last line is not a trailer: %s", lines[len(lines)-1])
 	}
@@ -103,7 +104,7 @@ func TestBatchAutoFillStream(t *testing.T) {
 		body.WriteByte('\n')
 	}
 
-	rec, lines := postNDJSON(t, h, "/batch/autofill", body.String())
+	rec, lines := postNDJSON(t, h, "/v1/batch/autofill", body.String())
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -124,7 +125,7 @@ func TestBatchAutoFillStream(t *testing.T) {
 		}
 		// Parity with the single endpoint.
 		var single map[string]any
-		postJSON(t, h, "/autofill", map[string]any{"column": col, "min_coverage": 0.8}, &single)
+		postJSON(t, h, "/v1/autofill", map[string]any{"column": col, "min_coverage": 0.8}, &single)
 		for k, v := range single {
 			if !reflect.DeepEqual(row[k], v) {
 				t.Errorf("row %d field %q = %v, single endpoint = %v", i, k, row[k], v)
@@ -137,7 +138,7 @@ func TestBatchAutoCorrectAndJoinStream(t *testing.T) {
 	srv, _ := newTestServer(t, 0)
 	h := srv.Handler()
 
-	rec, lines := postNDJSON(t, h, "/batch/autocorrect",
+	rec, lines := postNDJSON(t, h, "/v1/batch/autocorrect",
 		`{"column":["California","Washington","OR","Texas","NV"]}`+"\n"+
 			`{"column":["California","Washington"]}`+"\n")
 	if rec.Code != http.StatusOK {
@@ -148,14 +149,14 @@ func TestBatchAutoCorrectAndJoinStream(t *testing.T) {
 		t.Fatalf("autocorrect trailer = %+v", trailer)
 	}
 	var single map[string]any
-	postJSON(t, h, "/autocorrect", map[string]any{"column": []string{"California", "Washington", "OR", "Texas", "NV"}}, &single)
+	postJSON(t, h, "/v1/autocorrect", map[string]any{"column": []string{"California", "Washington", "OR", "Texas", "NV"}}, &single)
 	for k, v := range single {
 		if !reflect.DeepEqual(rows[0][k], v) {
 			t.Errorf("autocorrect row 0 field %q = %v, single = %v", k, rows[0][k], v)
 		}
 	}
 
-	rec, lines = postNDJSON(t, h, "/batch/autojoin",
+	rec, lines = postNDJSON(t, h, "/v1/batch/autojoin",
 		`{"keys_a":["California","Washington","Oregon","Texas"],"keys_b":["TX","CA","WA","OR","ZZ"]}`+"\n")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -165,7 +166,7 @@ func TestBatchAutoCorrectAndJoinStream(t *testing.T) {
 		t.Fatalf("autojoin trailer = %+v", trailer)
 	}
 	single = nil
-	postJSON(t, h, "/autojoin", map[string]any{
+	postJSON(t, h, "/v1/autojoin", map[string]any{
 		"keys_a": []string{"California", "Washington", "Oregon", "Texas"},
 		"keys_b": []string{"TX", "CA", "WA", "OR", "ZZ"},
 	}, &single)
@@ -184,7 +185,7 @@ func TestBatchErrorLines(t *testing.T) {
 	h := srv.Handler()
 
 	// Row 1 is a validation error; rows 0 and 2 still answer.
-	rec, lines := postNDJSON(t, h, "/batch/autofill",
+	rec, lines := postNDJSON(t, h, "/v1/batch/autofill",
 		`{"id":"a","column":["Seattle"]}`+"\n"+
 			`{"id":"b","column":[]}`+"\n"+
 			`{"id":"c","column":["Portland"]}`+"\n")
@@ -195,7 +196,7 @@ func TestBatchErrorLines(t *testing.T) {
 	if trailer.Results != 3 || trailer.Errors != 1 || trailer.Truncated {
 		t.Fatalf("trailer = %+v", trailer)
 	}
-	if code, msg := rowError(rows[1]); code != string(CodeBadRequest) || msg == "" {
+	if code, msg := rowError(rows[1]); code != string(client.CodeBadRequest) || msg == "" {
 		t.Errorf("row 1 = %v, want a structured bad_request error line", rows[1])
 	}
 	if rows[1]["id"] != "b" {
@@ -206,7 +207,7 @@ func TestBatchErrorLines(t *testing.T) {
 	}
 
 	// Malformed second line: first row answers, stream reports truncation.
-	rec, lines = postNDJSON(t, h, "/batch/autofill",
+	rec, lines = postNDJSON(t, h, "/v1/batch/autofill",
 		`{"column":["Seattle"]}`+"\n"+`{not json`+"\n"+`{"column":["Portland"]}`+"\n")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -220,7 +221,7 @@ func TestBatchErrorLines(t *testing.T) {
 	}
 
 	// Unknown fields fail loudly, like the single endpoints.
-	_, lines = postNDJSON(t, h, "/batch/autofill", `{"colunm":["Seattle"]}`+"\n")
+	_, lines = postNDJSON(t, h, "/v1/batch/autofill", `{"colunm":["Seattle"]}`+"\n")
 	_, trailer = batchParts(t, lines)
 	if !trailer.Truncated {
 		t.Errorf("unknown field accepted: trailer = %+v", trailer)
@@ -239,8 +240,8 @@ func TestAnswerRowRecoversPanic(t *testing.T) {
 	if ok {
 		t.Fatal("panicking row reported success")
 	}
-	el, isErr := v.(batchErrorLine)
-	if !isErr || el.Index != 3 || el.Error.Code != CodeInternal || !strings.Contains(el.Error.Message, "index exploded") {
+	el, isErr := v.(rowErrorLine)
+	if !isErr || el.Index != 3 || el.Error.Code != client.CodeInternal || !strings.Contains(el.Error.Message, "index exploded") {
 		t.Fatalf("recovered line = %#v", v)
 	}
 }
@@ -249,12 +250,12 @@ func TestBatchMethodAndRouting(t *testing.T) {
 	srv, _ := newTestServer(t, 0)
 	h := srv.Handler()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/batch/autofill", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/batch/autofill", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /batch/autofill = %d, want 405", rec.Code)
 	}
-	var e errorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != CodeMethodNotAllowed {
+	var e client.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != client.CodeMethodNotAllowed {
 		t.Errorf("405 body not a structured JSON error: %q", rec.Body.String())
 	}
 }
@@ -275,7 +276,7 @@ func TestBatchLimiterSaturation(t *testing.T) {
 	firstDone := make(chan error, 1)
 	firstBody := make(chan []byte, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/batch/autofill", "application/x-ndjson", pr)
+		resp, err := http.Post(ts.URL+"/v1/batch/autofill", "application/x-ndjson", pr)
 		if err != nil {
 			firstDone <- err
 			return
@@ -295,7 +296,7 @@ func TestBatchLimiterSaturation(t *testing.T) {
 	// Concurrent batches must all be rejected with 429 + Retry-After.
 	var rejected int
 	for i := 0; i < 4; i++ {
-		resp, err := http.Post(ts.URL+"/batch/autofill", "application/x-ndjson",
+		resp, err := http.Post(ts.URL+"/v1/batch/autofill", "application/x-ndjson",
 			strings.NewReader(`{"column":["Portland"]}`+"\n"))
 		if err != nil {
 			t.Fatal(err)
@@ -306,8 +307,8 @@ func TestBatchLimiterSaturation(t *testing.T) {
 			if retryAfter == "" {
 				t.Error("429 without Retry-After")
 			}
-			var e errorEnvelope
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error.Code != CodeOverloaded {
+			var e client.ErrorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error.Code != client.CodeOverloaded {
 				t.Errorf("429 body not a structured JSON error")
 			}
 			// The header and the envelope advertise the same delay.
@@ -372,7 +373,7 @@ func TestBatchConcurrentNoneDropped(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/batch/autofill", "application/x-ndjson",
+			resp, err := http.Post(ts.URL+"/v1/batch/autofill", "application/x-ndjson",
 				strings.NewReader(body.String()))
 			if err != nil {
 				t.Errorf("post: %v", err)
@@ -389,7 +390,7 @@ func TestBatchConcurrentNoneDropped(t *testing.T) {
 			switch resp.StatusCode {
 			case http.StatusOK:
 				accepted++
-				var trailer batchTrailer
+				var trailer client.BatchTrailer
 				lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
 				if err := json.Unmarshal(lines[len(lines)-1], &trailer); err != nil || !trailer.Done {
 					t.Errorf("no trailer in %q", string(b))

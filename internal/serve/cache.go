@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"mapsynth/pkg/client"
 )
 
 // lruCache is a bounded, mutex-guarded LRU for lookup responses — the
@@ -23,7 +25,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key string
-	val lookupResponse
+	val client.LookupResponse
 }
 
 // newLRU returns a cache bounded to capacity entries; capacity < 1 disables
@@ -36,24 +38,24 @@ func newLRU(capacity int) *lruCache {
 	}
 }
 
-func (c *lruCache) get(key string) (lookupResponse, bool) {
+func (c *lruCache) get(key string) (client.LookupResponse, bool) {
 	if c.cap < 1 {
 		c.misses.Add(1)
-		return lookupResponse{}, false
+		return client.LookupResponse{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses.Add(1)
-		return lookupResponse{}, false
+		return client.LookupResponse{}, false
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Add(1)
 	return el.Value.(*lruEntry).val, true
 }
 
-func (c *lruCache) put(key string, val lookupResponse) {
+func (c *lruCache) put(key string, val client.LookupResponse) {
 	if c.cap < 1 {
 		return
 	}

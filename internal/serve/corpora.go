@@ -11,8 +11,8 @@ import (
 	"strings"
 	"time"
 
-	"mapsynth/internal/ingest"
 	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 // The /v1/corpora surface is the lifecycle API of multi-corpus serving:
@@ -31,41 +31,10 @@ import (
 // states stay on a bounded per-corpus ring so activate/rollback can
 // restore them exactly — same mapping set, same index, same cache.
 
-// corpusInfo is one corpus's metadata in list and single-resource answers.
-type corpusInfo struct {
-	Name     string `json:"name"`
-	Version  int64  `json:"version"`
-	Snapshot string `json:"snapshot,omitempty"`
-	// Format is always "v2": every state is a v2 snapshot image, whatever
-	// it was loaded or built from.
-	Format   string `json:"format"`
-	Mappings int    `json:"mappings"`
-	Pairs    int    `json:"pairs"`
-	// MappedBytes is the size of the state's snapshot image, mmapped or in
-	// process memory.
-	MappedBytes int64 `json:"mapped_bytes,omitempty"`
-	// Madvise is the page-cache hint applied to an mmapped state's region
-	// ("willneed" or "random", the -madvise flag); absent when none.
-	Madvise string `json:"madvise,omitempty"`
-	// ActivationSeconds is how long the live state took from snapshot open
-	// to query-ready.
-	ActivationSeconds float64 `json:"activation_s"`
-	LoadedAt          string  `json:"loaded_at"`
-	Reloads           int64   `json:"reloads"`
-	// History lists the version numbers available for activate/rollback,
-	// most recently live last.
-	History []int64 `json:"history,omitempty"`
-	// SnapshotCRC is the whole-file CRC of the state's snapshot image (hex)
-	// — its content identity, comparable across nodes.
-	SnapshotCRC string `json:"snapshot_crc,omitempty"`
-	// Ingest reports live-ingestion staleness (log head vs applied LSN);
-	// absent for corpora never ingested into.
-	Ingest *ingest.Status `json:"ingest,omitempty"`
-}
-
-func (s *Server) infoFor(c *corpus) corpusInfo {
+// infoFor is one corpus's metadata in list and single-resource answers.
+func (s *Server) infoFor(c *corpus) client.CorpusInfo {
 	st := c.state.Load()
-	info := corpusInfo{
+	return client.CorpusInfo{
 		Name:              c.name,
 		Version:           st.Version,
 		Snapshot:          st.Path,
@@ -81,19 +50,15 @@ func (s *Server) infoFor(c *corpus) corpusInfo {
 		SnapshotCRC:       fmt.Sprintf("%08x", st.imageCRC()),
 		Ingest:            s.ingestStatusFor(c.name),
 	}
-	return info
 }
 
 func (s *Server) handleCorporaList(w http.ResponseWriter, r *http.Request) {
 	cs := s.reg.list()
-	infos := make([]corpusInfo, len(cs))
+	infos := make([]client.CorpusInfo, len(cs))
 	for i, c := range cs {
 		infos[i] = s.infoFor(c)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":   len(infos),
-		"corpora": infos,
-	})
+	writeJSON(w, http.StatusOK, client.CorpusList{Corpora: infos, Count: len(infos)})
 }
 
 // handleCorpusResource dispatches /v1/corpora/{name} by method: GET
@@ -112,15 +77,8 @@ func (s *Server) handleCorpusResource(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		s.handleCorpusDelete(w, r, name)
 	default:
-		writeError(w, r, CodeMethodNotAllowed, "GET, PUT or DELETE required")
+		writeError(w, r, client.CodeMethodNotAllowed, "GET, PUT or DELETE required")
 	}
-}
-
-// putCorpusRequest is the JSON form of PUT /v1/corpora/{name}.
-type putCorpusRequest struct {
-	// Snapshot is the snapshot file to load; empty re-reads the corpus's
-	// current snapshot path (a per-corpus reload).
-	Snapshot string `json:"snapshot"`
 }
 
 // handleCorpusPut loads-or-replaces one corpus. Two body forms are
@@ -129,7 +87,7 @@ type putCorpusRequest struct {
 // clients that cannot place files on the server's filesystem.
 func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name string) {
 	if !validCorpusName(name) {
-		writeError(w, r, CodeBadRequest,
+		writeError(w, r, client.CodeBadRequest,
 			fmt.Sprintf("invalid corpus name %q (want 1-64 chars of [A-Za-z0-9._-])", name))
 		return
 	}
@@ -144,12 +102,12 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name st
 			if s.writeUploadTooLarge(w, r, err) {
 				return
 			}
-			writeError(w, r, CodeBadRequest, "reading snapshot body: "+err.Error())
+			writeError(w, r, client.CodeBadRequest, "reading snapshot body: "+err.Error())
 			return
 		}
 		st, err = s.LoadCorpusSnapshot(name, data)
 	} else {
-		var req putCorpusRequest
+		var req client.PutCorpusRequest
 		if _, perr := body.Peek(1); perr == nil { // non-empty body
 			dec := json.NewDecoder(body)
 			dec.DisallowUnknownFields()
@@ -157,14 +115,14 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name st
 				if s.writeUploadTooLarge(w, r, derr) {
 					return
 				}
-				writeError(w, r, CodeBadRequest, "bad request body: "+derr.Error())
+				writeError(w, r, client.CodeBadRequest, "bad request body: "+derr.Error())
 				return
 			}
 		}
 		st, err = s.LoadCorpusContext(r.Context(), name, req.Snapshot)
 	}
 	if err != nil {
-		writeError(w, r, CodeUnprocessable, "corpus load failed: "+err.Error())
+		writeError(w, r, client.CodeUnprocessable, "corpus load failed: "+err.Error())
 		return
 	}
 	// Version 1 means this install created the corpus — derived from the
@@ -175,16 +133,16 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name st
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, map[string]any{
-		"corpus":      name,
-		"created":     created,
-		"version":     st.Version,
-		"snapshot":    st.Path,
-		"format":      wireFormat,
-		"mappings":    st.NumMappings(),
-		"pairs":       st.handle.Pairs(),
-		"loaded_at":   st.LoadedAt.UTC().Format(time.RFC3339),
-		"duration_ms": float64(time.Since(t0).Microseconds()) / 1000,
+	writeJSON(w, status, client.PutCorpusResponse{
+		Corpus:     name,
+		Created:    created,
+		DurationMs: float64(time.Since(t0).Microseconds()) / 1000,
+		Format:     wireFormat,
+		LoadedAt:   st.LoadedAt.UTC().Format(time.RFC3339),
+		Mappings:   st.NumMappings(),
+		Pairs:      st.handle.Pairs(),
+		Snapshot:   st.Path,
+		Version:    st.Version,
 	})
 }
 
@@ -215,7 +173,7 @@ func (s *Server) writeUploadTooLarge(w http.ResponseWriter, r *http.Request, err
 	if !errors.As(err, &mbe) {
 		return false
 	}
-	writeError(w, r, CodePayloadTooLarge,
+	writeError(w, r, client.CodePayloadTooLarge,
 		fmt.Sprintf("request body exceeds %d bytes (-max-upload-bytes)", mbe.Limit))
 	return true
 }
@@ -240,11 +198,11 @@ func (s *Server) handleCorpusSnapshot(c *corpus, w http.ResponseWriter, r *http.
 
 func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request, name string) {
 	if name == DefaultCorpus {
-		writeError(w, r, CodeBadRequest, fmt.Sprintf("the %q corpus cannot be deleted", DefaultCorpus))
+		writeError(w, r, client.CodeBadRequest, fmt.Sprintf("the %q corpus cannot be deleted", DefaultCorpus))
 		return
 	}
 	if s.reg.remove(name) == nil {
-		writeError(w, r, CodeCorpusNotFound, fmt.Sprintf("no such corpus: %q", name))
+		writeError(w, r, client.CodeCorpusNotFound, fmt.Sprintf("no such corpus: %q", name))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"corpus": name, "deleted": true})
@@ -260,7 +218,7 @@ type activateRequest struct {
 // always reversible with /rollback.
 func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, CodeMethodNotAllowed, "POST required")
+		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return
 	}
 	c, ok := s.resolveCorpus(w, r, r.PathValue("name"))
@@ -272,12 +230,12 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Version < 1 {
-		writeError(w, r, CodeBadRequest, fmt.Sprintf("version must be >= 1, got %d", req.Version))
+		writeError(w, r, client.CodeBadRequest, fmt.Sprintf("version must be >= 1, got %d", req.Version))
 		return
 	}
 	live, prev, err := c.activate(req.Version)
 	if err != nil {
-		writeError(w, r, CodeUnprocessable, "activate failed: "+err.Error())
+		writeError(w, r, client.CodeUnprocessable, "activate failed: "+err.Error())
 		return
 	}
 	writeVersionSwap(w, c, live, prev)
@@ -287,7 +245,7 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 // one-call undo of the last load or activate.
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, CodeMethodNotAllowed, "POST required")
+		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return
 	}
 	c, ok := s.resolveCorpus(w, r, r.PathValue("name"))
@@ -296,20 +254,20 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	live, prev, err := c.rollback()
 	if err != nil {
-		writeError(w, r, CodeUnprocessable, "rollback failed: "+err.Error())
+		writeError(w, r, client.CodeUnprocessable, "rollback failed: "+err.Error())
 		return
 	}
 	writeVersionSwap(w, c, live, prev)
 }
 
 func writeVersionSwap(w http.ResponseWriter, c *corpus, live, prev *State) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"corpus":           c.name,
-		"version":          live.Version,
-		"previous_version": prev.Version,
-		"snapshot":         live.Path,
-		"format":           wireFormat,
-		"mappings":         live.NumMappings(),
-		"loaded_at":        live.LoadedAt.UTC().Format(time.RFC3339),
+	writeJSON(w, http.StatusOK, client.VersionSwapResponse{
+		Corpus:          c.name,
+		Format:          wireFormat,
+		LoadedAt:        live.LoadedAt.UTC().Format(time.RFC3339),
+		Mappings:        live.NumMappings(),
+		PreviousVersion: prev.Version,
+		Snapshot:        live.Path,
+		Version:         live.Version,
 	})
 }

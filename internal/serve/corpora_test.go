@@ -14,6 +14,7 @@ import (
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // codedMappings builds a small mapping set whose right side carries the
@@ -75,29 +76,29 @@ func TestCorpusScopeParity(t *testing.T) {
 	cases := []struct {
 		name     string
 		method   string
-		path     string // unscoped /v1 path; the scoped twin is /v1/corpora/default + subpath
+		path     string // unscoped path; the scoped twin has /v1/corpora/default in place of /v1
 		body     string
 		volatile []string
 	}{
-		{"lookup", http.MethodGet, "/lookup?key=California", "", nil},
-		{"autofill", http.MethodPost, "/autofill",
+		{"lookup", http.MethodGet, "/v1/lookup?key=California", "", nil},
+		{"autofill", http.MethodPost, "/v1/autofill",
 			`{"column":["San Francisco","Seattle"],"examples":[{"left":"San Francisco","right":"California"}]}`, nil},
-		{"autocorrect", http.MethodPost, "/autocorrect",
+		{"autocorrect", http.MethodPost, "/v1/autocorrect",
 			`{"column":["California","Washington","CA","WA"]}`, nil},
-		{"autojoin", http.MethodPost, "/autojoin",
+		{"autojoin", http.MethodPost, "/v1/autojoin",
 			`{"keys_a":["California","Oregon"],"keys_b":["CA","OR"]}`, nil},
-		{"batch-autofill", http.MethodPost, "/batch/autofill",
+		{"batch-autofill", http.MethodPost, "/v1/batch/autofill",
 			`{"id":"a","column":["Seattle"]}` + "\n", nil},
-		{"batch-autocorrect", http.MethodPost, "/batch/autocorrect",
+		{"batch-autocorrect", http.MethodPost, "/v1/batch/autocorrect",
 			`{"id":"b","column":["California","Washington","CA","WA"]}` + "\n", nil},
-		{"batch-autojoin", http.MethodPost, "/batch/autojoin",
+		{"batch-autojoin", http.MethodPost, "/v1/batch/autojoin",
 			`{"id":"c","keys_a":["California"],"keys_b":["CA"]}` + "\n", nil},
-		{"stats", http.MethodGet, "/stats", "", []string{"uptime_s"}},
+		{"stats", http.MethodGet, "/v1/stats", "", []string{"uptime_s"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			unscoped := doReq(t, h, tc.method, "/v1"+tc.path, tc.body, reqID)
-			scoped := doReq(t, h, tc.method, "/v1/corpora/default"+tc.path, tc.body, reqID)
+			unscoped := doReq(t, h, tc.method, tc.path, tc.body, reqID)
+			scoped := doReq(t, h, tc.method, "/v1/corpora/default"+strings.TrimPrefix(tc.path, "/v1"), tc.body, reqID)
 			if unscoped.Code != http.StatusOK || scoped.Code != http.StatusOK {
 				t.Fatalf("status unscoped=%d scoped=%d (%q)", unscoped.Code, scoped.Code, scoped.Body.String())
 			}
@@ -161,7 +162,7 @@ func TestCorpusLifecycle(t *testing.T) {
 	}
 
 	// Scoped query answers from the new corpus, default unaffected.
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, h, "/v1/corpora/tickers/lookup?key=California", &lr)
 	if !lr.Found || lr.Value != "TK-Ca" {
 		t.Errorf("tickers lookup = %+v, want TK-Ca", lr)
@@ -173,8 +174,8 @@ func TestCorpusLifecycle(t *testing.T) {
 
 	// List: both corpora, sorted, with metadata.
 	var list struct {
-		Count   int          `json:"count"`
-		Corpora []corpusInfo `json:"corpora"`
+		Count   int                 `json:"count"`
+		Corpora []client.CorpusInfo `json:"corpora"`
 	}
 	getJSON(t, h, "/v1/corpora", &list)
 	if list.Count != 2 || len(list.Corpora) != 2 {
@@ -188,7 +189,7 @@ func TestCorpusLifecycle(t *testing.T) {
 	}
 
 	// Single resource GET.
-	var info corpusInfo
+	var info client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/tickers", &info)
 	if info.Name != "tickers" || info.Mappings != 1 {
 		t.Errorf("GET corpus = %+v", info)
@@ -220,8 +221,8 @@ func TestCorpusLifecycle(t *testing.T) {
 		if rec.Code != http.StatusNotFound {
 			t.Errorf("%s %s status = %d, want 404", probe.method, probe.path, rec.Code)
 		}
-		var env errorEnvelope
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != CodeCorpusNotFound {
+		var env client.ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != client.CodeCorpusNotFound {
 			t.Errorf("%s %s envelope = %s", probe.method, probe.path, rec.Body.String())
 		}
 	}
@@ -359,7 +360,7 @@ func TestActivateRollbackGolden(t *testing.T) {
 // autofill request uses a consistent in-era example.
 func lookupAbbr(t *testing.T, h http.Handler) string {
 	t.Helper()
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, h, "/v1/corpora/default/lookup?key=Washington", &lr)
 	if !lr.Found {
 		t.Fatal("Washington not found")
@@ -390,7 +391,7 @@ func TestHistoryDepthBound(t *testing.T) {
 		}
 	}
 	h := srv.Handler()
-	var info corpusInfo
+	var info client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &info)
 	if info.Version != 5 || len(info.History) != 2 {
 		t.Fatalf("info = %+v, want version 5 with 2 history entries", info)
@@ -419,7 +420,7 @@ func TestCorpusUpload(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("upload status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, h, "/v1/corpora/uploaded/lookup?key=California", &lr)
 	if !lr.Found || lr.Value != "UP-Ca" {
 		t.Errorf("uploaded lookup = %+v", lr)
@@ -473,9 +474,9 @@ func TestHealthzPerCorpus(t *testing.T) {
 	h := srv.Handler()
 
 	var health struct {
-		Status  string                  `json:"status"`
-		Uptime  float64                 `json:"uptime_s"`
-		Corpora map[string]corpusHealth `json:"corpora"`
+		Status  string                         `json:"status"`
+		Uptime  float64                        `json:"uptime_s"`
+		Corpora map[string]client.CorpusHealth `json:"corpora"`
 	}
 	if rec := getJSON(t, h, "/v1/healthz", &health); rec.Code != http.StatusOK {
 		t.Fatalf("healthz status = %d", rec.Code)
@@ -515,7 +516,7 @@ func TestReloadFailureKeepsCounterAndNamesCorpus(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("failed reload status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var env errorEnvelope
+	var env client.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +601,7 @@ func TestServerOptionsCorpora(t *testing.T) {
 	if got := srv.CorpusNames(); len(got) != 2 || got[0] != "default" || got[1] != "tickers" {
 		t.Fatalf("corpora = %v", got)
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, srv.Handler(), "/v1/corpora/tickers/lookup?key=Texas", &lr)
 	if !lr.Found || lr.Value != "TK-Te" {
 		t.Errorf("tickers lookup = %+v", lr)
@@ -643,7 +644,7 @@ func TestReloadAll(t *testing.T) {
 	if err := srv.ReloadAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, srv.Handler(), "/v1/lookup?key=California", &lr)
 	if lr.Value != "D2-Ca" {
 		t.Errorf("after ReloadAll: %+v, want D2-Ca", lr)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 // v1Fixture is the last file the v1 writer wrote, over testMappings() (see
@@ -133,7 +134,7 @@ func TestFormatGoldenParity(t *testing.T) {
 		}
 		_, want := do(h2, "GET", "/v1/lookup?key=Seattle", "")
 		_, got := do(h2, "GET", "/v1/corpora/"+name+"/lookup?key=Seattle", "")
-		var wl, gl lookupResponse
+		var wl, gl client.LookupResponse
 		if json.Unmarshal(want, &wl) != nil || json.Unmarshal(got, &gl) != nil || !gl.Found || gl.Value != wl.Value {
 			t.Fatalf("corpus %s lookup = %s, want %s", name, got, want)
 		}
@@ -160,7 +161,7 @@ func TestV2UploadAndReload(t *testing.T) {
 		r.URL.RawQuery = "key=" + key
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, r)
-		var got lookupResponse
+		var got client.LookupResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 // TestCorruptUploadRejected: an uploaded image crossed a network, so it is
@@ -59,12 +60,12 @@ func TestCorruptUploadRejected(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity || !bytes.Contains(rec.Body.Bytes(), []byte("corpus load failed")) {
 		t.Fatalf("corrupt upload = %d: %s, want 422 corpus load failed", rec.Code, rec.Body)
 	}
-	var info corpusInfo
+	var info client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/up", &info)
 	if info.Version != 1 {
 		t.Fatalf("version after rejected upload = %d, want 1", info.Version)
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, h, "/v1/corpora/up/lookup?key=California", &lr)
 	if !lr.Found || lr.Value != "OK-Ca" {
 		t.Fatalf("lookup after rejected upload = %+v, want the old state's OK-Ca", lr)
@@ -99,7 +100,7 @@ func TestEveryStateShipsItsImage(t *testing.T) {
 				t.Fatalf("rebuild %d = %d: %s", i, rec.Code, rec.Body)
 			}
 		}
-		var info corpusInfo
+		var info client.CorpusInfo
 		getJSON(t, h, "/v1/corpora/default", &info)
 		if info.Format != "v2" || info.SnapshotCRC == "" || info.SnapshotCRC == prevCRC || info.Mappings != len(sets[i]) {
 			t.Fatalf("install %d: info = %+v, want a fresh CRC-identified v2 image of %d mappings", i, info, len(sets[i]))
@@ -126,7 +127,7 @@ func TestEveryStateShipsItsImage(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
-	var first corpusInfo
+	var first client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &first)
 	var next bytes.Buffer
 	if err := snapshot.WriteV2(&next, append(testMappings(), codedMappings("NEW")...)); err != nil {
@@ -155,7 +156,7 @@ func TestSnapshotDelta(t *testing.T) {
 func TestDeltaUpload(t *testing.T) {
 	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
-	var before corpusInfo
+	var before client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &before)
 
 	body := append(append([]byte(nil), snapshot.Magic[:]...), 3)
@@ -168,11 +169,11 @@ func TestDeltaUpload(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatalf("version-3 upload = %d: %s", rec.Code, rec.Body)
 	}
-	if rec.Code != http.StatusUnprocessableEntity || env.Error.Code != string(CodeUnprocessable) ||
+	if rec.Code != http.StatusUnprocessableEntity || env.Error.Code != string(client.CodeUnprocessable) ||
 		!strings.Contains(env.Error.Message, "unsupported format version: 3") {
 		t.Fatalf("version-3 upload = %d %+v, want 422 unprocessable naming version 3", rec.Code, env.Error)
 	}
-	var after corpusInfo
+	var after client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &after)
 	if after.Version != before.Version || after.SnapshotCRC != before.SnapshotCRC {
 		t.Fatalf("after refused upload: version %d crc %s, want %d %s",

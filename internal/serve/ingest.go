@@ -18,6 +18,7 @@ import (
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/pipeline"
 	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 // POST /v1/corpora/{name}/tables is the live-ingestion endpoint: an NDJSON
@@ -31,36 +32,9 @@ import (
 // "queued"); ?wait=1 holds the trailer until the new version is live — the
 // per-row lines are written and flushed as soon as the append is durable.
 
-// ingestLine acknowledges one accepted table with its assigned LSN.
-type ingestLine struct {
-	Index int   `json:"index"`
-	LSN   int64 `json:"lsn"`
-}
-
-// ingestTrailer closes every ingest response stream.
-type ingestTrailer struct {
-	Done     bool   `json:"done"`
-	Corpus   string `json:"corpus"`
-	Accepted int    `json:"accepted"`
-	Rejected int    `json:"rejected"`
-	// Truncated reports the request body was abandoned before EOF
-	// (malformed line or cancellation); accepted rows are still durable.
-	Truncated  bool  `json:"truncated,omitempty"`
-	HeadLSN    int64 `json:"head_lsn"`
-	AppliedLSN int64 `json:"applied_lsn"`
-	// Synthesis is "applied" (wait=1 and the new version is live),
-	// "queued" (async run kicked), or "error".
-	Synthesis      string `json:"synthesis"`
-	SynthesisError string `json:"synthesis_error,omitempty"`
-	// Version is the corpus version live at trailer time; with
-	// synthesis "applied" it is the version carrying these tables.
-	Version   int64  `json:"version"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
 func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, CodeMethodNotAllowed, "POST required")
+		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return
 	}
 	tn, ok := s.admitTenant(w, r)
@@ -80,7 +54,7 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	defer s.batch.releaseRequest()
 	ing, err := s.ingestorFor(c.name)
 	if err != nil {
-		writeError(w, r, CodeUnprocessable, "ingest unavailable: "+err.Error())
+		writeError(w, r, client.CodeUnprocessable, "ingest unavailable: "+err.Error())
 		return
 	}
 
@@ -92,13 +66,13 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var rows []ingest.TableRow
 	var accepted []int // input index of each accepted row
-	var errLines []batchErrorLine
+	var errLines []rowErrorLine
 	truncated := false
 	for i := 0; ; i++ {
 		var row ingest.TableRow
 		if err := dec.Decode(&row); err != nil {
 			if !errors.Is(err, io.EOF) {
-				errLines = append(errLines, errorLine(i, "", &computeError{CodeBadRequest, "bad table line: " + err.Error()}))
+				errLines = append(errLines, errorLine(i, "", &computeError{client.CodeBadRequest, "bad table line: " + err.Error()}))
 				truncated = true
 			}
 			break
@@ -110,7 +84,7 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 		verr := row.Validate()
 		s.releaseRow(verr != nil)
 		if verr != nil {
-			errLines = append(errLines, errorLine(i, "", &computeError{CodeBadRequest, "invalid table: " + verr.Error()}))
+			errLines = append(errLines, errorLine(i, "", &computeError{client.CodeBadRequest, "invalid table: " + verr.Error()}))
 			continue
 		}
 		rows = append(rows, row)
@@ -130,12 +104,12 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	for k, i := range accepted {
-		_ = enc.Encode(ingestLine{Index: i, LSN: lsns[k]})
+		_ = enc.Encode(client.IngestLine{Index: i, LSN: lsns[k]})
 	}
 	for _, el := range errLines {
 		_ = enc.Encode(el)
 	}
-	trailer := ingestTrailer{Done: true, Corpus: c.name, Accepted: len(rows),
+	trailer := client.IngestTrailer{Done: true, Corpus: c.name, Accepted: len(rows),
 		Rejected: len(errLines), Truncated: truncated, RequestID: requestID(r)}
 	if r.URL.Query().Get("wait") == "1" {
 		_ = http.NewResponseController(w).Flush()
@@ -161,11 +135,11 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 // appendErrorCode classifies a failed ingest append: a failed log is a
 // declared, lasting condition (503 until restart); anything else is
 // internal.
-func appendErrorCode(err error) ErrorCode {
+func appendErrorCode(err error) string {
 	if errors.Is(err, ingest.ErrLogFailed) {
-		return CodeIngestLogFailed
+		return client.CodeIngestLogFailed
 	}
-	return CodeInternal
+	return client.CodeInternal
 }
 
 // ingestorFor returns the corpus's ingestor, creating it on first use: the
@@ -310,7 +284,7 @@ func (s *Server) publishIngest(name string, image func() (*snapshot.Handle, erro
 
 // ingestStatusFor returns the corpus's staleness report, nil when the
 // corpus has never been ingested into.
-func (s *Server) ingestStatusFor(name string) *ingest.Status {
+func (s *Server) ingestStatusFor(name string) *client.IngestStatus {
 	ing := s.ingest.Get(name)
 	if ing == nil {
 		return nil

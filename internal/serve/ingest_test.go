@@ -23,6 +23,7 @@ import (
 	"mapsynth/internal/pipeline"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // ingestCorpus generates the deterministic synthesis corpus the ingest
@@ -71,7 +72,7 @@ func tableNDJSON(t *testing.T, tabs ...*table.Table) string {
 
 // postIngest streams body to the ingest endpoint and returns the per-row
 // lines and the trailer.
-func postIngest(t *testing.T, h http.Handler, url, body string) ([]map[string]any, ingestTrailer) {
+func postIngest(t *testing.T, h http.Handler, url, body string) ([]map[string]any, client.IngestTrailer) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, url, strings.NewReader(body))
@@ -84,7 +85,7 @@ func postIngest(t *testing.T, h http.Handler, url, body string) ([]map[string]an
 	if len(lines) == 0 {
 		t.Fatalf("empty ingest response")
 	}
-	var trailer ingestTrailer
+	var trailer client.IngestTrailer
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
 		t.Fatalf("bad trailer %q: %v", lines[len(lines)-1], err)
 	}
@@ -141,7 +142,7 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("head=%d applied=%d, want both %d", trailer.HeadLSN, trailer.AppliedLSN, len(held))
 	}
 
-	var info corpusInfo
+	var info client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &info)
 	if info.Ingest == nil {
 		t.Fatal("corpus info missing ingest status")
@@ -195,7 +196,7 @@ func TestIngestAcksBeforeSynthesis(t *testing.T) {
 	if !lines.Scan() {
 		t.Fatalf("stream ended before any acknowledgement: %v", lines.Err())
 	}
-	var ack ingestLine
+	var ack client.IngestLine
 	if err := json.Unmarshal(lines.Bytes(), &ack); err != nil || ack.LSN != 1 {
 		t.Fatalf("first line %q: %v, want the LSN 1 acknowledgement", lines.Text(), err)
 	}
@@ -207,7 +208,7 @@ func TestIngestAcksBeforeSynthesis(t *testing.T) {
 	if !lines.Scan() {
 		t.Fatalf("no trailer after synthesis: %v", lines.Err())
 	}
-	var trailer ingestTrailer
+	var trailer client.IngestTrailer
 	if err := json.Unmarshal(lines.Bytes(), &trailer); err != nil {
 		t.Fatalf("bad trailer %q: %v", lines.Text(), err)
 	}
@@ -259,7 +260,7 @@ func TestIngestRegistryChurn(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 12; i++ {
-			var info corpusInfo
+			var info client.CorpusInfo
 			getJSON(t, h, "/v1/corpora/default", &info)
 			if len(info.History) == 0 {
 				continue
@@ -363,7 +364,7 @@ func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	h := srv.Handler()
 
-	var before corpusInfo
+	var before client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &before)
 	if before.Mappings == 0 {
 		t.Fatal("corpus empty before ingest")
@@ -375,7 +376,7 @@ func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 		t.Fatalf("synthesis = %q (%s), want applied", trailer.Synthesis, trailer.SynthesisError)
 	}
 
-	var after corpusInfo
+	var after client.CorpusInfo
 	getJSON(t, h, "/v1/corpora/default", &after)
 	if after.Mappings < before.Mappings {
 		t.Fatalf("ingest shrank the corpus: %d mappings -> %d", before.Mappings, after.Mappings)
@@ -385,7 +386,7 @@ func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 	}
 
 	// The pre-ingest content must still serve...
-	var lr lookupResponse
+	var lr client.LookupResponse
 	getJSON(t, h, "/v1/lookup?key=California", &lr)
 	if !lr.Found || lr.Value != "CA" {
 		t.Fatalf("pre-ingest key lost after ingest: %+v", lr)
@@ -514,9 +515,9 @@ func TestIngestRecoveredAtStartup(t *testing.T) {
 	h := b.Handler()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var lr lookupResponse
+		var lr client.LookupResponse
 		getJSON(t, h, "/v1/lookup?key=Springfield", &lr)
-		var info corpusInfo
+		var info client.CorpusInfo
 		getJSON(t, h, "/v1/corpora/default", &info)
 		if lr.Found && lr.Value == "IL-1" && info.Ingest != nil &&
 			info.Ingest.HeadLSN == 2 && info.Ingest.AppliedLSN == info.Ingest.HeadLSN {
@@ -527,7 +528,7 @@ func TestIngestRecoveredAtStartup(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	var lr lookupResponse
+	var lr client.LookupResponse
 	if getJSON(t, h, "/v1/lookup?key=California", &lr); !lr.Found || lr.Value != "CA" {
 		t.Fatalf("pre-ingest key lost after recovery: %+v", lr)
 	}
@@ -557,20 +558,20 @@ func TestIngestRecoveredAtStartup(t *testing.T) {
 func TestIngestLogFailedIsDeclared(t *testing.T) {
 	for _, tc := range []struct {
 		err    error
-		code   ErrorCode
+		code   string
 		status int
 	}{
-		{fmt.Errorf("%w: write c.mlog: no space left on device", ingest.ErrLogFailed), CodeIngestLogFailed, http.StatusServiceUnavailable},
-		{errors.Join(fmt.Errorf("%w: fsync", ingest.ErrLogFailed), errors.New("truncate failed")), CodeIngestLogFailed, http.StatusServiceUnavailable},
-		{errors.New("encode frame"), CodeInternal, http.StatusInternalServerError},
+		{fmt.Errorf("%w: write c.mlog: no space left on device", ingest.ErrLogFailed), client.CodeIngestLogFailed, http.StatusServiceUnavailable},
+		{errors.Join(fmt.Errorf("%w: fsync", ingest.ErrLogFailed), errors.New("truncate failed")), client.CodeIngestLogFailed, http.StatusServiceUnavailable},
+		{errors.New("encode frame"), client.CodeInternal, http.StatusInternalServerError},
 	} {
 		code := appendErrorCode(tc.err)
-		if code != tc.code || statusForCode(code) != tc.status {
-			t.Errorf("append error %q answers %d %s, want %d %s", tc.err, statusForCode(code), code, tc.status, tc.code)
+		if code != tc.code || client.StatusOf(code) != tc.status {
+			t.Errorf("append error %q answers %d %s, want %d %s", tc.err, client.StatusOf(code), code, tc.status, tc.code)
 		}
 		rec := httptest.NewRecorder()
 		writeError(rec, httptest.NewRequest(http.MethodPost, "/v1/corpora/default/tables", nil), code, "ingest log append: "+tc.err.Error())
-		var env errorEnvelope
+		var env client.ErrorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != tc.status || env.Error.Code != tc.code {
 			t.Errorf("envelope for %q: status %d, body %s (%v)", tc.err, rec.Code, rec.Body.Bytes(), err)
 		}

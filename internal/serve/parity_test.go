@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mapsynth/internal/qos"
-	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 // doReq issues one request against h with a pinned X-Request-ID so response
@@ -23,124 +21,6 @@ func doReq(t *testing.T, h http.Handler, method, path, body, reqID string) *http
 	req.Header.Set("X-Request-ID", reqID)
 	h.ServeHTTP(rec, req)
 	return rec
-}
-
-// TestV1AliasParity is the migration-safety test of the v1 rollout: every
-// legacy unversioned path must answer byte-identically to its /v1/
-// canonical path — same status, same body — so existing clients observe no
-// behavior change, only the Deprecation signal. Time-valued fields
-// (uptime_s on healthz/stats; loaded_at and duration_ms on reload, which
-// installs a fresh state per call) are the only tolerated divergence and
-// are compared structurally with those fields stripped.
-func TestV1AliasParity(t *testing.T) {
-	maps := testMappings()
-	snapPath := filepath.Join(t.TempDir(), "parity.snap")
-	if err := snapshot.WriteFileV2(snapPath, maps); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewFromMappings(maps, Options{CacheSize: 64, SnapshotPath: snapPath})
-	h := srv.Handler()
-	const reqID = "parity-req-id"
-
-	cases := []struct {
-		name     string
-		method   string
-		path     string // legacy path; the v1 alias is "/v1" + path
-		body     string
-		volatile []string // top-level fields allowed to differ (time-valued)
-		// normalize additionally strips nested time-valued fields before
-		// the structural comparison.
-		normalize func(m map[string]any)
-	}{
-		{"lookup", http.MethodGet, "/lookup?key=California", "", nil, nil},
-		{"autofill", http.MethodPost, "/autofill",
-			`{"column":["San Francisco","Seattle"],"examples":[{"left":"San Francisco","right":"California"}]}`, nil, nil},
-		{"autofill-topk", http.MethodPost, "/autofill",
-			`{"column":["California","Washington"],"top_k":3}`, nil, nil},
-		{"autocorrect", http.MethodPost, "/autocorrect",
-			`{"column":["California","Washington","CA","WA"]}`, nil, nil},
-		{"autojoin", http.MethodPost, "/autojoin",
-			`{"keys_a":["California","Oregon"],"keys_b":["CA","OR"]}`, nil, nil},
-		{"batch-autofill", http.MethodPost, "/batch/autofill",
-			`{"id":"a","column":["Seattle"]}` + "\n", nil, nil},
-		{"batch-autocorrect", http.MethodPost, "/batch/autocorrect",
-			`{"id":"b","column":["California","Washington","CA","WA"]}` + "\n", nil, nil},
-		{"batch-autojoin", http.MethodPost, "/batch/autojoin",
-			`{"id":"c","keys_a":["California"],"keys_b":["CA"]}` + "\n", nil, nil},
-		{"healthz", http.MethodGet, "/healthz", "", []string{"uptime_s"}, stripCorpusAges},
-		{"stats", http.MethodGet, "/stats", "", []string{"uptime_s"}, nil},
-		// Last: each reload call installs a fresh state (so the version
-		// counter, like the timestamps, legitimately differs per call).
-		{"reload", http.MethodPost, "/reload", `{}`, []string{"loaded_at", "duration_ms", "version"}, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy := doReq(t, h, tc.method, tc.path, tc.body, reqID)
-			v1 := doReq(t, h, tc.method, "/v1"+tc.path, tc.body, reqID)
-
-			if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-				t.Fatalf("status legacy=%d v1=%d (legacy body %q)", legacy.Code, v1.Code, legacy.Body.String())
-			}
-			// The deprecated alias must advertise its successor; the
-			// canonical path must not.
-			if got := legacy.Header().Get("Deprecation"); got != "true" {
-				t.Errorf("legacy Deprecation header = %q, want \"true\"", got)
-			}
-			wantLink := `</v1` + strings.SplitN(tc.path, "?", 2)[0] + `>; rel="successor-version"`
-			if got := legacy.Header().Get("Link"); got != wantLink {
-				t.Errorf("legacy Link header = %q, want %q", got, wantLink)
-			}
-			if got := v1.Header().Get("Deprecation"); got != "" {
-				t.Errorf("v1 path carries Deprecation header %q", got)
-			}
-			for _, rec := range []*httptest.ResponseRecorder{legacy, v1} {
-				if got := rec.Header().Get("X-Request-ID"); got != reqID {
-					t.Errorf("X-Request-ID = %q, want %q", got, reqID)
-				}
-			}
-
-			if len(tc.volatile) == 0 && tc.normalize == nil {
-				if legacy.Body.String() != v1.Body.String() {
-					t.Errorf("bodies differ:\nlegacy: %s\nv1:     %s", legacy.Body.String(), v1.Body.String())
-				}
-				return
-			}
-			var lm, vm map[string]any
-			if err := json.Unmarshal(legacy.Body.Bytes(), &lm); err != nil {
-				t.Fatalf("legacy body not JSON: %v", err)
-			}
-			if err := json.Unmarshal(v1.Body.Bytes(), &vm); err != nil {
-				t.Fatalf("v1 body not JSON: %v", err)
-			}
-			for _, f := range tc.volatile {
-				if _, ok := lm[f]; !ok {
-					t.Errorf("volatile field %q absent from response", f)
-				}
-				delete(lm, f)
-				delete(vm, f)
-			}
-			if tc.normalize != nil {
-				tc.normalize(lm)
-				tc.normalize(vm)
-			}
-			if !reflect.DeepEqual(lm, vm) {
-				t.Errorf("bodies differ beyond volatile fields:\nlegacy: %v\nv1:     %v", lm, vm)
-			}
-		})
-	}
-}
-
-// stripCorpusAges deletes the per-corpus age_s field of a healthz body —
-// the one nested time-valued field that legitimately differs between two
-// back-to-back requests.
-func stripCorpusAges(m map[string]any) {
-	corpora, _ := m["corpora"].(map[string]any)
-	for name, v := range corpora {
-		if entry, ok := v.(map[string]any); ok {
-			delete(entry, "age_s")
-			corpora[name] = entry
-		}
-	}
 }
 
 // TestErrorEnvelopeGoldens pins the exact wire shape of every error code in
@@ -185,7 +65,7 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 	// row panics) that are awkward to trigger deterministically; golden its
 	// envelope through the same writeError choke point every handler uses.
 	internalH := withRequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, r, CodeInternal, "simulated mid-request failure")
+		writeError(w, r, client.CodeInternal, "simulated mid-request failure")
 	}))
 
 	cases := []struct {
@@ -258,7 +138,7 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 				if err != nil {
 					t.Fatalf("bad Retry-After header %q", rec.Header().Get("Retry-After"))
 				}
-				var env errorEnvelope
+				var env client.ErrorEnvelope
 				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 					t.Fatal(err)
 				}

@@ -6,13 +6,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mapsynth/pkg/client"
 )
 
 // TestRouting pins the routing contract for every endpoint: known paths
-// answer with their documented status at both the /v1/ canonical path and
-// the deprecated unversioned alias, wrong methods get a structured JSON
-// 405, and unknown paths — including near-misses under registered prefixes
-// and under /v1/ — get a structured JSON 404 instead of the mux's
+// answer with their documented status under /v1/, wrong methods get a
+// structured JSON 405, and unknown paths — including near-misses under
+// registered prefixes, under /v1/, and the unversioned spellings that were
+// once deprecated aliases — get a structured JSON 404 instead of the mux's
 // plain-text default (or, worse, a silent 200).
 func TestRouting(t *testing.T) {
 	srv, _ := newTestServer(t, 8)
@@ -79,6 +81,11 @@ func TestRouting(t *testing.T) {
 		{http.MethodGet, "/lookup", "", http.StatusBadRequest, true},
 		{http.MethodPost, "/autofill", `{"column":[]}`, http.StatusBadRequest, true},
 		{http.MethodPost, "/autofill", `{"colunm":["x"]}`, http.StatusBadRequest, true},
+		// The request types carry the batch-only "id"; a single call must
+		// still refuse it.
+		{http.MethodPost, "/autofill", `{"id":"x","column":["Seattle"]}`, http.StatusBadRequest, true},
+		{http.MethodPost, "/autocorrect", `{"id":"x","column":["California","CA","WA","Washington"]}`, http.StatusBadRequest, true},
+		{http.MethodPost, "/autojoin", `{"id":"x","keys_a":["California"],"keys_b":["CA"]}`, http.StatusBadRequest, true},
 
 		// Out-of-range parameters: JSON 400 with code bad_request.
 		{http.MethodPost, "/autofill", `{"column":["x"],"min_coverage":1.5}`, http.StatusBadRequest, true},
@@ -89,18 +96,24 @@ func TestRouting(t *testing.T) {
 		{http.MethodPost, "/autojoin", `{"keys_a":["x"],"keys_b":["y"],"top_k":200}`, http.StatusBadRequest, true},
 	}
 	for _, tc := range cases {
-		// Every case must behave identically at its /v1 canonical path; the
-		// unknown-path cases under /v1 are listed explicitly above.
-		paths := []string{tc.path}
-		if !strings.HasPrefix(tc.path, "/v1") && tc.path != "/" {
-			paths = append(paths, "/v1"+tc.path)
+		// A case's path is its endpoint under /v1, where it must answer
+		// tc.status; its bare spelling must answer a structured 404. Paths
+		// already under /v1, and "/", run once as written.
+		type run struct {
+			path      string
+			status    int
+			jsonError bool
 		}
-		for _, path := range paths {
-			t.Run(tc.method+" "+path, func(t *testing.T) {
+		runs := []run{{tc.path, tc.status, tc.jsonError}}
+		if !strings.HasPrefix(tc.path, "/v1") && tc.path != "/" {
+			runs = []run{{tc.path, http.StatusNotFound, true}, {"/v1" + tc.path, tc.status, tc.jsonError}}
+		}
+		for _, rn := range runs {
+			t.Run(tc.method+" "+rn.path, func(t *testing.T) {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(tc.method, path, strings.NewReader(tc.body)))
-				if rec.Code != tc.status {
-					t.Fatalf("status = %d, want %d (body %q)", rec.Code, tc.status, rec.Body.String())
+				h.ServeHTTP(rec, httptest.NewRequest(tc.method, rn.path, strings.NewReader(tc.body)))
+				if rec.Code != rn.status {
+					t.Fatalf("status = %d, want %d (body %q)", rec.Code, rn.status, rec.Body.String())
 				}
 				if rec.Body.Len() == 0 {
 					t.Fatal("empty response body")
@@ -108,8 +121,8 @@ func TestRouting(t *testing.T) {
 				if rec.Header().Get("X-Request-ID") == "" {
 					t.Error("missing X-Request-ID response header")
 				}
-				if tc.jsonError {
-					var e errorEnvelope
+				if rn.jsonError {
+					var e client.ErrorEnvelope
 					if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 						t.Errorf("body %q is not a structured JSON error envelope", rec.Body.String())
 					}

@@ -36,6 +36,7 @@ import (
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 	"mapsynth/internal/textnorm"
+	"mapsynth/pkg/client"
 )
 
 // Options configures a Server.
@@ -397,44 +398,31 @@ type corpusResolver func(r *http.Request) string
 func defaultResolver(*http.Request) string { return DefaultCorpus }
 func pathResolver(r *http.Request) string  { return r.PathValue("name") }
 
-// Handler returns the service's HTTP routes. The canonical surface lives
-// under /v1/: every application endpoint exists corpus-scoped at
-// /v1/corpora/{name}/..., and the unscoped /v1/... spelling answers
-// byte-identically for the "default" corpus (parity-tested). Each unscoped
-// endpoint is additionally reachable at its historical unversioned path,
-// which answers identically plus a Deprecation header pointing clients at
-// the successor. Unknown paths — including unknown /v1/ subpaths — answer
-// a structured JSON 404, and unknown corpus names a structured
-// corpus_not_found, so the service speaks JSON on every path. Every
-// request gets an X-Request-ID, echoed in error envelopes, /stats and
-// batch trailers.
+// Handler returns the service's HTTP routes, all under /v1/: every
+// application endpoint exists corpus-scoped at /v1/corpora/{name}/..., and
+// the unscoped /v1/... spelling answers byte-identically for the "default"
+// corpus (parity-tested). Unknown paths answer a structured JSON 404, and
+// unknown corpus names a structured corpus_not_found, so the service
+// speaks JSON on every path. Every request gets an X-Request-ID, echoed in
+// error envelopes, /stats and batch trailers.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// register mounts one logical endpoint at /v1/<path> and at its
-	// deprecated unversioned alias; both share the handler.
-	register := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc(path, deprecatedAlias("/v1"+path, h))
-	}
-	// app mounts one application endpoint three ways — corpus-scoped,
-	// unscoped /v1 (default corpus), legacy unversioned — all sharing the
-	// handler and therefore the default corpus's endpointStats for the two
-	// unscoped spellings. class places the endpoint's work on the fair
+	// app mounts one application endpoint twice — unscoped for the default
+	// corpus and corpus-scoped — both sharing the handler and so the
+	// corpus's endpointStats. class places the endpoint's work on the fair
 	// queue: Interactive requests hold one slot for the handler's
 	// duration; Batch endpoints admit per-row inside streamBatch.
 	app := func(path string, pick func(*corpusStats) *endpointStats, class qos.Class, h appHandler) {
-		register(path, s.timedApp(defaultResolver, pick, class, h))
+		mux.HandleFunc("/v1"+path, s.timedApp(defaultResolver, pick, class, h))
 		mux.HandleFunc("/v1/corpora/{name}"+path, s.timedApp(pathResolver, pick, class, h))
 	}
-	// The metrics exposition is deliberately /v1-only: it is an operational
-	// surface new with this version, so it gets no legacy alias.
 	mux.Handle("/v1/metrics", s.getOnly(func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Handler().ServeHTTP(w, r)
 	}))
-	register("/healthz", s.getOnly(s.handleHealthz))
-	register("/stats", s.getOnly(s.withCorpus(defaultResolver, s.handleStats)))
+	mux.HandleFunc("/v1/healthz", s.getOnly(s.handleHealthz))
+	mux.HandleFunc("/v1/stats", s.getOnly(s.withCorpus(defaultResolver, s.handleStats)))
 	mux.HandleFunc("/v1/corpora/{name}/stats", s.getOnly(s.withCorpus(pathResolver, s.handleStats)))
-	register("/reload", s.handleReload)
+	mux.HandleFunc("/v1/reload", s.handleReload)
 	app("/lookup", func(cs *corpusStats) *endpointStats { return &cs.lookup }, qos.Interactive, s.handleLookup)
 	app("/autofill", func(cs *corpusStats) *endpointStats { return &cs.autofill }, qos.Interactive, s.handleAutoFill)
 	app("/autocorrect", func(cs *corpusStats) *endpointStats { return &cs.autocorrect }, qos.Interactive, s.handleAutoCorrect)
@@ -442,19 +430,18 @@ func (s *Server) Handler() http.Handler {
 	app("/batch/autofill", func(cs *corpusStats) *endpointStats { return &cs.batchAutofill }, qos.Batch, s.handleBatchAutoFill)
 	app("/batch/autocorrect", func(cs *corpusStats) *endpointStats { return &cs.batchAutocorrect }, qos.Batch, s.handleBatchAutoCorrect)
 	app("/batch/autojoin", func(cs *corpusStats) *endpointStats { return &cs.batchAutojoin }, qos.Batch, s.handleBatchAutoJoin)
-	// Corpus lifecycle administration (no legacy aliases — this surface is
-	// new with v1 multi-corpus serving).
+	// Corpus lifecycle administration.
 	mux.HandleFunc("/v1/corpora", s.getOnly(s.handleCorporaList))
 	mux.HandleFunc("/v1/corpora/{name}", s.handleCorpusResource)
 	mux.HandleFunc("/v1/corpora/{name}/activate", s.handleActivate)
 	mux.HandleFunc("/v1/corpora/{name}/rollback", s.handleRollback)
 	mux.HandleFunc("/v1/corpora/{name}/snapshot", s.getOnly(s.withCorpus(pathResolver, s.handleCorpusSnapshot)))
 	mux.HandleFunc("/v1/corpora/{name}/tables", s.handleIngestTables)
-	// Tenant-quota administration (v1-only, like the corpora surface).
+	// Tenant-quota administration.
 	mux.HandleFunc("/v1/tenants", s.handleTenants)
 	routed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, pattern := mux.Handler(r); pattern == "" {
-			writeError(w, r, CodeNotFound, "no such endpoint: "+r.URL.Path)
+			writeError(w, r, client.CodeNotFound, "no such endpoint: "+r.URL.Path)
 			return
 		}
 		mux.ServeHTTP(w, r)
@@ -462,23 +449,12 @@ func (s *Server) Handler() http.Handler {
 	return withRequestID(s.instrument(mux, routed))
 }
 
-// deprecatedAlias wraps a v1 handler for its legacy unversioned path: same
-// behavior, same body, plus the RFC 9745 deprecation signal and a pointer
-// to the successor.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
 // getOnly guards a read-only endpoint against non-GET methods with a JSON
 // 405, mirroring readBody's POST enforcement on the mutation endpoints.
 func (s *Server) getOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, r, CodeMethodNotAllowed, "GET required")
+			writeError(w, r, client.CodeMethodNotAllowed, "GET required")
 			return
 		}
 		h(w, r)
@@ -494,9 +470,9 @@ func (s *Server) resolveCorpus(w http.ResponseWriter, r *http.Request, name stri
 		return c, true
 	}
 	if name == DefaultCorpus {
-		writeError(w, r, CodeNotReady, "no snapshot loaded yet")
+		writeError(w, r, client.CodeNotReady, "no snapshot loaded yet")
 	} else {
-		writeError(w, r, CodeCorpusNotFound, fmt.Sprintf("no such corpus: %q", name))
+		writeError(w, r, client.CodeCorpusNotFound, fmt.Sprintf("no such corpus: %q", name))
 	}
 	return nil, false
 }
@@ -547,7 +523,7 @@ func (s *Server) runApp(tn *tenant, class qos.Class, c *corpus, w http.ResponseW
 		err := s.fair.Acquire(r.Context(), tn.name, tn.fairWeight(), qos.Interactive)
 		tn.queued.Add(-1)
 		if err != nil {
-			return writeError(w, r, CodeInternal, "request cancelled while queued")
+			return writeError(w, r, client.CodeInternal, "request cancelled while queued")
 		}
 		defer s.fair.Release(qos.Interactive)
 	}
@@ -625,17 +601,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) bool {
 	return status < 400
 }
 
+// singleCall rejects the batch-only "id" on a single-call body, with the
+// message the strict decoder gave before the request types carried it.
+func singleCall(w http.ResponseWriter, r *http.Request, id string) bool {
+	if id == "" {
+		return true
+	}
+	writeError(w, r, client.CodeBadRequest, `bad request body: json: unknown field "id"`)
+	return false
+}
+
 // readBody decodes a JSON request body into v, rejecting unknown fields so
 // client typos fail loudly instead of silently using defaults.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
-		writeError(w, r, CodeMethodNotAllowed, "POST required")
+		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, r, CodeBadRequest, "bad request body: "+err.Error())
+		writeError(w, r, client.CodeBadRequest, "bad request body: "+err.Error())
 		return false
 	}
 	return true
@@ -643,29 +629,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // ---- lookup ----
 
-// lookupResponse answers GET /lookup?key=...: the best-supported mapped
-// value for one left key, with provenance of the mapping that supplied it.
-type lookupResponse struct {
-	Found bool   `json:"found"`
-	Key   string `json:"key"`
-	// Value is the majority right value's representative surface form.
-	Value string `json:"value,omitempty"`
-	// Alternatives lists further recorded right surface forms (synonymous
-	// mentions), majority winner excluded.
-	Alternatives []string `json:"alternatives,omitempty"`
-	// Provenance of the answering mapping.
-	MappingID int `json:"mapping_id,omitempty"`
-	Support   int `json:"support,omitempty"`
-	Tables    int `json:"tables,omitempty"`
-	Domains   int `json:"domains,omitempty"`
-}
-
 // Lookup answers a single-key query against the default corpus; see
 // lookupIn.
-func (s *Server) Lookup(key string) lookupResponse {
+func (s *Server) Lookup(key string) client.LookupResponse {
 	st := s.State()
 	if st == nil {
-		return lookupResponse{Found: false, Key: key}
+		return client.LookupResponse{Found: false, Key: key}
 	}
 	return lookupIn(st, key)
 }
@@ -675,19 +644,19 @@ func (s *Server) Lookup(key string) lookupResponse {
 // apps.Session: among all mappings containing the key, the one with the
 // most contributing domains wins (the paper's popularity signal), matching
 // the ordering of index.MappingIndex.LookupLeft.
-func lookupIn(st *State, key string) lookupResponse {
+func lookupIn(st *State, key string) client.LookupResponse {
 	nk := textnorm.Normalize(key)
 	if resp, ok := st.cache.get(nk); ok {
 		resp.Key = key
 		return resp
 	}
-	resp := lookupResponse{Found: false, Key: key}
+	resp := client.LookupResponse{Found: false, Key: key}
 	// The background context is deliberate: a single-key lookup is too
 	// cheap to tear down mid-flight, and the cached answer must not depend
 	// on the requesting client's connection state.
 	if results, err := st.session.Lookup(context.Background(), []apps.LookupQuery{{Key: key}}); err == nil {
 		if res := results[0]; res.Found {
-			resp = lookupResponse{
+			resp = client.LookupResponse{
 				Found:        true,
 				Key:          key,
 				Value:        res.Value,
@@ -705,52 +674,20 @@ func lookupIn(st *State, key string) lookupResponse {
 
 func (s *Server) handleLookup(c *corpus, w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
-		return writeError(w, r, CodeMethodNotAllowed, "GET required")
+		return writeError(w, r, client.CodeMethodNotAllowed, "GET required")
 	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		return writeError(w, r, CodeBadRequest, "missing ?key= parameter")
+		return writeError(w, r, client.CodeBadRequest, "missing ?key= parameter")
 	}
 	return writeJSON(w, http.StatusOK, lookupIn(c.state.Load(), key))
 }
 
 // ---- auto-fill ----
 
-type autoFillRequest struct {
-	Column   []string `json:"column"`
-	Examples []struct {
-		Left  string `json:"left"`
-		Right string `json:"right"`
-	} `json:"examples"`
-	// MinCoverage defaults to 0.8 when omitted or zero; must be <= 1.
-	MinCoverage float64 `json:"min_coverage"`
-	// TopK, when > 0 (max 100), additionally returns the best K qualifying
-	// mappings' results under "candidates".
-	TopK int `json:"top_k"`
-}
-
-type filledCell struct {
-	Row   int    `json:"row"`
-	Value string `json:"value"`
-}
-
-// autoFillCandidate is one qualifying mapping's fill result; the primary
-// result embeds it, the optional top-K list repeats it per candidate.
-type autoFillCandidate struct {
-	MappingIndex int          `json:"mapping_index"`
-	MappingID    int          `json:"mapping_id,omitempty"`
-	Filled       []filledCell `json:"filled,omitempty"`
-}
-
-type autoFillResponse struct {
-	Found bool `json:"found"`
-	autoFillCandidate
-	Candidates []autoFillCandidate `json:"candidates,omitempty"`
-}
-
 func (s *Server) handleAutoFill(c *corpus, w http.ResponseWriter, r *http.Request) bool {
-	var req autoFillRequest
-	if !s.readBody(w, r, &req) {
+	var req client.AutoFillRequest
+	if !s.readBody(w, r, &req) || !singleCall(w, r, req.ID) {
 		return false
 	}
 	st := c.state.Load()
@@ -763,32 +700,9 @@ func (s *Server) handleAutoFill(c *corpus, w http.ResponseWriter, r *http.Reques
 
 // ---- auto-correct ----
 
-type autoCorrectRequest struct {
-	Column []string `json:"column"`
-	// MinEach defaults to 2; MinCoverage defaults to 0.8 (must be <= 1).
-	MinEach     int     `json:"min_each"`
-	MinCoverage float64 `json:"min_coverage"`
-	// TopK, when > 0 (max 100), additionally returns the best K qualifying
-	// mappings' results under "candidates".
-	TopK int `json:"top_k"`
-}
-
-// autoCorrectCandidate is one qualifying mapping's correction result.
-type autoCorrectCandidate struct {
-	MappingIndex int               `json:"mapping_index"`
-	MappingID    int               `json:"mapping_id,omitempty"`
-	Corrections  []apps.Correction `json:"corrections,omitempty"`
-}
-
-type autoCorrectResponse struct {
-	Found bool `json:"found"`
-	autoCorrectCandidate
-	Candidates []autoCorrectCandidate `json:"candidates,omitempty"`
-}
-
 func (s *Server) handleAutoCorrect(c *corpus, w http.ResponseWriter, r *http.Request) bool {
-	var req autoCorrectRequest
-	if !s.readBody(w, r, &req) {
+	var req client.AutoCorrectRequest
+	if !s.readBody(w, r, &req) || !singleCall(w, r, req.ID) {
 		return false
 	}
 	st := c.state.Load()
@@ -801,38 +715,9 @@ func (s *Server) handleAutoCorrect(c *corpus, w http.ResponseWriter, r *http.Req
 
 // ---- auto-join ----
 
-type autoJoinRequest struct {
-	KeysA []string `json:"keys_a"`
-	KeysB []string `json:"keys_b"`
-	// MinCoverage defaults to 0.8 (must be <= 1).
-	MinCoverage float64 `json:"min_coverage"`
-	// TopK, when > 0 (max 100), additionally returns the best K bridging
-	// mappings' results under "candidates".
-	TopK int `json:"top_k"`
-}
-
-type joinedRow struct {
-	LeftRow  int `json:"left_row"`
-	RightRow int `json:"right_row"`
-}
-
-// autoJoinCandidate is one bridging mapping's join result.
-type autoJoinCandidate struct {
-	MappingIndex int         `json:"mapping_index"`
-	MappingID    int         `json:"mapping_id,omitempty"`
-	Bridged      int         `json:"bridged"`
-	Rows         []joinedRow `json:"rows,omitempty"`
-}
-
-type autoJoinResponse struct {
-	Found bool `json:"found"`
-	autoJoinCandidate
-	Candidates []autoJoinCandidate `json:"candidates,omitempty"`
-}
-
 func (s *Server) handleAutoJoin(c *corpus, w http.ResponseWriter, r *http.Request) bool {
-	var req autoJoinRequest
-	if !s.readBody(w, r, &req) {
+	var req client.AutoJoinRequest
+	if !s.readBody(w, r, &req) || !singleCall(w, r, req.ID) {
 		return false
 	}
 	st := c.state.Load()
@@ -845,36 +730,19 @@ func (s *Server) handleAutoJoin(c *corpus, w http.ResponseWriter, r *http.Reques
 
 // ---- health and stats ----
 
-// corpusHealth is one corpus's entry in the /healthz body.
-type corpusHealth struct {
-	Snapshot   string  `json:"snapshot,omitempty"`
-	Version    int64   `json:"version"`
-	Format     string  `json:"format"`
-	Mappings   int     `json:"mappings"`
-	Pairs      int     `json:"pairs"`
-	LoadedAt   string  `json:"loaded_at"`
-	AgeSeconds float64 `json:"age_s"`
-	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
-	// equal CRCs on two nodes mean they serve the same image.
-	SnapshotCRC string `json:"snapshot_crc,omitempty"`
-	// Ingest reports live-ingestion staleness; absent when the corpus has
-	// never been ingested into.
-	Ingest *ingest.Status `json:"ingest,omitempty"`
-}
-
 // handleHealthz reports per-corpus readiness: every loaded corpus appears
 // with its snapshot metadata and age. The server is not-ready (503) only
 // when the default corpus is absent — extra corpora come and go without
 // affecting liveness.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.reg.get(DefaultCorpus) == nil {
-		writeError(w, r, CodeNotReady, "no snapshot loaded yet")
+		writeError(w, r, client.CodeNotReady, "no snapshot loaded yet")
 		return
 	}
-	corpora := make(map[string]corpusHealth)
+	corpora := make(map[string]client.CorpusHealth)
 	for _, c := range s.reg.list() {
 		st := c.state.Load()
-		ch := corpusHealth{
+		corpora[c.name] = client.CorpusHealth{
 			Snapshot:    st.Path,
 			Version:     st.Version,
 			Format:      wireFormat,
@@ -885,37 +753,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			SnapshotCRC: fmt.Sprintf("%08x", st.imageCRC()),
 			Ingest:      s.ingestStatusFor(c.name),
 		}
-		corpora[c.name] = ch
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"uptime_s": time.Since(s.start).Seconds(),
-		"corpora":  corpora,
+	writeJSON(w, http.StatusOK, client.Health{
+		Corpora:       corpora,
+		Status:        "ok",
+		UptimeSeconds: time.Since(s.start).Seconds(),
 	})
 }
 
-// StatsSnapshot is the JSON body of GET /stats — one corpus's view. The
-// batch section is server-wide (the limiter is shared across corpora);
-// everything else is scoped to Corpus.
+// StatsSnapshot is the body of GET /v1/stats: client.Stats with the
+// sections the SDK keeps as generic maps (batch, fair_queue, cache) typed,
+// so they encode in declaration order. RequestID is empty when the
+// snapshot was assembled outside a request (Server.Stats()).
 type StatsSnapshot struct {
-	// RequestID identifies the /stats request that produced this snapshot,
-	// tying a stats observation to the server logs; empty when the
-	// snapshot was assembled outside a request (Server.Stats()).
-	RequestID     string                      `json:"request_id,omitempty"`
-	Corpus        string                      `json:"corpus"`
-	UptimeSeconds float64                     `json:"uptime_s"`
-	Reloads       int64                       `json:"reloads"`
-	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	Batch         BatchSnapshot               `json:"batch"`
-	// Tenants and FairQueue are server-wide like Batch: per-tenant
-	// admission counters and the shared slot queue's occupancy.
-	Tenants   map[string]TenantSnapshot `json:"tenants"`
-	FairQueue FairQueueSnapshot         `json:"fair_queue"`
-	Cache     CacheSnapshot             `json:"cache"`
-	Snapshot  map[string]any            `json:"snapshot"`
-	// Ingest reports live-ingestion staleness for this corpus (log head
-	// LSN, applied LSN, lag); absent when never ingested into.
-	Ingest *ingest.Status `json:"ingest,omitempty"`
+	RequestID     string                          `json:"request_id,omitempty"`
+	Corpus        string                          `json:"corpus"`
+	UptimeSeconds float64                         `json:"uptime_s"`
+	Reloads       int64                           `json:"reloads"`
+	Endpoints     map[string]client.EndpointStats `json:"endpoints"`
+	Batch         BatchSnapshot                   `json:"batch"`
+	Tenants       map[string]client.TenantStats   `json:"tenants"`
+	FairQueue     FairQueueSnapshot               `json:"fair_queue"`
+	Cache         CacheSnapshot                   `json:"cache"`
+	Snapshot      map[string]any                  `json:"snapshot"`
+	Ingest        *client.IngestStatus            `json:"ingest,omitempty"`
 }
 
 // CacheSnapshot reports the lookup cache of the live state.
@@ -957,7 +818,7 @@ func (s *Server) statsFor(c *corpus) StatsSnapshot {
 		Corpus:        c.name,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Reloads:       c.reloads.Load(),
-		Endpoints: map[string]EndpointSnapshot{
+		Endpoints: map[string]client.EndpointStats{
 			"lookup":            c.stats.lookup.snapshot(),
 			"autofill":          c.stats.autofill.snapshot(),
 			"autocorrect":       c.stats.autocorrect.snapshot(),
@@ -998,33 +859,24 @@ func (s *Server) handleStats(c *corpus, w http.ResponseWriter, r *http.Request) 
 
 // ---- reload ----
 
-type reloadRequest struct {
-	// Snapshot optionally points at a new snapshot file; empty reloads the
-	// currently served path.
-	Snapshot string `json:"snapshot"`
-	// Rebuild re-runs the offline synthesis pipeline (Options.Rebuild)
-	// instead of reading a snapshot file. Mutually exclusive with Snapshot.
-	Rebuild bool `json:"rebuild"`
-}
-
 // handleReload is the default corpus's reload endpoint (POST /v1/reload);
 // scoped corpora reload via PUT /v1/corpora/{name}.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, CodeMethodNotAllowed, "POST required")
+		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return
 	}
-	var req reloadRequest
+	var req client.ReloadRequest
 	if r.ContentLength > 0 {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, r, CodeBadRequest, "bad request body: "+err.Error())
+			writeError(w, r, client.CodeBadRequest, "bad request body: "+err.Error())
 			return
 		}
 	}
 	if req.Rebuild && req.Snapshot != "" {
-		writeError(w, r, CodeBadRequest, "snapshot and rebuild are mutually exclusive")
+		writeError(w, r, client.CodeBadRequest, "snapshot and rebuild are mutually exclusive")
 		return
 	}
 	t0 := time.Now()
@@ -1036,16 +888,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		st, err = s.ReloadContext(r.Context(), req.Snapshot)
 	}
 	if err != nil {
-		writeError(w, r, CodeUnprocessable, "reload failed: "+err.Error())
+		writeError(w, r, client.CodeUnprocessable, "reload failed: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshot":    st.Path,
-		"version":     st.Version,
-		"format":      wireFormat,
-		"rebuilt":     req.Rebuild,
-		"mappings":    st.NumMappings(),
-		"loaded_at":   st.LoadedAt.UTC().Format(time.RFC3339),
-		"duration_ms": float64(time.Since(t0).Microseconds()) / 1000,
+	writeJSON(w, http.StatusOK, client.ReloadResponse{
+		DurationMs: float64(time.Since(t0).Microseconds()) / 1000,
+		Format:     wireFormat,
+		LoadedAt:   st.LoadedAt.UTC().Format(time.RFC3339),
+		Mappings:   st.NumMappings(),
+		Rebuilt:    req.Rebuild,
+		Snapshot:   st.Path,
+		Version:    st.Version,
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // testMappings builds a deterministic mapping set with overlapping vocab:
@@ -92,8 +93,8 @@ func TestLookupEndpoint(t *testing.T) {
 	srv, maps := newTestServer(t, 16)
 	h := srv.Handler()
 
-	var resp lookupResponse
-	rec := getJSON(t, h, "/lookup?key=California", &resp)
+	var resp client.LookupResponse
+	rec := getJSON(t, h, "/v1/lookup?key=California", &resp)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -105,17 +106,17 @@ func TestLookupEndpoint(t *testing.T) {
 		t.Errorf("provenance = %+v, want mapping %d with 4 tables/domains/support", resp, maps[0].ID)
 	}
 
-	getJSON(t, h, "/lookup?key=Seattle", &resp)
+	getJSON(t, h, "/v1/lookup?key=Seattle", &resp)
 	if !resp.Found || resp.Value != "Washington" {
 		t.Errorf("lookup Seattle = %+v, want Washington", resp)
 	}
 
-	getJSON(t, h, "/lookup?key=NoSuchPlace", &resp)
+	getJSON(t, h, "/v1/lookup?key=NoSuchPlace", &resp)
 	if resp.Found {
 		t.Errorf("lookup NoSuchPlace = %+v, want found=false", resp)
 	}
 
-	if rec := getJSON(t, h, "/lookup", nil); rec.Code != http.StatusBadRequest {
+	if rec := getJSON(t, h, "/v1/lookup", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing key: status = %d, want 400", rec.Code)
 	}
 }
@@ -168,8 +169,8 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 		}
 		direct := res[0]
 
-		var resp autoFillResponse
-		postJSON(t, h, "/autofill", map[string]any{
+		var resp client.AutoFillResponse
+		postJSON(t, h, "/v1/autofill", map[string]any{
 			"column":       column,
 			"examples":     []map[string]string{{"left": "San Francisco", "right": "California"}},
 			"min_coverage": 0.8,
@@ -193,13 +194,17 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		direct := res[0]
-		var resp autoCorrectResponse
-		postJSON(t, h, "/autocorrect", map[string]any{"column": column}, &resp)
+		var resp client.AutoCorrectResponse
+		postJSON(t, h, "/v1/autocorrect", map[string]any{"column": column}, &resp)
 		if resp.MappingIndex != direct.MappingIndex {
 			t.Fatalf("autocorrect index = %d, want %d", resp.MappingIndex, direct.MappingIndex)
 		}
-		if !reflect.DeepEqual(resp.Corrections, direct.Corrections) {
-			t.Errorf("corrections = %+v, want %+v", resp.Corrections, direct.Corrections)
+		want := make([]client.Correction, len(direct.Corrections))
+		for i, c := range direct.Corrections {
+			want[i] = client.Correction(c)
+		}
+		if !reflect.DeepEqual(resp.Corrections, want) {
+			t.Errorf("corrections = %+v, want %+v", resp.Corrections, want)
 		}
 	})
 
@@ -211,8 +216,8 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		direct := res[0]
-		var resp autoJoinResponse
-		postJSON(t, h, "/autojoin", map[string]any{"keys_a": keysA, "keys_b": keysB}, &resp)
+		var resp client.AutoJoinResponse
+		postJSON(t, h, "/v1/autojoin", map[string]any{"keys_a": keysA, "keys_b": keysB}, &resp)
 		if resp.MappingIndex != direct.MappingIndex || resp.Bridged != direct.Bridged {
 			t.Fatalf("autojoin = %+v, direct %+v", resp, direct)
 		}
@@ -227,7 +232,7 @@ func TestAppEndpointsMatchDirect(t *testing.T) {
 	})
 
 	t.Run("badbody", func(t *testing.T) {
-		rec := postJSON(t, h, "/autofill", map[string]any{"colunm": []string{"x"}}, nil)
+		rec := postJSON(t, h, "/v1/autofill", map[string]any{"colunm": []string{"x"}}, nil)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("unknown field: status = %d, want 400", rec.Code)
 		}
@@ -265,12 +270,12 @@ func TestLookupCache(t *testing.T) {
 func TestStatsAndHealthz(t *testing.T) {
 	srv, maps := newTestServer(t, 8)
 	h := srv.Handler()
-	getJSON(t, h, "/lookup?key=California", nil)
-	getJSON(t, h, "/lookup?key=California", nil)
-	postJSON(t, h, "/autofill", map[string]any{"column": []string{"Seattle"}}, nil)
+	getJSON(t, h, "/v1/lookup?key=California", nil)
+	getJSON(t, h, "/v1/lookup?key=California", nil)
+	postJSON(t, h, "/v1/autofill", map[string]any{"column": []string{"Seattle"}}, nil)
 
 	var health map[string]any
-	if rec := getJSON(t, h, "/healthz", &health); rec.Code != http.StatusOK {
+	if rec := getJSON(t, h, "/v1/healthz", &health); rec.Code != http.StatusOK {
 		t.Fatalf("healthz status = %d", rec.Code)
 	}
 	if health["status"] != "ok" {
@@ -283,7 +288,7 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 
 	var stats StatsSnapshot
-	getJSON(t, h, "/stats", &stats)
+	getJSON(t, h, "/v1/stats", &stats)
 	if got := stats.Endpoints["lookup"].Requests; got != 2 {
 		t.Errorf("lookup requests = %d, want 2", got)
 	}
@@ -310,8 +315,8 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	var resp lookupResponse
-	getJSON(t, h, "/lookup?key=California", &resp)
+	var resp client.LookupResponse
+	getJSON(t, h, "/v1/lookup?key=California", &resp)
 	if !resp.Found || resp.Value != "CA" {
 		t.Fatalf("after snapshot load: %+v", resp)
 	}
@@ -331,13 +336,13 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 	}
 
 	var reloadResp map[string]any
-	if rec := postJSON(t, h, "/reload", map[string]string{"snapshot": pathB}, &reloadResp); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/reload", map[string]string{"snapshot": pathB}, &reloadResp); rec.Code != http.StatusOK {
 		t.Fatalf("reload status = %d: %v", rec.Code, reloadResp)
 	}
 	if srv.State() == oldState {
 		t.Fatal("state pointer did not swap")
 	}
-	getJSON(t, h, "/lookup?key=California", &resp)
+	getJSON(t, h, "/v1/lookup?key=California", &resp)
 	if !resp.Found || resp.Value != "US-CA" {
 		t.Fatalf("after reload: %+v, want US-CA", resp)
 	}
@@ -348,7 +353,7 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 
 	// A failed reload must leave the serving state untouched.
 	cur := srv.State()
-	if rec := postJSON(t, h, "/reload", map[string]string{"snapshot": filepath.Join(dir, "missing.snap")}, nil); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, h, "/v1/reload", map[string]string{"snapshot": filepath.Join(dir, "missing.snap")}, nil); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("missing snapshot reload: status = %d, want 422", rec.Code)
 	}
 	if srv.State() != cur {
@@ -382,7 +387,7 @@ func TestReloadRebuild(t *testing.T) {
 	h := srv.Handler()
 
 	var resp map[string]any
-	if rec := postJSON(t, h, "/reload", map[string]any{"rebuild": true}, &resp); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, &resp); rec.Code != http.StatusOK {
 		t.Fatalf("rebuild status = %d: %v", rec.Code, resp)
 	}
 	if calls != 1 {
@@ -394,21 +399,21 @@ func TestReloadRebuild(t *testing.T) {
 	if got := srv.State().Path; got != "orig.snap" {
 		t.Errorf("state path = %q, want snapshot path preserved", got)
 	}
-	var lr lookupResponse
-	getJSON(t, h, "/lookup?key=California", &lr)
+	var lr client.LookupResponse
+	getJSON(t, h, "/v1/lookup?key=California", &lr)
 	if !lr.Found || lr.Value != "RB-CA" {
 		t.Fatalf("after rebuild: %+v, want RB-CA", lr)
 	}
 
 	// rebuild + snapshot in one request is rejected.
-	if rec := postJSON(t, h, "/reload", map[string]any{"rebuild": true, "snapshot": "x.snap"}, nil); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true, "snapshot": "x.snap"}, nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("rebuild+snapshot status = %d, want 400", rec.Code)
 	}
 
 	// Without a rebuild source the request fails and state is untouched.
 	bare := NewFromMappings(maps, Options{})
 	cur := bare.State()
-	if rec := postJSON(t, bare.Handler(), "/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, bare.Handler(), "/v1/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("no-source rebuild status = %d, want 422", rec.Code)
 	}
 	if bare.State() != cur {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mapsynth/internal/latency"
+	"mapsynth/pkg/client"
 )
 
 // endpointStats aggregates per-endpoint request counts and latency. The
@@ -25,19 +26,9 @@ func (e *endpointStats) observe(d time.Duration, failed bool) {
 	e.latency.Observe(d)
 }
 
-// EndpointSnapshot is the JSON form of one endpoint's counters.
-type EndpointSnapshot struct {
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	MeanMs   float64 `json:"mean_ms"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-}
-
-func (e *endpointStats) snapshot() EndpointSnapshot {
+func (e *endpointStats) snapshot() client.EndpointStats {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	return EndpointSnapshot{
+	return client.EndpointStats{
 		Requests: e.requests.Load(),
 		Errors:   e.errors.Load(),
 		MeanMs:   ms(e.latency.Mean()),

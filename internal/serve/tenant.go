@@ -10,6 +10,7 @@ import (
 
 	"mapsynth/internal/latency"
 	"mapsynth/internal/qos"
+	"mapsynth/pkg/client"
 )
 
 // Multi-tenant admission control. A request names its tenant with the
@@ -215,7 +216,7 @@ func (ts *tenantSet) list() []*tenant {
 func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
 	tn, err := s.tenants.resolve(r.Header.Get("X-Tenant"))
 	if err != nil {
-		writeError(w, r, CodeBadRequest, err.Error())
+		writeError(w, r, client.CodeBadRequest, err.Error())
 		return nil, false
 	}
 	noteTenant(r, tn)
@@ -240,27 +241,13 @@ func (s *Server) tenantFrom(r *http.Request) *tenant {
 	return tn
 }
 
-// TenantSnapshot is one tenant's /stats entry.
-type TenantSnapshot struct {
-	Weight int `json:"weight"`
-	// RateLimit is the token-bucket refill in requests/second; 0 means
-	// unlimited.
-	RateLimit  float64 `json:"rate_limit,omitempty"`
-	Requests   int64   `json:"requests"`
-	Throttled  int64   `json:"throttled"`
-	Errors     int64   `json:"errors"`
-	QueueDepth int64   `json:"queue_depth"`
-	MeanMs     float64 `json:"mean_ms"`
-	P50Ms      float64 `json:"p50_ms"`
-	P95Ms      float64 `json:"p95_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-}
-
-func (tn *tenant) snapshot() TenantSnapshot {
+// snapshot is the tenant's /v1/stats entry.
+func (tn *tenant) snapshot() client.TenantStats {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	lim := tn.limits.Load()
-	snap := TenantSnapshot{
+	return client.TenantStats{
 		Weight:     lim.weight,
+		RateLimit:  lim.rate,
 		Requests:   tn.requests.Load(),
 		Throttled:  tn.throttled.Load(),
 		Errors:     tn.errors.Load(),
@@ -270,13 +257,11 @@ func (tn *tenant) snapshot() TenantSnapshot {
 		P95Ms:      ms(tn.latency.Percentile(0.95)),
 		P99Ms:      ms(tn.latency.Percentile(0.99)),
 	}
-	snap.RateLimit = lim.rate
-	return snap
 }
 
 // tenantSnapshots assembles the /stats tenants section.
-func (s *Server) tenantSnapshots() map[string]TenantSnapshot {
-	out := make(map[string]TenantSnapshot)
+func (s *Server) tenantSnapshots() map[string]client.TenantStats {
+	out := make(map[string]client.TenantStats)
 	for _, tn := range s.tenants.list() {
 		out[tn.name] = tn.snapshot()
 	}

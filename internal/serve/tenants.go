@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"mapsynth/internal/qos"
+	"mapsynth/pkg/client"
 )
 
 // POST /v1/tenants re-applies the -tenants spec grammar without a restart
@@ -36,7 +37,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	}
 	specs, err := qos.ParseSpecs(req.Tenants)
 	if err != nil {
-		writeError(w, r, CodeBadRequest, err.Error())
+		writeError(w, r, client.CodeBadRequest, err.Error())
 		return
 	}
 	s.SetTenants(specs)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 )
 
 // The batch methods stream the NDJSON bulk endpoints: the request lines are
@@ -125,10 +124,9 @@ func batchStream[Req, Resp any](c *Client, ctx context.Context, path string, req
 		// The trailer is the only line carrying "done"; everything else is
 		// a per-input answer or row error.
 		var probe struct {
-			Done  bool            `json:"done"`
-			Index int             `json:"index"`
-			ID    string          `json:"id"`
-			Error json.RawMessage `json:"error"`
+			RowHead
+			Done  bool       `json:"done"`
+			Error *ErrorBody `json:"error"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
 			return nil, fmt.Errorf("client: bad batch line: %w", err)
@@ -141,22 +139,9 @@ func batchStream[Req, Resp any](c *Client, ctx context.Context, path string, req
 			continue
 		}
 		out := BatchLine[Resp]{Index: probe.Index, ID: probe.ID}
-		if len(probe.Error) > 0 {
-			var we struct {
-				Code         string `json:"code"`
-				Message      string `json:"message"`
-				RetryAfterMs int64  `json:"retry_after_ms"`
-			}
-			if err := json.Unmarshal(probe.Error, &we); err != nil {
-				return nil, fmt.Errorf("client: bad batch error line: %w", err)
-			}
-			out.Err = &APIError{
-				Status:     http.StatusOK, // row errors arrive inside a 200 stream
-				Code:       we.Code,
-				Message:    we.Message,
-				RequestID:  resp.Header.Get("X-Request-ID"),
-				RetryAfter: time.Duration(we.RetryAfterMs) * time.Millisecond,
-			}
+		if probe.Error != nil {
+			// Row errors arrive inside a 200 stream.
+			out.Err = probe.Error.apiError(http.StatusOK, resp.Header.Get("X-Request-ID"))
 		} else if err := json.Unmarshal(line, &out.Response); err != nil {
 			return nil, fmt.Errorf("client: bad batch result line: %w", err)
 		}

@@ -26,7 +26,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -305,51 +304,4 @@ func (c *Client) backoff(ctx context.Context, retryAfter time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// parseAPIError builds the *APIError for a non-2xx response, understanding
-// the v1 structured envelope, the pre-v1 bare-string envelope, and — as a
-// last resort — raw bodies from intermediaries.
-func parseAPIError(resp *http.Response, data []byte) *APIError {
-	aerr := &APIError{
-		Status:    resp.StatusCode,
-		RequestID: resp.Header.Get("X-Request-ID"),
-	}
-	var envelope struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(data, &envelope) == nil && len(envelope.Error) > 0 {
-		var structured struct {
-			Code         string `json:"code"`
-			Message      string `json:"message"`
-			RetryAfterMs int64  `json:"retry_after_ms"`
-			RequestID    string `json:"request_id"`
-		}
-		var bare string
-		switch {
-		case json.Unmarshal(envelope.Error, &structured) == nil && structured.Code != "":
-			aerr.Code = structured.Code
-			aerr.Message = structured.Message
-			if structured.RequestID != "" {
-				aerr.RequestID = structured.RequestID
-			}
-			if structured.RetryAfterMs > 0 {
-				aerr.RetryAfter = time.Duration(structured.RetryAfterMs) * time.Millisecond
-			}
-		case json.Unmarshal(envelope.Error, &bare) == nil:
-			aerr.Message = bare
-		}
-	}
-	if aerr.Message == "" {
-		aerr.Message = strings.TrimSpace(string(data))
-		if aerr.Message == "" {
-			aerr.Message = http.StatusText(resp.StatusCode)
-		}
-	}
-	if aerr.RetryAfter == 0 {
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			aerr.RetryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return aerr
 }

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"bytes"
@@ -15,12 +15,13 @@ import (
 	"mapsynth/internal/mapping"
 	"mapsynth/internal/serve"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // testService builds a real serve.Server over a deterministic mapping set
 // and returns a Client pointed at it — the SDK is tested against the
 // actual v1 surface, not a mock.
-func testService(t *testing.T, opts ...Option) *Client {
+func testService(t *testing.T, opts ...client.Option) *client.Client {
 	t.Helper()
 	states := []string{"California", "Washington", "Oregon", "Texas"}
 	abbrs := []string{"CA", "WA", "OR", "TX"}
@@ -41,7 +42,7 @@ func testService(t *testing.T, opts ...Option) *Client {
 	srv := serve.NewFromMappings(maps, serve.Options{SnapshotPath: "test.snap", CacheSize: 64})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return New(ts.URL, opts...)
+	return client.New(ts.URL, opts...)
 }
 
 func TestLookupAndApps(t *testing.T) {
@@ -56,9 +57,9 @@ func TestLookupAndApps(t *testing.T) {
 		t.Errorf("lookup = %+v", lk)
 	}
 
-	fill, err := c.AutoFill(ctx, AutoFillRequest{
+	fill, err := c.AutoFill(ctx, client.AutoFillRequest{
 		Column:   []string{"San Francisco", "Seattle", "Portland"},
-		Examples: []Example{{Left: "San Francisco", Right: "California"}},
+		Examples: []client.Example{{Left: "San Francisco", Right: "California"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestLookupAndApps(t *testing.T) {
 		t.Errorf("candidates without top_k: %+v", fill.Candidates)
 	}
 
-	corr, err := c.AutoCorrect(ctx, AutoCorrectRequest{
+	corr, err := c.AutoCorrect(ctx, client.AutoCorrectRequest{
 		Column:  []string{"California", "Washington", "OR", "Texas"},
 		MinEach: 1, // one abbreviated cell among three full names
 	})
@@ -81,7 +82,7 @@ func TestLookupAndApps(t *testing.T) {
 		t.Errorf("autocorrect = %+v", corr)
 	}
 
-	join, err := c.AutoJoin(ctx, AutoJoinRequest{
+	join, err := c.AutoJoin(ctx, client.AutoJoinRequest{
 		KeysA: []string{"California", "Washington", "Oregon"},
 		KeysB: []string{"WA", "CA", "ZZ"},
 	})
@@ -96,7 +97,7 @@ func TestLookupAndApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Corpora[DefaultCorpus].Mappings != 2 {
+	if h.Status != "ok" || h.Corpora[client.DefaultCorpus].Mappings != 2 {
 		t.Errorf("healthz = %+v", h)
 	}
 
@@ -114,7 +115,7 @@ func TestLookupAndApps(t *testing.T) {
 
 func TestTopKCandidates(t *testing.T) {
 	c := testService(t)
-	fill, err := c.AutoFill(context.Background(), AutoFillRequest{
+	fill, err := c.AutoFill(context.Background(), client.AutoFillRequest{
 		Column: []string{"California", "Washington"},
 		TopK:   5,
 	})
@@ -131,22 +132,22 @@ func TestTopKCandidates(t *testing.T) {
 
 func TestAPIErrorShape(t *testing.T) {
 	c := testService(t)
-	_, err := c.AutoFill(context.Background(), AutoFillRequest{})
-	var aerr *APIError
+	_, err := c.AutoFill(context.Background(), client.AutoFillRequest{})
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) {
-		t.Fatalf("err = %v, want *APIError", err)
+		t.Fatalf("err = %v, want *client.APIError", err)
 	}
 	if aerr.Status != http.StatusBadRequest || aerr.Code != "bad_request" || aerr.RequestID == "" {
 		t.Errorf("aerr = %+v", aerr)
 	}
 
-	_, err = c.AutoFill(context.Background(), AutoFillRequest{Column: []string{"x"}, TopK: 500})
+	_, err = c.AutoFill(context.Background(), client.AutoFillRequest{Column: []string{"x"}, TopK: 500})
 	if !errors.As(err, &aerr) || aerr.Code != "bad_request" {
 		t.Errorf("top_k=500 err = %v", err)
 	}
 
 	// The single endpoints reject batch-only ids loudly.
-	_, err = c.AutoFill(context.Background(), AutoFillRequest{ID: "x", Column: []string{"x"}})
+	_, err = c.AutoFill(context.Background(), client.AutoFillRequest{ID: "x", Column: []string{"x"}})
 	if !errors.As(err, &aerr) || aerr.Code != "bad_request" {
 		t.Errorf("single call with id: err = %v", err)
 	}
@@ -154,13 +155,13 @@ func TestAPIErrorShape(t *testing.T) {
 
 func TestBatchStreaming(t *testing.T) {
 	c := testService(t)
-	reqs := []AutoFillRequest{
+	reqs := []client.AutoFillRequest{
 		{ID: "a", Column: []string{"San Francisco", "Seattle"}},
 		{ID: "bad", Column: nil}, // row-level validation error
 		{ID: "c", Column: []string{"Portland"}},
 	}
-	got := make(map[int]BatchLine[AutoFillResponse])
-	trailer, err := c.BatchAutoFill(context.Background(), reqs, func(ln BatchLine[AutoFillResponse]) error {
+	got := make(map[int]client.BatchLine[client.AutoFillResponse])
+	trailer, err := c.BatchAutoFill(context.Background(), reqs, func(ln client.BatchLine[client.AutoFillResponse]) error {
 		got[ln.Index] = ln
 		return nil
 	})
@@ -186,13 +187,13 @@ func TestBatchStreaming(t *testing.T) {
 
 func TestBatchCallbackAbort(t *testing.T) {
 	c := testService(t)
-	reqs := make([]AutoFillRequest, 8)
+	reqs := make([]client.AutoFillRequest, 8)
 	for i := range reqs {
-		reqs[i] = AutoFillRequest{Column: []string{"California"}}
+		reqs[i] = client.AutoFillRequest{Column: []string{"California"}}
 	}
 	sentinel := errors.New("stop here")
 	calls := 0
-	_, err := c.BatchAutoFill(context.Background(), reqs, func(BatchLine[AutoFillResponse]) error {
+	_, err := c.BatchAutoFill(context.Background(), reqs, func(client.BatchLine[client.AutoFillResponse]) error {
 		calls++
 		return sentinel
 	})
@@ -223,7 +224,7 @@ func TestRetryOn429(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, WithRetries(2))
+	c := client.New(ts.URL, client.WithRetries(2))
 	t0 := time.Now()
 	resp, err := c.Lookup(context.Background(), "k")
 	if err != nil {
@@ -253,9 +254,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, WithRetries(1))
+	c := client.New(ts.URL, client.WithRetries(1))
 	_, err := c.Lookup(context.Background(), "k")
-	var aerr *APIError
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) || aerr.Code != "overloaded" || aerr.RetryAfter != 10*time.Millisecond {
 		t.Fatalf("err = %v", err)
 	}
@@ -271,8 +272,8 @@ func TestZeroRetries(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]any{"error": map[string]any{"code": "overloaded", "message": "busy"}})
 	}))
 	defer ts.Close()
-	_, err := New(ts.URL, WithRetries(0)).Lookup(context.Background(), "k")
-	var aerr *APIError
+	_, err := client.New(ts.URL, client.WithRetries(0)).Lookup(context.Background(), "k")
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) || aerr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v", err)
 	}
@@ -289,8 +290,8 @@ func TestLegacyErrorEnvelope(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]string{"error": "old style"})
 	}))
 	defer ts.Close()
-	_, err := New(ts.URL).Lookup(context.Background(), "k")
-	var aerr *APIError
+	_, err := client.New(ts.URL).Lookup(context.Background(), "k")
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) || aerr.Code != "" || aerr.Message != "old style" {
 		t.Fatalf("err = %v", err)
 	}
@@ -308,12 +309,12 @@ func TestSeveredStream(t *testing.T) {
 		// no trailer
 	}))
 	defer ts.Close()
-	c := New(ts.URL)
+	c := client.New(ts.URL)
 	rows := 0
-	_, err := c.BatchAutoFill(context.Background(), []AutoFillRequest{{Column: []string{"x"}}},
-		func(BatchLine[AutoFillResponse]) error { rows++; return nil })
-	if !errors.Is(err, ErrSevered) {
-		t.Fatalf("err = %v, want ErrSevered", err)
+	_, err := c.BatchAutoFill(context.Background(), []client.AutoFillRequest{{Column: []string{"x"}}},
+		func(client.BatchLine[client.AutoFillResponse]) error { rows++; return nil })
+	if !errors.Is(err, client.ErrSevered) {
+		t.Fatalf("err = %v, want client.ErrSevered", err)
 	}
 	if rows != 1 {
 		t.Errorf("rows before severance = %d, want 1", rows)
@@ -323,9 +324,9 @@ func TestSeveredStream(t *testing.T) {
 // TestRequestIDPropagation: the client's generated ID reaches the server
 // and is echoed back in error envelopes.
 func TestRequestIDPropagation(t *testing.T) {
-	c := testService(t, WithRequestIDs(func() string { return "fixed-id-42" }))
-	_, err := c.AutoFill(context.Background(), AutoFillRequest{})
-	var aerr *APIError
+	c := testService(t, client.WithRequestIDs(func() string { return "fixed-id-42" }))
+	_, err := c.AutoFill(context.Background(), client.AutoFillRequest{})
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // X-Request-ID header through the embedded ResponseMeta, so callers can
 // cite the server's access-log line for any response, not just errors.
 func TestSuccessResponseMeta(t *testing.T) {
-	c := testService(t, WithRequestIDs(func() string { return "meta-id-7" }))
+	c := testService(t, client.WithRequestIDs(func() string { return "meta-id-7" }))
 	ctx := context.Background()
 
 	lk, err := c.Lookup(ctx, "California")
@@ -348,9 +349,9 @@ func TestSuccessResponseMeta(t *testing.T) {
 	if lk.RequestID != "meta-id-7" {
 		t.Errorf("lookup request id = %q, want meta-id-7", lk.RequestID)
 	}
-	fill, err := c.AutoFill(ctx, AutoFillRequest{
+	fill, err := c.AutoFill(ctx, client.AutoFillRequest{
 		Column:   []string{"San Francisco"},
-		Examples: []Example{{Left: "San Francisco", Right: "California"}},
+		Examples: []client.Example{{Left: "San Francisco", Right: "California"}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,10 +93,7 @@ func (cc *Corpus) Stats(ctx context.Context) (*Stats, error) {
 // Corpora lists every corpus the server holds, with version metadata,
 // sorted by name.
 func (c *Client) Corpora(ctx context.Context) ([]CorpusInfo, error) {
-	var resp struct {
-		Count   int          `json:"count"`
-		Corpora []CorpusInfo `json:"corpora"`
-	}
+	var resp CorpusList
 	if err := c.call(ctx, http.MethodGet, "/v1/corpora", nil, &resp); err != nil {
 		return nil, err
 	}

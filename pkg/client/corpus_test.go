@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"bytes"
@@ -15,6 +15,7 @@ import (
 	"mapsynth/internal/serve"
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // codedMappings builds a tiny mapping set whose right side carries the
@@ -33,7 +34,7 @@ func codedMappings(prefix string) []*mapping.Mapping {
 }
 
 // multiCorpusService builds a real two-corpus server and a Client for it.
-func multiCorpusService(t *testing.T) *Client {
+func multiCorpusService(t *testing.T) *client.Client {
 	t.Helper()
 	srv := serve.NewFromMappings(codedMappings("DEF"), serve.Options{CacheSize: 64})
 	if _, err := srv.AddCorpus("tickers", codedMappings("TK")); err != nil {
@@ -41,7 +42,7 @@ func multiCorpusService(t *testing.T) *Client {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return New(ts.URL)
+	return client.New(ts.URL)
 }
 
 // TestCorpusScopedQueries: the scoped handle answers from its corpus, the
@@ -66,7 +67,7 @@ func TestCorpusScopedQueries(t *testing.T) {
 		t.Errorf("lookup values = %q / %q, want DEF-Ca / TK-Ca", def.Value, scoped.Value)
 	}
 
-	fill, err := tk.AutoFill(ctx, AutoFillRequest{Column: []string{"California", "Texas"}})
+	fill, err := tk.AutoFill(ctx, client.AutoFillRequest{Column: []string{"California", "Texas"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestCorpusScopedQueries(t *testing.T) {
 		t.Errorf("scoped autofill = %+v", fill)
 	}
 
-	corr, err := tk.AutoCorrect(ctx, AutoCorrectRequest{
+	corr, err := tk.AutoCorrect(ctx, client.AutoCorrectRequest{
 		Column: []string{"California", "Washington", "Oregon", "TK-Te"}, MinEach: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestCorpusScopedQueries(t *testing.T) {
 		t.Errorf("scoped autocorrect = %+v", corr)
 	}
 
-	join, err := tk.AutoJoin(ctx, AutoJoinRequest{
+	join, err := tk.AutoJoin(ctx, client.AutoJoinRequest{
 		KeysA: []string{"California", "Oregon"}, KeysB: []string{"TK-Ca", "TK-Or"}})
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +95,10 @@ func TestCorpusScopedQueries(t *testing.T) {
 
 	// Batch streaming through the scoped path.
 	var lines int
-	trailer, err := tk.BatchAutoFill(ctx, []AutoFillRequest{
+	trailer, err := tk.BatchAutoFill(ctx, []client.AutoFillRequest{
 		{ID: "a", Column: []string{"California"}},
 		{ID: "b", Column: []string{"Texas"}},
-	}, func(ln BatchLine[AutoFillResponse]) error {
+	}, func(ln client.BatchLine[client.AutoFillResponse]) error {
 		lines++
 		if ln.Err != nil {
 			t.Errorf("row %d error: %v", ln.Index, ln.Err)
@@ -123,13 +124,13 @@ func TestCorpusScopedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dst.Corpus != DefaultCorpus || dst.Endpoints["lookup"].Requests != 1 {
+	if dst.Corpus != client.DefaultCorpus || dst.Endpoints["lookup"].Requests != 1 {
 		t.Errorf("default stats = corpus %q, lookup %d", dst.Corpus, dst.Endpoints["lookup"].Requests)
 	}
 
 	// Unknown corpus surfaces the corpus_not_found code.
 	_, err = c.Corpus("nope").Lookup(ctx, "x")
-	var aerr *APIError
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) || aerr.Code != "corpus_not_found" || aerr.Status != http.StatusNotFound {
 		t.Errorf("unknown corpus err = %v", err)
 	}
@@ -210,13 +211,13 @@ func TestCorpusAdminLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = air.Get(ctx)
-	var aerr *APIError
+	var aerr *client.APIError
 	if !errors.As(err, &aerr) || aerr.Code != "corpus_not_found" {
 		t.Errorf("after delete: %v", err)
 	}
 
 	// The default corpus refuses deletion.
-	err = c.Corpus(DefaultCorpus).Delete(ctx)
+	err = c.Corpus(client.DefaultCorpus).Delete(ctx)
 	if !errors.As(err, &aerr) || aerr.Code != "bad_request" {
 		t.Errorf("delete default: %v", err)
 	}
@@ -235,7 +236,7 @@ func TestBackoffContextCancel(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, WithRetries(3), WithMaxRetryWait(time.Minute))
+	c := client.New(ts.URL, client.WithRetries(3), client.WithMaxRetryWait(time.Minute))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -261,8 +262,8 @@ func TestBackoffContextCancel(t *testing.T) {
 		cancel2()
 	}()
 	t0 = time.Now()
-	_, err = c.BatchAutoFill(ctx2, []AutoFillRequest{{Column: []string{"x"}}},
-		func(BatchLine[AutoFillResponse]) error { return nil })
+	_, err = c.BatchAutoFill(ctx2, []client.AutoFillRequest{{Column: []string{"x"}}},
+		func(client.BatchLine[client.AutoFillResponse]) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}
@@ -290,7 +291,7 @@ func TestBackoffHonorsMaxRetryWait(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, WithRetries(2), WithMaxRetryWait(30*time.Millisecond))
+	c := client.New(ts.URL, client.WithRetries(2), client.WithMaxRetryWait(30*time.Millisecond))
 	t0 := time.Now()
 	if _, err := c.Lookup(context.Background(), "k"); err != nil {
 		t.Fatal(err)

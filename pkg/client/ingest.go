@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 )
 
 // Live ingestion: Corpus.IngestTables streams tables into the server's
@@ -32,12 +31,12 @@ type IngestTable struct {
 // assigned to an accepted table, or the row's validation error.
 type IngestLine struct {
 	// Index is the zero-based position of the input line this answers.
-	Index int
+	Index int `json:"index"`
 	// LSN is the log sequence number assigned to an accepted table; tables
 	// with LSN <= the corpus's applied LSN are reflected in the live state.
-	LSN int64
+	LSN int64 `json:"lsn"`
 	// Err is the row's structured error, nil on acceptance.
-	Err *APIError
+	Err *APIError `json:"-"`
 }
 
 // IngestTrailer is the final line of an ingest response stream.
@@ -131,10 +130,9 @@ func (cc *Corpus) IngestTables(ctx context.Context, tables []IngestTable, opts I
 			return nil, fmt.Errorf("client: line after ingest trailer: %q", line)
 		}
 		var probe struct {
-			Done  bool            `json:"done"`
-			Index int             `json:"index"`
-			LSN   int64           `json:"lsn"`
-			Error json.RawMessage `json:"error"`
+			IngestLine
+			Done  bool       `json:"done"`
+			Error *ErrorBody `json:"error"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
 			return nil, fmt.Errorf("client: bad ingest line: %w", err)
@@ -146,23 +144,10 @@ func (cc *Corpus) IngestTables(ctx context.Context, tables []IngestTable, opts I
 			}
 			continue
 		}
-		out := IngestLine{Index: probe.Index, LSN: probe.LSN}
-		if len(probe.Error) > 0 {
-			var we struct {
-				Code         string `json:"code"`
-				Message      string `json:"message"`
-				RetryAfterMs int64  `json:"retry_after_ms"`
-			}
-			if err := json.Unmarshal(probe.Error, &we); err != nil {
-				return nil, fmt.Errorf("client: bad ingest error line: %w", err)
-			}
-			out.Err = &APIError{
-				Status:     http.StatusOK, // row errors arrive inside a 200 stream
-				Code:       we.Code,
-				Message:    we.Message,
-				RequestID:  resp.Header.Get("X-Request-ID"),
-				RetryAfter: time.Duration(we.RetryAfterMs) * time.Millisecond,
-			}
+		out := probe.IngestLine
+		if probe.Error != nil {
+			// Row errors arrive inside a 200 stream.
+			out.Err = probe.Error.apiError(http.StatusOK, resp.Header.Get("X-Request-ID"))
 		}
 		if fn != nil {
 			if err := fn(out); err != nil {

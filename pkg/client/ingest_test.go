@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"bytes"
@@ -9,11 +9,12 @@ import (
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/serve"
 	"mapsynth/internal/table"
+	"mapsynth/pkg/client"
 )
 
 // ingestService builds a real server whose default corpus accepts live
 // ingestion, plus the held-out tables to stream into it.
-func ingestService(t *testing.T) (*Client, []*table.Table) {
+func ingestService(t *testing.T) (*client.Client, []*table.Table) {
 	t.Helper()
 	gen := corpusgen.GenerateWeb(corpusgen.Options{Seed: 11, SampleFraction: 0.25})
 	if len(gen.Tables) < 12 {
@@ -30,13 +31,13 @@ func ingestService(t *testing.T) (*Client, []*table.Table) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return New(ts.URL), held
+	return client.New(ts.URL), held
 }
 
-func ingestTableOf(tab *table.Table) IngestTable {
-	it := IngestTable{Domain: tab.Domain, Title: tab.Title}
+func ingestTableOf(tab *table.Table) client.IngestTable {
+	it := client.IngestTable{Domain: tab.Domain, Title: tab.Title}
 	for _, c := range tab.Columns {
-		it.Columns = append(it.Columns, IngestColumn{Name: c.Name, Values: c.Values})
+		it.Columns = append(it.Columns, client.IngestColumn{Name: c.Name, Values: c.Values})
 	}
 	return it
 }
@@ -47,14 +48,14 @@ func ingestTableOf(tab *table.Table) IngestTable {
 func TestIngestTables(t *testing.T) {
 	c, held := ingestService(t)
 	ctx := context.Background()
-	def := c.Corpus(DefaultCorpus)
+	def := c.Corpus(client.DefaultCorpus)
 
-	tables := []IngestTable{
+	tables := []client.IngestTable{
 		ingestTableOf(held[0]),
 		{Domain: "bad.test"}, // no columns: rejected row, not a failed call
 	}
-	var lines []IngestLine
-	trailer, err := def.IngestTables(ctx, tables, IngestOptions{Wait: true}, func(l IngestLine) error {
+	var lines []client.IngestLine
+	trailer, err := def.IngestTables(ctx, tables, client.IngestOptions{Wait: true}, func(l client.IngestLine) error {
 		lines = append(lines, l)
 		return nil
 	})
@@ -98,7 +99,7 @@ func TestIngestTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, ok := h.Corpora[DefaultCorpus]
+	ch, ok := h.Corpora[client.DefaultCorpus]
 	if !ok || ch.Ingest == nil || ch.SnapshotCRC != info.SnapshotCRC {
 		t.Fatalf("healthz ingest/CRC mismatch: %+v", ch)
 	}
@@ -111,9 +112,9 @@ func TestIngestTables(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	c, held := ingestService(t)
 	ctx := context.Background()
-	def := c.Corpus(DefaultCorpus)
+	def := c.Corpus(client.DefaultCorpus)
 
-	if _, err := def.IngestTables(ctx, []IngestTable{ingestTableOf(held[0])}, IngestOptions{Wait: true}, nil); err != nil {
+	if _, err := def.IngestTables(ctx, []client.IngestTable{ingestTableOf(held[0])}, client.IngestOptions{Wait: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	full, version, err := def.Snapshot(ctx)

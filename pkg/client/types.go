@@ -1,46 +1,5 @@
 package client
 
-import (
-	"fmt"
-	"time"
-)
-
-// APIError is a non-2xx answer from the service, carrying the structured
-// v1 error envelope. Use errors.As to branch on it:
-//
-//	var aerr *client.APIError
-//	if errors.As(err, &aerr) && aerr.Code == "overloaded" { ... }
-type APIError struct {
-	// Status is the HTTP status code.
-	Status int
-	// Code is the machine-readable error class: "bad_request",
-	// "not_found", "corpus_not_found", "method_not_allowed",
-	// "unprocessable", "overloaded", "quota_exhausted", "internal",
-	// "not_ready", "ingest_log_failed". Empty when the server spoke the
-	// pre-v1 bare-string envelope. Both 429 codes carry RetryAfter:
-	// "overloaded" means the shared batch budget is saturated,
-	// "quota_exhausted" means this tenant's own rate limit is.
-	Code string
-	// Message is the human-readable explanation.
-	Message string
-	// RequestID ties the failure to the server's view of the request.
-	RequestID string
-	// RetryAfter is the server-advertised retry delay on overloaded
-	// responses, 0 otherwise.
-	RetryAfter time.Duration
-}
-
-func (e *APIError) Error() string {
-	code := e.Code
-	if code == "" {
-		code = fmt.Sprintf("http %d", e.Status)
-	}
-	if e.RequestID != "" {
-		return fmt.Sprintf("mapsynth: %s (%s, request %s)", e.Message, code, e.RequestID)
-	}
-	return fmt.Sprintf("mapsynth: %s (%s)", e.Message, code)
-}
-
 // ResponseMeta carries per-response transport metadata. It is embedded in
 // every single-call response type and populated by the SDK from response
 // headers — not part of the JSON body (batch streams carry the ID in their
@@ -67,8 +26,8 @@ type Example struct {
 // AutoFillRequest is the body of POST /v1/autofill and one line of
 // POST /v1/batch/autofill.
 type AutoFillRequest struct {
-	// ID is echoed back on batch streams; it must be empty on single
-	// calls (the server rejects unknown fields).
+	// ID is echoed back on batch streams; single calls reject a non-empty
+	// one.
 	ID string `json:"id,omitempty"`
 	// Column is the left-value column to fill (required).
 	Column []string `json:"column"`
@@ -182,17 +141,23 @@ type AutoJoinResponse struct {
 	Candidates []AutoJoinCandidate `json:"candidates,omitempty"`
 }
 
-// LookupResponse is the answer to GET /v1/lookup.
+// LookupResponse is the answer to GET /v1/lookup?key=...: the
+// best-supported mapped value for one left key, with provenance of the
+// mapping that supplied it.
 type LookupResponse struct {
 	ResponseMeta
-	Found        bool     `json:"found"`
-	Key          string   `json:"key"`
-	Value        string   `json:"value,omitempty"`
+	Found bool   `json:"found"`
+	Key   string `json:"key"`
+	// Value is the majority right value's representative surface form.
+	Value string `json:"value,omitempty"`
+	// Alternatives lists further recorded right surface forms (synonymous
+	// mentions), majority winner excluded.
 	Alternatives []string `json:"alternatives,omitempty"`
-	MappingID    int      `json:"mapping_id,omitempty"`
-	Support      int      `json:"support,omitempty"`
-	Tables       int      `json:"tables,omitempty"`
-	Domains      int      `json:"domains,omitempty"`
+	// Provenance of the answering mapping.
+	MappingID int `json:"mapping_id,omitempty"`
+	Support   int `json:"support,omitempty"`
+	Tables    int `json:"tables,omitempty"`
+	Domains   int `json:"domains,omitempty"`
 }
 
 // Health is the body of GET /v1/healthz: liveness plus per-corpus
@@ -200,14 +165,17 @@ type LookupResponse struct {
 // "not_ready") only when the default corpus is absent.
 type Health struct {
 	ResponseMeta
+	// Fields in key order: the body was first encoded from a map.
+	Corpora       map[string]CorpusHealth `json:"corpora"`
 	Status        string                  `json:"status"`
 	UptimeSeconds float64                 `json:"uptime_s"`
-	Corpora       map[string]CorpusHealth `json:"corpora"`
 }
 
 // CorpusHealth is one corpus's entry in Health.
 type CorpusHealth struct {
-	Snapshot string `json:"snapshot"`
+	// Snapshot is the file the state was loaded from; absent for uploads,
+	// rebuilds and ingest publishes.
+	Snapshot string `json:"snapshot,omitempty"`
 	Version  int64  `json:"version"`
 	// Format is always "v2": every state is served from a v2 snapshot
 	// image, whatever it was loaded or built from.
@@ -268,29 +236,36 @@ type EndpointStats struct {
 }
 
 // Stats is the body of GET /v1/stats (default corpus) or
-// GET /v1/corpora/{name}/stats — one corpus's counters plus the shared
-// batch limiter. Sections whose exact shape the SDK does not interpret are
-// left as raw JSON for forward compatibility.
+// GET /v1/corpora/{name}/stats — one corpus's counters plus the
+// server-wide batch limiter, tenants and fair queue. Sections whose exact
+// shape the SDK does not interpret are left as generic maps for forward
+// compatibility.
 type Stats struct {
-	RequestID     string                   `json:"request_id"`
+	// RequestID is this stats request's own ID.
+	RequestID     string                   `json:"request_id,omitempty"`
 	Corpus        string                   `json:"corpus"`
 	UptimeSeconds float64                  `json:"uptime_s"`
 	Reloads       int64                    `json:"reloads"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 	Batch         map[string]any           `json:"batch"`
-	Cache         map[string]any           `json:"cache"`
-	Snapshot      map[string]any           `json:"snapshot"`
 	// Tenants maps tenant name to its admission counters (requests,
 	// throttled, errors, queue_depth, latency percentiles); FairQueue is
 	// the shared weighted-fair scheduler's occupancy.
 	Tenants   map[string]TenantStats `json:"tenants"`
 	FairQueue map[string]any         `json:"fair_queue"`
+	Cache     map[string]any         `json:"cache"`
+	Snapshot  map[string]any         `json:"snapshot"`
+	// Ingest reports live-ingestion staleness; nil for corpora never
+	// ingested into.
+	Ingest *IngestStatus `json:"ingest,omitempty"`
 }
 
 // TenantStats is one tenant's /v1/stats entry.
 type TenantStats struct {
-	Weight     int     `json:"weight"`
-	RateLimit  float64 `json:"rate_limit"`
+	Weight int `json:"weight"`
+	// RateLimit is the token-bucket refill in requests/second; absent (0)
+	// when the tenant is unlimited.
+	RateLimit  float64 `json:"rate_limit,omitempty"`
 	Requests   int64   `json:"requests"`
 	Throttled  int64   `json:"throttled"`
 	Errors     int64   `json:"errors"`
@@ -314,30 +289,33 @@ type ReloadRequest struct {
 // ReloadResponse is the answer to a successful reload.
 type ReloadResponse struct {
 	ResponseMeta
+	// Fields in key order: the body was first encoded from a map.
+	DurationMs float64 `json:"duration_ms"`
+	Format     string  `json:"format"`
+	LoadedAt   string  `json:"loaded_at"`
+	Mappings   int     `json:"mappings"`
+	Rebuilt    bool    `json:"rebuilt"`
 	Snapshot   string  `json:"snapshot"`
 	Version    int64   `json:"version"`
-	Format     string  `json:"format"`
-	Rebuilt    bool    `json:"rebuilt"`
-	Mappings   int     `json:"mappings"`
-	LoadedAt   string  `json:"loaded_at"`
-	DurationMs float64 `json:"duration_ms"`
 }
 
 // CorpusInfo is one corpus's metadata as returned by GET /v1/corpora and
 // Corpus.Get.
 type CorpusInfo struct {
-	Name     string `json:"name"`
-	Version  int64  `json:"version"`
-	Snapshot string `json:"snapshot"`
+	Name    string `json:"name"`
+	Version int64  `json:"version"`
+	// Snapshot is the file the state was loaded from; absent for uploads,
+	// rebuilds and ingest publishes.
+	Snapshot string `json:"snapshot,omitempty"`
 	// Format is always "v2" (see CorpusHealth.Format).
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
 	// MappedBytes is the size of the state's snapshot image, mmapped or in
 	// server memory.
-	MappedBytes int64 `json:"mapped_bytes"`
+	MappedBytes int64 `json:"mapped_bytes,omitempty"`
 	// Madvise is the page-cache hint applied to an mmapped state's region
-	// ("willneed" or "random"); empty when none.
+	// ("willneed" or "random", the -madvise flag); empty when none.
 	Madvise string `json:"madvise,omitempty"`
 	// ActivationSeconds is how long the live state took from snapshot open
 	// to query-ready.
@@ -346,13 +324,20 @@ type CorpusInfo struct {
 	Reloads           int64   `json:"reloads"`
 	// History lists the versions available for Activate/Rollback, most
 	// recently live last.
-	History []int64 `json:"history"`
+	History []int64 `json:"history,omitempty"`
 	// SnapshotCRC is the hex whole-file CRC of the state's snapshot image —
 	// its content identity, comparable across nodes.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; nil for corpora never
 	// ingested into.
 	Ingest *IngestStatus `json:"ingest,omitempty"`
+}
+
+// CorpusList is the body of GET /v1/corpora.
+type CorpusList struct {
+	// Fields in key order: the body was first encoded from a map.
+	Corpora []CorpusInfo `json:"corpora"`
+	Count   int          `json:"count"`
 }
 
 // PutCorpusRequest is the JSON body of PUT /v1/corpora/{name}.
@@ -364,24 +349,26 @@ type PutCorpusRequest struct {
 
 // PutCorpusResponse is the answer to a successful Put/Upload.
 type PutCorpusResponse struct {
+	// Fields in key order: the body was first encoded from a map.
 	Corpus     string  `json:"corpus"`
 	Created    bool    `json:"created"`
-	Version    int64   `json:"version"`
-	Snapshot   string  `json:"snapshot"`
+	DurationMs float64 `json:"duration_ms"`
 	Format     string  `json:"format"`
+	LoadedAt   string  `json:"loaded_at"`
 	Mappings   int     `json:"mappings"`
 	Pairs      int     `json:"pairs"`
-	LoadedAt   string  `json:"loaded_at"`
-	DurationMs float64 `json:"duration_ms"`
+	Snapshot   string  `json:"snapshot"`
+	Version    int64   `json:"version"`
 }
 
 // VersionSwapResponse is the answer to a successful Activate or Rollback.
 type VersionSwapResponse struct {
+	// Fields in key order: the body was first encoded from a map.
 	Corpus          string `json:"corpus"`
-	Version         int64  `json:"version"`
+	Format          string `json:"format"`
+	LoadedAt        string `json:"loaded_at"`
+	Mappings        int    `json:"mappings"`
 	PreviousVersion int64  `json:"previous_version"`
 	Snapshot        string `json:"snapshot"`
-	Format          string `json:"format"`
-	Mappings        int    `json:"mappings"`
-	LoadedAt        string `json:"loaded_at"`
+	Version         int64  `json:"version"`
 }
