@@ -15,8 +15,7 @@
 // corpus and each repeatable -corpus name=path flag loads a further one.
 // Every application endpoint exists corpus-scoped under
 // /v1/corpora/{name}/...; the unscoped /v1/... paths answer
-// byte-identically for the default corpus (and each also answers at its
-// legacy unversioned path plus a Deprecation header):
+// byte-identically for the default corpus:
 //
 //	GET  /v1/lookup?key=K       single-key lookup with provenance (LRU-cached)
 //	POST /v1/autofill           {"column":[...], "examples":[{"left","right"}], "min_coverage":0.8, "top_k":0}

@@ -602,7 +602,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) bool {
 }
 
 // singleCall rejects the batch-only "id" on a single-call body, with the
-// message the strict decoder gave before the request types carried it.
+// message the strict decoder gives any unknown field.
 func singleCall(w http.ResponseWriter, r *http.Request, id string) bool {
 	if id == "" {
 		return true

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 
 	"mapsynth/internal/qos"
 	"mapsynth/internal/snapshot"
+	"mapsynth/pkg/client"
 )
 
 var updateWire = flag.Bool("update-wire", false, "rewrite testdata/wire from the live handlers")
@@ -233,7 +235,7 @@ var wireVolatile = regexp.MustCompile(`"(uptime_s|age_s|loaded_at|duration_ms|ac
 func wireRecord(x wireExchange, root string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s\nstatus: %d\ncontent-type: %s\n", x.method, strings.ReplaceAll(x.path, root, "$ROOT"), x.rec.Code, x.rec.Header().Get("Content-Type"))
-	for _, h := range []string{"Retry-After", "X-Corpus-Version", "Deprecation", "Link"} {
+	for _, h := range []string{"Retry-After", "X-Corpus-Version"} {
 		if v := x.rec.Header().Get(h); v != "" {
 			fmt.Fprintf(&b, "%s: %s\n", strings.ToLower(h), v)
 		}
@@ -308,6 +310,113 @@ func TestWireGolden(t *testing.T) {
 	for _, e := range entries {
 		if !seen[filepath.Join(dir, e.Name())] {
 			t.Errorf("stale golden %s: no case records it", e.Name())
+		}
+	}
+}
+
+// sdkBody returns a pointer to the pkg/client type a 2xx JSON answer from
+// path decodes into, or, for NDJSON streams, the type of one answer line.
+// DELETE /v1/corpora/{name} and POST /v1/tenants answer small maps that
+// no SDK type declares.
+func sdkBody(method, path string) any {
+	path, _, _ = strings.Cut(path, "?")
+	switch {
+	case strings.HasSuffix(path, "/batch/autofill"):
+		return &struct {
+			client.RowHead
+			client.AutoFillResponse
+		}{}
+	case strings.HasSuffix(path, "/batch/autocorrect"):
+		return &struct {
+			client.RowHead
+			client.AutoCorrectResponse
+		}{}
+	case strings.HasSuffix(path, "/batch/autojoin"):
+		return &struct {
+			client.RowHead
+			client.AutoJoinResponse
+		}{}
+	case strings.HasSuffix(path, "/tables"):
+		return &client.IngestLine{}
+	case strings.HasSuffix(path, "/lookup"):
+		return &client.LookupResponse{}
+	case strings.HasSuffix(path, "/autofill"):
+		return &client.AutoFillResponse{}
+	case strings.HasSuffix(path, "/autocorrect"):
+		return &client.AutoCorrectResponse{}
+	case strings.HasSuffix(path, "/autojoin"):
+		return &client.AutoJoinResponse{}
+	case strings.HasSuffix(path, "/healthz"):
+		return &client.Health{}
+	case strings.HasSuffix(path, "/stats"):
+		return &client.Stats{}
+	case strings.HasSuffix(path, "/reload"):
+		return &client.ReloadResponse{}
+	case strings.HasSuffix(path, "/activate"), strings.HasSuffix(path, "/rollback"):
+		return &client.VersionSwapResponse{}
+	case path == "/v1/corpora":
+		return &client.CorpusList{}
+	case method == http.MethodPut:
+		return &client.PutCorpusResponse{}
+	case method == http.MethodGet && strings.HasPrefix(path, "/v1/corpora/"):
+		return &client.CorpusInfo{}
+	}
+	return &map[string]any{}
+}
+
+// decodeStrict decodes exactly one JSON value from data into v, refusing
+// unknown fields.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return fmt.Errorf("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// TestWireDecodesIntoSDKTypes holds the server to pkg/client's schema: every
+// live answer of the wire golden decodes, refusing unknown fields, into
+// the SDK type that declares it — errors into client.ErrorEnvelope, each
+// NDJSON line into its answer, row-error or trailer type. A field the
+// server sends and the SDK does not declare fails here.
+func TestWireDecodesIntoSDKTypes(t *testing.T) {
+	exchanges, _ := runWire(t)
+	for _, x := range exchanges {
+		body := x.rec.Body.Bytes()
+		switch ct := x.rec.Header().Get("Content-Type"); {
+		case x.rec.Code >= 400:
+			if err := decodeStrict(body, &client.ErrorEnvelope{}); err != nil {
+				t.Errorf("%s: error body %s: %v", x.name, body, err)
+			}
+		case ct == "application/json":
+			if err := decodeStrict(body, sdkBody(x.method, x.path)); err != nil {
+				t.Errorf("%s: body %s: %v", x.name, body, err)
+			}
+		case ct == "application/x-ndjson":
+			lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+			for i, line := range lines {
+				var into any
+				switch {
+				case i == len(lines)-1 && strings.Contains(x.path, "/tables"):
+					into = &client.IngestTrailer{}
+				case i == len(lines)-1:
+					into = &client.BatchTrailer{}
+				case bytes.Contains(line, []byte(`"error":`)):
+					into = &struct {
+						client.RowHead
+						client.ErrorEnvelope
+					}{}
+				default:
+					into = sdkBody(x.method, x.path)
+				}
+				if err := decodeStrict(line, into); err != nil {
+					t.Errorf("%s: line %s: %v", x.name, line, err)
+				}
+			}
 		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package client is the Go SDK for the mapping service's v1 HTTP API
-// (cmd/serve). It owns the request/response types of every endpoint,
-// streams the NDJSON batch endpoints through an iterator callback, retries
-// overloaded (429) responses honoring the server's Retry-After, and
-// propagates a per-request X-Request-ID so client-side failures can be
-// tied to server logs.
-//
-// The SDK is dogfooded: internal/loadgen and every examples/ program drive
-// the service exclusively through it, so its conformance to the server is
-// exercised by the load generator and CI rather than asserted.
+// (cmd/serve). Its request/response types, error codes and envelope are
+// the v1 wire schema, declared once: the server, the cluster coordinator
+// and the ingest status encode these same types, and tests decode every
+// live answer and every docs/api.md example into them with unknown fields
+// refused. The SDK streams the NDJSON batch endpoints through an iterator
+// callback, retries overloaded (429) responses honoring the server's
+// Retry-After, and propagates a per-request X-Request-ID so client-side
+// failures can be tied to server logs. It imports only the standard
+// library.
 //
 //	c := client.New("http://localhost:8080")
 //	resp, err := c.AutoFill(ctx, client.AutoFillRequest{

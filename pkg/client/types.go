@@ -165,7 +165,7 @@ type LookupResponse struct {
 // "not_ready") only when the default corpus is absent.
 type Health struct {
 	ResponseMeta
-	// Fields in key order: the body was first encoded from a map.
+	// Fields in key order: the order of these bytes on the wire.
 	Corpora       map[string]CorpusHealth `json:"corpora"`
 	Status        string                  `json:"status"`
 	UptimeSeconds float64                 `json:"uptime_s"`
@@ -289,7 +289,7 @@ type ReloadRequest struct {
 // ReloadResponse is the answer to a successful reload.
 type ReloadResponse struct {
 	ResponseMeta
-	// Fields in key order: the body was first encoded from a map.
+	// Fields in key order: the order of these bytes on the wire.
 	DurationMs float64 `json:"duration_ms"`
 	Format     string  `json:"format"`
 	LoadedAt   string  `json:"loaded_at"`
@@ -335,7 +335,7 @@ type CorpusInfo struct {
 
 // CorpusList is the body of GET /v1/corpora.
 type CorpusList struct {
-	// Fields in key order: the body was first encoded from a map.
+	// Fields in key order: the order of these bytes on the wire.
 	Corpora []CorpusInfo `json:"corpora"`
 	Count   int          `json:"count"`
 }
@@ -349,7 +349,7 @@ type PutCorpusRequest struct {
 
 // PutCorpusResponse is the answer to a successful Put/Upload.
 type PutCorpusResponse struct {
-	// Fields in key order: the body was first encoded from a map.
+	// Fields in key order: the order of these bytes on the wire.
 	Corpus     string  `json:"corpus"`
 	Created    bool    `json:"created"`
 	DurationMs float64 `json:"duration_ms"`
@@ -363,7 +363,7 @@ type PutCorpusResponse struct {
 
 // VersionSwapResponse is the answer to a successful Activate or Rollback.
 type VersionSwapResponse struct {
-	// Fields in key order: the body was first encoded from a map.
+	// Fields in key order: the order of these bytes on the wire.
 	Corpus          string `json:"corpus"`
 	Format          string `json:"format"`
 	LoadedAt        string `json:"loaded_at"`
