@@ -7,7 +7,9 @@
 //     and the staleness report converges (applied LSN == head LSN).
 //  2. The incrementally synthesized snapshot is byte-identical to a
 //     from-scratch rebuild over base+ingested tables.
-//  3. A cluster roll ships the source's full image to the follower, and
+//  3. POST /v1/reload {"rebuild":true} leaves that snapshot byte-identical:
+//     a rebuild re-synthesizes the base plus the applied ingested tables.
+//  4. A cluster roll ships the source's full image to the follower, and
 //     the follower's snapshot comes out byte-identical.
 //
 // Usage:
@@ -78,11 +80,9 @@ func run(scale float64, seed int64) error {
 	source := serve.NewFromMappings(baseRes.Mappings, serve.Options{
 		CacheSize: 1024,
 		IngestDir: ingestDir,
-		IngestBase: func(ctx context.Context, corpus string) ([]*table.Table, error) {
-			return base, nil
-		},
-		IngestConfig: &cfg,
-		Logger:       quiet,
+		Tables:    base,
+		Synthesis: &cfg,
+		Logger:    quiet,
 	})
 	defer source.Close()
 	follower := serve.NewFromMappings(baseRes.Mappings, serve.Options{CacheSize: 1024, Logger: quiet})
@@ -157,7 +157,18 @@ func run(scale float64, seed int64) error {
 	fmt.Printf("ingestcheck: incremental synthesis byte-identical to full rebuild (%d mappings, %d bytes)\n",
 		len(fullRes.Mappings), len(liveSnap))
 
-	// 5. Wait for the coordinator to see both nodes alive: a roll skips
+	// 5. Rebuild: re-synthesizing the base plus the applied ingested table
+	// must leave the snapshot byte-identical.
+	if _, err := client.New(tsSource.URL).Reload(ctx, client.ReloadRequest{Rebuild: true}); err != nil {
+		return fmt.Errorf("rebuild reload: %w", err)
+	}
+	if rebuilt, _, err := src.Snapshot(ctx); err != nil || !bytes.Equal(rebuilt, fullSnap.Bytes()) {
+		return fmt.Errorf("snapshot after rebuild (%d bytes, %v) differs from from-scratch base+held (%d bytes)",
+			len(rebuilt), err, fullSnap.Len())
+	}
+	fmt.Println("ingestcheck: rebuild kept the ingested table, snapshot byte-identical")
+
+	// 6. Wait for the coordinator to see both nodes alive: a roll skips
 	// peers it has not probed alive.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -179,7 +190,7 @@ func run(scale float64, seed int64) error {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// 6. Roll: the follower receives the source's full image and must come
+	// 7. Roll: the follower receives the source's full image and must come
 	// out byte-identical.
 	rep, err := sdk.RollCluster(ctx, client.RollRequest{Source: "source"})
 	if err != nil {

@@ -35,7 +35,6 @@ import (
 
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/loadgen"
-	"mapsynth/internal/mapping"
 	"mapsynth/internal/metrics"
 	"mapsynth/internal/pipeline"
 	"mapsynth/internal/serve"
@@ -75,25 +74,16 @@ func run(duration time.Duration, scale float64, seed int64) error {
 	}
 
 	// 2. Serve it with the full observability wiring of cmd/serve: one
-	// shared registry, pipeline instrumentation for rebuilds, JSON access
-	// logs into a buffer we can parse afterwards.
+	// shared registry (with Tables, the server adds the rebuild pipeline's
+	// stage metrics to it), JSON access logs into a buffer we can parse
+	// afterwards.
 	reg := metrics.New()
-	pipelineInst := pipeline.MetricsInstrumentation(reg)
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	rebuild := func(ctx context.Context) ([]*mapping.Mapping, error) {
-		eng := pipeline.New(pipeline.DefaultConfig())
-		eng.SetInstrumentation(pipelineInst)
-		r, err := eng.Run(ctx, corpus.Tables)
-		if err != nil {
-			return nil, err
-		}
-		return r.Mappings, nil
-	}
 	srv, err := serve.New(serve.Options{
 		SnapshotPath: snapPath,
 		CacheSize:    1024,
-		Rebuild:      rebuild,
+		Tables:       corpus.Tables,
 		Metrics:      reg,
 		Logger:       logger,
 	})

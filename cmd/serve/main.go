@@ -5,6 +5,7 @@
 // Usage:
 //
 //	serve -snapshot out.snap [-corpus name=path ...] [-addr :8080]
+//	      [-tables corpus.json] [-min-domains 2] [-ingest-dir DIR]
 //	      [-cache 4096] [-history 4]
 //	      [-batch-requests 32] [-batch-rows 256] [-batch-write-timeout 30s]
 //	      [-tenants interactive:4,bulk:1:50:10,*:1:100]
@@ -26,7 +27,8 @@
 //	POST /v1/batch/autojoin     NDJSON stream: one /v1/autojoin body per line
 //	GET  /v1/healthz            liveness + per-corpus readiness metadata
 //	GET  /v1/stats              per-corpus request counts, latency percentiles, cache + shared batch limiter
-//	POST /v1/reload             {"snapshot":"path"} — atomic snapshot hot reload (default corpus)
+//	POST /v1/reload             {"snapshot":"path"} — atomic snapshot hot reload (default corpus);
+//	                            {"rebuild":true} re-synthesizes -tables plus the applied ingested tables
 //
 // Corpus lifecycle (see docs/api.md#corpora):
 //
@@ -62,16 +64,22 @@
 // POST /v1/corpora/{name}/tables — an NDJSON stream of tables appended to a
 // per-corpus durable log under that directory and synthesized incrementally
 // into new snapshot versions (only dirty compatibility-graph components
-// re-run; the result is byte-identical to an offline rebuild). With
-// -rebuild-profile set, ingested tables extend that generated corpus;
-// otherwise each corpus starts from the ingested tables alone.
+// re-run; the result is byte-identical to an offline rebuild). Without
+// -ingest-dir the endpoint answers 422.
+//
+// Table source: -tables names the JSON table corpus (corpusgen -o) that
+// `synthesize -corpus` built the -snapshot from; start-up exits 2 unless
+// one synthesis of it at -min-domains reproduces the snapshot's CRC. It is
+// the base the default corpus's ingested tables extend, and
+// POST /v1/reload {"rebuild":true} re-synthesizes it plus every applied
+// ingested table. Without it ingested tables are synthesized alone.
 //
 // Observability (see docs/observability.md):
 //
 //	GET /v1/metrics             Prometheus text exposition: per-corpus request
 //	                            counts and latency histograms, error counts by
 //	                            envelope code, batch limiter, registry, worker
-//	                            pool, rebuild pipeline stages, Go runtime
+//	                            pool, rebuild pipeline stages (with -tables), Go runtime
 //
 // Every request emits one structured access-log line (log/slog) with its
 // X-Request-ID; -log-format selects json or text, -log-level the threshold.
@@ -103,8 +111,7 @@ import (
 	"time"
 
 	"mapsynth/internal/cluster"
-	"mapsynth/internal/corpusgen"
-	"mapsynth/internal/mapping"
+	"mapsynth/internal/corpusio"
 	"mapsynth/internal/metrics"
 	"mapsynth/internal/pipeline"
 	"mapsynth/internal/qos"
@@ -112,6 +119,39 @@ import (
 	"mapsynth/internal/snapshot"
 	"mapsynth/internal/table"
 )
+
+// checkTables reads the table corpus at tablesPath and returns it if one
+// synthesis with cfg reproduces the CRC of the image snapPath loads. A
+// mismatch means rebuilds and ingestion would serve something else.
+func checkTables(ctx context.Context, snapPath, tablesPath string, cfg pipeline.Config) ([]*table.Table, error) {
+	f, err := os.Open(tablesPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tables, err := corpusio.ReadTablesJSON(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", tablesPath, err)
+	}
+	ld, err := snapshot.Load(snapPath)
+	if err != nil {
+		return nil, err
+	}
+	defer ld.Handle.Close()
+	res, err := pipeline.New(cfg).Run(ctx, tables)
+	if err != nil {
+		return nil, err
+	}
+	h, err := snapshot.FromMappings(res.Mappings)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := h.CRC(), ld.Handle.CRC(); got != want {
+		return nil, fmt.Errorf("%s synthesizes to snapshot_crc %08x at -min-domains %d, but %s has snapshot_crc %08x: the tables or -min-domains do not match the snapshot",
+			tablesPath, got, cfg.MinDomains, snapPath, want)
+	}
+	return tables, nil
+}
 
 // newLogger builds the process logger from the CLI's format/level choice.
 func newLogger(format, level string) (*slog.Logger, error) {
@@ -227,10 +267,8 @@ func main() {
 	peersFlag := flag.String("peers", "", "coordinator mode: comma-separated full-replica peers as name=addr; the process routes each request to an alive replica instead of serving data")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "coordinator mode: peer health probe period")
 	peerTimeout := flag.Duration("peer-timeout", 10*time.Second, "coordinator mode: per-peer deadline on probes, proxied requests and roll transfers")
-	rebuildProfile := flag.String("rebuild-profile", "", "enable POST /reload {\"rebuild\":true}: corpus profile (web or enterprise) to re-synthesize from")
-	rebuildSeed := flag.Int64("rebuild-seed", 42, "corpus seed for -rebuild-profile")
-	rebuildWorkers := flag.Int("rebuild-workers", 0, "pipeline workers for rebuilds; 0 = GOMAXPROCS")
-	rebuildMinDomains := flag.Int("rebuild-min-domains", 2, "curation filter for rebuilds: min contributing domains (match the synthesize -min-domains the snapshot was built with)")
+	tablesPath := flag.String("tables", "", "table corpus JSON the -snapshot was synthesized from (synthesize -corpus's input); enables POST /v1/reload {\"rebuild\":true} and is the base ingested tables extend; checked against -snapshot at start-up")
+	minDomains := flag.Int("min-domains", 2, "curation filter of rebuilds and ingestion: min contributing domains (synthesize's -min-domains for the snapshot)")
 	ingestDir := flag.String("ingest-dir", "", "directory for per-corpus ingest append logs; enables POST /v1/corpora/{name}/tables (live ingestion with incremental synthesis); empty disables")
 	logFormat := flag.String("log-format", "text", "structured log format: json or text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -292,67 +330,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: -madvise: %v\n", err)
 		os.Exit(2)
 	}
-	// One registry for everything: the server's own collectors register in
-	// serve.New, the rebuild pipeline's stage metrics here — so a rebuild's
-	// per-stage durations show up on the same /v1/metrics page as the
-	// requests it answers.
-	reg := metrics.New()
-	pipelineInst := pipeline.MetricsInstrumentation(reg)
-	var rebuild func(ctx context.Context) ([]*mapping.Mapping, error)
-	switch *rebuildProfile {
-	case "":
-	case "web", "enterprise":
-		profile, seed, workers, minDomains := *rebuildProfile, *rebuildSeed, *rebuildWorkers, *rebuildMinDomains
-		rebuild = func(ctx context.Context) ([]*mapping.Mapping, error) {
-			var corpus *corpusgen.Corpus
-			if profile == "web" {
-				corpus = corpusgen.GenerateWeb(corpusgen.Options{Seed: seed})
-			} else {
-				corpus = corpusgen.GenerateEnterprise(corpusgen.Options{Seed: seed})
-			}
-			cfg := pipeline.DefaultConfig()
-			cfg.MinDomains = minDomains
-			cfg.Workers = workers
-			eng := pipeline.New(cfg)
-			eng.SetInstrumentation(pipelineInst)
-			res, err := eng.Run(ctx, corpus.Tables)
-			if err != nil {
-				return nil, err
-			}
-			return res.Mappings, nil
+	// Rebuilds and ingestion synthesize with GOMAXPROCS workers.
+	cfg := pipeline.DefaultConfig()
+	cfg.MinDomains = *minDomains
+	var tables []*table.Table
+	if *tablesPath != "" {
+		// Before serve.New: ingest recovery may publish as soon as it
+		// returns, and must extend the tables the snapshot came from.
+		if tables, err = checkTables(context.Background(), *snapPath, *tablesPath, cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "serve: -tables: %v\n", err)
+			os.Exit(2)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "serve: unknown -rebuild-profile %q\n", *rebuildProfile)
-		os.Exit(2)
 	}
-	// Live ingestion: the synthesis base for an ingesting corpus is the
-	// generated rebuild corpus when a profile is configured (ingested
-	// tables extend it), or empty otherwise (the corpus is built from
-	// ingested tables alone). The incremental engine's synthesis
-	// parameters mirror the rebuild flags so an ingest-published version
-	// is byte-identical to what a full rebuild over the same tables
-	// would produce.
-	var ingestBase func(ctx context.Context, corpus string) ([]*table.Table, error)
-	var ingestConfig *pipeline.Config
 	if *ingestDir != "" {
 		if err := os.MkdirAll(*ingestDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: -ingest-dir: %v\n", err)
 			os.Exit(2)
 		}
-		cfg := pipeline.DefaultConfig()
-		cfg.MinDomains = *rebuildMinDomains
-		cfg.Workers = *rebuildWorkers
-		ingestConfig = &cfg
-		if *rebuildProfile != "" {
-			profile, seed := *rebuildProfile, *rebuildSeed
-			ingestBase = func(ctx context.Context, corpus string) ([]*table.Table, error) {
-				if profile == "web" {
-					return corpusgen.GenerateWeb(corpusgen.Options{Seed: seed}).Tables, nil
-				}
-				return corpusgen.GenerateEnterprise(corpusgen.Options{Seed: seed}).Tables, nil
-			}
-		}
 	}
+	// serve.New registers into it; the admin listener serves it too.
+	reg := metrics.New()
 	srv, err := serve.New(serve.Options{
 		SnapshotPath:      *snapPath,
 		Corpora:           corpora,
@@ -365,10 +362,9 @@ func main() {
 		TenantSource:      tenantSource,
 		MaxUploadBytes:    *maxUploadBytes,
 		Madvise:           madvise,
-		Rebuild:           rebuild,
 		IngestDir:         *ingestDir,
-		IngestBase:        ingestBase,
-		IngestConfig:      ingestConfig,
+		Tables:            tables,
+		Synthesis:         &cfg,
 		Metrics:           reg,
 		Logger:            logger,
 	})

@@ -180,7 +180,6 @@ func TestIngestorParity(t *testing.T) {
 	var published []*mapping.Mapping
 	var publishedLSN int64
 	ing, err := NewIngestor(Options{
-		Corpus:  "default",
 		LogPath: filepath.Join(t.TempDir(), "default.mlog"),
 		Base:    base,
 		Config:  pipeline.DefaultConfig(),
@@ -252,7 +251,6 @@ func TestIngestorRecoveryPending(t *testing.T) {
 
 	calls := 0
 	ing, err := NewIngestor(Options{
-		Corpus:  "c",
 		LogPath: path,
 		Config:  pipeline.DefaultConfig(),
 		Publish: func([]*mapping.Mapping, int64) error { calls++; return nil },
@@ -284,12 +282,12 @@ func TestIngestorRecoveryPending(t *testing.T) {
 }
 
 func TestManager(t *testing.T) {
-	m := NewManager("")
+	m := NewManager()
 	if m.Get("x") != nil {
 		t.Fatal("Get on empty manager returned an ingestor")
 	}
 	mk := func() (*Ingestor, error) {
-		return NewIngestor(Options{Corpus: "x", Config: pipeline.DefaultConfig()})
+		return NewIngestor(Options{Config: pipeline.DefaultConfig()})
 	}
 	a, err := m.GetOrCreate("x", mk)
 	if err != nil {

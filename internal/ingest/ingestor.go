@@ -18,8 +18,6 @@ type PublishFunc func(maps []*mapping.Mapping, appliedLSN int64) error
 
 // Options configures one corpus's ingestor.
 type Options struct {
-	// Corpus is the registry name the ingestor feeds.
-	Corpus string
 	// LogPath backs the append log; empty means memory-only (no durability).
 	LogPath string
 	// Base is the offline table corpus ingested tables extend. Ingested
@@ -38,7 +36,6 @@ type Options struct {
 // are cheap (validate + fsync); synthesis runs are serialized behind runMu and
 // triggered either synchronously (Sync) or by a single-flight background kick.
 type Ingestor struct {
-	corpus  string
 	log     *Log
 	base    []*table.Table
 	eng     *pipeline.Engine
@@ -75,7 +72,6 @@ func NewIngestor(opts Options) (*Ingestor, error) {
 		return nil, err
 	}
 	ing := &Ingestor{
-		corpus:  opts.Corpus,
 		log:     lg,
 		base:    opts.Base,
 		eng:     pipeline.New(opts.Config),
@@ -180,6 +176,25 @@ func (ing *Ingestor) run(ctx context.Context) error {
 	return nil
 }
 
+// Rebuild re-synthesizes base + every applied row from scratch with eng and
+// publishes the result at the applied LSN. It runs under the same lock as
+// incremental runs, so it never interleaves with one, and its image is
+// byte-identical to the last incremental publish. A cancelled ctx publishes
+// nothing. The run counters and staleness report are left untouched.
+func (ing *Ingestor) Rebuild(ctx context.Context, eng *pipeline.Engine) error {
+	ing.runMu.Lock()
+	defer ing.runMu.Unlock()
+	applied := ing.applied.Load()
+	res, err := eng.Run(ctx, ing.tables[:len(ing.base)+int(applied)])
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil || ing.publish == nil {
+		return err
+	}
+	return ing.publish(res.Mappings, applied)
+}
+
 // Status reports head/applied LSNs, lag, and run counters: the staleness
 // report GET /v1/corpora/{name}, /v1/stats and /v1/healthz serve as
 // "ingest".
@@ -210,9 +225,6 @@ func (ing *Ingestor) Status() client.IngestStatus {
 	return st
 }
 
-// Corpus returns the registry name this ingestor feeds.
-func (ing *Ingestor) Corpus() string { return ing.corpus }
-
 // Head returns the append log's highest assigned LSN.
 func (ing *Ingestor) Head() int64 { return ing.log.Head() }
 
@@ -227,18 +239,14 @@ func (ing *Ingestor) Close() error {
 
 // Manager owns the per-corpus ingestors of one server.
 type Manager struct {
-	dir  string
 	mu   sync.Mutex
 	ings map[string]*Ingestor
 }
 
-// NewManager creates a manager persisting logs under dir ("" = memory-only).
-func NewManager(dir string) *Manager {
-	return &Manager{dir: dir, ings: make(map[string]*Ingestor)}
+// NewManager creates an empty manager.
+func NewManager() *Manager {
+	return &Manager{ings: make(map[string]*Ingestor)}
 }
-
-// Dir returns the log directory ("" when memory-only).
-func (m *Manager) Dir() string { return m.dir }
 
 // Get returns the corpus's ingestor, or nil if none has been created.
 func (m *Manager) Get(corpus string) *Ingestor {

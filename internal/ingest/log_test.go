@@ -100,7 +100,7 @@ func TestLogFailStop(t *testing.T) {
 // status, not only on the next append: LogFailed is empty while the log is
 // healthy and names ErrLogFailed once an fsync has failed.
 func TestStatusReportsLogFailure(t *testing.T) {
-	ing, err := NewIngestor(Options{Corpus: "c", LogPath: filepath.Join(t.TempDir(), "c.mlog")})
+	ing, err := NewIngestor(Options{LogPath: filepath.Join(t.TempDir(), "c.mlog")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 		defer close(results)
 		var wg sync.WaitGroup
 		defer wg.Wait()
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBatchBodyBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
 		dec.DisallowUnknownFields()
 		for i := 0; ; i++ {
 			var req Req

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -174,7 +175,7 @@ func TestV2UploadAndReload(t *testing.T) {
 	if err := snapshot.WriteFileV2(path, maps); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Reload(path)
+	st, err := s.LoadCorpusContext(context.Background(), DefaultCorpus, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestV2UploadAndReload(t *testing.T) {
 	if got := s.Lookup("California"); !got.Found || got.Value != "CA" {
 		t.Fatalf("lookup after v2 reload = %+v", got)
 	}
-	if _, err := s.Reload(""); err != nil {
+	if _, err := s.LoadCorpusContext(context.Background(), DefaultCorpus, ""); err != nil {
 		t.Fatalf("path-less reload of a v2 corpus: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -11,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"mapsynth/internal/mapping"
 	"mapsynth/internal/snapshot"
+	"mapsynth/internal/table"
 	"mapsynth/pkg/client"
 )
 
@@ -73,45 +72,52 @@ func TestCorruptUploadRejected(t *testing.T) {
 }
 
 // TestEveryStateShipsItsImage: states installed from mappings in hand —
-// NewFromMappings, then two rebuild reloads — are v2 images like any other.
-// Each install is CRC-identified afresh on the metadata surface, its
-// snapshot GET streams exactly the bytes WriteV2 writes for its mappings,
-// and the reported snapshot_crc is those bytes' footer.
+// NewFromMappings, a rebuild reload, then an ingest publish — are v2
+// images like any other. Each install is CRC-identified afresh on the
+// metadata surface, its snapshot GET streams exactly the bytes WriteV2
+// writes for its mappings, and the reported snapshot_crc is those bytes'
+// footer.
 func TestEveryStateShipsItsImage(t *testing.T) {
-	sets := [][]*mapping.Mapping{testMappings()}
-	for i := 1; i <= 2; i++ {
-		extra := codedMappings(fmt.Sprintf("X%d", i))[0]
-		extra.ID = 100 + i
-		sets = append(sets, append(append([]*mapping.Mapping(nil), sets[i-1]...), extra))
-	}
-	rebuilds := 0
-	srv := NewFromMappings(sets[0], Options{
-		Rebuild: func(context.Context) ([]*mapping.Mapping, error) {
-			rebuilds++
-			return sets[rebuilds], nil
-		},
-	})
+	base, held := ingestCorpus(t, 1)
+	srv := NewFromMappings(testMappings(), Options{IngestDir: t.TempDir(), Tables: base})
+	t.Cleanup(srv.Close)
 	h := srv.Handler()
+	var first bytes.Buffer
+	if err := snapshot.WriteV2(&first, testMappings()); err != nil {
+		t.Fatal(err)
+	}
+	installs := []struct {
+		install func()
+		want    []byte
+	}{
+		{func() {}, first.Bytes()},
+		{func() {
+			if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusOK {
+				t.Fatalf("rebuild = %d: %s", rec.Code, rec.Body)
+			}
+		}, synthesizedImage(t, srv, base)},
+		{func() {
+			if _, tr := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, held...)); tr.Synthesis != "applied" {
+				t.Fatalf("synthesis = %q (%s), want applied", tr.Synthesis, tr.SynthesisError)
+			}
+		}, synthesizedImage(t, srv, append(append([]*table.Table(nil), base...), asIngested(len(base), held...)...))},
+	}
 
 	var prevCRC string
-	for i := range sets {
-		if i > 0 {
-			if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusOK {
-				t.Fatalf("rebuild %d = %d: %s", i, rec.Code, rec.Body)
-			}
+	for i, in := range installs {
+		in.install()
+		want, err := snapshot.OpenBytes(in.want)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var info client.CorpusInfo
 		getJSON(t, h, "/v1/corpora/default", &info)
-		if info.Format != "v2" || info.SnapshotCRC == "" || info.SnapshotCRC == prevCRC || info.Mappings != len(sets[i]) {
-			t.Fatalf("install %d: info = %+v, want a fresh CRC-identified v2 image of %d mappings", i, info, len(sets[i]))
-		}
-		var want bytes.Buffer
-		if err := snapshot.WriteV2(&want, sets[i]); err != nil {
-			t.Fatal(err)
+		if info.Format != "v2" || info.SnapshotCRC == "" || info.SnapshotCRC == prevCRC || info.Mappings != want.Len() {
+			t.Fatalf("install %d: info = %+v, want a fresh CRC-identified v2 image of %d mappings", i, info, want.Len())
 		}
 		_, got := getSnapshot(t, h, "/v1/corpora/default/snapshot")
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("install %d: snapshot GET (%d bytes) differs from WriteV2 of its mappings (%d bytes)", i, len(got), want.Len())
+		if !bytes.Equal(got, in.want) {
+			t.Fatalf("install %d: snapshot GET (%d bytes) differs from WriteV2 of its mappings (%d bytes)", i, len(got), len(in.want))
 		}
 		if footer := fmt.Sprintf("%08x", binary.LittleEndian.Uint32(got[len(got)-4:])); info.SnapshotCRC != footer {
 			t.Fatalf("install %d: snapshot_crc %s, image footer %s", i, info.SnapshotCRC, footer)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,6 +36,11 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return
 	}
+	// Without a log directory no acknowledgement could be durable.
+	if s.opts.IngestDir == "" {
+		writeError(w, r, client.CodeUnprocessable, "ingestion disabled: start serve with -ingest-dir")
+		return
+	}
 	tn, ok := s.admitTenant(w, r)
 	if !ok {
 		return
@@ -62,7 +66,7 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 	// Batch-band fair-queue slot per row: an ingest flood backpressures
 	// against the same slot budget as batch rows and can never crowd out
 	// interactive queries (one slot stays reserved for them).
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBatchBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
 	dec.DisallowUnknownFields()
 	var rows []ingest.TableRow
 	var accepted []int // input index of each accepted row
@@ -143,29 +147,23 @@ func appendErrorCode(err error) string {
 }
 
 // ingestorFor returns the corpus's ingestor, creating it on first use: the
-// append log opens (replaying any persisted rows) under IngestDir, the base
-// tables come from Options.IngestBase, and published versions install
-// through the registry's versioned activate path as v2-backed states.
+// append log opens (replaying any persisted rows) under IngestDir, and the
+// default corpus's base tables are Options.Tables.
 func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 	return s.ingest.GetOrCreate(name, func() (*ingest.Ingestor, error) {
 		opts := ingest.Options{
-			Corpus: name,
-			Config: s.ingestConfig(),
+			LogPath: filepath.Join(s.opts.IngestDir, name+".mlog"),
+			Config:  s.synthesisConfig(),
 			Publish: func(maps []*mapping.Mapping, lsn int64) error {
-				return s.publishIngest(name, func() (*snapshot.Handle, error) {
+				// At LSN 0 (a rebuild before any ingest) the image is the
+				// snapshot's own synthesis, so it keeps the snapshot path.
+				return s.publish(name, lsn == 0, func() (*snapshot.Handle, error) {
 					return snapshot.FromMappings(maps)
 				})
 			},
 		}
-		if dir := s.ingest.Dir(); dir != "" {
-			opts.LogPath = filepath.Join(dir, name+".mlog")
-		}
-		if s.opts.IngestBase != nil {
-			base, err := s.opts.IngestBase(context.Background(), name)
-			if err != nil {
-				return nil, err
-			}
-			opts.Base = base
+		if name == DefaultCorpus {
+			opts.Base = s.opts.Tables
 		}
 		// Without base tables the engine synthesizes over the ingested
 		// tables alone, so a bare publish would replace a snapshot-served
@@ -188,7 +186,7 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 						nm.ID = maxID + 1 + i
 						tail[i] = &nm
 					}
-					return s.publishIngest(name, func() (*snapshot.Handle, error) {
+					return s.publish(name, false, func() (*snapshot.Handle, error) {
 						return prefix.Image(tail)
 					})
 				}
@@ -225,7 +223,7 @@ func (s *Server) frozenBase(name string) (*snapshot.Prefix, int, error) {
 // among others) fails start-up; a log naming no served corpus is left alone
 // with a warning.
 func (s *Server) recoverIngest() error {
-	dir := s.ingest.Dir()
+	dir := s.opts.IngestDir
 	if dir == "" {
 		return nil
 	}
@@ -254,22 +252,24 @@ func (s *Server) recoverIngest() error {
 	return nil
 }
 
-func (s *Server) ingestConfig() pipeline.Config {
-	if s.opts.IngestConfig != nil {
-		return *s.opts.IngestConfig
+// synthesisConfig is the pipeline configuration of rebuilds and ingestion.
+func (s *Server) synthesisConfig() pipeline.Config {
+	if s.opts.Synthesis != nil {
+		return *s.opts.Synthesis
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Workers = s.opts.Workers
 	return cfg
 }
 
-// publishIngest installs an ingest-synthesized image as the corpus's next
-// version. Like every state it is a canonical v2 image: shipped as is by
+// publish installs a synthesized image (ingest or rebuild) as the corpus's
+// next version. Like every state it is a canonical v2 image: shipped as is by
 // snapshot GETs, CRC-identified on the metadata surfaces — and byte-identical
 // to what an offline rebuild over the same tables would snapshot (the
 // incremental engine's golden parity contract). swapIn is atomic, so
-// queries never observe a partially applied version.
-func (s *Server) publishIngest(name string, image func() (*snapshot.Handle, error)) error {
+// queries never observe a partially applied version. The state has no
+// snapshot path to re-read unless keepPath carries over the live one.
+func (s *Server) publish(name string, keepPath bool, image func() (*snapshot.Handle, error)) error {
 	c := s.reg.shell(name)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -278,7 +278,11 @@ func (s *Server) publishIngest(name string, image func() (*snapshot.Handle, erro
 	if err != nil {
 		return err
 	}
-	s.swapIn(name, s.newState(h, "", t0))
+	path := ""
+	if cur := c.state.Load(); keepPath && cur != nil {
+		path = cur.Path
+	}
+	s.swapIn(name, s.newState(h, path, t0))
 	return nil
 }
 

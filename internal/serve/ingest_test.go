@@ -46,12 +46,45 @@ func newIngestServer(t *testing.T, base []*table.Table) *Server {
 	srv := NewFromMappings(testMappings(), Options{
 		CacheSize: 16,
 		IngestDir: t.TempDir(),
-		IngestBase: func(ctx context.Context, corpus string) ([]*table.Table, error) {
-			return base, nil
-		},
+		Tables:    base,
 	})
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// wireRow is a table in the ingest endpoint's form.
+func wireRow(tab *table.Table) ingest.TableRow {
+	row := ingest.TableRow{Domain: tab.Domain, Title: tab.Title}
+	for _, c := range tab.Columns {
+		row.Columns = append(row.Columns, ingest.ColumnRow{Name: c.Name, Values: c.Values})
+	}
+	return row
+}
+
+// asIngested returns tabs as the ingestor materializes them after n earlier
+// tables: wire rows with dense IDs from n.
+func asIngested(n int, tabs ...*table.Table) []*table.Table {
+	out := make([]*table.Table, len(tabs))
+	for i, tab := range tabs {
+		row := wireRow(tab)
+		out[i] = row.Table(n + i)
+	}
+	return out
+}
+
+// synthesizedImage is the v2 image of a from-scratch synthesis of tables
+// under the server's synthesis configuration.
+func synthesizedImage(t *testing.T, srv *Server, tables []*table.Table) []byte {
+	t.Helper()
+	res, err := pipeline.New(srv.synthesisConfig()).Run(context.Background(), tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := snapshot.WriteV2(&b, res.Mappings); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 func tableNDJSON(t *testing.T, tabs ...*table.Table) string {
@@ -59,11 +92,7 @@ func tableNDJSON(t *testing.T, tabs ...*table.Table) string {
 	var sb strings.Builder
 	enc := json.NewEncoder(&sb)
 	for _, tab := range tabs {
-		row := ingest.TableRow{Domain: tab.Domain, Title: tab.Title}
-		for _, c := range tab.Columns {
-			row.Columns = append(row.Columns, ingest.ColumnRow{Name: c.Name, Values: c.Values})
-		}
-		if err := enc.Encode(row); err != nil {
+		if err := enc.Encode(wireRow(tab)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -352,7 +381,7 @@ func townPosts() [2][]*table.Table {
 }
 
 // TestIngestWithoutBasePreservesCorpus pins the base-less contract: when a
-// server has no IngestBase source (the common "serve -snapshot X
+// server has no Tables (the common "serve -snapshot X
 // -ingest-dir D" deployment), ingesting must stack synthesized mappings on
 // top of the served corpus, never replace it with synthesis over the
 // ingested tables alone.
@@ -438,17 +467,10 @@ func TestIngestWithoutBaseImageParity(t *testing.T) {
 		if _, tr := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, tabs...)); tr.Synthesis != "applied" {
 			t.Fatalf("synthesis = %q (%s), want applied", tr.Synthesis, tr.SynthesisError)
 		}
-		// The tables as the ingestor materializes them: wire rows with
-		// dense IDs from 0 (there are no base tables).
-		for _, tab := range tabs {
-			row := ingest.TableRow{Domain: tab.Domain, Title: tab.Title}
-			for _, c := range tab.Columns {
-				row.Columns = append(row.Columns, ingest.ColumnRow{Name: c.Name, Values: c.Values})
-			}
-			ingested = append(ingested, row.Table(len(ingested)))
-		}
+		// There are no base tables: dense IDs from 0.
+		ingested = append(ingested, asIngested(len(ingested), tabs...)...)
 	}
-	res, err := pipeline.New(srv.ingestConfig()).Run(context.Background(), ingested)
+	res, err := pipeline.New(srv.synthesisConfig()).Run(context.Background(), ingested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +488,135 @@ func TestIngestWithoutBaseImageParity(t *testing.T) {
 	}
 	if _, got := getSnapshot(t, h, "/v1/corpora/default/snapshot"); !bytes.Equal(got, wb.Bytes()) {
 		t.Fatalf("served image (%d bytes) differs from WriteV2(base ++ renumbered synthesis) (%d bytes)", len(got), wb.Len())
+	}
+}
+
+// newRebuildServer serves the synthesis of base as the default corpus, as
+// `serve -snapshot X -tables T -ingest-dir D` does after its boot check.
+func newRebuildServer(t *testing.T, base []*table.Table) *Server {
+	t.Helper()
+	res, err := pipeline.New(pipeline.DefaultConfig()).Run(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewFromMappings(res.Mappings, Options{IngestDir: t.TempDir(), Tables: base})
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestRebuildKeepsIngestedRows: the server serves the synthesis of its
+// Tables, one held table is ingested, then {"rebuild":true} re-synthesizes.
+// The rebuild must include the applied ingested table, so the served
+// snapshot_crc does not move and equals a from-scratch build over base +
+// held.
+func TestRebuildKeepsIngestedRows(t *testing.T) {
+	base, held := ingestCorpus(t, 1)
+	srv := newRebuildServer(t, base)
+	h := srv.Handler()
+	if _, tr := postIngest(t, h, "/v1/corpora/default/tables?wait=1", tableNDJSON(t, held...)); tr.Synthesis != "applied" {
+		t.Fatalf("synthesis = %q (%s), want applied", tr.Synthesis, tr.SynthesisError)
+	}
+	var ingested client.CorpusInfo
+	getJSON(t, h, "/v1/corpora/default", &ingested)
+	if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, nil); rec.Code != http.StatusOK {
+		t.Fatalf("rebuild = %d: %s", rec.Code, rec.Body)
+	}
+	var rebuilt client.CorpusInfo
+	getJSON(t, h, "/v1/corpora/default", &rebuilt)
+	if rebuilt.Version <= ingested.Version {
+		t.Fatalf("rebuild installed no new version: %d after %d", rebuilt.Version, ingested.Version)
+	}
+	if rebuilt.SnapshotCRC != ingested.SnapshotCRC {
+		t.Fatalf("rebuild moved snapshot_crc %s -> %s: it dropped the ingested rows", ingested.SnapshotCRC, rebuilt.SnapshotCRC)
+	}
+	want := synthesizedImage(t, srv, append(append([]*table.Table(nil), base...), asIngested(len(base), held...)...))
+	if _, got := getSnapshot(t, h, "/v1/corpora/default/snapshot"); !bytes.Equal(got, want) {
+		t.Fatalf("rebuilt image (%d bytes) differs from a from-scratch build over base + held (%d bytes)", len(got), len(want))
+	}
+	if rebuilt.Ingest == nil || rebuilt.Ingest.AppliedLSN != 1 || rebuilt.Ingest.HeadLSN != 1 {
+		t.Fatalf("ingest status after rebuild: %+v, want applied == head == 1", rebuilt.Ingest)
+	}
+}
+
+// TestRebuildRacesIngest races rebuilds against ingest publishes. The
+// ingest run holds the ingestor's run lock while its publish takes the
+// corpus write lock, so a rebuild must take them in the same order or the
+// two deadlock. Whichever runs last, the final image is the synthesis of
+// base + every ingested table. Run it with -race.
+func TestRebuildRacesIngest(t *testing.T) {
+	base, held := ingestCorpus(t, 4)
+	srv := newRebuildServer(t, base)
+	h := srv.Handler()
+
+	bodies := make([]string, len(held))
+	for i, tab := range held {
+		bodies[i] = tableNDJSON(t, tab)
+	}
+	errc := make(chan error, len(held)+1)
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		for _, body := range bodies {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/corpora/default/tables?wait=1", strings.NewReader(body)))
+			if !strings.Contains(rec.Body.String(), `"synthesis":"applied"`) {
+				errc <- fmt.Errorf("ingest = %d: %s, want synthesis applied", rec.Code, rec.Body)
+			}
+		}
+	}()
+	rebuilt := make(chan struct{})
+	go func() {
+		defer close(rebuilt)
+		for {
+			if _, err := srv.RebuildContext(context.Background()); err != nil {
+				errc <- fmt.Errorf("rebuild: %v", err)
+				return
+			}
+			select {
+			case <-ingested:
+				return
+			default:
+			}
+		}
+	}()
+	deadlock := time.After(60 * time.Second)
+	for _, done := range []chan struct{}{ingested, rebuilt} {
+		select {
+		case <-done:
+		case <-deadlock:
+			t.Fatal("rebuild and ingest did not finish within 60s: deadlock")
+		}
+	}
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	want := synthesizedImage(t, srv, append(append([]*table.Table(nil), base...), asIngested(len(base), held...)...))
+	if _, got := getSnapshot(t, h, "/v1/corpora/default/snapshot"); !bytes.Equal(got, want) {
+		t.Fatalf("final image (%d bytes) differs from a from-scratch build over base + held (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestIngestDisabledWithoutDir: with no IngestDir an acknowledgement could
+// not be durable, so the endpoint answers 422 before reading the body and
+// no ingestor comes to exist.
+func TestIngestDisabledWithoutDir(t *testing.T) {
+	srv := NewFromMappings(testMappings(), Options{})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/corpora/default/tables?wait=1", strings.NewReader(tableNDJSON(t, townPosts()[0]...)))
+	h.ServeHTTP(rec, req)
+	var env client.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusUnprocessableEntity || env.Error.Code != client.CodeUnprocessable {
+		t.Fatalf("ingest without IngestDir = %d %s (%v), want 422 unprocessable", rec.Code, rec.Body, err)
+	}
+	if !strings.Contains(env.Error.Message, "-ingest-dir") {
+		t.Errorf("message %q does not say how to enable ingestion", env.Error.Message)
+	}
+	var info client.CorpusInfo
+	if getJSON(t, h, "/v1/corpora/default", &info); info.Ingest != nil {
+		t.Fatalf("a refused ingest left ingest status %+v", info.Ingest)
 	}
 }
 

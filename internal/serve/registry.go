@@ -57,8 +57,9 @@ type corpus struct {
 	reloads atomic.Int64
 	stats   corpusStats
 
-	// writeMu serializes whole load operations (reload, rebuild) so a slow
-	// rebuild can never finish after a newer reload and clobber it.
+	// writeMu serializes installs: a load holds it from open to swap, a
+	// synthesized publish (ingest or rebuild) from encode to swap; the later
+	// writer wins. An ingestor takes its run lock before writeMu.
 	writeMu sync.Mutex
 
 	// mu guards the version counter, the history ring, and the dead flag.

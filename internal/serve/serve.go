@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -60,16 +61,9 @@ type Options struct {
 	// HistoryDepth bounds each corpus's rollback ring: how many previously
 	// live states stay activatable. < 1 selects 4.
 	HistoryDepth int
-	// MaxBodyBytes bounds request bodies on the single-column POST
-	// endpoints; <= 0 selects 8 MiB.
-	MaxBodyBytes int64
-	// MaxBatchBodyBytes bounds request bodies on the streaming /batch/*
-	// endpoints and on PUT /v1/corpora/{name} snapshot uploads, which
-	// legitimately carry much larger payloads; <= 0 selects 256 MiB.
-	MaxBatchBodyBytes int64
 	// MaxUploadBytes bounds PUT /v1/corpora/{name} snapshot-upload bodies;
 	// beyond it the request answers a structured 413 payload_too_large.
-	// <= 0 selects MaxBatchBodyBytes.
+	// <= 0 selects the batch body bound (256 MiB).
 	MaxUploadBytes int64
 	// MaxBatchRequests bounds concurrently served /batch/* requests across
 	// all corpora; beyond it requests are rejected with 429 + Retry-After.
@@ -103,32 +97,24 @@ type Options struct {
 	// region right after mmap (snapshot.AdviseWillNeed or AdviseRandom);
 	// empty applies none. Surfaced per corpus in /v1/corpora metadata.
 	Madvise snapshot.Advice
-	// Rebuild, when non-nil, is the offline synthesis entry point: POST
-	// /reload with {"rebuild": true} calls it to re-run the pipeline engine
-	// and atomically swaps the fresh mapping set into the default corpus.
-	// The context is the request's, so a disconnecting client cancels the
-	// rebuild; the engine guarantees a prompt, leak-free stop.
-	Rebuild func(ctx context.Context) ([]*mapping.Mapping, error)
 	// IngestDir is where POST /v1/corpora/{name}/tables persists each
-	// corpus's append log (<name>.mlog). Empty keeps the logs in memory:
-	// ingestion still works, but does not survive a restart.
+	// corpus's append log (<name>.mlog). Empty disables ingestion: the
+	// endpoint answers 422, since an acknowledged row must be durable.
 	IngestDir string
-	// IngestBase supplies the offline table corpus that ingested tables
-	// extend for a given corpus name; synthesis after ingestion runs over
-	// base + ingested tables. Nil (or a nil result) means ingested-only:
-	// the corpus's served mappings are replaced by synthesis over just the
-	// ingested tables on the first ingest.
-	IngestBase func(ctx context.Context, corpus string) ([]*table.Table, error)
-	// IngestConfig overrides the synthesis configuration used by the
-	// ingestion engine; nil selects pipeline.DefaultConfig() with Workers
-	// aligned to Options.Workers. Ingest synthesis is incremental: only
-	// compatibility components touched by new tables recompute, and the
-	// published result is byte-identical to a from-scratch rebuild.
-	IngestConfig *pipeline.Config
+	// Tables is the table corpus the default corpus's snapshot was
+	// synthesized from: the base its ingested tables extend, and with the
+	// applied ones what POST /v1/reload {"rebuild":true} re-synthesizes.
+	// Other corpora ingest base-less, stacked on their frozen served set.
+	Tables []*table.Table
+	// Synthesis is the pipeline configuration of rebuilds and ingestion,
+	// the one the snapshot was synthesized with; nil selects
+	// pipeline.DefaultConfig() with Workers from Workers.
+	Synthesis *pipeline.Config
 	// Metrics is the registry the server exports its operational state into
 	// and serves at GET /v1/metrics. Nil builds a private registry — the
 	// endpoint always answers; pass a shared registry to co-export other
-	// subsystems (e.g. pipeline rebuild instrumentation) on the same page.
+	// subsystems on the same page; with Tables, the rebuild pipeline's
+	// stage metrics.
 	Metrics *metrics.Registry
 	// Logger receives one structured access-log line per request plus
 	// operational events (SIGHUP reloads). Nil discards logs, keeping tests
@@ -208,6 +194,10 @@ type Server struct {
 	// ingest owns the per-corpus append logs and incremental synthesis
 	// engines behind POST /v1/corpora/{name}/tables.
 	ingest *ingest.Manager
+	// rebuild is the instrumented engine of {"rebuild":true} reloads, nil
+	// without Options.Tables; rebuilding rejects overlapping ones.
+	rebuild    *pipeline.Engine
+	rebuilding atomic.Bool
 	// metrics is the exposition registry (never nil; a private one is built
 	// when Options.Metrics is unset), logger the structured access/event
 	// logger (never nil; discards when unset).
@@ -218,17 +208,19 @@ type Server struct {
 	errorsTotal *metrics.CounterVec
 }
 
+// Request body bounds: maxBodyBytes on the single-column POST endpoints,
+// maxBatchBodyBytes on the streaming /batch/* and ingest endpoints, which
+// legitimately carry much larger payloads.
+const (
+	maxBodyBytes      = 8 << 20
+	maxBatchBodyBytes = 256 << 20
+)
+
 // newServer applies option defaults and builds the request-handling shell
 // shared by both constructors; the caller installs the first state.
 func newServer(opts Options) *Server {
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 8 << 20
-	}
-	if opts.MaxBatchBodyBytes <= 0 {
-		opts.MaxBatchBodyBytes = 256 << 20
-	}
 	if opts.MaxUploadBytes <= 0 {
-		opts.MaxUploadBytes = opts.MaxBatchBodyBytes
+		opts.MaxUploadBytes = maxBatchBodyBytes
 	}
 	if opts.BatchWriteTimeout <= 0 {
 		opts.BatchWriteTimeout = 30 * time.Second
@@ -250,11 +242,15 @@ func newServer(opts Options) *Server {
 		batch:   newBatchLimiter(opts.MaxBatchRequests),
 		fair:    qos.NewFairQueue(opts.MaxBatchRows),
 		tenants: newTenantSet(opts.Tenants),
-		ingest:  ingest.NewManager(opts.IngestDir),
+		ingest:  ingest.NewManager(),
 		metrics: opts.Metrics,
 		logger:  opts.Logger,
 	}
 	s.registerMetrics(s.metrics)
+	if len(opts.Tables) > 0 {
+		s.rebuild = pipeline.New(s.synthesisConfig())
+		s.rebuild.SetInstrumentation(pipeline.MetricsInstrumentation(s.metrics))
+	}
 	return s
 }
 
@@ -263,7 +259,7 @@ func newServer(opts Options) *Server {
 // under opts.IngestDir (see recoverIngest), and returns a ready server.
 func New(opts Options) (*Server, error) {
 	s := newServer(opts)
-	if _, err := s.Reload(opts.SnapshotPath); err != nil {
+	if _, err := s.LoadCorpusContext(context.Background(), DefaultCorpus, opts.SnapshotPath); err != nil {
 		return nil, err
 	}
 	names := make([]string, 0, len(opts.Corpora))
@@ -336,52 +332,45 @@ func (s *Server) newState(h *snapshot.Handle, path string, t0 time.Time) *State 
 	return st
 }
 
-// Reload loads the snapshot at path (or the default corpus's current
-// snapshot path if empty) off to the side and atomically swaps it in; a
-// failed load leaves the serving state untouched and does not bump the
-// reload counter. Safe to call concurrently with request handling.
-func (s *Server) Reload(path string) (*State, error) {
-	return s.ReloadContext(context.Background(), path)
-}
-
-// ReloadContext is Reload with cancellation: a cancelled ctx aborts before
-// the new state is installed, leaving the serving state untouched. Reloads
-// and rebuilds of one corpus are serialized; a reload issued during a long
-// rebuild waits for it and then wins as the later writer.
-func (s *Server) ReloadContext(ctx context.Context, path string) (*State, error) {
-	return s.LoadCorpusContext(ctx, DefaultCorpus, path)
-}
-
-// RebuildContext re-runs the offline synthesis pipeline via Options.Rebuild
-// and swaps the fresh mapping set into the default corpus. The state keeps
-// its snapshot path so later path-less reloads still work. Cancelling ctx
-// aborts the pipeline run promptly and leaves the serving state untouched.
+// RebuildContext re-synthesizes the default corpus from Options.Tables plus
+// every table it has ingested and applied, swaps the result in and returns
+// the default corpus's live state. Cancelling ctx aborts the pipeline run
+// promptly and leaves the serving state untouched.
 func (s *Server) RebuildContext(ctx context.Context) (*State, error) {
-	if s.opts.Rebuild == nil {
+	if s.rebuild == nil {
 		return nil, errors.New("serve: no rebuild source configured")
 	}
 	// Unlike snapshot reloads (cheap, block-and-win), a rebuild is a full
 	// pipeline run: overlapping requests are rejected rather than queued so
-	// clients cannot stack unbounded CPU-bound runs behind the write lock.
-	c := s.reg.shell(DefaultCorpus)
-	if !c.writeMu.TryLock() {
-		return nil, errors.New("serve: a reload or rebuild is already in progress")
+	// clients cannot stack unbounded CPU-bound runs.
+	if !s.rebuilding.CompareAndSwap(false, true) {
+		return nil, errors.New("serve: a rebuild is already in progress")
 	}
-	defer c.writeMu.Unlock()
-	maps, err := s.opts.Rebuild(ctx)
+	defer s.rebuilding.Store(false)
+	if s.opts.IngestDir != "" {
+		// Under the ingestor's run lock the applied rows cannot move, and
+		// its publish takes the write lock in the order ingest runs do.
+		ing, err := s.ingestorFor(DefaultCorpus)
+		if err == nil {
+			err = ing.Rebuild(ctx, s.rebuild)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return s.State(), nil
+	}
+	res, err := s.rebuild.Run(ctx, s.opts.Tables)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		// The image is the snapshot's own synthesis: keep its path.
+		err = s.publish(DefaultCorpus, true, func() (*snapshot.Handle, error) { return snapshot.FromMappings(res.Mappings) })
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Guard the install like LoadCorpusContext does: a rebuild source that
-	// ignores ctx must still not swap state in after cancellation.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	path := s.opts.SnapshotPath
-	if cur := c.state.Load(); cur != nil {
-		path = cur.Path
-	}
-	return s.installMappings(DefaultCorpus, maps, path)
+	return s.State(), nil
 }
 
 // State returns the default corpus's currently serving state.
@@ -618,7 +607,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeError(w, r, client.CodeMethodNotAllowed, "POST required")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, r, client.CodeBadRequest, "bad request body: "+err.Error())
@@ -885,7 +874,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if req.Rebuild {
 		st, err = s.RebuildContext(r.Context())
 	} else {
-		st, err = s.ReloadContext(r.Context(), req.Snapshot)
+		st, err = s.LoadCorpusContext(r.Context(), DefaultCorpus, req.Snapshot)
 	}
 	if err != nil {
 		writeError(w, r, client.CodeUnprocessable, "reload failed: "+err.Error())

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"mapsynth/internal/apps"
 	"mapsynth/internal/index"
@@ -365,49 +366,48 @@ func TestSnapshotLoadAndHotReload(t *testing.T) {
 }
 
 // TestReloadRebuild exercises the engine-backed rebuild path: POST /reload
-// with {"rebuild": true} must call the configured rebuild source with the
-// request context and swap its output in, keeping the snapshot path.
+// with {"rebuild": true} must re-synthesize Options.Tables and swap the
+// result in, keeping the snapshot path — directly without ingestion, and
+// through the default corpus's ingestor with it.
 func TestReloadRebuild(t *testing.T) {
 	maps := testMappings()
-	var calls int
-	rebuilt := []*mapping.Mapping{mapping.Build(0, []*table.BinaryTable{
-		table.NewBinaryTable(0, 0, "fresh.example", "s", "c",
-			[]string{"California", "Washington"}, []string{"RB-CA", "RB-WA"}),
-	})}
-	srv := NewFromMappings(maps, Options{
-		SnapshotPath: "orig.snap",
-		Rebuild: func(ctx context.Context) ([]*mapping.Mapping, error) {
-			calls++
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	base, _ := ingestCorpus(t, 0)
+	for _, tc := range []struct{ name, ingestDir string }{{"direct", ""}, {"ingestor", t.TempDir()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewFromMappings(maps, Options{SnapshotPath: "orig.snap", Tables: base, IngestDir: tc.ingestDir})
+			t.Cleanup(srv.Close)
+			h := srv.Handler()
+
+			var resp map[string]any
+			if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, &resp); rec.Code != http.StatusOK {
+				t.Fatalf("rebuild status = %d: %v", rec.Code, resp)
 			}
-			return rebuilt, nil
-		},
-	})
-	h := srv.Handler()
+			if resp["rebuilt"] != true || resp["snapshot"] != "orig.snap" {
+				t.Errorf("response rebuilt = %v, snapshot = %v, want true and orig.snap", resp["rebuilt"], resp["snapshot"])
+			}
+			if got := srv.State().Path; got != "orig.snap" {
+				t.Errorf("state path = %q, want snapshot path preserved", got)
+			}
+			if _, got := getSnapshot(t, h, "/v1/corpora/default/snapshot"); !bytes.Equal(got, synthesizedImage(t, srv, base)) {
+				t.Fatal("after rebuild the served image is not the synthesis of Tables")
+			}
 
-	var resp map[string]any
-	if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true}, &resp); rec.Code != http.StatusOK {
-		t.Fatalf("rebuild status = %d: %v", rec.Code, resp)
-	}
-	if calls != 1 {
-		t.Fatalf("rebuild source called %d times, want 1", calls)
-	}
-	if resp["rebuilt"] != true {
-		t.Errorf("response rebuilt = %v, want true", resp["rebuilt"])
-	}
-	if got := srv.State().Path; got != "orig.snap" {
-		t.Errorf("state path = %q, want snapshot path preserved", got)
-	}
-	var lr client.LookupResponse
-	getJSON(t, h, "/v1/lookup?key=California", &lr)
-	if !lr.Found || lr.Value != "RB-CA" {
-		t.Fatalf("after rebuild: %+v, want RB-CA", lr)
-	}
+			// rebuild + snapshot in one request is rejected.
+			if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true, "snapshot": "x.snap"}, nil); rec.Code != http.StatusBadRequest {
+				t.Errorf("rebuild+snapshot status = %d, want 400", rec.Code)
+			}
 
-	// rebuild + snapshot in one request is rejected.
-	if rec := postJSON(t, h, "/v1/reload", map[string]any{"rebuild": true, "snapshot": "x.snap"}, nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("rebuild+snapshot status = %d, want 400", rec.Code)
+			// A cancelled request context aborts the rebuild, state untouched.
+			cur := srv.State()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := srv.RebuildContext(ctx); err == nil {
+				t.Error("cancelled rebuild should error")
+			}
+			if srv.State() != cur {
+				t.Error("cancelled rebuild replaced the serving state")
+			}
+		})
 	}
 
 	// Without a rebuild source the request fails and state is untouched.
@@ -419,41 +419,28 @@ func TestReloadRebuild(t *testing.T) {
 	if bare.State() != cur {
 		t.Error("failed rebuild replaced the serving state")
 	}
-
-	// A cancelled request context aborts the rebuild, state untouched.
-	cur = srv.State()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := srv.RebuildContext(ctx); err == nil {
-		t.Error("cancelled rebuild should error")
-	}
-	if srv.State() != cur {
-		t.Error("cancelled rebuild replaced the serving state")
-	}
 }
 
 // TestRebuildOverlapRejected asserts that a rebuild issued while another
 // rebuild is running is rejected instead of queueing a second pipeline run.
+// The first rebuild is held at its install by the corpus write lock.
 func TestRebuildOverlapRejected(t *testing.T) {
-	release := make(chan struct{})
-	running := make(chan struct{})
-	srv := NewFromMappings(testMappings(), Options{
-		Rebuild: func(ctx context.Context) ([]*mapping.Mapping, error) {
-			close(running)
-			<-release
-			return testMappings(), nil
-		},
-	})
+	base, _ := ingestCorpus(t, 0)
+	srv := NewFromMappings(testMappings(), Options{Tables: base})
+	c := srv.reg.shell(DefaultCorpus)
+	c.writeMu.Lock()
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.RebuildContext(context.Background())
 		done <- err
 	}()
-	<-running
+	for !srv.rebuilding.Load() {
+		time.Sleep(time.Millisecond)
+	}
 	if _, err := srv.RebuildContext(context.Background()); err == nil {
 		t.Error("overlapping rebuild should be rejected")
 	}
-	close(release)
+	c.writeMu.Unlock()
 	if err := <-done; err != nil {
 		t.Errorf("first rebuild failed: %v", err)
 	}

@@ -81,6 +81,7 @@ func runWire(t *testing.T) (exchanges []wireExchange, root string) {
 	quota := NewFromMappings(testMappings(), Options{
 		Tenants: []qos.Spec{{Name: "default", Weight: 1, Rate: 0.5, Burst: 1}},
 	})
+	// A 16-byte upload bound; no IngestDir, so ingestion is off.
 	small := NewFromMappings(testMappings(), Options{MaxUploadBytes: 16})
 	handlers := map[string]http.Handler{
 		"main":  srv.Handler(),
@@ -196,6 +197,7 @@ func runWire(t *testing.T) (exchanges []wireExchange, root string) {
 		{name: "quota-drain", server: "quota", path: "/v1/lookup?key=California"},
 		{name: "quota-exhausted", server: "quota", path: "/v1/lookup?key=California"},
 		{name: "payload-too-large", server: "small", method: http.MethodPut, path: "/v1/corpora/up", ctype: octets, body: string(upload)},
+		{name: "ingest-disabled", server: "small", method: http.MethodPost, path: "/v1/corpora/default/tables?wait=1", ctype: ndjson, body: tables},
 		{name: "not-ready-healthz", server: "empty", path: "/v1/healthz"},
 		{name: "not-ready-lookup", server: "empty", path: "/v1/lookup?key=x"},
 	}

@@ -24,9 +24,7 @@ func ingestService(t *testing.T) (*client.Client, []*table.Table) {
 	srv := serve.NewFromMappings(codedMappings("DEF"), serve.Options{
 		CacheSize: 16,
 		IngestDir: t.TempDir(),
-		IngestBase: func(ctx context.Context, corpus string) ([]*table.Table, error) {
-			return base, nil
-		},
+		Tables:    base,
 	})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
