@@ -7,6 +7,7 @@ import (
 
 	"mapsynth/internal/graph"
 	"mapsynth/internal/pool"
+	"mapsynth/internal/unionfind"
 )
 
 // MaxPostingLen caps the inverted-index posting lists considered during
@@ -168,28 +169,36 @@ func BlockedPairs(cands []*Candidate, thetaOverlap int) (posPairs, negPairs [][2
 	return posPairs, negPairs
 }
 
-// BuildGraph computes the full compatibility graph for a candidate set:
+// BuildGraph computes the compatibility graph for a candidate set:
 // blocking, then evaluation of w+ over pos-blocked pairs and w- over
 // neg-blocked pairs. Positive weights below opt.ThetaEdge are dropped
 // (treated as 0); negative weights of 0 produce no negative component.
-// Edges that end up with both weights zero are omitted.
+// Edges that end up with both weights zero are omitted, and so is every
+// pair outside a positive component (see the package doc): the graph's
+// connected components are its positive components.
 func BuildGraph(cands []*Candidate, opt Options, workers int) *graph.Graph {
 	g, _, _ := BuildGraphCtx(context.Background(), cands, opt, pool.New(workers))
 	return g
 }
 
 // BuildGraphCtx is BuildGraph running on a caller-supplied worker pool with
-// cancellation. Blocking and scoring are fused: the pool iterates over
+// cancellation. Blocking and w+ scoring are fused: the pool iterates over
 // candidate rows, and a row blocks its candidate against all later ones and
-// scores the surviving pairs at once. When ctx is cancelled — before the
+// scores the surviving pairs at once. A union-find over the w+ edges then
+// finds the positive components, and a second pass over the rows scores w-
+// for the neg-blocked pairs inside one. When ctx is cancelled — before the
 // call or during it — no further row is started and ctx's error is returned
 // with a nil graph.
 func BuildGraphCtx(ctx context.Context, cands []*Candidate, opt Options, p *pool.Pool) (*graph.Graph, BlockStats, error) {
 	return buildGraph(ctx, cands, opt, p, nil)
 }
 
+// negPending marks, in the first pass, a neg-blocked pair whose w- is still
+// to be scored. w- is never positive, so the marker cannot be a weight.
+const negPending = 1
+
 // buildGraph is BuildGraphCtx with a seam for tests: onRow, when non-nil,
-// is called as each candidate row starts.
+// is called as each candidate row starts its first pass.
 func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Pool, onRow func(a int)) (*graph.Graph, BlockStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, BlockStats{}, err
@@ -198,8 +207,10 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 	bl := newBlocker(cands, opt.ThetaOverlap)
 	scratch := sync.Pool{New: func() any { return newRowScratch(len(cands)) }}
 
-	// A row emits its edges ascending in b, so the rows concatenated in
-	// order are the edge list sorted by (A, B): nothing to merge or sort.
+	// Pass 1: block and score w+. A row emits its edges ascending in b, so
+	// the rows concatenated in order are the edge list sorted by (A, B):
+	// nothing to merge or sort. Neg-blocked pairs ride along in the same
+	// row as pending entries, with or without a w+.
 	rows := make([][]graph.Edge, len(cands))
 	if err := p.ForEach(ctx, len(cands), func(a int) {
 		if onRow != nil {
@@ -216,13 +227,49 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 				}
 			}
 			if pt.neg {
-				e.Neg = cp.Negative(cands[a], cands[pt.b])
+				e.Neg = negPending
 			}
 			if e.Pos != 0 || e.Neg != 0 {
 				sc.edges = append(sc.edges, e)
 			}
 		}
 		rows[a] = slices.Clone(sc.edges)
+	}); err != nil {
+		return nil, BlockStats{}, err
+	}
+
+	// The positive components, as one root per candidate: the second pass
+	// reads them from every worker, so no Find runs concurrently.
+	uf := unionfind.New(len(cands))
+	for _, r := range rows {
+		for _, e := range r {
+			if e.Pos > 0 {
+				uf.Union(e.A, e.B)
+			}
+		}
+	}
+	root := make([]int32, len(cands))
+	for v := range root {
+		root[v] = int32(uf.Find(v))
+	}
+
+	// Pass 2: score w- where it can bind and compact the rest away in
+	// place. An entry with w+ > 0 is inside a component by construction.
+	if err := p.ForEach(ctx, len(cands), func(a int) {
+		kept := rows[a][:0]
+		for _, e := range rows[a] {
+			if e.Neg == negPending {
+				e.Neg = 0
+				if root[e.A] == root[e.B] {
+					e.Neg = cp.Negative(cands[e.A], cands[e.B])
+				}
+				if e.Pos == 0 && e.Neg == 0 {
+					continue
+				}
+			}
+			kept = append(kept, e)
+		}
+		rows[a] = kept
 	}); err != nil {
 		return nil, BlockStats{}, err
 	}

@@ -16,8 +16,16 @@
 // value's id is the rank of its run in that order. Blocking is then
 // ScanCount over posting arrays indexed by id, w+ an intersection of sorted
 // id slices and w- a merge-join of sorted left ids; strings are touched only
-// by the approximate matcher. BuildGraphCtx fuses blocking and scoring into
-// one pass over candidate rows and emits the edge list already sorted.
+// by the approximate matcher. BuildGraphCtx fuses blocking and w+ scoring
+// into one pass over candidate rows and emits the edge list already sorted.
+//
+// w- is scored only inside positive components (candidates joined by a path
+// of w+ > 0 edges): greedy synthesis merges only along positive weight, so a
+// negative edge between positive components can never bind. A union-find
+// over the first pass's w+ edges finds the components, and a second pass
+// over the rows scores the neg-blocked pairs inside one and drops the rest.
+// The graph's connected components are then its positive components, the
+// units of the paper's divide and conquer (Appendix F).
 package compat
 
 import (

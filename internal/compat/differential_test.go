@@ -14,6 +14,7 @@ import (
 	"mapsynth/internal/graph"
 	"mapsynth/internal/pool"
 	"mapsynth/internal/table"
+	"mapsynth/internal/unionfind"
 )
 
 // precompute interns a candidate set on one worker.
@@ -182,16 +183,37 @@ func TestStopWordCapIsCounted(t *testing.T) {
 	}
 }
 
+// insidePositiveComponents keeps the oracle edges whose endpoints are joined
+// by a path of w+ > 0 edges: the only ones BuildGraph emits.
+func insidePositiveComponents(n int, edges []oracleEdge) []oracleEdge {
+	uf := unionfind.New(n)
+	for _, e := range edges {
+		if e.Pos > 0 {
+			uf.Union(e.A, e.B)
+		}
+	}
+	var out []oracleEdge
+	for _, e := range edges {
+		if uf.Connected(e.A, e.B) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestBuildGraphMatchesOracle: the fused block-and-score pass yields the
-// edge list of the two-pass build — same pairs, same weights, sorted — for
-// one worker and several.
+// edge list of the all-pairs build restricted to its positive components —
+// same pairs, same weights, sorted — for one worker and several.
 func TestBuildGraphMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	dropped := 0
 	for name, opt := range differentialOptions(t) {
 		for trial := 0; trial < 6; trial++ {
 			bins := noisyBins(rng, 10+rng.Intn(50))
 			opt.ThetaOverlap = 1 + trial%3
-			want := oracleBuildGraph(oraclePrecompute(bins), opt)
+			all := oracleBuildGraph(oraclePrecompute(bins), opt)
+			want := insidePositiveComponents(len(bins), all)
+			dropped += len(all) - len(want)
 			for _, workers := range []int{1, 4} {
 				cands, err := PrecomputeParallel(context.Background(), bins, pool.New(workers))
 				if err != nil {
@@ -209,6 +231,9 @@ func TestBuildGraphMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if dropped == 0 {
+		t.Error("no oracle edge joined two positive components: the filter went untested")
 	}
 }
 

@@ -19,6 +19,10 @@ type Component struct {
 // Components are independent by construction (no edge crosses them), which
 // is what lets the pipeline engine run synthesis and conflict resolution
 // per component in parallel with results identical to a monolithic pass.
+// Decompose unions the endpoints of every edge, whatever its weights; the
+// compatibility builder (compat.BuildGraph) emits only edges inside a
+// positive component, so on its graphs the components are the positive
+// components of the paper's divide and conquer (Appendix F).
 func (g *Graph) Decompose() []Component {
 	edges := g.settled()
 	comps, compOf := g.components()

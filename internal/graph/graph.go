@@ -1,5 +1,6 @@
 // Package graph models the compatibility graph over candidate binary tables
-// (Section 4.2) and splits it into connected components (Appendix F).
+// (Section 4.2) and splits it into connected components (Appendix F; on a
+// graph from compat.BuildGraph those are its positive components).
 //
 // A Graph is a vertex count plus one flat edge list sorted by (A, B). The
 // compatibility builder produces its edges already in that order and hands

@@ -14,8 +14,9 @@
 // concurrency).
 //
 // The headline concurrency win is in the partition and resolve stages:
-// the compatibility graph is decomposed into connected components
-// (graph.Decompose), which are independent by construction, so greedy
+// the compatibility graph is decomposed into its positive components
+// (graph.Decompose; the graph stage emits only edges inside a w+-connected
+// component, Appendix F), which are independent by construction, so greedy
 // synthesis and conflict resolution run per component/partition in
 // parallel. After deterministic re-sorting and ID assignment the output is
 // byte-identical to a monolithic sequential pass for any worker count.
@@ -145,14 +146,16 @@ type Result struct {
 	ExtractStats extract.Stats
 	// Candidates is the number of candidate binary tables after extraction.
 	Candidates int
-	// Edges is the number of non-zero compatibility edges.
+	// Edges is the number of non-zero compatibility edges, all inside a
+	// positive component (see compat.BuildGraph).
 	Edges int
 	// Blocking counts the keys and pair increments that blocking's
 	// stop-word cap (compat.MaxPostingLen) skipped. All zero means every
 	// shared key was counted.
 	Blocking compat.BlockStats
 	// Components is the number of connected components of the
-	// compatibility graph — the parallelism width of the partition stage.
+	// compatibility graph, which are its positive components — the
+	// parallelism width of the partition stage.
 	Components int
 	// Partitions is the number of partitions before curation filtering.
 	Partitions int

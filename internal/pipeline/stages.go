@@ -71,8 +71,9 @@ func (e *Engine) extractStage(idx *stats.CooccurrenceIndex) Stage[[]*table.Table
 }
 
 // graphStage interns the candidates' normalized views and builds the
-// compatibility graph, both on the shared pool: blocking and w+/w- scoring
-// run fused, one work item per candidate row.
+// compatibility graph, both on the shared pool: blocking and w+ scoring run
+// fused, one work item per candidate row, then a second pass per row
+// scores w- inside positive components only.
 func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 	return Stage[extractOut, graphOut]{
 		Name:  "graph",
@@ -99,9 +100,12 @@ func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 
 // partitionStage decomposes the compatibility graph into connected
 // components and runs greedy synthesis (Algorithm 3) per component in
-// parallel. Components are independent by construction — no edge crosses
-// them, so merges never could either — which makes the concatenated,
-// re-sorted result identical to a monolithic greedy pass.
+// parallel. The graph stage emits only edges inside a positive component
+// (w+ > 0 connectivity), so these are the positive components of Appendix
+// F's divide and conquer. No edge crosses them, greedy merges only along
+// w+ and breaks ties by positive adjacency, which makes the concatenated,
+// re-sorted result identical to a monolithic greedy pass over the graph
+// with every negative edge scored.
 func (e *Engine) partitionStage() Stage[graphOut, partitionOut] {
 	return Stage[graphOut, partitionOut]{
 		Name:  "partition",

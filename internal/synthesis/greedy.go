@@ -163,8 +163,8 @@ const greedyCancelStride = 1024
 func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, error) {
 	n := g.NumVertices()
 	// parent implements union-find with path halving; the merge loop
-	// chooses which root survives (the one with the larger adjacency), so
-	// plain parent pointers beat union-by-rank here.
+	// chooses which root survives (the one with more positive neighbours),
+	// so plain parent pointers beat union-by-rank here.
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -234,9 +234,14 @@ func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, 
 		if nw, bad := neg[ra][rb]; bad && nw < tau {
 			continue // hard constraint
 		}
-		// Merge the smaller adjacency into the larger.
+		// Merge the smaller positive adjacency into the larger. Counting
+		// only positive neighbours keeps every decision local to the
+		// positive component: the merge check, this choice and the
+		// re-advertise loop read nothing but positively adjacent roots, so
+		// greedy on the whole graph and greedy per positive component make
+		// the same merges (Appendix F's divide and conquer is exact).
 		keep, drop := ra, rb
-		if len(pos[keep])+len(neg[keep]) < len(pos[drop])+len(neg[drop]) {
+		if len(pos[keep]) < len(pos[drop]) {
 			keep, drop = drop, keep
 		}
 		parent[drop] = keep
@@ -315,7 +320,9 @@ func GreedyComponent(ctx context.Context, c graph.Component, tau float64) (Parti
 // GreedyPerComponent applies Greedy independently to every connected
 // component of g (the paper's divide-and-conquer, Appendix F). Results are
 // identical to Greedy on the whole graph — merges never cross components —
-// but bookkeeping stays small per component.
+// but bookkeeping stays small per component. It holds as well for positive
+// components with the edges between them dropped, which is what the
+// compatibility graph's components are.
 func GreedyPerComponent(g *graph.Graph, tau float64) Partitioning {
 	var parts Partitioning
 	for _, c := range g.Decompose() {

@@ -3,9 +3,11 @@ package synthesis
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mapsynth/internal/graph"
+	"mapsynth/internal/unionfind"
 )
 
 // figure3Graph builds the paper's Figure 3(a): vertices 0..4 are B1..B5;
@@ -82,32 +84,82 @@ func TestGreedyAggregatedNegativeBlocksTransitiveMerge(t *testing.T) {
 	}
 }
 
+// positiveSplit returns g without the edges that join two positive
+// components (vertices linked by a path of w+ > 0 edges), and how many it
+// dropped.
+func positiveSplit(g *graph.Graph) (*graph.Graph, int) {
+	uf := unionfind.New(g.NumVertices())
+	for _, e := range g.Edges() {
+		if e.Pos > 0 {
+			uf.Union(e.A, e.B)
+		}
+	}
+	split := graph.New(g.NumVertices())
+	dropped := 0
+	for _, e := range g.Edges() {
+		if !uf.Connected(e.A, e.B) {
+			dropped++
+			continue
+		}
+		split.AddEdge(e.A, e.B, e.Pos, e.Neg)
+	}
+	return split, dropped
+}
+
+// TestGreedyPerComponentMatchesGreedy: Greedy on the whole graph returns the
+// same partitions as greedy per component, and as greedy per positive
+// component once the edges between positive components are dropped — the
+// divide and conquer the pipeline runs. Odd trials draw weights from a small
+// set, so equal-weight merges are common and the tie-break decides their
+// order; negative edges inside and across positive components make that
+// order matter. Counting negative neighbours in the keep/drop choice fails
+// this test.
 func TestGreedyPerComponentMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(20)
+	posW := []float64{0.25, 0.5, 0.5, 1}
+	negW := []float64{-0.1, -0.5, -1}
+	dropped := 0
+	for trial := 0; trial < 400; trial++ {
+		tied := trial%2 == 1
+		n := 4 + rng.Intn(40)
 		g := graph.New(n)
-		for e := 0; e < n*2; e++ {
+		for e := 0; e < n*3; e++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if a == b {
 				continue
 			}
-			pos := rng.Float64()
-			var neg float64
-			if rng.Intn(4) == 0 {
-				neg = -rng.Float64()
+			var pos, neg float64
+			switch {
+			case !tied:
+				pos = rng.Float64()
+				if rng.Intn(4) == 0 {
+					neg = -rng.Float64()
+				}
+			case rng.Intn(3) > 0:
+				pos = posW[rng.Intn(len(posW))]
+				if rng.Intn(4) == 0 {
+					neg = negW[rng.Intn(len(negW))]
+				}
+			default:
+				neg = negW[rng.Intn(len(negW))]
 			}
 			g.AddEdge(a, b, pos, neg)
 		}
 		whole := Greedy(g, DefaultTau)
-		perComp := GreedyPerComponent(g, DefaultTau)
-		if Objective(g, whole) != Objective(g, perComp) {
-			t.Fatalf("trial %d: objectives differ: %v vs %v",
-				trial, Objective(g, whole), Objective(g, perComp))
+		if !Feasible(g, whole, DefaultTau) {
+			t.Fatalf("trial %d: greedy result infeasible", trial)
 		}
-		if !Feasible(g, perComp, DefaultTau) {
-			t.Fatalf("trial %d: per-component result infeasible", trial)
+		if got := GreedyPerComponent(g, DefaultTau); !reflect.DeepEqual(got, whole) {
+			t.Fatalf("trial %d (n=%d): per component %v, whole graph %v", trial, n, got, whole)
 		}
+		split, d := positiveSplit(g)
+		dropped += d
+		if got := GreedyPerComponent(split, DefaultTau); !reflect.DeepEqual(got, whole) {
+			t.Fatalf("trial %d (n=%d): per positive component %v, whole graph %v", trial, n, got, whole)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no edge joined two positive components: the split went untested")
 	}
 }
 
