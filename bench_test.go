@@ -21,6 +21,7 @@ import (
 	"mapsynth/internal/compat"
 	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/experiments"
+	"mapsynth/internal/extract"
 	"mapsynth/internal/graph"
 	"mapsynth/internal/index"
 	"mapsynth/internal/mapping"
@@ -286,6 +287,18 @@ func BenchmarkCoherenceIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats.BuildIndex(e.Corpus.Tables)
+	}
+}
+
+// BenchmarkExtraction measures the extraction front end: building the
+// co-occurrence index, then Algorithm 1 over every table (coherence, FD and
+// numeric filters on each table's interned cells).
+func BenchmarkExtraction(b *testing.B) {
+	e := sharedEnv()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := stats.BuildIndex(e.Corpus.Tables)
+		extract.New(idx, extract.DefaultOptions()).ExtractAll(e.Corpus.Tables)
 	}
 }
 

@@ -2,6 +2,7 @@ package compat
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -98,17 +99,57 @@ type partner struct {
 }
 
 // rowScratch is one worker's reusable state for processing candidate rows.
-// The counters are indexed by candidate and all zero between rows.
+// The counters are indexed by candidate, set holds one bit per candidate,
+// and both are all zero between rows.
 type rowScratch struct {
 	posCount, negCount []int32
+	set                []uint64
 	touched            []int32
 	partners           []partner
+	entries            []rowEntry
 	edges              []graph.Edge
 	match              matchScratch
 }
 
 func newRowScratch(n int) *rowScratch {
-	return &rowScratch{posCount: make([]int32, n), negCount: make([]int32, n)}
+	return &rowScratch{posCount: make([]int32, n), negCount: make([]int32, n), set: make([]uint64, (n+63)/64)}
+}
+
+// sparseSpan is how many bitmap words per touched candidate make a row's
+// touched set sparse in its span: beyond it, sorting the set is cheaper
+// than sweeping the words.
+const sparseSpan = 4
+
+// sortTouched puts the row's touched candidates in ascending order. A set
+// dense in its span [lo, hi] is read back in order from a bitmap over the
+// words of that span; a sparse one is sorted, so a row's cost never scales
+// with the number of candidates.
+func (sc *rowScratch) sortTouched() {
+	t := sc.touched
+	if len(t) < 2 {
+		return
+	}
+	lo, hi := t[0], t[0]
+	for _, b := range t[1:] {
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	w0 := int(lo >> 6)
+	span := sc.set[w0 : hi>>6+1]
+	if len(span) > sparseSpan*len(t) {
+		slices.Sort(t)
+		return
+	}
+	for _, b := range t {
+		span[int(b>>6)-w0] |= 1 << (b & 63)
+	}
+	t = t[:0]
+	for i, w := range span {
+		base := int32(w0+i) << 6
+		for ; w != 0; w &= w - 1 {
+			t = append(t, base+int32(bits.TrailingZeros64(w)))
+		}
+		span[i] = 0
+	}
 }
 
 // row is ScanCount for candidate a: it walks the posting lists of a's keys,
@@ -119,7 +160,7 @@ func (bl *blocker) row(a int, sc *rowScratch) []partner {
 	sc.touched = sc.touched[:0]
 	bl.pair.scan(int32(a), c.PairIDs, sc.posCount, sc.negCount, &sc.touched)
 	bl.left.scan(int32(a), c.LeftIDs, sc.negCount, sc.posCount, &sc.touched)
-	slices.Sort(sc.touched)
+	sc.sortTouched()
 	sc.partners = sc.partners[:0]
 	for _, b := range sc.touched {
 		pt := partner{b: b, pos: sc.posCount[b] >= bl.theta, neg: sc.negCount[b] >= bl.theta}
@@ -193,9 +234,15 @@ func BuildGraphCtx(ctx context.Context, cands []*Candidate, opt Options, p *pool
 	return buildGraph(ctx, cands, opt, p, nil)
 }
 
-// negPending marks, in the first pass, a neg-blocked pair whose w- is still
-// to be scored. w- is never positive, so the marker cannot be a weight.
-const negPending = 1
+// rowEntry is one pair of a candidate row between the two passes: the
+// later candidate b, its w+ (0 when not pos-blocked or below θedge) and
+// whether it is neg-blocked with w- still to score. The rows are at their
+// largest between the passes, so an entry is half a graph.Edge.
+type rowEntry struct {
+	b   int32
+	neg bool
+	pos float64
+}
 
 // buildGraph is BuildGraphCtx with a seam for tests: onRow, when non-nil,
 // is called as each candidate row starts its first pass.
@@ -207,33 +254,31 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 	bl := newBlocker(cands, opt.ThetaOverlap)
 	scratch := sync.Pool{New: func() any { return newRowScratch(len(cands)) }}
 
-	// Pass 1: block and score w+. A row emits its edges ascending in b, so
+	// Pass 1: block and score w+. A row holds its pairs ascending in b, so
 	// the rows concatenated in order are the edge list sorted by (A, B):
 	// nothing to merge or sort. Neg-blocked pairs ride along in the same
-	// row as pending entries, with or without a w+.
-	rows := make([][]graph.Edge, len(cands))
+	// row as pending entries, with or without a w+; under DisableNegative
+	// none is pending.
+	rows := make([][]rowEntry, len(cands))
 	if err := p.ForEach(ctx, len(cands), func(a int) {
 		if onRow != nil {
 			onRow(a)
 		}
 		sc := scratch.Get().(*rowScratch)
 		defer scratch.Put(sc)
-		sc.edges = sc.edges[:0]
+		sc.entries = sc.entries[:0]
 		for _, pt := range bl.row(a, sc) {
-			e := graph.Edge{A: a, B: int(pt.b)}
+			en := rowEntry{b: pt.b, neg: pt.neg && !opt.DisableNegative}
 			if pt.pos {
 				if pw := cp.positive(cands[a], cands[pt.b], &sc.match); pw >= opt.ThetaEdge {
-					e.Pos = pw
+					en.pos = pw
 				}
 			}
-			if pt.neg {
-				e.Neg = negPending
-			}
-			if e.Pos != 0 || e.Neg != 0 {
-				sc.edges = append(sc.edges, e)
+			if en.pos != 0 || en.neg {
+				sc.entries = append(sc.entries, en)
 			}
 		}
-		rows[a] = slices.Clone(sc.edges)
+		rows[a] = slices.Clone(sc.entries)
 	}); err != nil {
 		return nil, BlockStats{}, err
 	}
@@ -241,10 +286,10 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 	// The positive components, as one root per candidate: the second pass
 	// reads them from every worker, so no Find runs concurrently.
 	uf := unionfind.New(len(cands))
-	for _, r := range rows {
-		for _, e := range r {
-			if e.Pos > 0 {
-				uf.Union(e.A, e.B)
+	for a, r := range rows {
+		for _, en := range r {
+			if en.pos > 0 {
+				uf.Union(a, int(en.b))
 			}
 		}
 	}
@@ -253,32 +298,34 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 		root[v] = int32(uf.Find(v))
 	}
 
-	// Pass 2: score w- where it can bind and compact the rest away in
-	// place. An entry with w+ > 0 is inside a component by construction.
+	// Pass 2: score w- where it can bind and turn each row into its edges,
+	// dropping the pending entries outside a positive component. An entry
+	// with w+ > 0 is inside one by construction.
+	edgeRows := make([][]graph.Edge, len(cands))
 	if err := p.ForEach(ctx, len(cands), func(a int) {
-		kept := rows[a][:0]
-		for _, e := range rows[a] {
-			if e.Neg == negPending {
-				e.Neg = 0
-				if root[e.A] == root[e.B] {
-					e.Neg = cp.Negative(cands[e.A], cands[e.B])
-				}
-				if e.Pos == 0 && e.Neg == 0 {
-					continue
-				}
+		sc := scratch.Get().(*rowScratch)
+		defer scratch.Put(sc)
+		sc.edges = sc.edges[:0]
+		for _, en := range rows[a] {
+			e := graph.Edge{A: a, B: int(en.b), Pos: en.pos}
+			if en.neg && root[a] == root[en.b] {
+				e.Neg = cp.Negative(cands[a], cands[en.b])
 			}
-			kept = append(kept, e)
+			if e.Pos != 0 || e.Neg != 0 {
+				sc.edges = append(sc.edges, e)
+			}
 		}
-		rows[a] = kept
+		rows[a] = nil
+		edgeRows[a] = slices.Clone(sc.edges)
 	}); err != nil {
 		return nil, BlockStats{}, err
 	}
 	total := 0
-	for _, r := range rows {
+	for _, r := range edgeRows {
 		total += len(r)
 	}
 	edges := make([]graph.Edge, 0, total)
-	for _, r := range rows {
+	for _, r := range edgeRows {
 		edges = append(edges, r...)
 	}
 	return graph.FromSortedEdges(len(cands), edges), bl.stats, nil

@@ -59,6 +59,10 @@ type Options struct {
 	// Synonyms, when non-nil, lets known synonyms match and prevents
 	// synonym pairs from counting as conflicts.
 	Synonyms *strmatch.SynonymFeed
+	// DisableNegative builds the graph without w-: no pair is scored for
+	// it and every edge's Neg is 0. The pipeline sets it from
+	// Config.DisableNegativeSignal (the SynthesisPos ablation).
+	DisableNegative bool
 }
 
 // DefaultOptions returns sensible defaults for laptop-scale corpora. The
@@ -96,14 +100,24 @@ type Candidate struct {
 	// left LeftIDs[i] are pairs[leftStart[i]:leftStart[i+1]].
 	LeftIDs   []uint32
 	leftStart []int32
+	// shapes[id] is the shape of pair id. The slice is the candidate set's
+	// own, shared by all of its candidates.
+	shapes []pairShape
 }
 
-// normPair is one normalized pair as the matcher needs it: both halves and
-// their lengths in runes, which every threshold is computed from.
+// normPair is one normalized pair's bytes: both halves in one key.
 type normPair struct {
-	key    string // textnorm.PairKey(l, r)
-	split  int32  // len(l)
-	nl, nr int32  // rune counts of l and r
+	key   string // textnorm.PairKey(l, r)
+	split int32  // len(l)
+}
+
+// pairShape is what the matcher reads of a pair besides its bytes: each
+// half's length in runes, which every threshold is computed from, and its
+// rune-set signature (strmatch.Signature). It is computed once per distinct
+// pair, not once per candidate holding it.
+type pairShape struct {
+	nl, nr int32
+	sl, sr uint64
 }
 
 func (p *normPair) l() string { return p.key[:p.split] }
@@ -115,26 +129,25 @@ func (c *Candidate) Size() int { return len(c.PairIDs) }
 // left returns the i-th distinct normalized left value.
 func (c *Candidate) left(i int) string { return c.pairs[c.leftStart[i]].l() }
 
-// rights returns the pairs holding the right values of the i-th left value.
-func (c *Candidate) rights(i int) []normPair {
-	return c.pairs[c.leftStart[i]:c.leftStart[i+1]]
+// rights returns the positions in pairs (and PairIDs) holding the right
+// values of the i-th left value: lo up to, not including, hi.
+func (c *Candidate) rights(i int) (lo, hi int) {
+	return int(c.leftStart[i]), int(c.leftStart[i+1])
 }
 
 // PrecomputeParallel builds the interned view of every candidate: the i-th
 // output corresponds to the i-th input and gets ID i. Normalizing and
-// sorting fan out over the worker pool; the dictionary pass between them is
-// sequential. Output is identical for any worker count. Cancellation
-// returns ctx's error and a nil slice.
+// sorting fan out over the worker pool, and so does measuring the shape of
+// each distinct pair; the dictionary pass between them is sequential.
+// Output is identical for any worker count. Cancellation returns ctx's
+// error and a nil slice.
 func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.Pool) ([]*Candidate, error) {
 	out := make([]*Candidate, len(bins))
 	if err := p.ForEach(ctx, len(bins), func(i int) {
 		norm := bins[i].Norm().Pairs
 		c := &Candidate{ID: i, Bin: bins[i], PairIDs: make([]uint32, len(norm)), pairs: make([]normPair, len(norm))}
 		for j, np := range norm {
-			c.pairs[j] = normPair{
-				key: np.Key, split: int32(len(np.L)),
-				nl: int32(utf8.RuneCountInString(np.L)), nr: int32(utf8.RuneCountInString(np.R)),
-			}
+			c.pairs[j] = normPair{key: np.Key, split: int32(len(np.L))}
 		}
 		slices.SortFunc(c.pairs, func(x, y normPair) int { return strings.Compare(x.key, y.key) })
 		out[i] = c
@@ -174,7 +187,22 @@ func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.
 		}
 		leftOf[r] = lefts
 	}
+	shapes := make([]pairShape, len(keys)) // by rank
+	const chunk = 1024
+	if err := p.ForEach(ctx, (len(order)+chunk-1)/chunk, func(k int) {
+		for r := k * chunk; r < min((k+1)*chunk, len(order)); r++ {
+			np := keys[order[r]]
+			l, rv := np.l(), np.r()
+			shapes[r] = pairShape{
+				nl: int32(utf8.RuneCountInString(l)), nr: int32(utf8.RuneCountInString(rv)),
+				sl: strmatch.Signature(l), sr: strmatch.Signature(rv),
+			}
+		}
+	}); err != nil {
+		return nil, err
+	}
 	for _, c := range out {
+		c.shapes = shapes
 		for j, id := range c.PairIDs {
 			c.PairIDs[j] = rank[id]
 			if lid := leftOf[rank[id]]; j == 0 || lid != c.LeftIDs[len(c.LeftIDs)-1] {
@@ -243,15 +271,15 @@ func (cp *Computer) approxResidual(a, b *Candidate, sc *matchScratch) int {
 	sc.used = append(sc.used[:0], make([]bool, len(sc.resB))...)
 	count := 0
 	for _, i := range sc.resA {
-		pa := &a.pairs[i]
+		pa, sa := &a.pairs[i], &a.shapes[a.PairIDs[i]]
 		la, ra := pa.l(), pa.r()
 		for j, k := range sc.resB {
 			if sc.used[j] {
 				continue
 			}
-			pb := &b.pairs[k]
-			if cp.matcher.MatchNormalizedLen(la, pb.l(), int(pa.nl), int(pb.nl)) &&
-				cp.matcher.MatchNormalizedLen(ra, pb.r(), int(pa.nr), int(pb.nr)) {
+			pb, sb := &b.pairs[k], &b.shapes[b.PairIDs[k]]
+			if cp.matcher.MatchSig(la, pb.l(), int(sa.nl), int(sb.nl), sa.sl, sb.sl) &&
+				cp.matcher.MatchSig(ra, pb.r(), int(sa.nr), int(sb.nr), sa.sr, sb.sr) {
 				sc.used[j] = true
 				count++
 				break
@@ -269,7 +297,7 @@ func (cp *Computer) approxResidual(a, b *Candidate, sc *matchScratch) int {
 func (cp *Computer) Negative(a, b *Candidate) float64 {
 	conflicts := 0
 	cp.sharedLefts(a, b, func(i, j int) {
-		if cp.rightsConflict(a.rights(i), b.rights(j)) {
+		if cp.rightsConflict(a, i, b, j) {
 			conflicts++
 		}
 	})
@@ -296,18 +324,24 @@ func (cp *Computer) sharedLefts(a, b *Candidate, fn func(i, j int)) {
 	}
 }
 
-// rightsConflict reports whether two right-value sets disagree: true when
-// any value on one side has no approximate/synonym match on the other.
-func (cp *Computer) rightsConflict(rsA, rsB []normPair) bool {
-	return cp.unmatched(rsA, rsB) || cp.unmatched(rsB, rsA)
+// rightsConflict reports whether the right-value sets of a's i-th and b's
+// j-th left value disagree: true when any value on one side has no
+// approximate/synonym match on the other.
+func (cp *Computer) rightsConflict(a *Candidate, i int, b *Candidate, j int) bool {
+	return cp.unmatched(a, i, b, j) || cp.unmatched(b, j, a, i)
 }
 
-// unmatched reports whether some right value of xs matches none of ys.
-func (cp *Computer) unmatched(xs, ys []normPair) bool {
-	for i := range xs {
+// unmatched reports whether some right value of x's i-th left value matches
+// none of y's j-th.
+func (cp *Computer) unmatched(x *Candidate, i int, y *Candidate, j int) bool {
+	xlo, xhi := x.rights(i)
+	ylo, yhi := y.rights(j)
+	for p := xlo; p < xhi; p++ {
+		xr, xs := x.pairs[p].r(), &x.shapes[x.PairIDs[p]]
 		found := false
-		for j := range ys {
-			if cp.matcher.MatchNormalizedLen(xs[i].r(), ys[j].r(), int(xs[i].nr), int(ys[j].nr)) {
+		for q := ylo; q < yhi; q++ {
+			ys := &y.shapes[y.PairIDs[q]]
+			if cp.matcher.MatchSig(xr, y.pairs[q].r(), int(xs.nr), int(ys.nr), xs.sr, ys.sr) {
 				found = true
 				break
 			}
@@ -324,7 +358,7 @@ func (cp *Computer) unmatched(xs, ys []normPair) bool {
 func (cp *Computer) ConflictLeftValues(a, b *Candidate) []string {
 	var out []string
 	cp.sharedLefts(a, b, func(i, j int) {
-		if cp.rightsConflict(a.rights(i), b.rights(j)) {
+		if cp.rightsConflict(a, i, b, j) {
 			out = append(out, a.left(i))
 		}
 	})

@@ -149,8 +149,8 @@ func TestPrecomputeNormalizesAndDedups(t *testing.T) {
 	if cands[0].Size() != 1 {
 		t.Errorf("normalized size = %d, want 1", cands[0].Size())
 	}
-	if len(cands[0].LeftIDs) != 1 || cands[0].left(0) != "japan" || len(cands[0].rights(0)) != 1 {
-		t.Errorf("lefts = %v with %d rights, want one left \"japan\" with one right", cands[0].LeftIDs, len(cands[0].rights(0)))
+	if lo, hi := cands[0].rights(0); len(cands[0].LeftIDs) != 1 || cands[0].left(0) != "japan" || hi-lo != 1 {
+		t.Errorf("lefts = %v with %d rights, want one left \"japan\" with one right", cands[0].LeftIDs, hi-lo)
 	}
 }
 

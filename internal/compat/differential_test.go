@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,5 +312,52 @@ func TestFromSortedEdgesContract(t *testing.T) {
 			t.Fatalf("edge %d = %+v after %+v: not strictly ascending", i, e, prev)
 		}
 		prev = e
+	}
+}
+
+// TestSortTouchedMatchesSort: a row's touched candidates come out of the
+// bitmap in the order slices.Sort gives them, for rows dense in their span
+// (read back from the bitmap) and sparse ones (sorted), and the bitmap is
+// all zero again for the next row.
+func TestSortTouchedMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const n = 5000
+	sc := newRowScratch(n)
+	var dense, sparse int
+	for trial := 0; trial < 3000; trial++ {
+		lo := rng.Intn(n)
+		span := 1 + rng.Intn(n-lo)
+		k := 1 + rng.Intn(min(span, 400)) // mostly dense
+		if trial%2 == 1 {
+			k = 1 + rng.Intn(min(span, 8)) // mostly sparse
+		}
+		set := make(map[int32]bool, k)
+		sc.touched = sc.touched[:0]
+		for len(set) < k {
+			b := int32(lo + rng.Intn(span))
+			if !set[b] {
+				set[b] = true
+				sc.touched = append(sc.touched, b)
+			}
+		}
+		want := slices.Clone(sc.touched)
+		slices.Sort(want)
+		if words := int(want[k-1]>>6-want[0]>>6) + 1; words > sparseSpan*k {
+			sparse++
+		} else {
+			dense++
+		}
+		sc.sortTouched()
+		if !slices.Equal(sc.touched, want) {
+			t.Fatalf("trial %d: sortTouched gives %v, want %v", trial, sc.touched, want)
+		}
+		for i, w := range sc.set {
+			if w != 0 {
+				t.Fatalf("trial %d: bitmap word %d left %#x", trial, i, w)
+			}
+		}
+	}
+	if dense < 100 || sparse < 100 {
+		t.Fatalf("rows: %d dense, %d sparse; want both paths exercised", dense, sparse)
 	}
 }

@@ -6,6 +6,7 @@ package extract
 
 import (
 	"context"
+	"sync"
 
 	"mapsynth/internal/fd"
 	"mapsynth/internal/pool"
@@ -89,6 +90,147 @@ type Extractor struct {
 	idx *stats.CooccurrenceIndex
 }
 
+// tableScratches holds one *tableScratch per table being extracted.
+var tableScratches sync.Pool
+
+// tableScratch is one worker's state for extracting a table. The table's
+// cells are interned twice: every distinct cell value gets a raw id, and
+// every distinct normalized value an id, so each distinct value is
+// normalized once and every filter after that compares dense ids.
+type tableScratch struct {
+	raw    map[string]int32 // cell value → raw id; raw id 0 is ""
+	rawVal []string         // raw id → cell value
+	normOf []int32          // raw id → id of its normalized value
+	norm   map[string]int32 // normalized value → id; id 0 is the empty value
+	vals   []string         // id → normalized value
+	rows   [][]int32        // per column, the raw id of every cell
+	cols   [][]int32        // per column, the normalized id of every cell
+	// numeric caches isNumeric per normalized id: 0 unknown, 1 no, 2 yes.
+	numeric []int8
+	// seen is, per normalized id, the stamp of the last column sampling it.
+	seen []uint32
+	stmp uint32
+	// pairs and kept serve one candidate: the raw id pairs it holds, and
+	// the row each of its pairs came from.
+	pairs map[uint64]struct{}
+	kept  []int32
+	fd    fd.Checker
+}
+
+// intern fills the scratch with the ids of t's cells.
+func (sc *tableScratch) intern(t *table.Table) {
+	if sc.raw == nil {
+		sc.raw, sc.norm, sc.pairs = make(map[string]int32), make(map[string]int32), make(map[uint64]struct{})
+	}
+	clear(sc.raw)
+	clear(sc.norm)
+	sc.raw[""], sc.norm[""] = 0, 0
+	sc.rawVal, sc.normOf, sc.vals = append(sc.rawVal[:0], ""), append(sc.normOf[:0], 0), append(sc.vals[:0], "")
+	for len(sc.rows) < len(t.Columns) {
+		sc.rows, sc.cols = append(sc.rows, nil), append(sc.cols, nil)
+	}
+	for ci := range t.Columns {
+		rows, cols := sc.rows[ci][:0], sc.cols[ci][:0]
+		for _, v := range t.Columns[ci].Values {
+			rid, ok := sc.raw[v]
+			if !ok {
+				rid = int32(len(sc.rawVal))
+				sc.raw[v] = rid
+				sc.rawVal = append(sc.rawVal, v)
+				nv := textnorm.Normalize(v)
+				id, ok := sc.norm[nv]
+				if !ok {
+					id = int32(len(sc.vals))
+					sc.norm[nv] = id
+					sc.vals = append(sc.vals, nv)
+				}
+				sc.normOf = append(sc.normOf, id)
+			}
+			rows, cols = append(rows, rid), append(cols, sc.normOf[rid])
+		}
+		sc.rows[ci], sc.cols[ci] = rows, cols
+	}
+	sc.numeric = append(sc.numeric[:0], make([]int8, len(sc.vals))...)
+	if len(sc.seen) < len(sc.vals) {
+		sc.seen = append(sc.seen, make([]uint32, len(sc.vals)-len(sc.seen))...)
+	}
+}
+
+// sample returns the coherence sample of column ci: its first distinct
+// non-empty normalized values, at most stats.MaxCoherenceSample of them.
+func (sc *tableScratch) sample(ci int, dst []string) []string {
+	if sc.stmp++; sc.stmp == 0 { // wrapped: no stale stamp may match
+		clear(sc.seen)
+		sc.stmp = 1
+	}
+	for _, id := range sc.cols[ci] {
+		if id == 0 || sc.seen[id] == sc.stmp {
+			continue
+		}
+		sc.seen[id] = sc.stmp
+		if dst = append(dst, sc.vals[id]); len(dst) >= stats.MaxCoherenceSample {
+			break
+		}
+	}
+	return dst
+}
+
+// binary is table.NewBinaryTable over columns i → j of t, deduplicating
+// rows by their raw ids. It leaves in sc.kept the row each pair came from.
+func (sc *tableScratch) binary(id int, t *table.Table, i, j int) *table.BinaryTable {
+	ci, cj := &t.Columns[i], &t.Columns[j]
+	b := &table.BinaryTable{ID: id, TableID: t.ID, Domain: t.Domain, LeftName: ci.Name, RightName: cj.Name}
+	ls, rs := sc.rows[i], sc.rows[j]
+	clear(sc.pairs)
+	sc.kept = sc.kept[:0]
+	for r := range min(len(ls), len(rs)) {
+		if ls[r] == 0 {
+			continue
+		}
+		k := uint64(ls[r])<<32 | uint64(rs[r])
+		if _, dup := sc.pairs[k]; dup {
+			continue
+		}
+		sc.pairs[k] = struct{}{}
+		b.Pairs = append(b.Pairs, table.Pair{L: ci.Values[r], R: cj.Values[r]})
+		sc.kept = append(sc.kept, int32(r))
+	}
+	return b
+}
+
+// mostlyNumeric reports whether both sides of the candidate binary just
+// built over columns i → j are dominated by purely numeric values. Purely
+// numeric two-column tables are overwhelmingly measurements or rankings,
+// which the paper's curation step prunes ("additional filtering can be
+// performed to further prune out numeric and temporal relationships").
+func (sc *tableScratch) mostlyNumeric(i, j int) bool {
+	n := len(sc.kept)
+	if n == 0 {
+		return false
+	}
+	numL, numR := 0, 0
+	for _, r := range sc.kept {
+		if sc.isNumeric(sc.cols[i][r]) {
+			numL++
+		}
+		if sc.isNumeric(sc.cols[j][r]) {
+			numR++
+		}
+	}
+	return numL*10 >= n*9 && numR*10 >= n*9 // both sides >= 90% numeric
+}
+
+// isNumeric is isNumeric of normalized value id, computed once per table.
+func (sc *tableScratch) isNumeric(id int32) bool {
+	if sc.numeric[id] == 0 {
+		sc.numeric[id] = 1
+		if isNumeric(sc.vals[id]) { // a normalized value normalizes to itself
+			sc.numeric[id] = 2
+		}
+	}
+	return sc.numeric[id] == 2
+}
+
 // New returns an Extractor over the corpus co-occurrence index. The index
 // must have been built from the same corpus the tables come from (or a
 // superset) so coherence scores are meaningful.
@@ -146,14 +288,20 @@ func (e *Extractor) ExtractAllParallel(ctx context.Context, tables []*table.Tabl
 }
 
 // extractTable applies the column coherence filter and then the FD pair
-// filter to one table.
+// filter to one table. Both read the table's interned cells.
 func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*table.BinaryTable {
 	st.ColumnsTotal += len(t.Columns)
 	st.PairsRaw += len(t.Columns) * (len(t.Columns) - 1)
+	sc, _ := tableScratches.Get().(*tableScratch)
+	if sc == nil {
+		sc = new(tableScratch)
+	}
+	defer tableScratches.Put(sc)
+	sc.intern(t)
 	var kept []int
+	var sample [stats.MaxCoherenceSample]string
 	for ci := range t.Columns {
-		c := &t.Columns[ci]
-		if e.idx.ColumnCoherence(c.Values) < e.opt.CoherenceThreshold {
+		if e.idx.Coherence(sc.sample(ci, sample[:0])) < e.opt.CoherenceThreshold {
 			st.ColumnsDropped++
 			continue
 		}
@@ -166,8 +314,7 @@ func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*tabl
 				continue
 			}
 			st.PairsTotal++
-			ci, cj := &t.Columns[i], &t.Columns[j]
-			res := fd.Check(ci.Values, cj.Values)
+			res := sc.fd.CheckIDs(sc.cols[i], sc.cols[j], len(sc.vals))
 			if !res.Holds(e.opt.ThetaFD) {
 				st.PairsFDRejected++
 				continue
@@ -178,12 +325,12 @@ func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*tabl
 				st.PairsFDRejected++
 				continue
 			}
-			b := table.NewBinaryTable(*nextID, t.ID, t.Domain, ci.Name, cj.Name, ci.Values, cj.Values)
+			b := sc.binary(*nextID, t, i, j)
 			if b.Size() < e.opt.MinPairs {
 				st.PairsTooSmall++
 				continue
 			}
-			if e.opt.SkipNumericColumns && (mostlyNumericPairs(b) || rowNumberColumn(b)) {
+			if e.opt.SkipNumericColumns && (sc.mostlyNumeric(i, j) || rowNumberColumn(b)) {
 				st.PairsNumeric++
 				continue
 			}
@@ -192,28 +339,6 @@ func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*tabl
 		}
 	}
 	return out
-}
-
-// mostlyNumericPairs reports whether both sides of the candidate are
-// dominated by purely numeric values. Purely numeric two-column tables are
-// overwhelmingly measurements or rankings, which the paper's curation step
-// prunes ("additional filtering can be performed to further prune out
-// numeric and temporal relationships").
-func mostlyNumericPairs(b *table.BinaryTable) bool {
-	numL, numR := 0, 0
-	for _, p := range b.Pairs {
-		if isNumeric(p.L) {
-			numL++
-		}
-		if isNumeric(p.R) {
-			numR++
-		}
-	}
-	n := len(b.Pairs)
-	if n == 0 {
-		return false
-	}
-	return numL*10 >= n*9 && numR*10 >= n*9 // both sides >= 90% numeric
 }
 
 // rowNumberColumn reports whether the candidate's left column is a row

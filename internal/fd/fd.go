@@ -88,6 +88,71 @@ func Check(left, right []string) Result {
 	return res
 }
 
+// Checker is Check over columns of interned values: every cell is a dense
+// id of its normalized value, with id 0 for the empty value, so no value is
+// normalized or hashed as a string again however many column pairs a table
+// has. A Checker reuses its state across checks; it is not safe for
+// concurrent use. The zero value is ready to use.
+type Checker struct {
+	// counts[l<<32|r] is how often left id l meets right id r.
+	counts map[uint64]int32
+	// seenL[id] and seenR[id] are the stamp of the last check that saw id
+	// as a left or right value; best[l] is, for the current check, the
+	// count of left id l's most frequent right id.
+	seenL, seenR []uint32
+	best         []int32
+	stamp        uint32
+}
+
+// CheckIDs is Check over two parallel id columns whose ids are below
+// numIDs: rows whose left id is 0 are ignored, and every id stands for its
+// normalized value.
+func (c *Checker) CheckIDs(left, right []int32, numIDs int) Result {
+	if len(c.seenL) < numIDs {
+		c.seenL = append(c.seenL, make([]uint32, numIDs-len(c.seenL))...)
+		c.seenR = append(c.seenR, make([]uint32, numIDs-len(c.seenR))...)
+		c.best = append(c.best, make([]int32, numIDs-len(c.best))...)
+	}
+	if c.stamp++; c.stamp == 0 { // wrapped: no stale stamp may match
+		clear(c.seenL)
+		clear(c.seenR)
+		c.stamp = 1
+	}
+	if c.counts == nil {
+		c.counts = make(map[uint64]int32)
+	}
+	clear(c.counts)
+	n := min(len(left), len(right))
+	var res Result
+	for i := 0; i < n; i++ {
+		l, r := left[i], right[i]
+		if l == 0 {
+			continue
+		}
+		res.Rows++
+		if c.seenL[l] != c.stamp {
+			c.seenL[l], c.best[l] = c.stamp, 0
+			res.DistinctLeft++
+		}
+		if c.seenR[r] != c.stamp {
+			c.seenR[r] = c.stamp
+			res.DistinctRight++
+		}
+		k := uint64(l)<<32 | uint64(r)
+		cnt := c.counts[k] + 1
+		c.counts[k] = cnt
+		if cnt > c.best[l] { // the best count of l grows by one
+			c.best[l] = cnt
+			res.Keeping++
+		}
+	}
+	res.Ratio = 1
+	if res.Rows > 0 {
+		res.Ratio = float64(res.Keeping) / float64(res.Rows)
+	}
+	return res
+}
+
 // CheckPairs is Check over a deduplicated pair slice (e.g. a BinaryTable's
 // pairs). Each distinct pair counts once.
 func CheckPairs(pairs []table.Pair) Result {

@@ -1,10 +1,13 @@
 package fd
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"mapsynth/internal/table"
+	"mapsynth/internal/textnorm"
 )
 
 func TestExactFD(t *testing.T) {
@@ -111,5 +114,50 @@ func TestRatioBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckIDsMatchesCheck runs the id-based check against Check on random
+// column pairs: duplicate rows, cells that normalize to empty (on the left
+// they drop the row, on the right they are a value), unequal column
+// lengths, non-ASCII and case variants of one value. One Checker serves
+// every check, with dictionaries of varying size, as an extraction worker
+// reuses it across tables.
+func TestCheckIDsMatchesCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	vocab := []string{"", " ", "--", "[1]", "Japan", "japan", "JAPAN[2]", "Côte d'Ivoire",
+		"CÔTE D IVOIRE", "日本", "東京", "Österreich", "osterreich", "a", "b", "c", "1", "2"}
+	var c Checker
+	for trial := 0; trial < 3000; trial++ {
+		if trial == 1500 {
+			c.stamp = math.MaxUint32 - 2 // the stamp wraps in a few checks
+		}
+		words := vocab[:1+rng.Intn(len(vocab))]
+		col := func() []string {
+			out := make([]string, rng.Intn(30))
+			for i := range out {
+				out[i] = words[rng.Intn(len(words))]
+			}
+			return out
+		}
+		left, right := col(), col()
+		dict := map[string]int32{"": 0}
+		intern := func(vs []string) []int32 {
+			ids := make([]int32, len(vs))
+			for i, v := range vs {
+				nv := textnorm.Normalize(v)
+				id, ok := dict[nv]
+				if !ok {
+					id = int32(len(dict))
+					dict[nv] = id
+				}
+				ids[i] = id
+			}
+			return ids
+		}
+		li, ri := intern(left), intern(right)
+		if got, want := c.CheckIDs(li, ri, len(dict)), Check(left, right); got != want {
+			t.Fatalf("CheckIDs = %+v, Check = %+v for %q -> %q", got, want, left, right)
+		}
 	}
 }

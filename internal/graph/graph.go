@@ -111,16 +111,6 @@ func (g *Graph) GetEdge(a, b int) *Edge {
 // callers must not modify it.
 func (g *Graph) Edges() []Edge { return g.settled() }
 
-// StripNegative zeroes the negative weight of every edge in place. Used by
-// the SynthesisPos ablation, which runs the pipeline without the FD-induced
-// negative signal. Edges left with both weights zero stay in the graph and
-// keep connecting their endpoints.
-func (g *Graph) StripNegative() {
-	for i := range g.edges {
-		g.edges[i].Neg = 0
-	}
-}
-
 // ConnectedComponents partitions the vertices into components connected by
 // any edge (positive or negative weight alike), using union-find.
 // Components are returned sorted by their smallest vertex, members ascending.

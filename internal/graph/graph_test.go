@@ -82,18 +82,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestStripNegative(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 0.5, -0.4)
-	g.StripNegative()
-	if g.GetEdge(0, 1).Neg != 0 {
-		t.Error("StripNegative left a negative weight")
-	}
-	if g.GetEdge(0, 1).Pos != 0.5 {
-		t.Error("StripNegative must not touch positive weights")
-	}
-}
-
 // bfsComponents is ConnectedComponents as it was computed over adjacency
 // lists, kept as the oracle for the union-find version.
 func bfsComponents(g *Graph) [][]int {

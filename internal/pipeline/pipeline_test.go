@@ -30,11 +30,9 @@ func synthesizeReference(cfg Config, tables []*table.Table) []*mapping.Mapping {
 	bins, _ := ext.ExtractAll(tables)
 	copt := cfg.Compat
 	copt.Synonyms = cfg.Synonyms
+	copt.DisableNegative = cfg.DisableNegativeSignal
 	cands, _ := compat.PrecomputeParallel(context.Background(), bins, pool.New(1))
 	g := compat.BuildGraph(cands, copt, 1)
-	if cfg.DisableNegativeSignal {
-		g.StripNegative()
-	}
 	parts := synthesis.Greedy(g, cfg.Tau)
 	conflictOpt := cfg.Conflict
 	conflictOpt.Synonyms = cfg.Synonyms

@@ -82,6 +82,7 @@ func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 		Run: func(ctx context.Context, in extractOut) (graphOut, error) {
 			copt := e.cfg.Compat
 			copt.Synonyms = e.cfg.Synonyms
+			copt.DisableNegative = e.cfg.DisableNegativeSignal
 			cands, err := compat.PrecomputeParallel(ctx, in.bins, e.pool)
 			if err != nil {
 				return graphOut{}, err
@@ -89,9 +90,6 @@ func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 			g, blocking, err := compat.BuildGraphCtx(ctx, cands, copt, e.pool)
 			if err != nil {
 				return graphOut{}, err
-			}
-			if e.cfg.DisableNegativeSignal {
-				g.StripNegative()
 			}
 			return graphOut{g: g, blocking: blocking}, nil
 		},

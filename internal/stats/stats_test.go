@@ -294,3 +294,80 @@ func TestColumnCoherenceMatchesPairwiseLookups(t *testing.T) {
 		}
 	}
 }
+
+// pairwiseCoherence is S(C) over a drawn sample as it was computed before the
+// co-occurrence sweep: one posting-list intersection per value pair.
+func pairwiseCoherence(x *CooccurrenceIndex, sample []string) float64 {
+	if len(sample) < 2 {
+		return 1
+	}
+	var sum float64
+	pairs := 0
+	for i := range sample {
+		for j := i + 1; j < len(sample); j++ {
+			u, v := x.columns[sample[i]], x.columns[sample[j]]
+			s, ok := x.npmiDiscounted(len(u)-1, len(v)-1, intersectCount(u, v)-1)
+			if !ok {
+				continue
+			}
+			sum += s
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		return 0
+	}
+	return sum / float64(pairs)
+}
+
+// TestCoherenceSweepMatchesPairwise compares the one-sweep co-occurrence
+// counts against pairwise intersection float for float, on random indexes
+// before and after Append (which must grow the pooled scratch). Vocabularies
+// are larger than MaxCoherenceSample, some values occur in one column only,
+// and some scored columns are not in the index at all.
+func TestCoherenceSweepMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	randCol := func(vocab []string) []string {
+		col := make([]string, 1+rng.Intn(50))
+		for i := range col {
+			if rng.Intn(8) == 0 {
+				col[i] = fmt.Sprintf("rare %d", rng.Int()) // posting list of one
+			} else {
+				col[i] = vocab[rng.Intn(len(vocab))]
+			}
+		}
+		return col
+	}
+	for trial := 0; trial < 20; trial++ {
+		vocab := make([]string, 2+rng.Intn(80))
+		for i := range vocab {
+			vocab[i] = fmt.Sprintf("V%d", i)
+		}
+		var cols [][]string
+		for c := 0; c < 5+rng.Intn(120); c++ {
+			cols = append(cols, randCol(vocab))
+		}
+		split := rng.Intn(len(cols) + 1)
+		idx := BuildIndex(corpusOf(cols[:split]...))
+		check := func(stage string) {
+			t.Helper()
+			scored := append(append([][]string(nil), cols...), randCol(vocab), randCol(vocab))
+			for _, col := range scored {
+				var sample []string
+				seen := map[string]bool{}
+				for _, v := range col {
+					if nv := textnorm.Normalize(v); nv != "" && !seen[nv] && len(sample) < MaxCoherenceSample {
+						seen[nv] = true
+						sample = append(sample, nv)
+					}
+				}
+				if got, want := idx.ColumnCoherence(col), pairwiseCoherence(idx, sample); got != want {
+					t.Fatalf("trial %d %s: sweep %v, pairwise %v for %v", trial, stage, got, want, sample)
+				}
+			}
+		}
+		check("before Append")
+		idx.Append(corpusOf(cols[split:]...))
+		check("after Append")
+	}
+}

@@ -12,9 +12,23 @@
 // a few edits. Distances are computed with a banded dynamic program in the
 // spirit of Ukkonen's algorithm: only the diagonal band of width θed of the
 // DP matrix is filled, making a single comparison O(θed · min{|v1|, |v2|}).
+//
+// Before the band is filled, a rune-set lower bound rejects pairs that are
+// plainly too far apart. Every distinct rune of v1 that v2 lacks needs an
+// edit of its own (each edit removes or replaces one rune of v1), and
+// likewise the other way round. A value's Signature sets bit r mod 64 for
+// each of its runes r, so a bit of s1 &^ s2 stands for at least one such
+// rune, and
+//
+//	popcount(s1 &^ s2) > θed  or  popcount(s2 &^ s1) > θed
+//
+// proves the distance exceeds θed. Runes that collide mod 64 only weaken
+// the bound, never make it unsound. It costs two AND-NOTs and two popcounts
+// against an O(θed · n) dynamic program.
 package strmatch
 
 import (
+	"math/bits"
 	"unicode/utf8"
 	"unsafe"
 
@@ -82,6 +96,17 @@ func (m *Matcher) MatchNormalized(v1, v2 string) bool {
 // count once instead of once per comparison. A length gap beyond the
 // threshold is rejected before any dynamic program runs.
 func (m *Matcher) MatchNormalizedLen(v1, v2 string, n1, n2 int) bool {
+	return m.MatchSig(v1, v2, n1, n2, 0, 0)
+}
+
+// MatchSig is MatchNormalizedLen for callers that also hold the values'
+// rune-set signatures (s1, s2, from Signature): after the equality, synonym
+// and length-gap checks, a pair the signatures prove to be more than θed
+// edits apart is rejected before the banded DP runs (see the package doc).
+// Zero signatures disable the bound. The values must be valid UTF-8, as
+// normalized values are: one whose rune count equals its byte length is
+// compared bytewise.
+func (m *Matcher) MatchSig(v1, v2 string, n1, n2 int, s1, s2 uint64) bool {
 	if v1 == v2 {
 		return true
 	}
@@ -92,7 +117,20 @@ func (m *Matcher) MatchNormalizedLen(v1, v2 string, n1, n2 int) bool {
 	if t == 0 || n1-n2 > t || n2-n1 > t {
 		return false
 	}
-	return WithinDistance(v1, v2, t)
+	if bits.OnesCount64(s1&^s2) > t || bits.OnesCount64(s2&^s1) > t {
+		return false
+	}
+	return withinDistanceString(v1, v2, n1 == len(v1) && n2 == len(v2), t)
+}
+
+// Signature returns s's rune-set signature: bit r mod 64 is set for every
+// rune r of s. MatchSig's lower bound compares two signatures.
+func Signature(s string) uint64 {
+	var sig uint64
+	for _, r := range s {
+		sig |= 1 << (uint32(r) & 63)
+	}
+	return sig
 }
 
 // Match normalizes both values (case, punctuation, footnotes) and then
@@ -113,10 +151,16 @@ const stackLen = 64
 // runes; ASCII inputs are compared bytewise in place, others are decoded
 // first.
 func WithinDistance(a, b string, maxDist int) bool {
+	return withinDistanceString(a, b, isASCII(a) && isASCII(b), maxDist)
+}
+
+// withinDistanceString is WithinDistance for callers that know whether both
+// inputs are ASCII.
+func withinDistanceString(a, b string, ascii bool, maxDist int) bool {
 	if maxDist < 0 {
 		return false
 	}
-	if isASCII(a) && isASCII(b) {
+	if ascii {
 		// A read-only byte view of the strings: no copy, never written.
 		return withinDistance(unsafe.Slice(unsafe.StringData(a), len(a)),
 			unsafe.Slice(unsafe.StringData(b), len(b)), maxDist)

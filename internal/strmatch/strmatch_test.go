@@ -1,10 +1,12 @@
 package strmatch
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestDistanceBasic(t *testing.T) {
@@ -243,4 +245,37 @@ func TestSynonymFeedMergeGroups(t *testing.T) {
 	if s.Len() != 4 {
 		t.Errorf("Len = %d, want 4", s.Len())
 	}
+}
+
+// FuzzSignatureBound checks the rune-set bound against the exact distance:
+// whenever it rejects a pair at a threshold, the pair is more than that
+// many edits apart. And MatchSig, which applies the bound, decides every
+// pair as MatchNormalizedLen does without it, for a tight and a loose
+// matcher. Seeds cover ASCII, accented and CJK values and runes equal mod
+// 64 ('a' and '!', 'é' and ')', '日' and '%'), which share a signature bit.
+func FuzzSignatureBound(f *testing.F) {
+	for _, p := range [][2]string{
+		{"korea republic of", "korea republic"}, {"usa", "rsa"}, {"abcdef", "ghijkl"},
+		{"côte d ivoire", "cote d ivoire"}, {"österreich", "osterreich"},
+		{"日本国", "日本"}, {"東京都", "京都府"},
+		{"abc", "!bc"}, {"café", "caf)"}, {"日本", "%本"}, {"", "a"},
+	} {
+		f.Add(p[0], p[1], uint8(2))
+	}
+	matchers := []*Matcher{NewMatcher(0.2, 10), NewMatcher(1, 10)}
+	f.Fuzz(func(t *testing.T, a, b string, th uint8) {
+		sa, sb := Signature(a), Signature(b)
+		limit := int(th % 16)
+		if bits.OnesCount64(sa&^sb) > limit || bits.OnesCount64(sb&^sa) > limit {
+			if d := Distance(a, b); d <= limit {
+				t.Fatalf("bound rejects %q, %q at %d but the distance is %d", a, b, limit, d)
+			}
+		}
+		na, nb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+		for _, m := range matchers {
+			if got, want := m.MatchSig(a, b, na, nb, sa, sb), m.MatchNormalizedLen(a, b, na, nb); got != want {
+				t.Fatalf("MatchSig(%q, %q) = %v, MatchNormalizedLen = %v (fed %v)", a, b, got, want, m.fracEd)
+			}
+		}
+	})
 }
