@@ -165,7 +165,7 @@ func run() int {
 	fmt.Printf("synthesis: %d edges, %d components, %d partitions, %d tables removed by conflict resolution\n",
 		res.Edges, res.Components, res.Partitions, res.TablesRemoved)
 	fmt.Printf("pipeline: total=%v over %d-worker pool\n",
-		res.Timings.Total.Round(1e6), eng.Pool().Workers())
+		res.Total.Round(1e6), eng.Pool().Workers())
 	fmt.Printf("\ntop %d synthesized mappings by popularity:\n", *top)
 	for i, m := range res.Mappings {
 		if i >= *top {
@@ -193,7 +193,7 @@ func run() int {
 				st.Name, st.Items, st.Produced, st.Duration.Round(1e5), st.PeakWorkers)
 		}
 		fmt.Fprintf(tw, "  total\t\t%d mappings\t%v\t\n",
-			len(res.Mappings), res.Timings.Total.Round(1e5))
+			len(res.Mappings), res.Total.Round(1e5))
 		tw.Flush()
 		// What blocking's stop-word cap left uncounted; zeros mean nothing.
 		bs := res.Blocking

@@ -20,7 +20,7 @@ func TestSmokePipeline(t *testing.T) {
 	t.Logf("extract: %+v filterRate=%.2f", res.ExtractStats, res.ExtractStats.FilterRate())
 	t.Logf("candidates=%d edges=%d partitions=%d removed=%d mappings=%d",
 		res.Candidates, res.Edges, res.Partitions, res.TablesRemoved, len(res.Mappings))
-	t.Logf("timings: %+v", res.Timings)
+	t.Logf("stages: %+v", res.Stages)
 
 	cases := benchmark.CasesFromRelations(corpus.Benchmark)
 	outputs := make([]benchmark.PairSet, len(res.Mappings))

@@ -12,9 +12,10 @@ type Component struct {
 // Decompose partitions the graph into its connected components and builds
 // every induced subgraph in a single counting-sort pass over the edge list —
 // O(V + E) total, into one backing array. Components are sorted by smallest
-// original vertex, and within a component vertex order is ascending,
-// matching ConnectedComponents. Dense ids ascend with original ids, so each
-// component's slice of the (A, B)-sorted edge list is itself sorted.
+// original vertex, and within a component vertex order is ascending.
+// Isolated vertices form singleton components. Dense ids ascend with
+// original ids, so each component's slice of the (A, B)-sorted edge list is
+// itself sorted.
 //
 // Components are independent by construction (no edge crosses them), which
 // is what lets the pipeline engine run synthesis and conflict resolution

@@ -91,14 +91,14 @@ func TestDecomposeManySingletons(t *testing.T) {
 }
 
 // TestDecomposeMatchesSubgraph is a property test: Decompose must agree
-// with the reference path ConnectedComponents + subgraph on random graphs,
+// with the reference path bfsComponents + subgraph on random graphs,
 // edge for edge and in the same (sorted) order.
 func TestDecomposeMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(40))
 		comps := g.Decompose()
-		want := g.ConnectedComponents()
+		want := bfsComponents(g)
 		if len(comps) != len(want) {
 			t.Fatalf("trial %d: %d components, want %d", trial, len(comps), len(want))
 		}

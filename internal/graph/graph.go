@@ -111,15 +111,6 @@ func (g *Graph) GetEdge(a, b int) *Edge {
 // callers must not modify it.
 func (g *Graph) Edges() []Edge { return g.settled() }
 
-// ConnectedComponents partitions the vertices into components connected by
-// any edge (positive or negative weight alike), using union-find.
-// Components are returned sorted by their smallest vertex, members ascending.
-// Isolated vertices form singleton components.
-func (g *Graph) ConnectedComponents() [][]int {
-	comps, _ := g.components()
-	return comps
-}
-
 // components returns the connected components, ordered by smallest vertex
 // with members ascending, and each vertex's component index. All member
 // lists share one backing array.

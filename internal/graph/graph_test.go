@@ -65,7 +65,7 @@ func TestConnectedComponents(t *testing.T) {
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(1, 2, 0, -0.5) // negative edges still connect components
 	g.AddEdge(4, 5, 1, 0)
-	comps := g.ConnectedComponents()
+	comps := componentVertices(g)
 	want := [][]int{{0, 1, 2}, {3}, {4, 5}, {6}}
 	if len(comps) != len(want) {
 		t.Fatalf("comps = %v", comps)
@@ -82,8 +82,17 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-// bfsComponents is ConnectedComponents as it was computed over adjacency
-// lists, kept as the oracle for the union-find version.
+// componentVertices is Decompose's vertex list per component.
+func componentVertices(g *Graph) [][]int {
+	var out [][]int
+	for _, c := range g.Decompose() {
+		out = append(out, c.Vertices)
+	}
+	return out
+}
+
+// bfsComponents computes the connected components over adjacency lists,
+// kept as the oracle for the union-find ones.
 func bfsComponents(g *Graph) [][]int {
 	adj := make([][]int, g.NumVertices())
 	for _, e := range g.Edges() {
@@ -130,7 +139,7 @@ func TestConnectedComponentsMatchBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(40))
-		if got, want := g.ConnectedComponents(), bfsComponents(g); !reflect.DeepEqual(got, want) {
+		if got, want := componentVertices(g), bfsComponents(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: components %v, BFS gives %v", trial, got, want)
 		}
 	}

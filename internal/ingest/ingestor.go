@@ -14,6 +14,8 @@ import (
 
 // PublishFunc installs a freshly synthesized mapping set as the corpus's new
 // active version. appliedLSN is the log head the set was synthesized from.
+// The set is the callee's own: nothing else holds the slice or its
+// mappings, so it may modify them.
 type PublishFunc func(maps []*mapping.Mapping, appliedLSN int64) error
 
 // Options configures one corpus's ingestor.

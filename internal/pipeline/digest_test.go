@@ -211,11 +211,8 @@ func TestEngineDigestsPinned(t *testing.T) {
 			res, err = New(cfg).Run(ctx, corpus.Tables)
 			check("workers=1", res, err)
 
-			// RunIncremental falls back to Run for configurations its
-			// cache cannot key; feeding those in batches proves nothing new.
-			if cfg.Resolution != ResolveGreedy || cfg.Synonyms != nil {
-				return
-			}
+			// Every case, whatever its strategy, also goes through the
+			// component cache, the corpus fed in three batches.
 			cfg.Workers = parallel
 			eng, inc := New(cfg), NewIncrementalState()
 			n := len(corpus.Tables)

@@ -32,7 +32,7 @@ func incrTestCorpus(t *testing.T) []*table.Table {
 }
 
 // TestIncrementalColdParity: a cold-cache RunIncremental is a full build and
-// must match Run byte-for-byte.
+// must match Run byte-for-byte, stage for stage.
 func TestIncrementalColdParity(t *testing.T) {
 	tables := incrTestCorpus(t)
 	cfg := DefaultConfig()
@@ -50,6 +50,15 @@ func TestIncrementalColdParity(t *testing.T) {
 	if full.TablesRemoved != inc.TablesRemoved || full.Partitions != inc.Partitions ||
 		full.Components != inc.Components || full.Candidates != inc.Candidates {
 		t.Fatalf("result stats differ: full %+v vs incremental %+v", full, inc)
+	}
+	// One path: both entry points report the same stages.
+	if len(full.Stages) != len(inc.Stages) {
+		t.Fatalf("Run has %d stages, RunIncremental %d", len(full.Stages), len(inc.Stages))
+	}
+	for i := range full.Stages {
+		if full.Stages[i].Name != inc.Stages[i].Name {
+			t.Errorf("stage %d: Run %q, RunIncremental %q", i, full.Stages[i].Name, inc.Stages[i].Name)
+		}
 	}
 }
 
@@ -128,21 +137,37 @@ func TestIncrementalWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallback: configurations the cache cannot key fall back to
-// the plain pipeline rather than guessing.
-func TestIncrementalFallback(t *testing.T) {
+// TestIncrementalSharedAcrossStrategies: one state serves a greedy and a
+// majority-voting engine, run alternately over a growing corpus. The
+// strategy is part of the cache key, so neither replays the other's kept
+// tables: each result equals Run with its own config, and each engine
+// still hits the entries of its own previous run, one table earlier.
+func TestIncrementalSharedAcrossStrategies(t *testing.T) {
 	tables := incrTestCorpus(t)
-	cfg := DefaultConfig()
-	cfg.Resolution = ResolveMajority
-	want, err := New(cfg).Run(context.Background(), tables)
-	if err != nil {
-		t.Fatal(err)
+	greedy, majority := DefaultConfig(), DefaultConfig()
+	majority.Resolution = ResolveMajority
+	state := NewIncrementalState()
+	n := len(tables)
+	for _, upto := range []int{n - 2, n - 1, n} {
+		cur := tables[:upto]
+		for _, cfg := range []Config{greedy, majority} {
+			got, err := New(cfg).RunIncremental(context.Background(), cur, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(cfg).Run(context.Background(), cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Resolution == ResolveGreedy && want.TablesRemoved == 0 {
+				t.Fatalf("upto %d: greedy resolution removed no table, so a replay across strategies would go unseen", upto)
+			}
+			if !bytes.Equal(snapBytes(t, want.Mappings), snapBytes(t, got.Mappings)) || want.TablesRemoved != got.TablesRemoved {
+				t.Fatalf("upto %d, resolution %d: incremental result differs from Run", upto, cfg.Resolution)
+			}
+		}
 	}
-	got, err := New(cfg).RunIncremental(context.Background(), tables, NewIncrementalState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapBytes(t, want.Mappings), snapBytes(t, got.Mappings)) {
-		t.Fatal("fallback path differs from Run")
+	if hits, misses, _ := state.CacheStats(); hits == 0 {
+		t.Fatalf("last run: hits=%d misses=%d, want hits", hits, misses)
 	}
 }

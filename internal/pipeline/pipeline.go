@@ -5,7 +5,7 @@
 //	index     corpus tables        -> co-occurrence index
 //	extract   corpus tables        -> candidate binary tables (Section 3)
 //	graph     candidates           -> compatibility graph (Section 4.1)
-//	partition graph components     -> partitionings (Section 4.2)
+//	partition positive components  -> partitions (Section 4.2, Appendix F)
 //	resolve   partitions           -> conflict-free mappings (Section 4.2/4.3)
 //
 // — all drawing parallelism from one shared worker pool bounded by
@@ -13,16 +13,20 @@
 // and per-stage instrumentation (durations, item counts, peak observed
 // concurrency).
 //
-// The headline concurrency win is in the partition and resolve stages:
-// the compatibility graph is decomposed into its positive components
-// (graph.Decompose; the graph stage emits only edges inside a w+-connected
-// component, Appendix F), which are independent by construction, so greedy
-// synthesis and conflict resolution run per component/partition in
-// parallel. After deterministic re-sorting and ID assignment the output is
-// byte-identical to a monolithic sequential pass for any worker count.
+// Synthesis works per positive component of the compatibility graph (the
+// graph stage emits only edges inside a w+-connected component, Appendix
+// F), and components are independent by construction: the partition stage
+// runs greedy synthesis per component and the resolve stage conflict
+// resolution per partition, both in parallel. One sequential walk then
+// assigns mapping IDs, so the output is byte-identical to a monolithic
+// sequential pass for any worker count.
 //
-// cmd/synthesize, internal/serve's rebuild path, the experiments and the
-// examples all drive this engine directly.
+// Run and RunIncremental are one path. RunIncremental passes a state whose
+// index appends instead of rebuilding and whose cache replays every
+// component no new table touched (see incremental.go).
+//
+// cmd/synthesize, internal/serve's rebuild path, internal/ingest, the
+// experiments and the examples all drive this engine directly.
 package pipeline
 
 import (
@@ -99,16 +103,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Timings records wall-clock per pipeline stage.
-type Timings struct {
-	Index     time.Duration // co-occurrence index build
-	Extract   time.Duration // candidate extraction
-	Graph     time.Duration // blocking + compatibility weights
-	Partition time.Duration // component decomposition + greedy synthesis
-	Resolve   time.Duration // conflict resolution + assembly
-	Total     time.Duration
-}
-
 // StageStats is the per-stage instrumentation record: what a stage
 // processed, what it produced, how long it ran, and the peak number of
 // concurrently running work items observed on the shared pool.
@@ -161,9 +155,9 @@ type Result struct {
 	Partitions int
 	// TablesRemoved counts candidate tables dropped by conflict resolution.
 	TablesRemoved int
-	// Timings holds per-stage wall-clock.
-	Timings Timings
-	// Stages holds the full per-stage instrumentation, in execution order.
+	// Total is the run's wall-clock.
+	Total time.Duration
+	// Stages holds the per-stage instrumentation, in execution order.
 	Stages []StageStats
 }
 
@@ -241,14 +235,27 @@ func runStage[I, O any](ctx context.Context, e *Engine, res *Result, s Stage[I, 
 // returns ctx's error and a nil result promptly, leaking no goroutines;
 // otherwise the result is byte-identical for any Config.Workers value.
 func (e *Engine) Run(ctx context.Context, tables []*table.Table) (*Result, error) {
+	return e.run(ctx, tables, nil)
+}
+
+// run is the one synthesis path. With a nil inc it builds everything from
+// scratch; with a state it appends to the state's index and replays the
+// components its cache holds (see RunIncremental).
+func (e *Engine) run(ctx context.Context, tables []*table.Table, inc *IncrementalState) (*Result, error) {
 	res := &Result{}
 	start := time.Now()
+	cache := inc
+	if inc != nil {
+		inc.hits, inc.misses = 0, 0
+		if e.cfg.Synonyms != nil {
+			cache = nil // the feed is mutable, so no key can vouch for a replay
+		}
+	}
 
-	idx, err := runStage(ctx, e, res, e.indexStage(), tables)
+	idx, err := runStage(ctx, e, res, e.indexStage(inc), tables)
 	if err != nil {
 		return nil, err
 	}
-	res.Timings.Index = lastStage(res).Duration
 
 	bins, err := runStage(ctx, e, res, e.extractStage(idx), tables)
 	if err != nil {
@@ -256,7 +263,6 @@ func (e *Engine) Run(ctx context.Context, tables []*table.Table) (*Result, error
 	}
 	res.ExtractStats = bins.stats
 	res.Candidates = len(bins.bins)
-	res.Timings.Extract = lastStage(res).Duration
 
 	gr, err := runStage(ctx, e, res, e.graphStage(), bins)
 	if err != nil {
@@ -264,15 +270,13 @@ func (e *Engine) Run(ctx context.Context, tables []*table.Table) (*Result, error
 	}
 	res.Edges = gr.g.NumEdges()
 	res.Blocking = gr.blocking
-	res.Timings.Graph = lastStage(res).Duration
 
-	parts, err := runStage(ctx, e, res, e.partitionStage(), gr)
+	parts, err := runStage(ctx, e, res, e.partitionStage(bins.bins, cache), gr)
 	if err != nil {
 		return nil, err
 	}
-	res.Components = parts.components
+	res.Components = len(parts.comps)
 	res.Partitions = len(parts.parts)
-	res.Timings.Partition = lastStage(res).Duration
 
 	maps, err := runStage(ctx, e, res, e.resolveStage(bins.bins), parts)
 	if err != nil {
@@ -280,14 +284,12 @@ func (e *Engine) Run(ctx context.Context, tables []*table.Table) (*Result, error
 	}
 	res.Mappings = maps.mappings
 	res.TablesRemoved = maps.tablesRemoved
-	res.Timings.Resolve = lastStage(res).Duration
+	if cache != nil {
+		cache.commit(parts.keys, parts.comps)
+	}
 
-	res.Timings.Total = time.Since(start)
+	res.Total = time.Since(start)
 	return res, nil
-}
-
-func lastStage(res *Result) StageStats {
-	return res.Stages[len(res.Stages)-1]
 }
 
 // sortByPopularity orders mappings by descending #domains, then #tables,

@@ -257,10 +257,8 @@ func TestInstrumentationAndStageStats(t *testing.T) {
 	if res.Components < 1 || res.Components > res.Partitions {
 		t.Errorf("components = %d, want in [1, %d partitions]", res.Components, res.Partitions)
 	}
-	tm := res.Timings
-	if tm.Total <= 0 || tm.Index <= 0 || tm.Extract <= 0 || tm.Graph <= 0 ||
-		tm.Partition <= 0 || tm.Resolve <= 0 {
-		t.Errorf("timings not populated: %+v", tm)
+	if res.Total <= 0 {
+		t.Errorf("total not populated: %v", res.Total)
 	}
 }
 

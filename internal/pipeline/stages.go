@@ -31,8 +31,13 @@ type graphOut struct {
 // dropping the reference lets the largest allocation of the run be
 // collected once partitioning completes.
 type partitionOut struct {
-	parts      synthesis.Partitioning
-	components int
+	// parts is every greedy partition, sorted by smallest member. A part
+	// replayed from the cache arrives resolved (kept non-nil).
+	parts []*partResult
+	// comps holds each component's result, and keys their cache keys
+	// (nil without a cache).
+	comps []*componentResult
+	keys  []string
 }
 
 // resolveOut is the resolve stage's typed output.
@@ -42,14 +47,17 @@ type resolveOut struct {
 }
 
 // indexStage builds the corpus co-occurrence index used by coherence
-// filtering. BuildIndex is a single pass over the corpus and runs
-// sequentially.
-func (e *Engine) indexStage() Stage[[]*table.Table, *stats.CooccurrenceIndex] {
+// filtering, or with a state appends the tables it has not seen to the
+// state's index. Either is a single sequential pass.
+func (e *Engine) indexStage(inc *IncrementalState) Stage[[]*table.Table, *stats.CooccurrenceIndex] {
 	return Stage[[]*table.Table, *stats.CooccurrenceIndex]{
 		Name:  "index",
 		Items: func(ts []*table.Table) int { return len(ts) },
 		Run: func(ctx context.Context, ts []*table.Table) (*stats.CooccurrenceIndex, error) {
-			return stats.BuildIndex(ts), nil
+			if inc == nil {
+				return stats.BuildIndex(ts), nil
+			}
+			return inc.index(ts), nil
 		},
 	}
 }
@@ -103,47 +111,54 @@ func (e *Engine) graphStage() Stage[extractOut, graphOut] {
 // F's divide and conquer. No edge crosses them, greedy merges only along
 // w+ and breaks ties by positive adjacency, which makes the concatenated,
 // re-sorted result identical to a monolithic greedy pass over the graph
-// with every negative edge scored.
-func (e *Engine) partitionStage() Stage[graphOut, partitionOut] {
+// with every negative edge scored. With a cache, each component is keyed
+// first, and a hit keeps its cached partitions instead of running greedy.
+func (e *Engine) partitionStage(bins []*table.BinaryTable, cache *IncrementalState) Stage[graphOut, partitionOut] {
 	return Stage[graphOut, partitionOut]{
 		Name:  "partition",
 		Items: func(in graphOut) int { return in.g.NumVertices() },
 		Count: func(o partitionOut) int { return len(o.parts) },
 		Run: func(ctx context.Context, in graphOut) (partitionOut, error) {
 			comps := in.g.Decompose()
-			perComp := make([]synthesis.Partitioning, len(comps))
-			if err := e.pool.ForEach(ctx, len(comps), func(i int) {
-				if ctx.Err() != nil {
-					return
+			out := partitionOut{comps: make([]*componentResult, len(comps))}
+			if cache != nil {
+				var err error
+				if out.keys, err = cache.lookup(ctx, e.pool, e.cacheConfigSignature(), comps, bins, out.comps); err != nil {
+					return partitionOut{}, err
 				}
-				perComp[i], _ = synthesis.GreedyComponent(ctx, comps[i], e.cfg.Tau)
+			}
+			if err := e.pool.ForEach(ctx, len(comps), func(i int) {
+				if out.comps[i] != nil {
+					return // replayed from the cache
+				}
+				sp, _ := synthesis.GreedyComponent(ctx, comps[i], e.cfg.Tau)
+				cr := &componentResult{parts: make([]partResult, len(sp))}
+				for pi, members := range sp {
+					cr.parts[pi].members = members
+				}
+				out.comps[i] = cr
 			}); err != nil {
 				return partitionOut{}, err
 			}
-			var parts synthesis.Partitioning
-			for _, sp := range perComp {
-				parts = append(parts, sp...)
+			for _, cr := range out.comps {
+				for pi := range cr.parts {
+					out.parts = append(out.parts, &cr.parts[pi])
+				}
 			}
-			sort.Slice(parts, func(i, j int) bool { return parts[i][0] < parts[j][0] })
-			return partitionOut{parts: parts, components: len(comps)}, nil
+			sort.Slice(out.parts, func(i, j int) bool { return out.parts[i].members[0] < out.parts[j].members[0] })
+			return out, nil
 		},
 	}
 }
 
-// partitionOutcome is one partition's resolve result before mapping IDs are
-// assigned.
-type partitionOutcome struct {
-	m       *mapping.Mapping
-	removed int
-	skip    bool
-}
-
 // resolveStage runs conflict resolution (Algorithm 4 or majority voting)
-// per partition in parallel, then assigns mapping IDs sequentially in
-// partition order, applies the curation filters, and sorts by popularity.
-// The sequential ID pass replicates the monolithic loop exactly: partitions
-// emptied by greedy resolution consume no ID, while partitions dropped by
-// the MinPairs/MinDomains filters do.
+// per partition in parallel, unless the cache already resolved it, and
+// builds each partition's mapping with its partition index as provisional
+// ID. It then assigns mapping IDs sequentially in partition order, applies
+// the curation filters, and sorts by popularity. The sequential ID pass
+// replicates the monolithic loop exactly: partitions emptied by greedy
+// resolution consume no ID, while partitions dropped by the
+// MinPairs/MinDomains filters do.
 func (e *Engine) resolveStage(bins []*table.BinaryTable) Stage[partitionOut, resolveOut] {
 	return Stage[partitionOut, resolveOut]{
 		Name:  "resolve",
@@ -152,44 +167,43 @@ func (e *Engine) resolveStage(bins []*table.BinaryTable) Stage[partitionOut, res
 		Run: func(ctx context.Context, in partitionOut) (resolveOut, error) {
 			conflictOpt := e.cfg.Conflict
 			conflictOpt.Synonyms = e.cfg.Synonyms
-			outcomes := make([]partitionOutcome, len(in.parts))
+			built := make([]*mapping.Mapping, len(in.parts)) // nil: emptied by resolution
 			if err := e.pool.ForEach(ctx, len(in.parts), func(pi int) {
-				if ctx.Err() != nil {
-					return
-				}
-				part := in.parts[pi]
-				group := make([]*table.BinaryTable, len(part))
-				for i, v := range part {
+				p := in.parts[pi]
+				group := make([]*table.BinaryTable, len(p.members))
+				for i, v := range p.members {
 					group[i] = bins[v]
 				}
-				// Provisional ID = partition index; real IDs are assigned
-				// below once the kept/skipped pattern is known globally.
-				switch e.cfg.Resolution {
-				case ResolveGreedy:
-					kept, removed := conflict.Resolve(group, conflictOpt)
-					outcomes[pi].removed = len(removed)
-					if len(kept) == 0 {
-						outcomes[pi].skip = true
-						return
+				if p.kept == nil {
+					p.kept, p.removed = e.resolve(group, conflictOpt)
+				}
+				if len(p.kept) == 0 {
+					return
+				}
+				// kept is an ordered subsequence of group: equal length
+				// means all of it.
+				kept := group
+				if len(p.kept) < len(group) {
+					kept = make([]*table.BinaryTable, len(p.kept))
+					for j, i := range p.kept {
+						kept[j] = group[i]
 					}
-					outcomes[pi].m = mapping.Build(pi, kept)
-				case ResolveMajority:
-					voted := conflict.MajorityVotePairs(group)
-					outcomes[pi].m = mapping.BuildFromPairs(pi, voted, group)
-				default: // ResolveNone
-					outcomes[pi].m = mapping.Build(pi, group)
+				}
+				if e.cfg.Resolution == ResolveMajority {
+					built[pi] = mapping.BuildFromPairs(pi, conflict.MajorityVotePairs(kept), kept)
+				} else {
+					built[pi] = mapping.Build(pi, kept)
 				}
 			}); err != nil {
 				return resolveOut{}, err
 			}
 			var out resolveOut
 			nextID := 0
-			for _, oc := range outcomes {
-				out.tablesRemoved += oc.removed
-				if oc.skip {
+			for pi, m := range built {
+				out.tablesRemoved += in.parts[pi].removed
+				if m == nil {
 					continue
 				}
-				m := oc.m
 				m.ID = nextID
 				nextID++
 				if m.Size() < e.cfg.MinPairs {
@@ -204,4 +218,27 @@ func (e *Engine) resolveStage(bins []*table.BinaryTable) Stage[partitionOut, res
 			return out, nil
 		},
 	}
+}
+
+// resolve runs the configured strategy's table selection over one
+// partition: the indices of the candidates it keeps, ascending and never
+// nil, and how many it drops. Only Algorithm 4 drops tables; majority
+// voting filters pairs when the mapping is built, and ResolveNone keeps
+// everything.
+func (e *Engine) resolve(group []*table.BinaryTable, opt conflict.Options) (kept []int, removed int) {
+	kept = make([]int, 0, len(group))
+	if e.cfg.Resolution != ResolveGreedy {
+		for i := range group {
+			kept = append(kept, i)
+		}
+		return kept, 0
+	}
+	survivors, dropped := conflict.Resolve(group, opt)
+	// survivors is an ordered subsequence of group.
+	for i := 0; len(kept) < len(survivors); i++ {
+		if group[i] == survivors[len(kept)] {
+			kept = append(kept, i)
+		}
+	}
+	return kept, len(dropped)
 }

@@ -178,16 +178,13 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 			}
 			if prefix != nil {
 				opts.Publish = func(maps []*mapping.Mapping, lsn int64) error {
-					tail := make([]*mapping.Mapping, len(maps))
+					// The set is this publish's own (the engine's cache
+					// keeps no mapping), so it is renumbered in place.
 					for i, m := range maps {
-						// Shallow-copy before renumbering: the engine's
-						// output is shared with its component cache.
-						nm := *m
-						nm.ID = maxID + 1 + i
-						tail[i] = &nm
+						m.ID = maxID + 1 + i
 					}
 					return s.publish(name, false, func() (*snapshot.Handle, error) {
-						return prefix.Image(tail)
+						return prefix.Image(maps)
 					})
 				}
 			}
