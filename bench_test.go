@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mapsynth/internal/apps"
 	"mapsynth/internal/baselines"
@@ -146,6 +147,33 @@ func BenchmarkSynthesizeParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEngineRunStages runs Engine.Run over the scale-2 web corpus
+// (bench/'s build-web corpus), one Engine reused across iterations, and
+// reports each stage's mean wall-clock in ms beside ns/op. With -benchmem
+// its B/op and allocs/op are one run's allocation.
+func BenchmarkEngineRunStages(b *testing.B) {
+	c := corpusgen.GenerateWeb(corpusgen.Options{Seed: 42, Scale: 2})
+	eng := pipeline.New(pipeline.DefaultConfig())
+	var names []string
+	stageNs := map[string]time.Duration{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Run(context.Background(), c.Tables)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range res.Stages {
+			if _, ok := stageNs[st.Name]; !ok {
+				names = append(names, st.Name)
+			}
+			stageNs[st.Name] += st.Duration
+		}
+	}
+	for _, n := range names {
+		b.ReportMetric(float64(stageNs[n].Microseconds())/1e3/float64(b.N), n+"_ms")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"mapsynth/internal/graph"
 	"mapsynth/internal/pool"
+	"mapsynth/internal/strmatch"
 	"mapsynth/internal/unionfind"
 )
 
@@ -107,6 +108,7 @@ type rowScratch struct {
 	touched            []int32
 	partners           []partner
 	entries            []rowEntry
+	pending            []int32
 	edges              []graph.Edge
 	match              matchScratch
 }
@@ -234,10 +236,11 @@ func BuildGraphCtx(ctx context.Context, cands []*Candidate, opt Options, p *pool
 	return buildGraph(ctx, cands, opt, p, nil)
 }
 
-// rowEntry is one pair of a candidate row between the two passes: the
-// later candidate b, its w+ (0 when not pos-blocked or below θedge) and
-// whether it is neg-blocked with w- still to score. The rows are at their
-// largest between the passes, so an entry is half a graph.Edge.
+// rowEntry is a pair of a candidate row with a w+ between the two passes:
+// the later candidate b, its w+ and whether it is neg-blocked with w- still
+// to score. A neg-blocked pair without a w+ is kept as its b alone (a
+// row's pending list): most of those fall outside a positive component and
+// are dropped, and the rows are at their largest between the passes.
 type rowEntry struct {
 	b   int32
 	neg bool
@@ -251,34 +254,45 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 		return nil, BlockStats{}, err
 	}
 	cp := NewComputer(opt)
+	var nb *strmatch.Neighbours // the left values' neighbour lists, for w+
+	if len(cands) > 0 && opt.MaxApproxProduct > 0 {
+		var err error
+		if nb, err = cp.neighbours(ctx, cands[0].set, p); err != nil {
+			return nil, BlockStats{}, err
+		}
+	}
 	bl := newBlocker(cands, opt.ThetaOverlap)
 	scratch := sync.Pool{New: func() any { return newRowScratch(len(cands)) }}
 
 	// Pass 1: block and score w+. A row holds its pairs ascending in b, so
 	// the rows concatenated in order are the edge list sorted by (A, B):
-	// nothing to merge or sort. Neg-blocked pairs ride along in the same
-	// row as pending entries, with or without a w+; under DisableNegative
-	// none is pending.
+	// nothing to sort. Neg-blocked pairs ride along in the same row, those
+	// with a w+ as entries and the rest in the pending list; under
+	// DisableNegative none is neg-blocked.
 	rows := make([][]rowEntry, len(cands))
+	pending := make([][]int32, len(cands))
 	if err := p.ForEach(ctx, len(cands), func(a int) {
 		if onRow != nil {
 			onRow(a)
 		}
 		sc := scratch.Get().(*rowScratch)
 		defer scratch.Put(sc)
-		sc.entries = sc.entries[:0]
+		sc.entries, sc.pending = sc.entries[:0], sc.pending[:0]
 		for _, pt := range bl.row(a, sc) {
 			en := rowEntry{b: pt.b, neg: pt.neg && !opt.DisableNegative}
 			if pt.pos {
-				if pw := cp.positive(cands[a], cands[pt.b], &sc.match); pw >= opt.ThetaEdge {
+				if pw := cp.positive(cands[a], cands[pt.b], nb, &sc.match); pw >= opt.ThetaEdge {
 					en.pos = pw
 				}
 			}
-			if en.pos != 0 || en.neg {
+			switch {
+			case en.pos != 0:
 				sc.entries = append(sc.entries, en)
+			case en.neg:
+				sc.pending = append(sc.pending, en.b)
 			}
 		}
-		rows[a] = slices.Clone(sc.entries)
+		rows[a], pending[a] = slices.Clone(sc.entries), slices.Clone(sc.pending)
 	}); err != nil {
 		return nil, BlockStats{}, err
 	}
@@ -288,9 +302,7 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 	uf := unionfind.New(len(cands))
 	for a, r := range rows {
 		for _, en := range r {
-			if en.pos > 0 {
-				uf.Union(a, int(en.b))
-			}
+			uf.Union(a, int(en.b))
 		}
 	}
 	root := make([]int32, len(cands))
@@ -299,14 +311,22 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 	}
 
 	// Pass 2: score w- where it can bind and turn each row into its edges,
-	// dropping the pending entries outside a positive component. An entry
-	// with w+ > 0 is inside one by construction.
+	// merging entries and pending pairs in ascending b and dropping the
+	// pending ones outside a positive component. An entry with w+ > 0 is
+	// inside one by construction.
 	edgeRows := make([][]graph.Edge, len(cands))
 	if err := p.ForEach(ctx, len(cands), func(a int) {
 		sc := scratch.Get().(*rowScratch)
 		defer scratch.Put(sc)
 		sc.edges = sc.edges[:0]
-		for _, en := range rows[a] {
+		ens, pend := rows[a], pending[a]
+		for len(ens) > 0 || len(pend) > 0 {
+			var en rowEntry
+			if len(pend) == 0 || len(ens) > 0 && ens[0].b < pend[0] {
+				en, ens = ens[0], ens[1:]
+			} else {
+				en, pend = rowEntry{b: pend[0], neg: true}, pend[1:]
+			}
 			e := graph.Edge{A: a, B: int(en.b), Pos: en.pos}
 			if en.neg && root[a] == root[en.b] {
 				e.Neg = cp.Negative(cands[a], cands[en.b])
@@ -315,7 +335,7 @@ func buildGraph(ctx context.Context, cands []*Candidate, opt Options, p *pool.Po
 				sc.edges = append(sc.edges, e)
 			}
 		}
-		rows[a] = nil
+		rows[a], pending[a] = nil, nil
 		edgeRows[a] = slices.Clone(sc.edges)
 	}); err != nil {
 		return nil, BlockStats{}, err

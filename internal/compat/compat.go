@@ -10,14 +10,22 @@
 // left-hand-side values.
 //
 // Everything here runs on dense integer ids, not strings. PrecomputeParallel
-// takes each table's normalized view (table.BinaryTable.Norm, computed once
-// per table for all stages), interns the pair keys of the whole candidate
-// set into one dictionary and numbers them by rank in key order; a left
-// value's id is the rank of its run in that order. Blocking is then
+// takes each table's normalized view (table.BinaryTable.Norm, which
+// extraction hands every candidate), interns the pair keys of the whole
+// candidate set into one dictionary and numbers them by rank in key order;
+// a left value's id is the rank of its run in that order. Blocking is then
 // ScanCount over posting arrays indexed by id, w+ an intersection of sorted
-// id slices and w- a merge-join of sorted left ids; strings are touched only
-// by the approximate matcher. BuildGraphCtx fuses blocking and w+ scoring
-// into one pass over candidate rows and emits the edge list already sorted.
+// id slices and w- a merge-join of sorted left ids. BuildGraphCtx fuses
+// blocking and w+ scoring into one pass over candidate rows and emits the
+// edge list already sorted.
+//
+// Strings are touched only by the approximate matcher, and for w+ the
+// question it answers for the left halves is asked once per distinct left
+// value, not once per candidate pair: before the rows are scored, every
+// left value gets the sorted list of the other left values the matcher
+// accepts (strmatch.Matcher.Neighbours), and a residual pair looks only at
+// the other table's pairs whose left is its own or one of those. The right
+// halves, and w-'s comparisons, still go through the matcher pair by pair.
 //
 // w- is scored only inside positive components (candidates joined by a path
 // of w+ > 0 edges): greedy synthesis merges only along positive weight, so a
@@ -33,6 +41,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"mapsynth/internal/pool"
@@ -100,9 +109,18 @@ type Candidate struct {
 	// left LeftIDs[i] are pairs[leftStart[i]:leftStart[i+1]].
 	LeftIDs   []uint32
 	leftStart []int32
-	// shapes[id] is the shape of pair id. The slice is the candidate set's
-	// own, shared by all of its candidates.
-	shapes []pairShape
+	// set is what all candidates of one PrecomputeParallel call share.
+	set *candidateSet
+}
+
+// candidateSet is the dictionary of one PrecomputeParallel call, shared by
+// all of its candidates: the shape of every distinct pair, and every
+// distinct left value with its rune count and signature.
+type candidateSet struct {
+	shapes   []pairShape // by pair id
+	lefts    []string    // by left id
+	leftLens []int32
+	leftSigs []uint64
 }
 
 // normPair is one normalized pair's bytes: both halves in one key.
@@ -136,9 +154,10 @@ func (c *Candidate) rights(i int) (lo, hi int) {
 }
 
 // PrecomputeParallel builds the interned view of every candidate: the i-th
-// output corresponds to the i-th input and gets ID i. Normalizing and
-// sorting fan out over the worker pool, and so does measuring the shape of
-// each distinct pair; the dictionary pass between them is sequential.
+// output corresponds to the i-th input and gets ID i. Sorting each view
+// fans out over the worker pool, and so do measuring the shape of each
+// distinct pair and renumbering each candidate's ids; the dictionary pass
+// between them is sequential.
 // Output is identical for any worker count. Cancellation returns ctx's
 // error and a nil slice.
 func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.Pool) ([]*Candidate, error) {
@@ -156,8 +175,12 @@ func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.
 	}
 
 	// Intern every pair key, first come first numbered.
-	first := make(map[string]uint32)
-	var keys []*normPair // keys[id] is some candidate's copy of the pair
+	total := 0
+	for _, c := range out {
+		total += len(c.pairs)
+	}
+	first := make(map[string]uint32, total)
+	keys := make([]*normPair, 0, total) // keys[id] is some candidate's copy of the pair
 	for _, c := range out {
 		for j := range c.pairs {
 			id, ok := first[c.pairs[j].key]
@@ -187,7 +210,8 @@ func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.
 		}
 		leftOf[r] = lefts
 	}
-	shapes := make([]pairShape, len(keys)) // by rank
+	set := &candidateSet{shapes: make([]pairShape, len(keys)), lefts: make([]string, 0, lefts+1)}
+	shapes := set.shapes // by rank
 	const chunk = 1024
 	if err := p.ForEach(ctx, (len(order)+chunk-1)/chunk, func(k int) {
 		for r := k * chunk; r < min((k+1)*chunk, len(order)); r++ {
@@ -201,16 +225,33 @@ func PrecomputeParallel(ctx context.Context, bins []*table.BinaryTable, p *pool.
 	}); err != nil {
 		return nil, err
 	}
-	for _, c := range out {
-		c.shapes = shapes
+	set.leftLens, set.leftSigs = make([]int32, 0, lefts+1), make([]uint64, 0, lefts+1)
+	for r, id := range order {
+		if r == 0 || leftOf[r] != leftOf[r-1] {
+			set.lefts = append(set.lefts, keys[id].l())
+			set.leftLens, set.leftSigs = append(set.leftLens, shapes[r].nl), append(set.leftSigs, shapes[r].sl)
+		}
+	}
+	if err := p.ForEach(ctx, len(out), func(i int) {
+		c := out[i]
+		c.set = set
+		runs := 0
 		for j, id := range c.PairIDs {
 			c.PairIDs[j] = rank[id]
-			if lid := leftOf[rank[id]]; j == 0 || lid != c.LeftIDs[len(c.LeftIDs)-1] {
+			if j == 0 || leftOf[c.PairIDs[j]] != leftOf[c.PairIDs[j-1]] {
+				runs++
+			}
+		}
+		c.LeftIDs, c.leftStart = make([]uint32, 0, runs), make([]int32, 0, runs+1)
+		for j, id := range c.PairIDs {
+			if lid := leftOf[id]; j == 0 || lid != c.LeftIDs[len(c.LeftIDs)-1] {
 				c.LeftIDs = append(c.LeftIDs, lid)
 				c.leftStart = append(c.leftStart, int32(j))
 			}
 		}
 		c.leftStart = append(c.leftStart, int32(len(c.pairs)))
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -225,6 +266,11 @@ type Weights struct {
 type Computer struct {
 	opt     Options
 	matcher *strmatch.Matcher
+	// mu guards the neighbour lists Positive last built, and the candidate
+	// set they are for.
+	mu    sync.Mutex
+	set   *candidateSet
+	lists *strmatch.Neighbours
 }
 
 // NewComputer returns a Computer with the given options.
@@ -236,28 +282,50 @@ func NewComputer(opt Options) *Computer {
 	return &Computer{opt: opt, matcher: m}
 }
 
+// neighbours returns the left-value neighbour lists of set, built on p:
+// for every left value, the other left values the matcher accepts against
+// it (strmatch.Matcher.Neighbours). Only a left value and its neighbours
+// can pair residuals approximately.
+func (cp *Computer) neighbours(ctx context.Context, set *candidateSet, p *pool.Pool) (*strmatch.Neighbours, error) {
+	return cp.matcher.Neighbours(ctx, set.lefts, set.leftLens, set.leftSigs, p)
+}
+
 // matchScratch holds the residual lists of one w+ evaluation so a worker
 // scoring many pairs reuses them. The zero value is ready to use.
 type matchScratch struct {
 	resA, resB []int32 // positions in a.pairs / b.pairs without an exact partner
-	used       []bool  // per resB entry: already matched approximately
+	free       []bool  // per position in b.pairs: a residual not yet matched
 }
 
 // Positive computes w+(B, B') (Equation 3): shared value pairs are counted
 // by exact normalized-key intersection first; residual (unmatched) pairs are
 // then matched approximately (both sides must match within the edit-distance
-// threshold), greedily and at most once each.
+// threshold), greedily and at most once each. The candidate set's
+// neighbour lists are built on the first call for the set and kept for the
+// next; BuildGraphCtx builds its own once.
 func (cp *Computer) Positive(a, b *Candidate) float64 {
-	return cp.positive(a, b, new(matchScratch))
+	var nb *strmatch.Neighbours
+	if cp.opt.MaxApproxProduct > 0 {
+		cp.mu.Lock()
+		if cp.set != a.set {
+			cp.lists, _ = cp.neighbours(context.Background(), a.set, pool.New(1)) // never cancelled
+			cp.set = a.set
+		}
+		nb = cp.lists
+		cp.mu.Unlock()
+	}
+	return cp.positive(a, b, nb, new(matchScratch))
 }
 
-func (cp *Computer) positive(a, b *Candidate, sc *matchScratch) float64 {
+// positive is Positive with the candidate set's neighbour lists (nil when
+// MaxApproxProduct is 0) and the caller's scratch.
+func (cp *Computer) positive(a, b *Candidate, nb *strmatch.Neighbours, sc *matchScratch) float64 {
 	if len(a.PairIDs) == 0 || len(b.PairIDs) == 0 {
 		return 0
 	}
 	matched := intersectSorted(a.PairIDs, b.PairIDs, sc)
 	if len(sc.resA) > 0 && len(sc.resB) > 0 && len(sc.resA)*len(sc.resB) <= cp.opt.MaxApproxProduct {
-		matched += cp.approxResidual(a, b, sc)
+		matched += cp.approxResidual(a, b, nb, sc)
 	}
 	return float64(matched) / float64(min(len(a.PairIDs), len(b.PairIDs)))
 }
@@ -265,26 +333,78 @@ func (cp *Computer) positive(a, b *Candidate, sc *matchScratch) float64 {
 // approxResidual greedily matches residual pairs across the two tables
 // using approximate matching on both the left and right halves. Each
 // residual pair participates in at most one match. The outcome depends on
-// visiting order; residuals come in ascending id, which is ascending pair
-// key.
-func (cp *Computer) approxResidual(a, b *Candidate, sc *matchScratch) int {
-	sc.used = append(sc.used[:0], make([]bool, len(sc.resB))...)
+// visiting order: residuals of a are visited in ascending id, which is
+// ascending pair key, and each takes the first unused residual of b, in
+// the same order, whose left and right both match.
+//
+// b's pairs are grouped by left value in ascending left id, so the
+// residuals whose left matches a's left value la are those in b's runs of
+// la and of la's neighbours. Visiting those runs in ascending left id finds
+// the same first match as a scan over all of b's residuals would.
+func (cp *Computer) approxResidual(a, b *Candidate, nb *strmatch.Neighbours, sc *matchScratch) int {
+	if len(sc.free) < len(b.pairs) {
+		sc.free = make([]bool, len(b.pairs))
+	}
+	for _, q := range sc.resB {
+		sc.free[q] = true
+	}
 	count := 0
+	k, own := 0, 0 // a's left run holding the residual; b's first run not below it
 	for _, i := range sc.resA {
-		pa, sa := &a.pairs[i], &a.shapes[a.PairIDs[i]]
-		la, ra := pa.l(), pa.r()
-		for j, k := range sc.resB {
-			if sc.used[j] {
-				continue
+		for a.leftStart[k+1] <= i {
+			k++
+		}
+		la := a.LeftIDs[k]
+		for own < len(b.LeftIDs) && b.LeftIDs[own] < la {
+			own++
+		}
+		nbrs := nb.Of(la)
+		hasOwn := own < len(b.LeftIDs) && b.LeftIDs[own] == la
+		if !hasOwn && len(nbrs) == 0 {
+			continue
+		}
+		ra, sa := a.pairs[i].r(), &a.set.shapes[a.PairIDs[i]]
+		// take claims the first free residual in b's run kb whose right
+		// value matches ra.
+		take := func(kb int) bool {
+			for q := b.leftStart[kb]; q < b.leftStart[kb+1]; q++ {
+				if !sc.free[q] {
+					continue
+				}
+				sb := &b.set.shapes[b.PairIDs[q]]
+				if cp.matcher.MatchSig(ra, b.pairs[q].r(), int(sa.nr), int(sb.nr), sa.sr, sb.sr) {
+					sc.free[q] = false
+					return true
+				}
 			}
-			pb, sb := &b.pairs[k], &b.shapes[b.PairIDs[k]]
-			if cp.matcher.MatchSig(la, pb.l(), int(sa.nl), int(sb.nl), sa.sl, sb.sl) &&
-				cp.matcher.MatchSig(ra, pb.r(), int(sa.nr), int(sb.nr), sa.sr, sb.sr) {
-				sc.used[j] = true
-				count++
+			return false
+		}
+		// Neighbours below la, la itself, then neighbours above it.
+		split, _ := slices.BinarySearch(nbrs, la)
+		found := false
+		for _, y := range nbrs[:split] {
+			if kb, ok := slices.BinarySearch(b.LeftIDs[:own], y); ok && take(kb) {
+				found = true
 				break
 			}
 		}
+		if !found && hasOwn {
+			found = take(own)
+		}
+		if !found {
+			for _, y := range nbrs[split:] {
+				if kb, ok := slices.BinarySearch(b.LeftIDs[own:], y); ok && take(own+kb) {
+					found = true
+					break
+				}
+			}
+		}
+		if found {
+			count++
+		}
+	}
+	for _, q := range sc.resB {
+		sc.free[q] = false
 	}
 	return count
 }
@@ -337,10 +457,10 @@ func (cp *Computer) unmatched(x *Candidate, i int, y *Candidate, j int) bool {
 	xlo, xhi := x.rights(i)
 	ylo, yhi := y.rights(j)
 	for p := xlo; p < xhi; p++ {
-		xr, xs := x.pairs[p].r(), &x.shapes[x.PairIDs[p]]
+		xr, xs := x.pairs[p].r(), &x.set.shapes[x.PairIDs[p]]
 		found := false
 		for q := ylo; q < yhi; q++ {
-			ys := &y.shapes[y.PairIDs[q]]
+			ys := &y.set.shapes[y.PairIDs[q]]
 			if cp.matcher.MatchSig(xr, y.pairs[q].r(), int(xs.nr), int(ys.nr), xs.sr, ys.sr) {
 				found = true
 				break

@@ -8,12 +8,14 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mapsynth/internal/graph"
 	"mapsynth/internal/pool"
+	"mapsynth/internal/strmatch"
 	"mapsynth/internal/table"
 	"mapsynth/internal/unionfind"
 )
@@ -29,7 +31,9 @@ func precompute(bins []*table.BinaryTable) []*Candidate {
 
 // noisyBins builds tables over a small vocabulary chosen to hit every path
 // of normalization and matching: case and punctuation variants of one value,
-// near-misses within and beyond the edit threshold, multibyte letters,
+// near-misses within and beyond the edit threshold, multibyte letters and
+// multibyte near-misses, a family of 6-rune codes one edit apart, values at
+// the kEd cap (55 runes and more) with siblings 10 and 11 edits away,
 // footnotes, and values that normalize to nothing. Some tables are exact
 // copies of earlier ones.
 func noisyBins(rng *rand.Rand, n int) []*table.BinaryTable {
@@ -38,6 +42,9 @@ func noisyBins(rng *rand.Rand, n int) []*table.BinaryTable {
 		"côte d'ivoire", "Cote d'Ivoire", "CÔTE D’IVOIRE", "american samoa", "American Samoa (US)",
 		"usa", "USA", "u.s.a.", "rsa", "日本", "日本国", "a", "b", "[1]", "", "---",
 		"united states virgin islands", "us virgin islands",
+		"ab12cd", "ab12ce", "ab12c", "xb12cd", "ab1d2cd", "ab13ce",
+		"österreich", "osterreich", "östereich", "ősterreich", "東京都庁舎前", "東京都庁舎", "京都府庁舎前",
+		capValue(0), capValue(10), capValue(11), capValue(10) + "z",
 	}
 	rights := []string{
 		"KOR", "kor", "Kor[a]", "PRK", "CIV", "civ", "ASM", "ASA", "USA", "ZAF", "JPN", "jpn",
@@ -59,6 +66,16 @@ func noisyBins(rng *rand.Rand, n int) []*table.BinaryTable {
 		bins = append(bins, table.NewBinaryTable(i, i, "d", "l", "r", ls, rs))
 	}
 	return bins
+}
+
+// capValue is a 57-rune value, at the kEd cap of the default threshold,
+// with its first k runes changed: capValue(k) is k edits from capValue(0).
+func capValue(k int) string {
+	v := []byte("the quick brown fox jumps over the lazy dog near the bank")
+	for i := 0; i < k; i++ {
+		v[i*5] = 'q'
+	}
+	return string(v)
 }
 
 func differentialOptions(t *testing.T) map[string]Options {
@@ -360,4 +377,63 @@ func TestSortTouchedMatchesSort(t *testing.T) {
 	if dense < 100 || sparse < 100 {
 		t.Fatalf("rows: %d dense, %d sparse; want both paths exercised", dense, sparse)
 	}
+}
+
+// FuzzNeighbourLists: the left-value neighbour lists the list path walks
+// hold exactly the other left values MatchSig accepts, checked by brute
+// force over the candidate set's dictionary, under the default options,
+// the loose ones (a larger fraction, a small cap) and with a synonym feed.
+// The input is one table's left column, values separated by '|'.
+func FuzzNeighbourLists(f *testing.F) {
+	for _, s := range []string{
+		"south korea|south koreaa|north korea|south korea republic",
+		"ab12cd|ab12ce|ab12c|xb12cd|ab1d2cd|ab13ce|abc|abd",
+		"österreich|osterreich|östereich|ősterreich|東京都庁舎前|東京都庁舎|京都府庁舎前",
+		capValue(0) + "|" + capValue(10) + "|" + capValue(11) + "|" + capValue(10) + "z",
+		"us virgin islands|virgin islands of the united states|us virgin island|kor|republic of korea",
+		"aaaaa|aaaab|baaaa|aabaa|aaaaaa|aaaa",
+	} {
+		f.Add(s)
+	}
+	feed := strmatch.NewSynonymFeed()
+	feed.AddGroup("us virgin islands", "virgin islands of the united states")
+	feed.AddGroup("kor", "republic of korea", "south korea")
+	opts := map[string]Options{"default": DefaultOptions(), "synonyms": DefaultOptions()}
+	loose := DefaultOptions()
+	loose.FracEd, loose.KEd = 0.4, 3
+	opts["loose"] = loose
+	syn := opts["synonyms"]
+	syn.Synonyms = feed
+	opts["synonyms"] = syn
+	f.Fuzz(func(t *testing.T, col string) {
+		vals := strings.Split(col, "|")
+		if len(vals) > 64 {
+			vals = vals[:64]
+		}
+		rights := make([]string, len(vals))
+		for i := range rights {
+			rights[i] = "x"
+		}
+		cands := precompute([]*table.BinaryTable{table.NewBinaryTable(0, 0, "d", "l", "r", vals, rights)})
+		set := cands[0].set
+		for name, opt := range opts {
+			cp := NewComputer(opt)
+			nb, err := cp.neighbours(context.Background(), set, pool.New(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := range set.lefts {
+				var want []uint32
+				for y := range set.lefts {
+					if x != y && cp.matcher.MatchSig(set.lefts[x], set.lefts[y], int(set.leftLens[x]), int(set.leftLens[y]),
+						set.leftSigs[x], set.leftSigs[y]) {
+						want = append(want, uint32(y))
+					}
+				}
+				if got := nb.Of(uint32(x)); !slices.Equal(got, want) {
+					t.Fatalf("%s: neighbours of %q = %v, brute force %v (dictionary %q)", name, set.lefts[x], got, want, set.lefts)
+				}
+			}
+		}
+	})
 }

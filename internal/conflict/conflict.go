@@ -15,6 +15,7 @@
 package conflict
 
 import (
+	"slices"
 	"sort"
 
 	"mapsynth/internal/strmatch"
@@ -101,47 +102,62 @@ type resolver struct {
 
 func newResolver(cands []*table.BinaryTable, opt Options) *resolver {
 	matcher := opt.matcher()
-	r := &resolver{tablePairs: make([][]int32, len(cands))}
+	// The tables of a partition share most of their pairs, so the largest
+	// one is the size hint for the distinct pairs.
+	total, largest := 0, 0
+	for _, b := range cands {
+		total += len(b.Norm().Pairs)
+		largest = max(largest, len(b.Norm().Pairs))
+	}
+	r := &resolver{tablePairs: make([][]int32, len(cands)), holders: make([]int32, 0, largest)}
 	// Group the distinct pairs of the union by normalized left value; a
 	// group is a handful of right values, so a linear scan finds repeats.
-	type right struct {
-		nr string
-		id int32
-	}
-	groupOf := make(map[string]int32)
-	var groups [][]right
+	// A group is a chain through its pairs, newest first: last[g] is its
+	// newest pair and prev[p] the pair before p in p's group, or -1.
+	groupOf := make(map[string]int32, largest)
+	last := make([]int32, 0, largest)
+	prev := make([]int32, 0, largest)
+	rightOf := make([]string, 0, largest) // by pair
+	ids := make([]int32, total)
 	for t, b := range cands {
 		norm := b.Norm().Pairs
-		r.tablePairs[t] = make([]int32, len(norm))
+		r.tablePairs[t], ids = ids[:len(norm):len(norm)], ids[len(norm):]
 	pairs:
 		for i, np := range norm {
 			g, ok := groupOf[np.L]
 			if !ok {
-				g = int32(len(groups))
+				g = int32(len(last))
 				groupOf[np.L] = g
-				groups = append(groups, nil)
+				last = append(last, -1)
 			}
-			for _, rt := range groups[g] {
-				if rt.nr == np.R {
-					r.tablePairs[t][i] = rt.id
-					r.holders[rt.id]++
+			for id := last[g]; id >= 0; id = prev[id] {
+				if rightOf[id] == np.R {
+					r.tablePairs[t][i] = id
+					r.holders[id]++
 					continue pairs
 				}
 			}
 			id := int32(len(r.holders))
-			groups[g] = append(groups[g], right{nr: np.R, id: id})
+			prev, rightOf = append(prev, last[g]), append(rightOf, np.R)
+			last[g] = id
 			r.holders = append(r.holders, 1)
 			r.tablePairs[t][i] = id
 		}
 	}
 	r.disagree = make([][]int32, len(r.holders))
 	r.cntV = make([]int32, len(r.holders))
-	for _, rs := range groups {
-		for i := range rs {
-			for j := i + 1; j < len(rs); j++ {
-				if !matcher.MatchNormalized(rs[i].nr, rs[j].nr) {
-					r.disagree[rs[i].id] = append(r.disagree[rs[i].id], rs[j].id)
-					r.disagree[rs[j].id] = append(r.disagree[rs[j].id], rs[i].id)
+	var rs []int32 // one group's pairs, oldest first
+	for _, newest := range last {
+		rs = rs[:0]
+		for id := newest; id >= 0; id = prev[id] {
+			rs = append(rs, id)
+		}
+		slices.Reverse(rs)
+		for i, a := range rs {
+			for _, b := range rs[i+1:] {
+				if !matcher.MatchNormalized(rightOf[a], rightOf[b]) {
+					r.disagree[a] = append(r.disagree[a], b)
+					r.disagree[b] = append(r.disagree[b], a)
 				}
 			}
 		}

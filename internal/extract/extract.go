@@ -110,17 +110,58 @@ type tableScratch struct {
 	// seen is, per normalized id, the stamp of the last column sampling it.
 	seen []uint32
 	stmp uint32
-	// pairs and kept serve one candidate: the raw id pairs it holds, and
-	// the row each of its pairs came from.
-	pairs map[uint64]struct{}
-	kept  []int32
-	fd    fd.Checker
+	// rawPairs, normPairs and kept serve one candidate: the raw and the
+	// normalized id pairs it holds, and the row each of its pairs came from.
+	rawPairs, normPairs pairSet
+	kept                []int32
+	fd                  fd.Checker
+}
+
+// pairSet is a set of id pairs for one candidate at a time. Every left id
+// heads a chain of the rights added with it; a stamp per left id marks the
+// chains of the current candidate, so starting the next one clears nothing.
+// Candidates are functional, so a chain is almost always one entry long.
+type pairSet struct {
+	stamp []uint32 // per left id: the candidate that last added one
+	head  []int32  // per left id: its last entry
+	right []int32  // per entry
+	prev  []int32  // per entry: the entry before it with the same left, or -1
+	cur   uint32
+}
+
+// reset empties the set for left ids below n.
+func (s *pairSet) reset(n int) {
+	if s.cur++; s.cur == 0 { // wrapped: no stale stamp may match
+		clear(s.stamp)
+		s.cur = 1
+	}
+	if len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+		s.head = append(s.head, make([]int32, n-len(s.head))...)
+	}
+	s.right, s.prev = s.right[:0], s.prev[:0]
+}
+
+// add adds the pair l, r and reports whether it was new.
+func (s *pairSet) add(l, r int32) bool {
+	prev := int32(-1)
+	if s.stamp[l] == s.cur {
+		for e := s.head[l]; e >= 0; e = s.prev[e] {
+			if s.right[e] == r {
+				return false
+			}
+		}
+		prev = s.head[l]
+	}
+	s.stamp[l], s.head[l] = s.cur, int32(len(s.right))
+	s.right, s.prev = append(s.right, r), append(s.prev, prev)
+	return true
 }
 
 // intern fills the scratch with the ids of t's cells.
 func (sc *tableScratch) intern(t *table.Table) {
 	if sc.raw == nil {
-		sc.raw, sc.norm, sc.pairs = make(map[string]int32), make(map[string]int32), make(map[uint64]struct{})
+		sc.raw, sc.norm = make(map[string]int32), make(map[string]int32)
 	}
 	clear(sc.raw)
 	clear(sc.norm)
@@ -181,21 +222,36 @@ func (sc *tableScratch) binary(id int, t *table.Table, i, j int) *table.BinaryTa
 	ci, cj := &t.Columns[i], &t.Columns[j]
 	b := &table.BinaryTable{ID: id, TableID: t.ID, Domain: t.Domain, LeftName: ci.Name, RightName: cj.Name}
 	ls, rs := sc.rows[i], sc.rows[j]
-	clear(sc.pairs)
+	sc.rawPairs.reset(len(sc.rawVal))
 	sc.kept = sc.kept[:0]
 	for r := range min(len(ls), len(rs)) {
-		if ls[r] == 0 {
-			continue
+		if ls[r] != 0 && sc.rawPairs.add(ls[r], rs[r]) {
+			sc.kept = append(sc.kept, int32(r))
 		}
-		k := uint64(ls[r])<<32 | uint64(rs[r])
-		if _, dup := sc.pairs[k]; dup {
-			continue
-		}
-		sc.pairs[k] = struct{}{}
-		b.Pairs = append(b.Pairs, table.Pair{L: ci.Values[r], R: cj.Values[r]})
-		sc.kept = append(sc.kept, int32(r))
+	}
+	b.Pairs = make([]table.Pair, len(sc.kept))
+	for k, r := range sc.kept {
+		b.Pairs[k] = table.Pair{L: ci.Values[r], R: cj.Values[r]}
 	}
 	return b
+}
+
+// view returns the normalized view (table.Norm) of the candidate binary
+// just built over columns i → j, from the normalized ids of the rows it
+// kept: the pairs with a non-empty left, first occurrence of each.
+func (sc *tableScratch) view(i, j int) []table.NormPair {
+	out := make([]table.NormPair, 0, len(sc.kept))
+	sc.normPairs.reset(len(sc.vals))
+	for src, r := range sc.kept {
+		l, rv := sc.cols[i][r], sc.cols[j][r]
+		if l == 0 || !sc.normPairs.add(l, rv) {
+			continue
+		}
+		nl := sc.vals[l]
+		key := textnorm.PairKey(nl, sc.vals[rv])
+		out = append(out, table.NormPair{L: key[:len(nl)], R: key[len(nl)+1:], Key: key, Src: src})
+	}
+	return out
 }
 
 // mostlyNumeric reports whether both sides of the candidate binary just
@@ -334,6 +390,7 @@ func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*tabl
 				st.PairsNumeric++
 				continue
 			}
+			b.SetNorm(sc.view(i, j))
 			*nextID++
 			out = append(out, b)
 		}
@@ -345,7 +402,8 @@ func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*tabl
 // counter: consecutive small integers starting at 1. Such columns trivially
 // satisfy FDs against anything without expressing a mapping.
 func rowNumberColumn(b *table.BinaryTable) bool {
-	seen := make(map[int]struct{}, len(b.Pairs))
+	var seen [rowNumberMax + 1]bool
+	distinct := 0
 	for _, p := range b.Pairs {
 		nv := textnorm.Normalize(p.L)
 		num := 0
@@ -354,25 +412,31 @@ func rowNumberColumn(b *table.BinaryTable) bool {
 				return false
 			}
 			num = num*10 + int(r-'0')
-			if num > 1000 {
+			if num > rowNumberMax {
 				return false
 			}
 		}
 		if nv == "" {
 			return false
 		}
-		seen[num] = struct{}{}
+		if !seen[num] {
+			seen[num] = true
+			distinct++
+		}
 	}
-	if len(seen) != len(b.Pairs) {
+	if distinct != len(b.Pairs) || distinct > rowNumberMax {
 		return false
 	}
-	for i := 1; i <= len(seen); i++ {
-		if _, ok := seen[i]; !ok {
+	for i := 1; i <= distinct; i++ {
+		if !seen[i] {
 			return false
 		}
 	}
 	return true
 }
+
+// rowNumberMax is the largest row number rowNumberColumn recognizes.
+const rowNumberMax = 1000
 
 // isNumeric reports whether the normalized value consists solely of digits,
 // spaces and at most one decimal point per token.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"mapsynth/internal/corpusgen"
 	"mapsynth/internal/fd"
 	"mapsynth/internal/pool"
 	"mapsynth/internal/stats"
@@ -300,6 +302,38 @@ func TestExtractAllParallelMatchesSequential(t *testing.T) {
 	for i := range want {
 		if got[i].ID != want[i].ID || got[i].TableID != want[i].TableID || !slices.Equal(got[i].Pairs, want[i].Pairs) {
 			t.Fatalf("candidate %d: parallel %+v, sequential %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestViewHandover: every candidate ExtractAllParallel returns carries the
+// normalized view extraction built from its interned ids, and that view
+// equals the one Norm computes from scratch on a fresh copy of the pairs.
+// SortPairs still drops the view, so Norm rebuilds it for the new order.
+func TestViewHandover(t *testing.T) {
+	for name, c := range map[string]*corpusgen.Corpus{
+		"web 42":        corpusgen.GenerateWeb(corpusgen.Options{Seed: 42}),
+		"enterprise 42": corpusgen.GenerateEnterprise(corpusgen.Options{Seed: 42}),
+	} {
+		bins, _, err := New(stats.BuildIndex(c.Tables), DefaultOptions()).ExtractAllParallel(context.Background(), c.Tables, pool.New(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bins) == 0 {
+			t.Fatalf("%s: no candidates", name)
+		}
+		for _, b := range bins {
+			fresh := &table.BinaryTable{Pairs: slices.Clone(b.Pairs)}
+			if got, want := b.Norm(), fresh.Norm(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: candidate %v: handed-over view %v, Norm %v", name, b, got.Pairs, want.Pairs)
+			}
+		}
+		b := bins[0]
+		handed := b.Norm()
+		b.SortPairs()
+		fresh := &table.BinaryTable{Pairs: slices.Clone(b.Pairs)}
+		if got := b.Norm(); got == handed || !reflect.DeepEqual(got, fresh.Norm()) {
+			t.Fatalf("%s: after SortPairs, Norm still serves the handed-over view", name)
 		}
 	}
 }

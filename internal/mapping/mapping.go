@@ -149,9 +149,15 @@ func build(id int, cands []*table.BinaryTable, keep map[string]struct{}) *Mappin
 	m := &Mapping{ID: id, surfaceR: make(map[string]string)}
 	tids := make(map[int]struct{})
 	doms := make(map[string]struct{})
-	// One entry per distinct normalized pair, found by its key.
-	at := make(map[string]int)
-	var norm []normPair
+	// One entry per distinct normalized pair, found by its key. The tables
+	// of a partition share most of their pairs, so the largest one is the
+	// size hint.
+	largest := 0
+	for _, b := range cands {
+		largest = max(largest, len(b.Norm().Pairs))
+	}
+	at := make(map[string]int, largest)
+	norm := make([]normPair, 0, largest)
 	for _, b := range cands {
 		m.CandidateIDs = append(m.CandidateIDs, b.ID)
 		tids[b.TableID] = struct{}{}

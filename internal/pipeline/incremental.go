@@ -97,15 +97,16 @@ func (e *Engine) RunIncremental(ctx context.Context, tables []*table.Table, inc 
 }
 
 // index returns the co-occurrence index over ts, appending only the tables
-// the state has not seen.
-func (s *IncrementalState) index(ts []*table.Table) *stats.CooccurrenceIndex {
+// the state has not seen, on p.
+func (s *IncrementalState) index(ctx context.Context, ts []*table.Table, p *pool.Pool) (*stats.CooccurrenceIndex, error) {
 	if s.idx == nil || s.nIndexed > len(ts) {
-		s.idx = stats.BuildIndex(ts)
-	} else {
-		s.idx.Append(ts[s.nIndexed:])
+		s.idx, s.nIndexed = stats.NewIndex(), 0
+	}
+	if err := s.idx.Append(ctx, ts[s.nIndexed:], p); err != nil {
+		return nil, err
 	}
 	s.nIndexed = len(ts)
-	return s.idx
+	return s.idx, nil
 }
 
 // lookup keys every component on the pool, fills found[i] with component

@@ -48,16 +48,18 @@ type resolveOut struct {
 
 // indexStage builds the corpus co-occurrence index used by coherence
 // filtering, or with a state appends the tables it has not seen to the
-// state's index. Either is a single sequential pass.
+// state's index. Either normalizes per table on the shared pool and
+// appends the postings in one sequential pass.
 func (e *Engine) indexStage(inc *IncrementalState) Stage[[]*table.Table, *stats.CooccurrenceIndex] {
 	return Stage[[]*table.Table, *stats.CooccurrenceIndex]{
 		Name:  "index",
 		Items: func(ts []*table.Table) int { return len(ts) },
 		Run: func(ctx context.Context, ts []*table.Table) (*stats.CooccurrenceIndex, error) {
 			if inc == nil {
-				return stats.BuildIndex(ts), nil
+				idx := stats.NewIndex()
+				return idx, idx.Append(ctx, ts, e.pool)
 			}
-			return inc.index(ts), nil
+			return inc.index(ctx, ts, e.pool)
 		},
 	}
 }

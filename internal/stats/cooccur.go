@@ -15,8 +15,11 @@
 package stats
 
 import (
+	"context"
 	"math"
+	"slices"
 
+	"mapsynth/internal/pool"
 	"mapsynth/internal/table"
 	"mapsynth/internal/textnorm"
 )
@@ -32,63 +35,71 @@ type CooccurrenceIndex struct {
 	n int
 }
 
-// BuildIndex scans a corpus and indexes every column of every table. Values
-// are normalized before indexing; empty normalized values are skipped.
+// NewIndex returns an empty index; Append fills it.
+func NewIndex() *CooccurrenceIndex {
+	return &CooccurrenceIndex{columns: make(map[string][]int32)}
+}
+
+// BuildIndex scans a corpus and indexes every column of every table on one
+// worker: an empty index plus Append.
 func BuildIndex(tables []*table.Table) *CooccurrenceIndex {
-	idx := &CooccurrenceIndex{columns: make(map[string][]int32)}
-	var colID int32
-	for _, t := range tables {
-		for ci := range t.Columns {
-			c := &t.Columns[ci]
-			seen := make(map[string]struct{}, len(c.Values))
-			for _, v := range c.Values {
-				nv := textnorm.Normalize(v)
-				if nv == "" {
-					continue
-				}
-				if _, ok := seen[nv]; ok {
-					continue
-				}
-				seen[nv] = struct{}{}
-				idx.columns[nv] = append(idx.columns[nv], colID)
-			}
-			colID++
-		}
-	}
-	idx.n = int(colID)
-	// Posting lists are appended in increasing column ID, so they are
-	// already sorted and duplicate-free.
+	idx := NewIndex()
+	_ = idx.Append(context.Background(), tables, pool.New(1)) // never cancelled
 	return idx
 }
 
 // Append indexes additional tables in place, continuing the dense column ID
-// sequence where the previous build stopped. Because column IDs are assigned
-// in table order and posting lists are appended in increasing ID, the result
-// is exactly the index BuildIndex would produce over the concatenated corpus
-// — the identity the incremental pipeline relies on. Appending re-weights
-// every NPMI (N grows), which is why the incremental path re-runs extraction
-// globally while reusing this index.
-func (x *CooccurrenceIndex) Append(tables []*table.Table) {
-	colID := int32(x.n)
-	for _, t := range tables {
+// sequence where the previous build stopped. Values are normalized before
+// indexing; empty normalized values are skipped. Because column IDs are
+// assigned in table order and posting lists are appended in increasing ID,
+// the result is exactly the index of the concatenated corpus — the identity
+// the incremental pipeline relies on. Appending re-weights every NPMI (N
+// grows), which is why the incremental path re-runs extraction globally
+// while reusing this index.
+//
+// Each table's columns are normalized and de-duplicated on p; the posting
+// lists are then appended sequentially in column order, so the index is the
+// same for any worker count. Cancellation during the first phase returns
+// ctx's error and leaves the index as it was.
+func (x *CooccurrenceIndex) Append(ctx context.Context, tables []*table.Table, p *pool.Pool) error {
+	distinct := make([][][]string, len(tables)) // per table and column: its distinct normalized values
+	if err := p.ForEach(ctx, len(tables), func(i int) {
+		t := tables[i]
+		cols := make([][]string, len(t.Columns))
+		n := 0
 		for ci := range t.Columns {
-			c := &t.Columns[ci]
-			seen := make(map[string]struct{}, len(c.Values))
-			for _, v := range c.Values {
-				nv := textnorm.Normalize(v)
-				if nv == "" {
-					continue
+			n += len(t.Columns[ci].Values)
+		}
+		buf := make([]string, 0, n)
+		for ci := range t.Columns {
+			start := len(buf)
+			for _, v := range t.Columns[ci].Values {
+				if nv := textnorm.Normalize(v); nv != "" {
+					buf = append(buf, nv)
 				}
-				if _, ok := seen[nv]; ok {
-					continue
-				}
-				seen[nv] = struct{}{}
+			}
+			// A column's values reach the index as a set: sort to drop the
+			// repeats.
+			col := buf[start:]
+			slices.Sort(col)
+			cols[ci] = slices.Compact(col)
+			buf = buf[:start+len(cols[ci])]
+		}
+		distinct[i] = cols
+	}); err != nil {
+		return err
+	}
+	colID := int32(x.n)
+	for _, cols := range distinct {
+		for _, col := range cols {
+			for _, nv := range col {
 				x.columns[nv] = append(x.columns[nv], colID)
 			}
 			colID++
 		}
 	}
 	x.n = int(colID)
+	return nil
 }
 
 // NumColumns returns N, the total number of columns indexed.

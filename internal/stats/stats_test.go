@@ -1,12 +1,15 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
+	"mapsynth/internal/pool"
 	"mapsynth/internal/table"
 	"mapsynth/internal/textnorm"
 )
@@ -165,7 +168,7 @@ func TestAppendEquivalence(t *testing.T) {
 	)
 	for split := 0; split <= len(all); split++ {
 		inc := BuildIndex(all[:split])
-		inc.Append(all[split:])
+		_ = inc.Append(context.Background(), all[split:], pool.New(2))
 		full := BuildIndex(all)
 		if inc.NumColumns() != full.NumColumns() {
 			t.Fatalf("split %d: NumColumns %d vs %d", split, inc.NumColumns(), full.NumColumns())
@@ -367,7 +370,62 @@ func TestCoherenceSweepMatchesPairwise(t *testing.T) {
 			}
 		}
 		check("before Append")
-		idx.Append(corpusOf(cols[split:]...))
+		_ = idx.Append(context.Background(), corpusOf(cols[split:]...), pool.New(2))
 		check("after Append")
+	}
+}
+
+// referenceIndex is the index as it was built before normalization moved
+// onto the pool: one sequential pass, a set per column.
+func referenceIndex(tables []*table.Table) *CooccurrenceIndex {
+	idx := NewIndex()
+	for _, t := range tables {
+		for ci := range t.Columns {
+			seen := map[string]bool{}
+			for _, v := range t.Columns[ci].Values {
+				if nv := textnorm.Normalize(v); nv != "" && !seen[nv] {
+					seen[nv] = true
+					idx.columns[nv] = append(idx.columns[nv], int32(idx.n))
+				}
+			}
+			idx.n++
+		}
+	}
+	return idx
+}
+
+// TestIndexMatchesReference: Append on any worker count, in one call or
+// split in two, builds the reference index posting list for posting list,
+// over columns with repeats, case and punctuation variants and values that
+// normalize to nothing.
+func TestIndexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	vocab := []string{"USA", "usa", "U.S.A.", "Canada", "canada ", "", "---", "Côte d'Ivoire", "côte d’ivoire", "日本", "[1]", "Mexico"}
+	for trial := 0; trial < 20; trial++ {
+		var tables []*table.Table
+		for ti := 0; ti < 1+rng.Intn(30); ti++ {
+			tb := &table.Table{ID: ti}
+			for c := 0; c < 1+rng.Intn(4); c++ {
+				col := table.Column{Name: "c"}
+				for r := 0; r < rng.Intn(12); r++ {
+					col.Values = append(col.Values, vocab[rng.Intn(len(vocab))])
+				}
+				tb.Columns = append(tb.Columns, col)
+			}
+			tables = append(tables, tb)
+		}
+		want := referenceIndex(tables)
+		for _, workers := range []int{1, 3} {
+			split := rng.Intn(len(tables) + 1)
+			got := NewIndex()
+			for _, part := range [][]*table.Table{tables[:split], tables[split:]} {
+				if err := got.Append(context.Background(), part, pool.New(workers)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got.n != want.n || !reflect.DeepEqual(got.columns, want.columns) {
+				t.Fatalf("trial %d, %d workers, split %d: index differs from the reference", trial, workers, split)
+			}
+		}
 	}
 }

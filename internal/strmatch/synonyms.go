@@ -59,5 +59,13 @@ func (s *SynonymFeed) AreSynonyms(a, b string) bool {
 	return ok && ga == gb
 }
 
+// Group returns the id of v's synonym group and whether v has one. Two
+// distinct values are synonyms exactly when both have a group and the ids
+// are equal.
+func (s *SynonymFeed) Group(v string) (int, bool) {
+	g, ok := s.group[v]
+	return g, ok
+}
+
 // Len returns the number of values known to the feed.
 func (s *SynonymFeed) Len() int { return len(s.group) }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 
 	"mapsynth/internal/graph"
 )
@@ -157,19 +158,146 @@ func Greedy(g *graph.Graph, tau float64) Partitioning {
 // the merge loop's profile.
 const greedyCancelStride = 1024
 
+// pairWeights is the aggregated weight between two partition roots lo < hi,
+// one slot of a pairTable. A weight's has flag tells an absent weight from
+// a zero one.
+type pairWeights struct {
+	key            uint64 // lo<<32 | hi; 0 marks an empty slot (lo < hi, so no pair keys to 0)
+	pos, neg       float64
+	hasPos, hasNeg bool
+}
+
+// pairTable holds the weights of every pair of adjacent partition roots,
+// each pair once: an open-addressing hash table with linear probing and
+// deletion by backward shift, so no tombstones. A merge deletes at least as
+// many pairs as it creates, so the table never holds more pairs than the
+// graph has edges and never grows.
+type pairTable struct {
+	slots []pairWeights
+	mask  uint64
+}
+
+func pairKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
+// reset empties the table and sizes it for n pairs, reusing its slots.
+func (t *pairTable) reset(n int) {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]pairWeights, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.mask = uint64(size - 1)
+}
+
+func (t *pairTable) home(key uint64) uint64 { return (key * 0x9E3779B97F4A7C15) >> 32 & t.mask }
+
+// get returns the weights of the pair a, b, or nil.
+func (t *pairTable) get(a, b int) *pairWeights {
+	key := pairKey(a, b)
+	for i := t.home(key); ; i = (i + 1) & t.mask {
+		switch t.slots[i].key {
+		case key:
+			return &t.slots[i]
+		case 0:
+			return nil
+		}
+	}
+}
+
+// upsert returns the weights of the pair a, b, adding an empty entry when
+// there is none; added says which.
+func (t *pairTable) upsert(a, b int) (w *pairWeights, added bool) {
+	key := pairKey(a, b)
+	for i := t.home(key); ; i = (i + 1) & t.mask {
+		switch t.slots[i].key {
+		case key:
+			return &t.slots[i], false
+		case 0:
+			t.slots[i] = pairWeights{key: key}
+			return &t.slots[i], true
+		}
+	}
+}
+
+// remove deletes the pair a, b, shifting later entries of its probe run
+// back into the hole. Pointers from get and upsert are invalid after it.
+func (t *pairTable) remove(a, b int) {
+	key := pairKey(a, b)
+	i := t.home(key)
+	for t.slots[i].key != key {
+		if t.slots[i].key == 0 {
+			return
+		}
+		i = (i + 1) & t.mask
+	}
+	for j := (i + 1) & t.mask; t.slots[j].key != 0; j = (j + 1) & t.mask {
+		// Move j into the hole at i unless its home lies cyclically in
+		// (i, j]: then it must stay at or after its home.
+		if h := t.home(t.slots[j].key); (j-h)&t.mask >= (j-i)&t.mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = pairWeights{}
+}
+
+// greedyScratch is one GreedyCtx call's working memory, reused across
+// calls through greedyPool so per-component greedy allocates little beyond
+// its result.
+type greedyScratch struct {
+	pairs        pairTable
+	parent       []int32
+	posDeg       []int32 // per root: how many roots it has a w+ entry with
+	adjOff       []int32
+	adjBuf       []int32
+	adj          [][]int32 // per root: vertices whose roots it may be adjacent to
+	seen         []int32   // per root: the merge-loop iteration (from 1) that last listed it
+	changed, nbs []int32
+	heap         mergeHeap
+}
+
+var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
+
+// grow returns s resized to n elements, all zero.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // GreedyCtx is Greedy with cooperative cancellation: the merge loop checks
 // ctx every greedyCancelStride merges and returns ctx's error with a nil
 // partitioning when cancelled. Output is unaffected by the checks.
+//
+// The aggregated weights live in one pairTable, each pair of roots once,
+// and every root keeps a list of vertices whose roots it may be adjacent to:
+// entries go stale as partitions merge and are resolved through union-find
+// when the root is absorbed. That is the only time a root's list is read.
 func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, error) {
 	n := g.NumVertices()
+	sc := greedyPool.Get().(*greedyScratch)
+	defer greedyPool.Put(sc)
 	// parent implements union-find with path halving; the merge loop
 	// chooses which root survives (the one with more positive neighbours),
 	// so plain parent pointers beat union-by-rank here.
-	parent := make([]int, n)
+	parent := grow(sc.parent, n)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	find := func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -177,61 +305,65 @@ func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, 
 		return x
 	}
 
-	// pos[r][s] / neg[r][s]: aggregated weights between partition roots.
-	// Invariant: for active roots r, keys of pos[r]/neg[r] are active roots
-	// and the maps are symmetric.
-	// The maps are sized by degree up front: growing them one insert at a
-	// time was a third of the set-up cost.
 	edges := g.Edges()
-	posDeg, negDeg := make([]int, n), make([]int, n)
+	pairs := &sc.pairs
+	pairs.reset(len(edges))
+	posDeg, seen := grow(sc.posDeg, n), grow(sc.seen, n)
+	adjOff := grow(sc.adjOff, n+1)
 	for _, e := range edges {
+		if e.Pos != 0 || e.Neg != 0 {
+			adjOff[e.A+1]++
+			adjOff[e.B+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		adjOff[v+1] += adjOff[v]
+	}
+	adjBuf := grow(sc.adjBuf, int(adjOff[n]))
+	adj := grow(sc.adj, n)
+	for v := range adj {
+		adj[v] = adjBuf[adjOff[v]:adjOff[v]:adjOff[v+1]]
+	}
+	h := sc.heap[:0]
+	for _, e := range edges {
+		if e.Pos == 0 && e.Neg == 0 {
+			continue
+		}
+		w, _ := pairs.upsert(e.A, e.B)
 		if e.Pos != 0 {
+			w.pos, w.hasPos = e.Pos, true
 			posDeg[e.A]++
 			posDeg[e.B]++
 		}
 		if e.Neg != 0 {
-			negDeg[e.A]++
-			negDeg[e.B]++
+			w.neg, w.hasNeg = e.Neg, true
 		}
-	}
-	pos := make([]map[int]float64, n)
-	neg := make([]map[int]float64, n)
-	for i := 0; i < n; i++ {
-		pos[i] = make(map[int]float64, posDeg[i])
-		neg[i] = make(map[int]float64, negDeg[i])
-	}
-	h := make(mergeHeap, 0, len(edges))
-	for _, e := range edges {
-		if e.Pos != 0 {
-			pos[e.A][e.B] = e.Pos
-			pos[e.B][e.A] = e.Pos
-		}
-		if e.Neg != 0 {
-			neg[e.A][e.B] = e.Neg
-			neg[e.B][e.A] = e.Neg
-		}
+		adj[e.A] = append(adj[e.A], int32(e.B))
+		adj[e.B] = append(adj[e.B], int32(e.A))
 		if e.Pos > 0 && e.Neg >= tau {
 			h = append(h, mergeEntry{pos: e.Pos, a: e.A, b: e.B})
 		}
 	}
 	h.init()
+	changed, nbs := sc.changed[:0], sc.nbs[:0]
+	defer func() {
+		sc.parent, sc.posDeg, sc.adjOff, sc.adjBuf, sc.adj, sc.seen, sc.changed, sc.nbs, sc.heap = parent, posDeg, adjOff, adjBuf, adj, seen, changed, nbs, h
+	}()
 
-	iter := 0
-	for len(h) > 0 {
-		iter++
+	for iter := int32(1); len(h) > 0; iter++ {
 		if iter%greedyCancelStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		top := h.pop()
-		ra, rb := find(top.a), find(top.b)
+		ra, rb := find(int32(top.a)), find(int32(top.b))
 		if ra == rb {
 			continue // already merged
 		}
-		cur, ok := pos[ra][rb]
-		if !ok || math.Abs(cur-top.pos) > 1e-12 || top.pos <= 0 {
+		w := pairs.get(int(ra), int(rb))
+		if w == nil || !w.hasPos || math.Abs(w.pos-top.pos) > 1e-12 || top.pos <= 0 {
 			continue // stale entry; a fresher one is in the heap
 		}
-		if nw, bad := neg[ra][rb]; bad && nw < tau {
+		if w.hasNeg && w.neg < tau {
 			continue // hard constraint
 		}
 		// Merge the smaller positive adjacency into the larger. Counting
@@ -241,57 +373,68 @@ func GreedyCtx(ctx context.Context, g *graph.Graph, tau float64) (Partitioning, 
 		// greedy on the whole graph and greedy per positive component make
 		// the same merges (Appendix F's divide and conquer is exact).
 		keep, drop := ra, rb
-		if len(pos[keep]) < len(pos[drop]) {
+		if posDeg[keep] < posDeg[drop] {
 			keep, drop = drop, keep
 		}
 		parent[drop] = keep
-		delete(pos[keep], drop)
-		delete(neg[keep], drop)
-		delete(pos[drop], keep)
-		delete(neg[drop], keep)
-		for nb, w := range pos[drop] {
-			if find(nb) == keep {
-				continue // defensive; invariant keeps keys as roots
+		pairs.remove(int(keep), int(drop))
+		posDeg[keep]--
+		// The absorbed root's neighbours, each once.
+		nbs = nbs[:0]
+		for _, x := range adj[drop] {
+			if nb := find(x); nb != keep && seen[nb] != iter {
+				seen[nb] = iter
+				nbs = append(nbs, nb)
 			}
-			pos[keep][nb] += w
-			pos[nb][keep] = pos[keep][nb]
-			delete(pos[nb], drop)
 		}
-		for nb, w := range neg[drop] {
-			if find(nb) == keep {
-				continue
+		adj[drop] = nil
+		changed = changed[:0]
+		for _, nb := range nbs {
+			from := *pairs.get(int(drop), int(nb))
+			pairs.remove(int(drop), int(nb))
+			to, added := pairs.upsert(int(keep), int(nb))
+			if added {
+				adj[keep] = append(adj[keep], nb)
 			}
-			if curN, exists := neg[keep][nb]; !exists || w < curN {
-				neg[keep][nb] = w
-				neg[nb][keep] = w
-			}
-			delete(neg[nb], drop)
-		}
-		pos[drop] = nil
-		neg[drop] = nil
-		// Re-advertise the merged partition's eligible edges.
-		for nb, w := range pos[keep] {
-			if w > 0 && neg[keep][nb] >= tau {
-				a, b := keep, nb
-				if a > b {
-					a, b = b, a
+			if from.hasPos {
+				if to.hasPos {
+					posDeg[nb]-- // drop and keep are one neighbour now
+				} else {
+					posDeg[keep]++
 				}
-				h.push(mergeEntry{pos: w, a: a, b: b})
+				to.pos += from.pos
+				to.hasPos = true
+				changed = append(changed, nb)
+			}
+			if from.hasNeg && (!to.hasNeg || from.neg < to.neg) {
+				to.neg, to.hasNeg = from.neg, true
+			}
+		}
+		// Re-advertise the merged partition's eligible edges whose weight
+		// changed: those to the absorbed root's positive neighbours. Every
+		// other edge of keep kept its weight and its entry in the heap,
+		// and w- only falls, so none became eligible.
+		for _, nb := range changed {
+			w := pairs.get(int(keep), int(nb))
+			if w.pos > 0 && w.neg >= tau { // an absent w- reads 0
+				h.push(mergeEntry{pos: w.pos, a: int(min(keep, nb)), b: int(max(keep, nb))})
 			}
 		}
 	}
 
-	groups := make(map[int][]int)
+	// Scanning vertices upward meets each partition at its smallest member
+	// first, so the partitions come out sorted by it, members ascending.
+	// seen is free again: it maps a root to its partition's index plus one.
+	seen = grow(seen, n)
+	var parts Partitioning
 	for v := 0; v < n; v++ {
-		r := find(v)
-		groups[r] = append(groups[r], v)
+		r := find(int32(v))
+		if seen[r] == 0 {
+			parts = append(parts, nil)
+			seen[r] = int32(len(parts))
+		}
+		parts[seen[r]-1] = append(parts[seen[r]-1], v)
 	}
-	parts := make(Partitioning, 0, len(groups))
-	for _, members := range groups {
-		sort.Ints(members)
-		parts = append(parts, members)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i][0] < parts[j][0] })
 	return parts, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"mapsynth/internal/graph"
@@ -274,6 +275,165 @@ func TestMinCutMatchesExact(t *testing.T) {
 		exact := Exact(g, DefaultTau)
 		if math.Abs(Objective(g, parts)-Objective(g, exact)) > 1e-9 {
 			t.Fatalf("trial %d: min-cut %v != exact %v", trial, Objective(g, parts), Objective(g, exact))
+		}
+	}
+}
+
+// greedyReference is Algorithm 3 as GreedyCtx ran it before its merge loop
+// was trimmed: per-root maps of aggregated weights, and after every merge
+// an entry pushed for every eligible edge of the surviving root, changed or
+// not. TestGreedyMatchesReference holds GreedyCtx to it.
+func greedyReference(g *graph.Graph, tau float64) Partitioning {
+	n := g.NumVertices()
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	pos := make([]map[int]float64, n)
+	neg := make([]map[int]float64, n)
+	for i := 0; i < n; i++ {
+		pos[i], neg[i] = map[int]float64{}, map[int]float64{}
+	}
+	var h mergeHeap
+	for _, e := range g.Edges() {
+		if e.Pos != 0 {
+			pos[e.A][e.B], pos[e.B][e.A] = e.Pos, e.Pos
+		}
+		if e.Neg != 0 {
+			neg[e.A][e.B], neg[e.B][e.A] = e.Neg, e.Neg
+		}
+		if e.Pos > 0 && e.Neg >= tau {
+			h.push(mergeEntry{pos: e.Pos, a: e.A, b: e.B})
+		}
+	}
+	for len(h) > 0 {
+		top := h.pop()
+		ra, rb := find(top.a), find(top.b)
+		if ra == rb {
+			continue
+		}
+		if cur, ok := pos[ra][rb]; !ok || math.Abs(cur-top.pos) > 1e-12 || top.pos <= 0 {
+			continue
+		}
+		if nw, bad := neg[ra][rb]; bad && nw < tau {
+			continue
+		}
+		keep, drop := ra, rb
+		if len(pos[keep]) < len(pos[drop]) {
+			keep, drop = drop, keep
+		}
+		parent[drop] = keep
+		delete(pos[keep], drop)
+		delete(neg[keep], drop)
+		delete(pos[drop], keep)
+		delete(neg[drop], keep)
+		for nb, w := range pos[drop] {
+			pos[keep][nb] += w
+			pos[nb][keep] = pos[keep][nb]
+			delete(pos[nb], drop)
+		}
+		for nb, w := range neg[drop] {
+			if cur, ok := neg[keep][nb]; !ok || w < cur {
+				neg[keep][nb], neg[nb][keep] = w, w
+			}
+			delete(neg[nb], drop)
+		}
+		pos[drop], neg[drop] = nil, nil
+		for nb, w := range pos[keep] {
+			if w > 0 && neg[keep][nb] >= tau {
+				h.push(mergeEntry{pos: w, a: min(keep, nb), b: max(keep, nb)})
+			}
+		}
+	}
+	groups := make(map[int][]int)
+	for v := 0; v < n; v++ {
+		groups[find(v)] = append(groups[find(v)], v)
+	}
+	var parts Partitioning
+	for _, members := range groups {
+		parts = append(parts, members) // ascending: v runs upward
+	}
+	sort.Slice(parts, func(i, j int) bool { return parts[i][0] < parts[j][0] })
+	return parts
+}
+
+// TestGreedyMatchesReference: GreedyCtx returns greedyReference's
+// partitions on random graphs of up to ~300 vertices. Half the trials draw
+// w+ from three values, so most merges are ties the entry order decides,
+// and a quarter of the edges carry a w- that can block a merge or, after
+// aggregation, a later one.
+func TestGreedyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ties := []float64{0.25, 0.5, 1}
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(300)
+		g := graph.New(n)
+		for e := 0; e < n*(1+rng.Intn(6)); e++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			pos := rng.Float64()
+			if trial%2 == 1 {
+				pos = ties[rng.Intn(len(ties))]
+			}
+			var neg float64
+			if rng.Intn(4) == 0 {
+				neg = -rng.Float64()
+				if rng.Intn(2) == 0 {
+					pos = 0
+				}
+			}
+			g.AddEdge(a, b, pos, neg)
+		}
+		want := greedyReference(g, DefaultTau)
+		if got := Greedy(g, DefaultTau); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, %d edges): Greedy %v, reference %v", trial, n, g.NumEdges(), got, want)
+		}
+	}
+}
+
+// TestPairTableMatchesMap: upserts and removals in a small table (long probe
+// runs, so backward-shift deletion moves entries across the wrap-around)
+// leave it holding exactly what a map holds.
+func TestPairTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var pt pairTable
+	for trial := 0; trial < 50; trial++ {
+		pt.reset(24)
+		want := map[uint64]float64{}
+		for op := 0; op < 400; op++ {
+			a, b := rng.Intn(12), rng.Intn(12)
+			if a == b {
+				continue
+			}
+			if rng.Intn(3) == 0 || len(want) >= 24 {
+				pt.remove(a, b)
+				delete(want, pairKey(a, b))
+				continue
+			}
+			w, added := pt.upsert(a, b)
+			if _, had := want[pairKey(a, b)]; added == had {
+				t.Fatalf("trial %d: upsert(%d, %d) added=%v, map had it: %v", trial, a, b, added, had)
+			}
+			w.pos++
+			want[pairKey(a, b)] = w.pos
+		}
+		for a := 0; a < 12; a++ {
+			for b := a + 1; b < 12; b++ {
+				w := pt.get(a, b)
+				pos, ok := want[pairKey(a, b)]
+				if (w != nil) != ok || ok && w.pos != pos {
+					t.Fatalf("trial %d: pair (%d, %d) = %+v, map %v %v", trial, a, b, w, pos, ok)
+				}
+			}
 		}
 	}
 }

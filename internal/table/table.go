@@ -125,10 +125,11 @@ type Norm struct {
 	rawLen int
 }
 
-// Norm returns the table's normalized view, building it on first use. It is
-// safe for concurrent use. The view describes Pairs as they were when it was
-// built: edit Pairs only before the first call (appending is detected and
-// rebuilds the view; SortPairs drops it).
+// Norm returns the table's normalized view. Extraction hands every
+// candidate its view (SetNorm); for a table built elsewhere Norm builds it
+// on first use. It is safe for concurrent use. The view describes Pairs as
+// they were when it was set or built: edit Pairs only before that
+// (appending is detected and rebuilds the view; SortPairs drops it).
 func (b *BinaryTable) Norm() *Norm {
 	if v := b.norm.Load(); v != nil && v.rawLen == len(b.Pairs) {
 		return v
@@ -150,6 +151,14 @@ func (b *BinaryTable) Norm() *Norm {
 	}
 	b.norm.Store(v)
 	return v
+}
+
+// SetNorm sets the table's normalized view to pairs, which must be what
+// Norm would build from Pairs: a producer that already holds every value
+// normalized (extraction interns each table's cells) hands the view over
+// instead of having Norm normalize again.
+func (b *BinaryTable) SetNorm(pairs []NormPair) {
+	b.norm.Store(&Norm{Pairs: pairs, rawLen: len(b.Pairs)})
 }
 
 // NewBinaryTable builds a BinaryTable from two parallel value slices,
